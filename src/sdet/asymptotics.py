@@ -14,9 +14,9 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import matrices, symbols
-from .determinants import det_lu
+from .determinants import det_auto
 from .quadrature import AccuracyError
-from .scalars import hp_complex, hp_real, to_mp
+from .scalars import format_scalar, infer_field, to_mp
 from .symbols import FHDescriptor, FHProduct, JumpT, MomentSymbol, SpeciesError
 
 
@@ -198,34 +198,16 @@ class FHPrediction:
     E_estimated: object = None
 
     def to_json(self):
-        out = {
-            "F": _fmt(self.F),
-            "Omega": _fmt(self.Omega),
-            "ratio_coefficient": (
-                None if self.ratio_coefficient is None else _fmt(self.ratio_coefficient)
-            ),
-            "exponent_of_N": _fmt(self.exponent_of_N),
+        def fmt(x):
+            return None if x is None else format_scalar(x, REPORT_DIGITS)
+
+        return {
+            "F": fmt(self.F),
+            "Omega": fmt(self.Omega),
+            "ratio_coefficient": fmt(self.ratio_coefficient),
+            "exponent_of_N": fmt(self.exponent_of_N),
+            "E_estimated": fmt(self.E_estimated),
         }
-        out["E_estimated"] = None if self.E_estimated is None else _fmt(self.E_estimated)
-        return out
-
-
-def _fmt(x, digits: int = REPORT_DIGITS) -> str:
-    if isinstance(x, (int, Fraction)):
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else "%d/%d" % (
-            f.numerator,
-            f.denominator,
-        )
-    if isinstance(x, mp.mpc):
-        if x.imag == 0:
-            return mp.nstr(x.real, digits)
-        return "(%s%s%sj)" % (
-            mp.nstr(x.real, digits),
-            "+" if x.imag >= 0 else "-",
-            mp.nstr(abs(x.imag), digits),
-        )
-    return mp.nstr(mp.mpf(x), digits)
 
 
 def wh_factors(desc: FHDescriptor, theta, accuracy=None, bits: int | None = None):
@@ -352,10 +334,10 @@ class FitResult:
 
     def to_json(self):
         return {
-            "F": _fmt(self.F),
-            "Omega": _fmt(self.Omega),
-            "E": _fmt(self.E),
-            "max_residual": _fmt(max((abs(r) for r in self.residuals), default=mp.mpf(0)), 6),
+            "F": format_scalar(self.F, REPORT_DIGITS),
+            "Omega": format_scalar(self.Omega, REPORT_DIGITS),
+            "E": format_scalar(self.E, REPORT_DIGITS),
+            "max_residual": format_scalar(max((abs(r) for r in self.residuals), default=mp.mpf(0)), 6),
         }
 
 
@@ -496,7 +478,7 @@ class AsymptoticsReport:
 
 def _real_det(M, bits):
     """Determinant forced real: tiny phases are asserted away, not kept."""
-    res = det_lu(M, bits)
+    res = det_auto(M, bits)
     v = res.value
     if isinstance(v, mp.mpc):
         with mp.workprec(bits + 32):
@@ -508,21 +490,11 @@ def _real_det(M, bits):
     return v, res.digits_guaranteed
 
 
-def _field_for_symbol(sym, bits):
-    if sym.real_profile() is not None:
-        return hp_real(bits)
-    c = sym.closed_coeff(0, 64)
-    if c is not None and not isinstance(c, mp.mpc):
-        # closed-form real coefficients (e.g. the pure jump factor)
-        return hp_real(bits)
-    return hp_complex(bits)
-
-
 def _ratio_study(kind, num_sym, den_sym, Ns, bits, power, prediction, flags, tol):
     """Common driver: ratios det(num)/det(den) at size s(N), compensated by N^power."""
     size = (lambda n: 2 * n) if kind in ("cor53", "conjecture_sym") else (lambda n: n)
     ratios = []
-    f_num = _field_for_symbol(num_sym, bits)
+    f_num = infer_field(num_sym, bits)
     for N in Ns:
         order = size(N)
         T_num = matrices.toeplitz(num_sym, order, f_num)
@@ -530,7 +502,7 @@ def _ratio_study(kind, num_sym, den_sym, Ns, bits, power, prediction, flags, tol
         if den_sym is None:
             den = mp.mpf(1)
         else:
-            T_den = matrices.toeplitz(den_sym, order, _field_for_symbol(den_sym, bits))
+            T_den = matrices.toeplitz(den_sym, order, infer_field(den_sym, bits))
             den, _ = _real_det(T_den, bits)
         with mp.workprec(bits + 32):
             if den == 0:
@@ -551,11 +523,11 @@ def _ratio_study(kind, num_sym, den_sym, Ns, bits, power, prediction, flags, tol
     return AsymptoticsReport(
         kind=kind,
         N_list=list(Ns),
-        det_values=[_fmt(r) for r in ratios],
-        compensated_values=[_fmt(c) for c in comp],
+        det_values=[format_scalar(r, REPORT_DIGITS) for r in ratios],
+        compensated_values=[format_scalar(c, REPORT_DIGITS) for c in comp],
         prediction=prediction.to_json(),
         fitted=fitted,
-        extrapolated_limit=_fmt(limit),
+        extrapolated_limit=format_scalar(limit, REPORT_DIGITS),
         verdict=verdict,
         flags=list(flags),
         bits=bits,
@@ -579,7 +551,7 @@ def _double_fit(data, bits):
 
 def _moment_det_study(kind, b, Ns, bits, F, exponent, prediction, flags, tol):
     """Exponent-only check on det H_N[b]: fitted Omega and compensated trend."""
-    field = hp_real(bits) if b.real else hp_complex(bits)
+    field = infer_field(b, bits)
     dets = []
     for N in Ns:
         H = matrices.hankel_moment(b, N, field)
@@ -612,11 +584,11 @@ def _moment_det_study(kind, b, Ns, bits, F, exponent, prediction, flags, tol):
     return AsymptoticsReport(
         kind=kind,
         N_list=list(Ns),
-        det_values=[_fmt(v) for v in dets],
-        compensated_values=[_fmt(c) for c in comp],
+        det_values=[format_scalar(v, REPORT_DIGITS) for v in dets],
+        compensated_values=[format_scalar(c, REPORT_DIGITS) for c in comp],
         prediction=prediction.to_json(),
         fitted=fitted,
-        extrapolated_limit=_fmt(limit),
+        extrapolated_limit=format_scalar(limit, REPORT_DIGITS),
         verdict=verdict,
         flags=list(flags),
         bits=bits,

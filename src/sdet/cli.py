@@ -157,15 +157,13 @@ def _cmd_study(args) -> int:
     try:
         if args.kind == "cor56":
             subject = symbols.moment_from_json(obj)
-            desc = None
         else:
             subject = symbols.descriptor_from_json(obj)
-            desc = None
     except (ValueError, TypeError) as exc:
         raise UsageError("%s: %s" % (args.desc, exc))
     try:
         report = asymptotics.study(
-            args.kind, subject, Ns, bits=bits, sign=_parse_sign(args.sign), desc=desc
+            args.kind, subject, Ns, bits=bits, sign=_parse_sign(args.sign)
         )
     except SpeciesError as exc:
         raise UsageError("%s: %s" % (args.desc, exc))

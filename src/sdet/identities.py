@@ -19,10 +19,10 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import determinants, matrices, symbols, transforms
-from .determinants import DetResult, PrecisionError, det_bareiss, det_lu, pfaffian
+from . import symbols, transforms
+from .determinants import DetResult, det_auto, pfaffian
 from .matrices import hankel_moment, toeplitz, toeplitz_plus_hankel
-from .scalars import Field, abs_val, format_scalar, hp_complex, hp_real, rational, to_mp
+from .scalars import abs_val, format_scalar, infer_field, is_exact_scalar, to_mp
 from .symbols import (
     CoeffSeq,
     JumpT,
@@ -152,79 +152,36 @@ def _n_list(N_values):
     return out
 
 
-def _is_exact_entries(entries) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in entries.values())
-
-
-def _even_input_seq(inp, max_index: int, mode: str, bits: int):
-    """Even ScalarSeq view of the input, wide enough for indices |n| <= max_index."""
-    if isinstance(inp, ScalarSeq):
-        if inp.symmetry != "even":
-            raise SpeciesError("an even sequence is required")
-        entries = dict(inp.entries)
-    elif isinstance(inp, CoeffSeq):
-        if inp.symmetry not in ("even", None):
-            raise SpeciesError("an even sequence is required")
-        if inp.symmetry is None and any(
-            inp.entries.get(-n, 0) != v for n, v in inp.entries.items()
-        ):
-            raise SpeciesError("an even sequence is required")
-        entries = dict(inp.entries)
-    elif isinstance(inp, dict):
-        entries = dict(inp)
-    elif isinstance(inp, symbols.FourierSymbol):
-        if not symbols.certify_even(inp):
-            raise SpeciesError("an even symbol is required")
-        if mode == "exact":
-            raise SpeciesError("exact mode needs finite rational coefficients")
-        table = inp.coeff_table(0, max_index, bits)
-        entries = {}
-        for n in range(max_index + 1):
-            v = table[n]
-            entries[n] = v
-            entries[-n] = v
-        return ScalarSeq(entries, "even")
-    else:
-        raise SpeciesError("cannot interpret %r as an even sequence" % (type(inp),))
-    if mode == "exact" and not _is_exact_entries(entries):
-        raise SpeciesError("exact mode needs rational coefficients")
-    return ScalarSeq(entries, "even")
-
-
-def _odd_input_seq(inp, mode: str) -> ScalarSeq:
-    if isinstance(inp, ScalarSeq):
-        if inp.symmetry != "odd":
-            raise SpeciesError("an odd sequence is required")
-        seq = inp
-    elif isinstance(inp, CoeffSeq):
-        if inp.symmetry != "odd":
-            raise SpeciesError("an odd sequence is required")
-        seq = ScalarSeq(dict(inp.entries), "odd")
-    elif isinstance(inp, dict):
-        seq = ScalarSeq(dict(inp), "odd")
-    else:
-        raise SpeciesError("cannot interpret %r as an odd sequence" % (type(inp),))
-    if mode == "exact" and not _is_exact_entries(seq.entries):
+def _input_seq(inp, symmetry: str, mode: str) -> ScalarSeq:
+    """ScalarSeq view of a sequence-level input: a ScalarSeq, CoeffSeq or dict."""
+    if (
+        symmetry == "even"
+        and isinstance(inp, CoeffSeq)
+        and inp.symmetry is None
+        and all(inp.entries.get(-n, 0) == v for n, v in inp.entries.items())
+    ):
+        inp = inp.entries  # an unflagged CoeffSeq with a_{-n} = a_n passes as even
+    if isinstance(inp, (ScalarSeq, CoeffSeq)) and inp.symmetry != symmetry:
+        raise SpeciesError("an %s sequence is required" % symmetry)
+    if not isinstance(inp, (ScalarSeq, CoeffSeq, dict)):
+        raise SpeciesError(
+            "cannot interpret %r as an %s sequence" % (type(inp), symmetry)
+        )
+    seq = transforms._as_seq(inp, symmetry)
+    if mode == "exact" and not all(is_exact_scalar(v) for v in seq.entries.values()):
         raise SpeciesError("exact mode needs rational coefficients")
     return seq
 
 
-def _field_for(seq, mode: str, bits: int) -> Field:
-    if mode == "exact":
-        return rational()
-    entries = getattr(seq, "entries", {})
-    real = all(
-        isinstance(v, (int, float, Fraction, mp.mpf))
-        or (isinstance(v, (complex, mp.mpc)) and complex(v).imag == 0.0)
-        for v in entries.values()
-    )
-    return hp_real(bits) if real else hp_complex(bits)
-
-
-def _det(M, bits):
-    if M.field.is_exact:
-        return det_bareiss(M)
-    return det_lu(M, bits)
+def _even_input_seq(inp, max_index: int, mode: str, bits: int) -> ScalarSeq:
+    """Even ScalarSeq view of the input, wide enough for indices |n| <= max_index."""
+    if isinstance(inp, symbols.FourierSymbol) and not isinstance(inp, CoeffSeq):
+        if not symbols.certify_even(inp):
+            raise SpeciesError("an even symbol is required")
+        if mode == "exact":
+            raise SpeciesError("exact mode needs finite rational coefficients")
+        return ScalarSeq(inp.coeff_table(0, max_index, bits), "even")
+    return _input_seq(inp, "even", mode)
 
 
 def _residuals(lhs, rhs, bits):
@@ -265,12 +222,12 @@ def _run_hankel_congruence(inp, Ns, mode, bits, notes):
     records = []
     for N in Ns:
         seq = _even_input_seq(inp, 2 * N + 2, mode, bits)
-        field = _field_for(seq, mode, bits)
+        field = infer_field(seq, bits, exact=mode == "exact")
         with mp.workprec(2 * bits + 32):
             b = a_to_b(seq, 2 * N)
         A = toeplitz_plus_hankel(seq, N, field)
         B = hankel_moment({n: b[n] for n in range(1, 2 * N)}, N, field)
-        records.append(_make_record(N, _det(A, bits), _det(B, bits), mode, bits))
+        records.append(_make_record(N, det_auto(A, bits), det_auto(B, bits), mode, bits))
     return records
 
 
@@ -285,12 +242,12 @@ def _run_th_vs_moment(inp, Ns, mode, bits, notes):
     if not symbols.certify_even(inp):
         raise SpeciesError("an even symbol is required")
     b = th_to_moment_symbol(inp)
-    field = hp_real(bits) if b.real else hp_complex(bits)
+    field = infer_field(b, bits)
     records = []
     for N in Ns:
         A = toeplitz_plus_hankel(inp, N, field)
         H = hankel_moment(b, N, field)
-        records.append(_make_record(N, _det(A, bits), _det(H, bits), mode, bits))
+        records.append(_make_record(N, det_auto(A, bits), det_auto(H, bits), mode, bits))
     return records
 
 
@@ -319,14 +276,14 @@ def _run_quarter_wave(inp, Ns, mode, bits, notes):
     records = []
     for N in Ns:
         if isinstance(src, ScalarSeq):
-            field = _field_for(src, mode, bits)
+            field = infer_field(src, bits, exact=mode == "exact")
             A = toeplitz_plus_hankel(src, N, field)
             T = toeplitz(_halved_seq(src), N, field)
         else:
             d = halve_argument(src)
             A = toeplitz_plus_hankel(src, N, bits=bits)
             T = toeplitz(d, N, bits=bits)
-        records.append(_make_record(N, _det(A, bits), _det(T, bits), mode, bits))
+        records.append(_make_record(N, det_auto(A, bits), det_auto(T, bits), mode, bits))
     return records
 
 
@@ -348,49 +305,41 @@ def _run_moment_to_toeplitz(inp, Ns, mode, bits, notes):
     if inp.weight != "sqrt_ratio":
         raise SpeciesError("the sqrt((1+x)/(1-x)) weight is required")
     d = moment_to_halfangle(_smooth_part(inp))
-    field = hp_real(bits) if inp.real else hp_complex(bits)
+    field = infer_field(inp, bits)
     records = []
     for N in Ns:
         H = hankel_moment(inp, N, field)
         T = toeplitz(d, N, field)
-        records.append(_make_record(N, _det(H, bits), _det(T, bits), mode, bits))
+        records.append(_make_record(N, det_auto(H, bits), det_auto(T, bits), mode, bits))
     return records
 
 
-def _square(res: DetResult, bits):
-    if isinstance(res.value, (int, Fraction)):
-        return res.value * res.value
-    with mp.workprec(2 * bits + 32):
-        return res.value * res.value
+def _square_record(N, lhs: DetResult, root: DetResult, mode, bits):
+    """Record for lhs = root^2; in hp mode the squared side keeps root's digits."""
+    if isinstance(root.value, (int, Fraction)):
+        rhs = root.value * root.value
+    else:
+        with mp.workprec(2 * bits + 32):
+            rhs = root.value * root.value
+    extra = (root.digits_guaranteed,) if mode == "hp" else ()
+    return _make_record(N, lhs, rhs, mode, bits, extra_digits=extra)
 
 
 def _run_skew_square(inp, Ns, mode, bits, notes):
     records = []
     for N in Ns:
         seq = _even_input_seq(inp, 2 * N, mode, bits)
-        field = _field_for(seq, mode, bits)
+        field = infer_field(seq, bits, exact=mode == "exact")
         with mp.workprec(2 * bits + 32):
             c = a_to_c(seq, 2 * N - 1)
         T2 = toeplitz(c, 2 * N, field)
         A = toeplitz_plus_hankel(seq, N, field)
-        lhs = _det(T2, bits)
-        rhs_det = _det(A, bits)
-        rhs = _square(rhs_det, bits or 64)
-        records.append(
-            _make_record(
-                N,
-                lhs,
-                rhs,
-                mode,
-                bits,
-                extra_digits=(rhs_det.digits_guaranteed,) if mode == "hp" else (),
-            )
-        )
+        records.append(_square_record(N, det_auto(T2, bits), det_auto(A, bits), mode, bits))
     return records
 
 
 def _run_cseq_square(inp, Ns, mode, bits, notes):
-    seq = _odd_input_seq(inp, mode)
+    seq = _input_seq(inp, "odd", mode)
     note = (
         "sequence-level input: the identity is a finite-matrix statement and "
         "does not require the sequence to come from an L1 symbol"
@@ -399,24 +348,12 @@ def _run_cseq_square(inp, Ns, mode, bits, notes):
         notes.append(note)
     records = []
     for N in Ns:
-        field = _field_for(seq, mode, bits)
+        field = infer_field(seq, bits, exact=mode == "exact")
         with mp.workprec(2 * bits + 32):
             b = c_to_b(seq, 2 * N - 1)
         T2 = toeplitz(seq, 2 * N, field)
         B = hankel_moment({n: b[n] for n in range(1, 2 * N)}, N, field)
-        lhs = _det(T2, bits)
-        rhs_det = _det(B, bits)
-        rhs = _square(rhs_det, bits or 64)
-        records.append(
-            _make_record(
-                N,
-                lhs,
-                rhs,
-                mode,
-                bits,
-                extra_digits=(rhs_det.digits_guaranteed,) if mode == "hp" else (),
-            )
-        )
+        records.append(_square_record(N, det_auto(T2, bits), det_auto(B, bits), mode, bits))
     return records
 
 
@@ -424,19 +361,12 @@ def _run_moment_skew_square(inp, Ns, mode, bits, notes):
     if not isinstance(inp, MomentSymbol):
         raise SpeciesError("a moment symbol is required")
     c = SkewFromMoment(inp)
-    field = hp_real(bits) if inp.real else hp_complex(bits)
+    field = infer_field(inp, bits)
     records = []
     for N in Ns:
         T2 = toeplitz(c, 2 * N, field)
         H = hankel_moment(inp, N, field)
-        lhs = _det(T2, bits)
-        rhs_det = _det(H, bits)
-        rhs = _square(rhs_det, bits)
-        records.append(
-            _make_record(
-                N, lhs, rhs, mode, bits, extra_digits=(rhs_det.digits_guaranteed,)
-            )
-        )
+        records.append(_square_record(N, det_auto(T2, bits), det_auto(H, bits), mode, bits))
     return records
 
 
@@ -445,25 +375,13 @@ def _run_parity_split_even(inp, Ns, mode, bits, notes):
     records = []
     for N in Ns:
         if isinstance(src, ScalarSeq):
-            field = _field_for(src, mode, bits)
+            field = infer_field(src, bits, exact=mode == "exact")
             T2 = toeplitz(src, 2 * N, field)
             T1 = toeplitz(_halved_seq(src), N, field)
         else:
             T2 = toeplitz(src, 2 * N, bits=bits)
             T1 = toeplitz(halve_argument(src), N, bits=bits)
-        lhs = _det(T2, bits)
-        rhs_det = _det(T1, bits)
-        rhs = _square(rhs_det, bits or 64)
-        records.append(
-            _make_record(
-                N,
-                lhs,
-                rhs,
-                mode,
-                bits,
-                extra_digits=(rhs_det.digits_guaranteed,) if mode == "hp" else (),
-            )
-        )
+        records.append(_square_record(N, det_auto(T2, bits), det_auto(T1, bits), mode, bits))
     return records
 
 
@@ -477,17 +395,15 @@ def _run_parity_split_chi(inp, Ns, mode, bits, notes):
     d1 = SymbolProduct((JumpT(-0.5), d))
     d2 = SymbolProduct((JumpT(0.5), d))
     chi_a = multiply_by_chi(base)
-    lhs_field = (
-        hp_real(bits) if chi_a.real_profile() is not None else hp_complex(bits)
-    )
+    lhs_field = infer_field(chi_a, bits)
     records = []
     for N in Ns:
         T2 = toeplitz(chi_a, 2 * N, lhs_field)
-        lhs = _det(T2, bits)
-        T_d1 = toeplitz(d1, N, hp_complex(bits))
-        T_d2 = toeplitz(d2, N, hp_complex(bits))
-        r1 = _det(T_d1, bits)
-        r2 = _det(T_d2, bits)
+        lhs = det_auto(T2, bits)
+        T_d1 = toeplitz(d1, N, infer_field(d1, bits))
+        T_d2 = toeplitz(d2, N, infer_field(d2, bits))
+        r1 = det_auto(T_d1, bits)
+        r2 = det_auto(T_d2, bits)
         with mp.workprec(2 * bits + 32):
             rhs = r1.value * r2.value
         records.append(
@@ -552,15 +468,15 @@ def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> Identit
     Ns = _n_list(N_values)
     bits = bits or DEFAULT_BITS
     c = SkewFromMoment(b)
-    field = hp_real(bits) if b.real else hp_complex(bits)
+    field = infer_field(b, bits)
     notes = []
     records = []
     for N in Ns:
         T2 = toeplitz(c, 2 * N, field)
         pf = pfaffian(T2)
-        detT = _det(T2, bits)
+        detT = det_auto(T2, bits)
         H = hankel_moment(b, N, field)
-        detH = _det(H, bits)
+        detH = det_auto(H, bits)
         with mp.workprec(2 * bits + 32):
             pf_sq = pf * pf
         records.append(

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import scalars, symbols, transforms
-from .scalars import Field, abs_val, coerce, hp_complex, hp_real, rational
+from .scalars import Field, abs_val, coerce, infer_field, rational
 
 
 class StructureError(ValueError):
@@ -29,12 +29,6 @@ _TAGS = (
     "flip",
     "general",
 )
-
-
-def _tolerance(field: Field):
-    if field.is_exact:
-        return 0
-    return mp.mpf(2) ** (-(field.bits // 2))
 
 
 class StructuredMatrix:
@@ -53,12 +47,21 @@ class StructuredMatrix:
         if check:
             self._check_structure()
 
+    def _entry_bound(self):
+        """Largest entry difference that structure checks forgive.
+
+        0 over exact fields; otherwise 2^-(bits/2) times the larger of 1
+        and the largest entry.
+        """
+        if self.field.is_exact:
+            return 0
+        scale = max(abs_val(v) for row in self.rows for v in row)
+        return mp.mpf(2) ** (-(self.field.bits // 2)) * max(scale, 1)
+
     def _check_structure(self):
-        tol = _tolerance(self.field)
         n = self.order
         rows = self.rows
-        scale = max((abs_val(rows[i][j]) for i in range(n) for j in range(n)), default=0)
-        bound = tol * max(scale, 1) if tol else 0
+        bound = self._entry_bound()
         if self.structure in ("toeplitz",):
             for i in range(1, n):
                 for j in range(1, n):
@@ -77,12 +80,8 @@ class StructuredMatrix:
         return [list(r) for r in self.rows]
 
     def is_symmetric(self) -> bool:
-        tol = _tolerance(self.field)
         n = self.order
-        scale = max(
-            (abs_val(self.rows[i][j]) for i in range(n) for j in range(n)), default=0
-        )
-        bound = tol * max(scale, 1) if tol else 0
+        bound = self._entry_bound()
         return all(
             abs_val(self.rows[i][j] - self.rows[j][i]) <= bound
             for i in range(n)
@@ -90,12 +89,8 @@ class StructuredMatrix:
         )
 
     def is_skew(self) -> bool:
-        tol = _tolerance(self.field)
         n = self.order
-        scale = max(
-            (abs_val(self.rows[i][j]) for i in range(n) for j in range(n)), default=0
-        )
-        bound = tol * max(scale, 1) if tol else 0
+        bound = self._entry_bound()
         return all(
             abs_val(self.rows[i][j] + self.rows[j][i]) <= bound
             for i in range(n)
@@ -119,7 +114,7 @@ class StructuredMatrix:
                         [mp.nstr(v.real, digits), mp.nstr(v.imag, digits)]
                     )
                 else:
-                    entries.append([mp.nstr(mp.mpf(v), digits), "0"])
+                    entries.append([mp.nstr(v, digits), "0"])
         return {"order": self.order, "field": tag, "entries": entries}
 
     def __repr__(self):
@@ -176,28 +171,16 @@ def _coeff_lookup(a, lo: int, hi: int, field: Field):
     raise TypeError("cannot read coefficients from %r" % (type(a),))
 
 
-def _default_field(a, bits: int | None) -> Field:
-    entries = a if isinstance(a, dict) else getattr(a, "entries", None)
-    if entries is not None and all(
-        isinstance(v, (int, Fraction)) for v in entries.values()
-    ):
-        if bits is None:
-            return rational()
-        return hp_real(bits)
-    bits = bits or 256
-    if isinstance(a, symbols.FourierSymbol):
-        prof = a.real_profile()
-        if prof is not None:
-            return hp_real(bits)
-        return hp_complex(bits)
-    return hp_real(bits)
-
-
 def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
-    """T_N(a) = (a_{j-k}), j,k = 0..N-1."""
+    """T_N(a) = (a_{j-k}), j,k = 0..N-1.
+
+    Without field or bits the matrix is exact when the entries are rational;
+    otherwise the field comes from scalars.infer_field at bits (default 256).
+    hankel, toeplitz_plus_hankel and hankel_moment use the same rule.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    field = field or _default_field(a, bits)
+    field = field or infer_field(a, bits or 256, exact=bits is None)
     fetch = _coeff_lookup(a, -(N - 1), N - 1, field)
     rows = [[fetch(j - k) for k in range(N)] for j in range(N)]
     m = StructuredMatrix(rows, field, "toeplitz")
@@ -213,7 +196,7 @@ def hankel(a, N: int, field: Field | None = None, bits: int | None = None) -> St
     """H_N(a) = (a_{j+k+1}), using coefficient indices 1..2N-1."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    field = field or _default_field(a, bits)
+    field = field or infer_field(a, bits or 256, exact=bits is None)
     fetch = _coeff_lookup(a, 1, 2 * N - 1, field)
     rows = [[fetch(j + k + 1) for k in range(N)] for j in range(N)]
     return StructuredMatrix(rows, field, "hankel")
@@ -233,7 +216,7 @@ def toeplitz_plus_hankel(
             isinstance(a, symbols.FourierSymbol) and symbols.certify_even(a)
         ):
             raise symbols.SpeciesError("toeplitz_plus_hankel needs an even symbol")
-    field = field or _default_field(a, bits)
+    field = field or infer_field(a, bits or 256, exact=bits is None)
     fetch = _coeff_lookup(a, -(N - 1), 2 * N - 1, field)
     if field.is_exact:
         rows = [[fetch(j - k) + fetch(j + k + 1) for k in range(N)] for j in range(N)]
@@ -251,8 +234,7 @@ def hankel_moment(b, N: int, field: Field | None = None, bits: int | None = None
     if N < 1:
         raise ValueError("N must be >= 1")
     if isinstance(b, symbols.MomentSymbol):
-        if field is None:
-            field = (hp_real if b.real else hp_complex)(bits or max(128, 12 * N))
+        field = field or infer_field(b, bits or max(128, 12 * N))
         if field.is_exact:
             raise TypeError("moment integrals cannot fill a rational matrix")
         table = b.moment_table(2 * N - 1, field.bits)
@@ -263,7 +245,7 @@ def hankel_moment(b, N: int, field: Field | None = None, bits: int | None = None
                 table = {n: mp.mpc(v) for n, v in table.items()}
             fetch = lambda n: table[n]
     else:
-        field = field or _default_field(b, bits)
+        field = field or infer_field(b, bits or 256, exact=bits is None)
         fetch = _coeff_lookup(b, 1, 2 * N - 1, field)
     rows = [[fetch(1 + j + k) for k in range(N)] for j in range(N)]
     return StructuredMatrix(rows, field, "hankel_moment")
@@ -296,11 +278,7 @@ def checkerboard_split(M: StructuredMatrix, parity: str):
         raise ValueError("parity must be even_entries or odd_entries")
     N = M.order // 2
     rows = M.rows
-    tol = _tolerance(M.field)
-    scale = max(
-        (abs_val(rows[i][j]) for i in range(2 * N) for j in range(2 * N)), default=0
-    )
-    bound = tol * max(scale, 1) if tol else 0
+    bound = M._entry_bound()
     # coefficient c_d sits at any (j, k) with j - k = d
     want_zero_residue = 1 if parity == "even_entries" else 0
     for d in range(-(2 * N - 1), 2 * N):

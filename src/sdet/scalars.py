@@ -65,6 +65,36 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def is_real_scalar(x) -> bool:
+    if isinstance(x, (int, float, Fraction, mp.mpf)):
+        return True
+    if isinstance(x, (complex, mp.mpc)):
+        return complex(x).imag == 0.0
+    return False
+
+
+def infer_field(source, bits: int, exact: bool = False) -> Field:
+    """The field that holds the coefficients or moments of source.
+
+    source is a coefficient dict, anything with an ``entries`` map (ScalarSeq,
+    CoeffSeq), or a symbol with a ``real`` flag.  The result is rational when
+    exact is asked for and every entry is rational; otherwise hp_real at bits
+    when every coefficient is real, hp_complex when not.  A symbol counts as
+    real when the coefficients it computes are real numbers (closed forms, or
+    quadrature in real arithmetic).
+    """
+    entries = source if isinstance(source, dict) else getattr(source, "entries", None)
+    if entries is None:
+        real = getattr(source, "real", None)
+        if not isinstance(real, bool):
+            raise TypeError("cannot infer a field for %r" % (type(source),))
+    else:
+        if exact and all(is_exact_scalar(v) for v in entries.values()):
+            return rational()
+        real = all(is_real_scalar(v) for v in entries.values())
+    return Field(HP_REAL if real else HP_COMPLEX, bits)
+
+
 def to_mp(x, bits: int):
     """Convert a scalar to mpf/mpc at the given precision."""
     with mp.workprec(bits):

@@ -25,7 +25,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import quadrature
-from .scalars import to_mp
+from .scalars import format_scalar, is_exact_scalar, is_real_scalar, to_mp
+from .transforms import _complete_symmetric
 
 _CERT_BITS = 96
 _CERT_TOL = 1e-12
@@ -165,6 +166,16 @@ class FourierSymbol:
         """Whether a(-t) = a(t), i.e. all odd-index coefficients vanish."""
         return _sampled_even_support(self)
 
+    @property
+    def real(self) -> bool:
+        """Whether every coefficient comes out as a real number.
+
+        A real profile runs the real cosine/sine transforms.  The complex
+        quadrature leaves rounding-level imaginary parts, so symbols that
+        need it count as complex even when their coefficients are real.
+        """
+        return self.real_profile() is not None
+
     # -- coefficient machinery ------------------------------------------
 
     def coeff(self, n: int, bits: int = 128):
@@ -283,14 +294,18 @@ def certify_even(a: FourierSymbol) -> bool:
     return _sampled_relation(a, 1)
 
 
-def _is_real_scalar(v) -> bool:
-    if isinstance(v, (int, float, Fraction)):
-        return True
-    if isinstance(v, mp.mpf):
-        return True
-    if isinstance(v, (complex, mp.mpc)):
-        return complex(v).imag == 0.0
-    return False
+def _json_entries(table: dict) -> list:
+    """[[k, re, im], ...] by key; rationals stay exact (an int or "p/q")."""
+    out = []
+    for k in sorted(table):
+        v = table[k]
+        if is_exact_scalar(v):
+            fr = Fraction(v)
+            out.append([k, fr.numerator if fr.denominator == 1 else format_scalar(fr), 0])
+        else:
+            c = complex(v)
+            out.append([k, c.real, c.imag])
+    return out
 
 
 class CoeffSeq(FourierSymbol):
@@ -311,22 +326,7 @@ class CoeffSeq(FourierSymbol):
                 store[n] = v
             else:
                 raise TypeError("bad coefficient value %r" % (v,))
-        if symmetry == "even":
-            for n, v in list(store.items()):
-                m = store.get(-n)
-                if m is None:
-                    store[-n] = v
-                elif m != v:
-                    raise ValueError("even sequence needs a_{-n} = a_n")
-        elif symmetry == "odd":
-            if store.get(0, 0) != 0:
-                raise ValueError("odd sequence needs a_0 = 0")
-            for n, v in list(store.items()):
-                m = store.get(-n)
-                if m is None:
-                    store[-n] = -v
-                elif m != -v:
-                    raise ValueError("odd sequence needs a_{-n} = -a_n")
+        _complete_symmetric(store, symmetry, "a")
         self.entries = store
         self.symmetry = symmetry
 
@@ -335,7 +335,11 @@ class CoeffSeq(FourierSymbol):
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.entries.values())
+        return all(is_exact_scalar(v) for v in self.entries.values())
+
+    @property
+    def real(self) -> bool:
+        return all(is_real_scalar(v) for v in self.entries.values())
 
     def jump_points(self):
         return ()
@@ -358,7 +362,7 @@ class CoeffSeq(FourierSymbol):
         return total
 
     def real_profile(self):
-        if not all(_is_real_scalar(v) for v in self.entries.values()):
+        if not self.real:
             return None
         if self.symmetry == "even":
             def f(theta, _e=self.entries):
@@ -381,24 +385,10 @@ class CoeffSeq(FourierSymbol):
         return None
 
     def to_json(self):
-        entries = []
-        for n in sorted(self.entries):
-            v = self.entries[n]
-            if isinstance(v, (int, Fraction)):
-                fr = Fraction(v)
-                re = (
-                    fr.numerator
-                    if fr.denominator == 1
-                    else "%d/%d" % (fr.numerator, fr.denominator)
-                )
-                entries.append([n, re, 0])
-            else:
-                c = complex(v)
-                entries.append([n, c.real, c.imag])
         return {
             "kind": "coeffs",
             "symmetry": self.symmetry or "none",
-            "entries": entries,
+            "entries": _json_entries(self.entries),
         }
 
 
@@ -465,6 +455,10 @@ class JumpT(FourierSymbol):
 
     def even_support(self):
         return False
+
+    @property
+    def real(self) -> bool:
+        return is_real_scalar(self.beta)
 
     def to_json(self):
         c = complex(self.beta)
@@ -539,7 +533,7 @@ class FHProduct(FourierSymbol):
     def _log_real_even(self) -> bool:
         ls = self.desc.log_smooth
         return all(
-            _is_real_scalar(v) and ls.get(-n) == v for n, v in ls.items()
+            is_real_scalar(v) and ls.get(-n) == v for n, v in ls.items()
         )
 
     @property
@@ -663,6 +657,10 @@ class ArgDoubled(FourierSymbol):
     def symmetry(self):
         return self.base.symmetry
 
+    @property
+    def real(self) -> bool:
+        return self.base.real
+
     def jump_points(self):
         pts = []
         for p in self.base.jump_points():
@@ -716,6 +714,10 @@ class HalvedArg(FourierSymbol):
     @property
     def symmetry(self):
         return self.base.symmetry
+
+    @property
+    def real(self) -> bool:
+        return self.base.real
 
     def jump_points(self):
         return _dedup_jumps(p.scaled(Fraction(2)) for p in self.base.jump_points())
@@ -793,7 +795,7 @@ class MomentSymbol:
 
         if parity is None and coeffs and all(k % 2 == 0 for k in coeffs):
             parity = "even"
-        real = all(_is_real_scalar(v) for v in coeffs.values())
+        real = all(is_real_scalar(v) for v in coeffs.values())
         return cls(smooth, weight, jumps, parity, real=real, poly=coeffs)
 
     def _sample_real(self) -> bool:
@@ -804,7 +806,7 @@ class MomentSymbol:
                     v = self.smooth(x)
                 except Exception:
                     return False
-                if not _is_real_scalar(v):
+                if not is_real_scalar(v):
                     return False
         return True
 
@@ -870,24 +872,10 @@ class MomentSymbol:
     def to_json(self):
         if self.poly is None:
             raise NotImplementedError("only polynomial smooth factors serialize")
-        entries = []
-        for k in sorted(self.poly):
-            v = self.poly[k]
-            if isinstance(v, (int, Fraction)):
-                fr = Fraction(v)
-                re = (
-                    fr.numerator
-                    if fr.denominator == 1
-                    else "%d/%d" % (fr.numerator, fr.denominator)
-                )
-                entries.append([k, re, 0])
-            else:
-                c = complex(v)
-                entries.append([k, c.real, c.imag])
         return {
             "kind": "moment",
             "weight": self.weight,
-            "poly": entries,
+            "poly": _json_entries(self.poly),
             "parity": self.parity or "none",
         }
 

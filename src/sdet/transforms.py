@@ -25,22 +25,7 @@ class ScalarSeq:
             if v == 0:
                 continue
             store[n] = v
-        if symmetry == "even":
-            for n, v in list(store.items()):
-                m = store.get(-n)
-                if m is None:
-                    store[-n] = v
-                elif m != v:
-                    raise ValueError("even sequence needs s_{-n} = s_n")
-        elif symmetry == "odd":
-            if store.get(0, 0) != 0:
-                raise ValueError("odd sequence needs s_0 = 0")
-            for n, v in list(store.items()):
-                m = store.get(-n)
-                if m is None:
-                    store[-n] = -v
-                elif m != -v:
-                    raise ValueError("odd sequence needs s_{-n} = -s_n")
+        _complete_symmetric(store, symmetry, "s")
         self.entries = store
         self.symmetry = symmetry
 
@@ -71,31 +56,41 @@ class ScalarSeq:
         return "ScalarSeq({%s}, %r)" % (items, self.symmetry)
 
 
-def _as_even_seq(a) -> ScalarSeq:
+def _complete_symmetric(store: dict, symmetry, letter: str) -> None:
+    """Fill in the negative indices of an even or odd sequence, in place.
+
+    Entries given on both sides must agree with the symmetry; letter names
+    the sequence in the error messages.
+    """
+    if symmetry not in ("even", "odd"):
+        return
+    odd = symmetry == "odd"
+    if odd and store.get(0, 0) != 0:
+        raise ValueError("odd sequence needs %s_0 = 0" % letter)
+    for n, v in list(store.items()):
+        want = -v if odd else v
+        m = store.get(-n)
+        if m is None:
+            store[-n] = want
+        elif m != want:
+            raise ValueError(
+                "%s sequence needs %s_{-n} = %s%s_n"
+                % (symmetry, letter, "-" if odd else "", letter)
+            )
+
+
+def _as_seq(a, symmetry: str) -> ScalarSeq:
+    """a as a ScalarSeq of the given symmetry (from a ScalarSeq, CoeffSeq or dict)."""
     if isinstance(a, ScalarSeq):
-        if a.symmetry != "even":
-            raise ValueError("an even sequence is required")
+        if a.symmetry != symmetry:
+            raise ValueError("an %s sequence is required" % symmetry)
         return a
-    entries = getattr(a, "entries", None)
-    if entries is not None:
-        return ScalarSeq(dict(entries), "even")
-    return ScalarSeq(dict(a), "even")
-
-
-def _as_odd_seq(c) -> ScalarSeq:
-    if isinstance(c, ScalarSeq):
-        if c.symmetry != "odd":
-            raise ValueError("an odd sequence is required")
-        return c
-    entries = getattr(c, "entries", None)
-    if entries is not None:
-        return ScalarSeq(dict(entries), "odd")
-    return ScalarSeq(dict(c), "odd")
+    return ScalarSeq(dict(getattr(a, "entries", a)), symmetry)
 
 
 def a_to_b(a, n_max: int) -> ScalarSeq:
     """b_n = sum_{k=0}^{n-1} C(n-1,k) (a_{1-n+2k} + a_{2-n+2k}), n >= 1."""
-    a = _as_even_seq(a)
+    a = _as_seq(a, "even")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     out = {}
@@ -109,7 +104,7 @@ def a_to_b(a, n_max: int) -> ScalarSeq:
 
 def a_to_c(a, n_max: int) -> ScalarSeq:
     """c_n = sum_{k=-n+1}^{n} a_k for n >= 1, c_0 = 0, odd extension."""
-    a = _as_even_seq(a)
+    a = _as_seq(a, "even")
     out = {}
     running = 0
     for n in range(1, n_max + 1):
@@ -121,7 +116,7 @@ def a_to_c(a, n_max: int) -> ScalarSeq:
 
 def c_to_b(c, n_max: int) -> ScalarSeq:
     """b_n = sum_{k=0}^{floor(n/2)} (C(n-1,k) - C(n-1,k-1)) c_{n-2k}."""
-    c = _as_odd_seq(c)
+    c = _as_seq(c, "odd")
     out = {}
     for n in range(1, n_max + 1):
         total = 0
@@ -138,7 +133,7 @@ def recover_even_from_c(c, n_max: int) -> ScalarSeq:
     The solution is unique only up to the choice of a_0; a_0 = c_1/2 makes
     a_1 = c_1/2 as well and keeps the sequence rational for rational c.
     """
-    c = _as_odd_seq(c)
+    c = _as_seq(c, "odd")
     half = Fraction(1, 2) if isinstance(c[1], (int, Fraction)) else 0.5
     out = {0: c[1] * half}
     prev = out[0]
@@ -191,7 +186,7 @@ def congruence_check(a, N: int):
     A_N has entries a_{j-k} + a_{j+k+1} and B_N is the Hankel matrix of the
     transformed sequence, B_N[j][k] = b_{1+j+k}.
     """
-    a = _as_even_seq(a)
+    a = _as_seq(a, "even")
     if N < 1:
         raise ValueError("N must be >= 1")
     b = a_to_b(a, 2 * N)

@@ -241,6 +241,12 @@ class TestStructureChecks:
         assert doc["field"] == "rational"
         assert doc["entries"][0] == ["1", "0"]
 
+    def test_json_keeps_hp_real_digits(self):
+        m = toeplitz(ScalarSeq({0: Fraction(1, 3)}, "even"), 1, field=hp_real(128))
+        with mp.workprec(128):
+            third = mp.nstr(mp.mpf(1) / 3, 41)
+        assert m.to_json()["entries"][0] == [third, "0"]
+
     def test_hp_field_tolerance_accepts_rounded_structure(self):
         a = ScalarSeq({0: Fraction(1, 3), 1: Fraction(1, 7)}, "even")
         m = toeplitz(a, 4, field=hp_real(128))
