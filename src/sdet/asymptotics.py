@@ -491,19 +491,19 @@ def _real_det(M, bits):
 
 
 def _ratio_study(kind, num_sym, den_sym, Ns, bits, power, prediction, flags, tol):
-    """Common driver: ratios det(num)/det(den) at size s(N), compensated by N^power."""
-    size = (lambda n: 2 * n) if kind in ("cor53", "conjecture_sym") else (lambda n: n)
+    """Common driver: ratios det(num)/det(den) at order N or 2N, compensated by N^power."""
+    scale = 2 if kind in ("cor53", "conjecture_sym") else 1
+    top = scale * max(Ns)
+    T_num = matrices.toeplitz(num_sym, top, infer_field(num_sym, bits))
+    if den_sym is not None:
+        T_den = matrices.toeplitz(den_sym, top, infer_field(den_sym, bits))
     ratios = []
-    f_num = infer_field(num_sym, bits)
     for N in Ns:
-        order = size(N)
-        T_num = matrices.toeplitz(num_sym, order, f_num)
-        num, _ = _real_det(T_num, bits)
+        num, _ = _real_det(T_num.leading(scale * N), bits)
         if den_sym is None:
             den = mp.mpf(1)
         else:
-            T_den = matrices.toeplitz(den_sym, order, infer_field(den_sym, bits))
-            den, _ = _real_det(T_den, bits)
+            den, _ = _real_det(T_den.leading(scale * N), bits)
         with mp.workprec(bits + 32):
             if den == 0:
                 raise AccuracyError("denominator determinant vanished at N=%d" % N)
@@ -551,12 +551,8 @@ def _double_fit(data, bits):
 
 def _moment_det_study(kind, b, Ns, bits, F, exponent, prediction, flags, tol):
     """Exponent-only check on det H_N[b]: fitted Omega and compensated trend."""
-    field = infer_field(b, bits)
-    dets = []
-    for N in Ns:
-        H = matrices.hankel_moment(b, N, field)
-        v, _ = _real_det(H, bits)
-        dets.append(v)
+    H = matrices.hankel_moment(b, max(Ns), infer_field(b, bits))
+    dets = [_real_det(H.leading(N), bits)[0] for N in Ns]
     data = list(zip(Ns, dets))
     fitted = _double_fit(data, bits)
     with mp.workprec(bits + 32):

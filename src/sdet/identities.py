@@ -2,11 +2,14 @@
 
 Each IdentityKind names one equality between determinants of matrices built
 from a common input (an even symbol or sequence, an odd sequence, or a
-moment symbol).  verify() builds both sides through the matrices and
-determinants modules and records residuals per N; in exact mode a pass
-means the residual is literally zero, in hp mode the relative residual must
-stay below 10^(-digits_guaranteed/2) where digits_guaranteed comes from the
-determinant engine's two-precision agreement.
+moment symbol).  verify() builds each side's matrix once, at the largest
+requested N, and reads every smaller size off its leading block (each
+family is closed under leading blocks); every size still gets its own
+determinant.  Residuals are recorded per N: in exact mode a pass means the
+residual is literally zero, in hp mode the relative residual must stay below
+10^(-digits_guaranteed/2) where digits_guaranteed comes from the determinant
+engine's two-precision agreement.  A record whose sides carry no guaranteed
+digits fails, since two values known to no digits agree by accident.
 
 Kinds backed by moment integrals have no exact mode (generic moments are
 transcendental); requesting exact there silently upgrades to hp and says so
@@ -168,9 +171,22 @@ def _input_seq(inp, symmetry: str, mode: str) -> ScalarSeq:
             "cannot interpret %r as an %s sequence" % (type(inp), symmetry)
         )
     seq = transforms._as_seq(inp, symmetry)
-    if mode == "exact" and not all(is_exact_scalar(v) for v in seq.entries.values()):
+    if all(is_exact_scalar(v) for v in seq.entries.values()):
+        return seq
+    if mode == "exact":
         raise SpeciesError("exact mode needs rational coefficients")
-    return seq
+    # float sums round at 53 bits whatever mp.workprec says, while the matrix
+    # side reads the same floats exactly: give the transforms exact values
+    return ScalarSeq({n: _exact_value(v) for n, v in seq.entries.items()}, symmetry)
+
+
+def _exact_value(v):
+    """v unchanged, with a float as its exact Fraction and a complex as an mpc."""
+    if isinstance(v, float):
+        return Fraction(v)
+    if isinstance(v, complex):
+        return mp.mpc(v)
+    return v
 
 
 def _even_input_seq(inp, max_index: int, mode: str, bits: int) -> ScalarSeq:
@@ -210,25 +226,54 @@ def _make_record(N, lhs_res, rhs_res, mode, bits, extra_digits=()):
     for res in (lhs_res, rhs_res):
         if isinstance(res, DetResult) and res.digits_guaranteed:
             digits.append(res.digits_guaranteed)
-    dg = min(digits) if digits else max(8, int(bits * 0.15))
-    ok = rel < mp.mpf(10) ** (-(dg / 2))
+    # with no guaranteed digit on either side, agreement proves nothing
+    dg = min(digits, default=0)
+    ok = bool(digits) and rel < mp.mpf(10) ** (-(dg / 2))
     return IdentityRecord(N, lhs, rhs, a, rel, mode, bits, dg, ok)
 
 
 # -- per-kind builders ----------------------------------------------------
 
 
-def _run_hankel_congruence(inp, Ns, mode, bits, notes):
+def _sweep(Ns, mode, bits, lhs, rhs, squared=False):
+    """One record per N: det lhs against det rhs, (det rhs)^2 when squared,
+    or the product of the determinants of a pair rhs.
+
+    Runners build each matrix once, at k * max(Ns) for k = 1 or 2; at N it
+    stands for its leading block of order k * N.  Products are taken at
+    2*bits+32, and in hp mode they keep their factors' guaranteed digits.
+    """
+    top = max(Ns)
+
+    def det_at(M, N):
+        return det_auto(M.leading(M.order // top * N), bits)
+
     records = []
     for N in Ns:
-        seq = _even_input_seq(inp, 2 * N + 2, mode, bits)
-        field = infer_field(seq, bits, exact=mode == "exact")
+        left = det_at(lhs, N)
+        if squared:
+            factors = [det_at(rhs, N)] * 2
+        elif isinstance(rhs, tuple):
+            factors = [det_at(M, N) for M in rhs]
+        else:
+            records.append(_make_record(N, left, det_at(rhs, N), mode, bits))
+            continue
         with mp.workprec(2 * bits + 32):
-            b = a_to_b(seq, 2 * N)
-        A = toeplitz_plus_hankel(seq, N, field)
-        B = hankel_moment({n: b[n] for n in range(1, 2 * N)}, N, field)
-        records.append(_make_record(N, det_auto(A, bits), det_auto(B, bits), mode, bits))
+            right = factors[0].value * factors[1].value
+        extra = tuple(f.digits_guaranteed for f in factors) if mode == "hp" else ()
+        records.append(_make_record(N, left, right, mode, bits, extra_digits=extra))
     return records
+
+
+def _run_hankel_congruence(inp, Ns, mode, bits, notes):
+    n = max(Ns)
+    seq = _even_input_seq(inp, 2 * n + 2, mode, bits)
+    field = infer_field(seq, bits, exact=mode == "exact")
+    with mp.workprec(2 * bits + 32):
+        b = a_to_b(seq, 2 * n)
+    A = toeplitz_plus_hankel(seq, n, field)
+    B = hankel_moment(b, n, field)
+    return _sweep(Ns, mode, bits, A, B)
 
 
 def _run_th_vs_moment(inp, Ns, mode, bits, notes):
@@ -243,15 +288,14 @@ def _run_th_vs_moment(inp, Ns, mode, bits, notes):
         raise SpeciesError("an even symbol is required")
     b = th_to_moment_symbol(inp)
     field = infer_field(b, bits)
-    records = []
-    for N in Ns:
-        A = toeplitz_plus_hankel(inp, N, field)
-        H = hankel_moment(b, N, field)
-        records.append(_make_record(N, det_auto(A, bits), det_auto(H, bits), mode, bits))
-    return records
+    n = max(Ns)
+    A = toeplitz_plus_hankel(inp, n, field)
+    H = hankel_moment(b, n, field)
+    return _sweep(Ns, mode, bits, A, H)
 
 
 def _require_even_support(inp, mode, bits, max_index):
+    """The input as an even symbol whose odd coefficients vanish."""
     if isinstance(inp, (ScalarSeq, dict, CoeffSeq)):
         seq = _even_input_seq(inp, max_index, mode, bits)
         odd = [n for n in seq.entries if n % 2 and seq.entries[n] != 0]
@@ -259,7 +303,7 @@ def _require_even_support(inp, mode, bits, max_index):
             raise SpeciesError(
                 "vanishing odd coefficients are required, found index %d" % odd[0]
             )
-        return seq
+        return CoeffSeq(seq.entries, symmetry="even")
     if isinstance(inp, symbols.FourierSymbol):
         if not inp.even_support():
             raise SpeciesError("vanishing odd coefficients are required")
@@ -267,24 +311,13 @@ def _require_even_support(inp, mode, bits, max_index):
     raise SpeciesError("unsupported input %r" % (type(inp),))
 
 
-def _halved_seq(seq: ScalarSeq) -> ScalarSeq:
-    return ScalarSeq({n // 2: v for n, v in seq.entries.items()}, "even")
-
-
 def _run_quarter_wave(inp, Ns, mode, bits, notes):
-    src = _require_even_support(inp, mode, bits, 4 * max(Ns))
-    records = []
-    for N in Ns:
-        if isinstance(src, ScalarSeq):
-            field = infer_field(src, bits, exact=mode == "exact")
-            A = toeplitz_plus_hankel(src, N, field)
-            T = toeplitz(_halved_seq(src), N, field)
-        else:
-            d = halve_argument(src)
-            A = toeplitz_plus_hankel(src, N, bits=bits)
-            T = toeplitz(d, N, bits=bits)
-        records.append(_make_record(N, det_auto(A, bits), det_auto(T, bits), mode, bits))
-    return records
+    n = max(Ns)
+    src = _require_even_support(inp, mode, bits, 4 * n)
+    field = infer_field(src, bits, exact=mode == "exact")
+    A = toeplitz_plus_hankel(src, n, field)
+    T = toeplitz(halve_argument(src), n, field)
+    return _sweep(Ns, mode, bits, A, T)
 
 
 def _smooth_part(b: MomentSymbol) -> MomentSymbol:
@@ -306,36 +339,21 @@ def _run_moment_to_toeplitz(inp, Ns, mode, bits, notes):
         raise SpeciesError("the sqrt((1+x)/(1-x)) weight is required")
     d = moment_to_halfangle(_smooth_part(inp))
     field = infer_field(inp, bits)
-    records = []
-    for N in Ns:
-        H = hankel_moment(inp, N, field)
-        T = toeplitz(d, N, field)
-        records.append(_make_record(N, det_auto(H, bits), det_auto(T, bits), mode, bits))
-    return records
-
-
-def _square_record(N, lhs: DetResult, root: DetResult, mode, bits):
-    """Record for lhs = root^2; in hp mode the squared side keeps root's digits."""
-    if isinstance(root.value, (int, Fraction)):
-        rhs = root.value * root.value
-    else:
-        with mp.workprec(2 * bits + 32):
-            rhs = root.value * root.value
-    extra = (root.digits_guaranteed,) if mode == "hp" else ()
-    return _make_record(N, lhs, rhs, mode, bits, extra_digits=extra)
+    n = max(Ns)
+    H = hankel_moment(inp, n, field)
+    T = toeplitz(d, n, field)
+    return _sweep(Ns, mode, bits, H, T)
 
 
 def _run_skew_square(inp, Ns, mode, bits, notes):
-    records = []
-    for N in Ns:
-        seq = _even_input_seq(inp, 2 * N, mode, bits)
-        field = infer_field(seq, bits, exact=mode == "exact")
-        with mp.workprec(2 * bits + 32):
-            c = a_to_c(seq, 2 * N - 1)
-        T2 = toeplitz(c, 2 * N, field)
-        A = toeplitz_plus_hankel(seq, N, field)
-        records.append(_square_record(N, det_auto(T2, bits), det_auto(A, bits), mode, bits))
-    return records
+    n = max(Ns)
+    seq = _even_input_seq(inp, 2 * n, mode, bits)
+    field = infer_field(seq, bits, exact=mode == "exact")
+    with mp.workprec(2 * bits + 32):
+        c = a_to_c(seq, 2 * n - 1)
+    T2 = toeplitz(c, 2 * n, field)
+    A = toeplitz_plus_hankel(seq, n, field)
+    return _sweep(Ns, mode, bits, T2, A, squared=True)
 
 
 def _run_cseq_square(inp, Ns, mode, bits, notes):
@@ -346,77 +364,45 @@ def _run_cseq_square(inp, Ns, mode, bits, notes):
     )
     if note not in notes:
         notes.append(note)
-    records = []
-    for N in Ns:
-        field = infer_field(seq, bits, exact=mode == "exact")
-        with mp.workprec(2 * bits + 32):
-            b = c_to_b(seq, 2 * N - 1)
-        T2 = toeplitz(seq, 2 * N, field)
-        B = hankel_moment({n: b[n] for n in range(1, 2 * N)}, N, field)
-        records.append(_square_record(N, det_auto(T2, bits), det_auto(B, bits), mode, bits))
-    return records
+    n = max(Ns)
+    field = infer_field(seq, bits, exact=mode == "exact")
+    with mp.workprec(2 * bits + 32):
+        b = c_to_b(seq, 2 * n - 1)
+    T2 = toeplitz(seq, 2 * n, field)
+    B = hankel_moment(b, n, field)
+    return _sweep(Ns, mode, bits, T2, B, squared=True)
 
 
 def _run_moment_skew_square(inp, Ns, mode, bits, notes):
     if not isinstance(inp, MomentSymbol):
         raise SpeciesError("a moment symbol is required")
-    c = SkewFromMoment(inp)
     field = infer_field(inp, bits)
-    records = []
-    for N in Ns:
-        T2 = toeplitz(c, 2 * N, field)
-        H = hankel_moment(inp, N, field)
-        records.append(_square_record(N, det_auto(T2, bits), det_auto(H, bits), mode, bits))
-    return records
+    n = max(Ns)
+    T2 = toeplitz(SkewFromMoment(inp), 2 * n, field)
+    H = hankel_moment(inp, n, field)
+    return _sweep(Ns, mode, bits, T2, H, squared=True)
 
 
 def _run_parity_split_even(inp, Ns, mode, bits, notes):
-    src = _require_even_support(inp, mode, bits, 4 * max(Ns))
-    records = []
-    for N in Ns:
-        if isinstance(src, ScalarSeq):
-            field = infer_field(src, bits, exact=mode == "exact")
-            T2 = toeplitz(src, 2 * N, field)
-            T1 = toeplitz(_halved_seq(src), N, field)
-        else:
-            T2 = toeplitz(src, 2 * N, bits=bits)
-            T1 = toeplitz(halve_argument(src), N, bits=bits)
-        records.append(_square_record(N, det_auto(T2, bits), det_auto(T1, bits), mode, bits))
-    return records
+    n = max(Ns)
+    src = _require_even_support(inp, mode, bits, 4 * n)
+    field = infer_field(src, bits, exact=mode == "exact")
+    T2 = toeplitz(src, 2 * n, field)
+    T1 = toeplitz(halve_argument(src), n, field)
+    return _sweep(Ns, mode, bits, T2, T1, squared=True)
 
 
 def _run_parity_split_chi(inp, Ns, mode, bits, notes):
-    src = _require_even_support(inp, "hp", bits, 4 * max(Ns))
-    if isinstance(src, ScalarSeq):
-        base = CoeffSeq(dict(src.entries), symmetry="even")
-    else:
-        base = src
-    d = halve_argument(base)
+    n = max(Ns)
+    src = _require_even_support(inp, "hp", bits, 4 * n)
+    d = halve_argument(src)
     d1 = SymbolProduct((JumpT(-0.5), d))
     d2 = SymbolProduct((JumpT(0.5), d))
-    chi_a = multiply_by_chi(base)
-    lhs_field = infer_field(chi_a, bits)
-    records = []
-    for N in Ns:
-        T2 = toeplitz(chi_a, 2 * N, lhs_field)
-        lhs = det_auto(T2, bits)
-        T_d1 = toeplitz(d1, N, infer_field(d1, bits))
-        T_d2 = toeplitz(d2, N, infer_field(d2, bits))
-        r1 = det_auto(T_d1, bits)
-        r2 = det_auto(T_d2, bits)
-        with mp.workprec(2 * bits + 32):
-            rhs = r1.value * r2.value
-        records.append(
-            _make_record(
-                N,
-                lhs,
-                rhs,
-                "hp",
-                bits,
-                extra_digits=(r1.digits_guaranteed, r2.digits_guaranteed),
-            )
-        )
-    return records
+    chi_a = multiply_by_chi(src)
+    T2 = toeplitz(chi_a, 2 * n, infer_field(chi_a, bits))
+    T_d1 = toeplitz(d1, n, infer_field(d1, bits))
+    T_d2 = toeplitz(d2, n, infer_field(d2, bits))
+    return _sweep(Ns, "hp", bits, T2, (T_d1, T_d2))
 
 
 _RUNNERS = {
@@ -467,16 +453,17 @@ def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> Identit
         raise SpeciesError("a moment symbol is required")
     Ns = _n_list(N_values)
     bits = bits or DEFAULT_BITS
-    c = SkewFromMoment(b)
     field = infer_field(b, bits)
+    n = max(Ns)
+    T2n = toeplitz(SkewFromMoment(b), 2 * n, field)
+    Hn = hankel_moment(b, n, field)
     notes = []
     records = []
     for N in Ns:
-        T2 = toeplitz(c, 2 * N, field)
+        T2 = T2n.leading(2 * N)
         pf = pfaffian(T2)
         detT = det_auto(T2, bits)
-        H = hankel_moment(b, N, field)
-        detH = det_auto(H, bits)
+        detH = det_auto(Hn.leading(N), bits)
         with mp.workprec(2 * bits + 32):
             pf_sq = pf * pf
         records.append(

@@ -7,6 +7,11 @@ the builders check the symmetry that the source symbol promises: an even
 symbol yields a symmetric Toeplitz matrix, an odd symbol a skewsymmetric
 one.  Dense storage is deliberate; the determinant identities need full
 determinants at moderate N, not fast solvers.
+
+The leading k x k block of a size-N Toeplitz, Hankel, Toeplitz+Hankel or
+Hankel moment matrix is the size-k matrix of the same source, so a walk over
+N builds once at the largest size and reads the rest with
+StructuredMatrix.leading; tables are filled and structure checked once.
 """
 
 from fractions import Fraction
@@ -72,6 +77,17 @@ class StructuredMatrix:
                 for j in range(1, n):
                     if abs_val(rows[i][j] - rows[i + 1][j - 1]) > bound:
                         raise StructureError("not constant along anti-diagonals")
+
+    def leading(self, n: int) -> "StructuredMatrix":
+        """The leading n x n block, over the same field and unchecked, since
+        this matrix passed the checks.  A flip's block is general; the other
+        families are closed under leading blocks and keep their tag.
+        """
+        if not 1 <= n <= self.order:
+            raise ValueError("leading block order must be in 1..%d" % self.order)
+        structure = "general" if self.structure == "flip" else self.structure
+        rows = [row[:n] for row in self.rows[:n]]
+        return StructuredMatrix(rows, self.field, structure, check=False)
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -155,20 +171,23 @@ def _coeff_lookup(a, lo: int, hi: int, field: Field):
             return coerce(v, field)
 
         return fetch
-    if isinstance(a, symbols.FourierSymbol):
-        if field.is_exact:
-            raise TypeError(
-                "quadrature-backed symbols cannot fill a rational matrix"
-            )
+    moments = isinstance(a, symbols.MomentSymbol)
+    if not (moments or isinstance(a, symbols.FourierSymbol)):
+        raise TypeError("cannot read coefficients from %r" % (type(a),))
+    if field.is_exact:
+        source = "moment integrals" if moments else "quadrature-backed symbols"
+        raise TypeError("%s cannot fill a rational matrix" % source)
+    if moments:
+        table = a.moment_table(hi, field.bits)
+    else:
         table = a.coeff_table(lo, hi, field.bits)
-        # mp constructors round to the ambient precision, so widen first
-        with mp.workprec(field.bits + 32):
-            if field.tag == scalars.HP_REAL:
-                table = {n: _drop_tiny_imag(v, field.bits) for n, v in table.items()}
-            else:
-                table = {n: mp.mpc(v) for n, v in table.items()}
-        return lambda n: table[n]
-    raise TypeError("cannot read coefficients from %r" % (type(a),))
+    # mp constructors round to the ambient precision, so widen first
+    with mp.workprec(field.bits + 32):
+        if field.tag == scalars.HP_REAL:
+            table = {n: _drop_tiny_imag(v, field.bits) for n, v in table.items()}
+        else:
+            table = {n: mp.mpc(v) for n, v in table.items()}
+    return lambda n: table[n]
 
 
 def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
@@ -235,18 +254,9 @@ def hankel_moment(b, N: int, field: Field | None = None, bits: int | None = None
         raise ValueError("N must be >= 1")
     if isinstance(b, symbols.MomentSymbol):
         field = field or infer_field(b, bits or max(128, 12 * N))
-        if field.is_exact:
-            raise TypeError("moment integrals cannot fill a rational matrix")
-        table = b.moment_table(2 * N - 1, field.bits)
-        if field.tag == scalars.HP_REAL:
-            fetch = lambda n: _drop_tiny_imag(table[n], field.bits)
-        else:
-            with mp.workprec(field.bits + 32):
-                table = {n: mp.mpc(v) for n, v in table.items()}
-            fetch = lambda n: table[n]
     else:
         field = field or infer_field(b, bits or 256, exact=bits is None)
-        fetch = _coeff_lookup(b, 1, 2 * N - 1, field)
+    fetch = _coeff_lookup(b, 1, 2 * N - 1, field)
     rows = [[fetch(1 + j + k) for k in range(N)] for j in range(N)]
     return StructuredMatrix(rows, field, "hankel_moment")
 

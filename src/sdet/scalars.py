@@ -155,4 +155,7 @@ def format_scalar(x, digits: int = 20) -> str:
             "+" if x.imag >= 0 else "-",
             mp.nstr(abs(x.imag), digits),
         )
+    if isinstance(x, mp.mpf):
+        # mp.mpf(x) would round to the ambient 53 bits
+        return mp.nstr(x, digits)
     return mp.nstr(mp.mpf(x), digits)

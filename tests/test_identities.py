@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from sdet.determinants import det_bareiss
 from sdet.identities import (
     IdentityKind,
     pfaffian_link,
@@ -18,7 +19,8 @@ from sdet.symbols import (
     SpeciesError,
     th_to_moment_symbol,
 )
-from sdet.transforms import ScalarSeq
+from sdet.matrices import hankel_moment, toeplitz, toeplitz_plus_hankel
+from sdet.transforms import ScalarSeq, a_to_b, a_to_c, c_to_b
 
 from conftest import random_even_seq, random_odd_seq
 
@@ -91,6 +93,99 @@ class TestExactKinds:
         a = ScalarSeq({0: 0.25}, "even")
         with pytest.raises(SpeciesError):
             verify(IdentityKind.HankelCongruence, a, 3, mode="exact")
+
+
+def _det(M):
+    return det_bareiss(M).value
+
+
+def _even_halved(a):
+    return ScalarSeq({n // 2: v for n, v in a.entries.items()}, "even")
+
+
+# each exact kind's two sides at one N, from matrices built at that N alone
+FRESH_SIDES = {
+    IdentityKind.HankelCongruence: lambda a, N: (
+        _det(toeplitz_plus_hankel(a, N)),
+        _det(hankel_moment(a_to_b(a, 2 * N).entries, N)),
+    ),
+    IdentityKind.SkewSquare: lambda a, N: (
+        _det(toeplitz(a_to_c(a, 2 * N - 1), 2 * N)),
+        _det(toeplitz_plus_hankel(a, N)) ** 2,
+    ),
+    IdentityKind.QuarterWave: lambda a, N: (
+        _det(toeplitz_plus_hankel(a, N)),
+        _det(toeplitz(_even_halved(a), N)),
+    ),
+    IdentityKind.ParitySplitEven: lambda a, N: (
+        _det(toeplitz(a, 2 * N)),
+        _det(toeplitz(_even_halved(a), N)) ** 2,
+    ),
+    IdentityKind.CSeqSquare: lambda c, N: (
+        _det(toeplitz(c, 2 * N)),
+        _det(hankel_moment(c_to_b(c, 2 * N - 1).entries, N)) ** 2,
+    ),
+}
+
+
+class TestLeadingBlockRecords:
+    """Records read off leading blocks equal a fresh build at each N."""
+
+    @pytest.mark.parametrize("kind", sorted(FRESH_SIDES, key=lambda k: k.value))
+    def test_records_match_fresh_matrices(self, kind, rng):
+        for _ in range(6):
+            support = rng.randint(1, 6)
+            if kind == IdentityKind.CSeqSquare:
+                a = random_odd_seq(rng, support)
+            elif kind in (IdentityKind.QuarterWave, IdentityKind.ParitySplitEven):
+                a = ScalarSeq(
+                    {2 * n: v for n, v in random_even_seq(rng, support).entries.items()},
+                    "even",
+                )
+            else:
+                a = random_even_seq(rng, support)
+            Ns = sorted(rng.sample(range(1, 7), 3))
+            rep = verify(kind, a, Ns)
+            assert [r.N for r in rep.records] == Ns
+            for r in rep.records:
+                assert (r.lhs, r.rhs) == FRESH_SIDES[kind](a, r.N)
+
+
+class TestFloatInputs:
+    """Float coefficients enter the transforms exactly, as they enter the matrices."""
+
+    EVEN = ScalarSeq({0: 1 / 50, 1: 1 / 200}, "even")
+
+    @pytest.mark.parametrize(
+        "kind, seq",
+        [
+            (IdentityKind.SkewSquare, EVEN),
+            (IdentityKind.HankelCongruence, EVEN),
+            (IdentityKind.CSeqSquare, ScalarSeq({1: 0.3, 2: 0.1}, "odd")),
+        ],
+    )
+    def test_hp_residuals_at_working_precision(self, kind, seq):
+        rep = verify(kind, seq, [2, 4, 6], mode="hp", bits=256)
+        assert rep.passed
+        assert abs(max_rel(rep)) < mp.mpf("1e-70")
+
+    def test_complex_entries(self):
+        a = ScalarSeq({0: 0.25 + 0.5j, 1: 0.1}, "even")
+        rep = verify(IdentityKind.SkewSquare, a, [2, 4], mode="hp", bits=256)
+        assert rep.passed
+        assert abs(max_rel(rep)) < mp.mpf("1e-70")
+
+
+class TestNoGuaranteedDigits:
+    def test_underflowed_sides_do_not_pass(self):
+        a = ScalarSeq({0: 1 / 50, 1: 1 / 200}, "even")
+        rep = verify(IdentityKind.SkewSquare, a, [6, 30], mode="hp", bits=128)
+        small, large = rep.records
+        assert small.ok
+        assert large.lhs == large.rhs == 0
+        assert large.digits == 0
+        assert not large.ok
+        assert rep.verdict == "fail"
 
 
 class TestHighPrecisionKinds:

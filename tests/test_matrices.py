@@ -14,8 +14,8 @@ from sdet.matrices import (
     toeplitz,
     toeplitz_plus_hankel,
 )
-from sdet.scalars import hp_real, rational
-from sdet.symbols import Chi, MomentSymbol, SpeciesError
+from sdet.scalars import abs_val, hp_real, rational
+from sdet.symbols import Chi, CoeffSeq, JumpT, MomentSymbol, SpeciesError
 from sdet.transforms import ScalarSeq
 
 from conftest import random_even_seq
@@ -126,6 +126,73 @@ class TestHankelMoment:
         b = MomentSymbol.from_poly({0: 1})
         with pytest.raises(TypeError):
             hankel_moment(b, 2, field=rational())
+
+
+EVEN_ENTRIES = {
+    0: 2,
+    1: Fraction(1, 3),
+    -1: Fraction(1, 3),
+    2: Fraction(-1, 2),
+    -2: Fraction(-1, 2),
+    5: 1,
+    -5: 1,
+}
+
+# (builder, fresh source, builder keywords, entry tolerance); a quadrature
+# source rebuilt at a smaller size may move in its last bits, closed forms
+# and exact entries may not move at all
+LEADING_CASES = [
+    (builder, source, kw, 0)
+    for builder in (toeplitz, hankel, toeplitz_plus_hankel, hankel_moment)
+    for source in (
+        lambda: dict(EVEN_ENTRIES),
+        lambda: ScalarSeq(EVEN_ENTRIES, "even"),
+        lambda: CoeffSeq(EVEN_ENTRIES, symmetry="even"),
+    )
+    for kw in ({}, {"bits": 128})
+] + [
+    (toeplitz, lambda: JumpT(Fraction(-1, 2)), {"bits": 128}, 0),
+    (hankel, lambda: JumpT(Fraction(1, 2)), {"bits": 128}, 0),
+    (
+        hankel_moment,
+        lambda: MomentSymbol.from_poly({0: 1, 2: Fraction(1, 2)}, weight="sqrt_ratio"),
+        {"bits": 128},
+        mp.mpf(2) ** -112,
+    ),
+]
+
+
+class TestLeadingBlocks:
+    @pytest.mark.parametrize("builder, source, kw, tol", LEADING_CASES)
+    def test_block_is_the_smaller_matrix(self, builder, source, kw, tol):
+        n = 6
+        big = builder(source(), n, **kw)
+        for k in range(1, n + 1):
+            block = big.leading(k)
+            fresh = builder(source(), k, **kw)
+            assert block.order == k
+            assert block.field == fresh.field == big.field
+            assert block.structure == fresh.structure
+            for row, want in zip(block.rows, fresh.rows):
+                assert all(abs_val(x - y) <= tol for x, y in zip(row, want))
+
+    def test_flip_block_is_general(self):
+        block = flip(4).leading(2)
+        assert block.structure == "general"
+        assert block.tolist() == [[0, 0], [0, 0]]
+        assert flip(4).leading(4).tolist() == flip(4).tolist()
+
+    def test_block_order_range(self):
+        m = toeplitz(GEOM, 3)
+        for bad in (0, 4):
+            with pytest.raises(ValueError):
+                m.leading(bad)
+
+    def test_block_is_a_copy(self):
+        m = toeplitz(GEOM, 3)
+        block = m.leading(2)
+        block.rows[0][0] = 7
+        assert m.rows[0][0] == 1
 
 
 class TestFlip:
