@@ -55,6 +55,7 @@ from .determinants import (
     det_auto,
     det_bareiss,
     det_lu,
+    leading_minors,
     pfaffian,
 )
 from .identities import (

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import matrices, symbols
-from .determinants import det_auto
+from .determinants import leading_minors
 from .quadrature import AccuracyError
 from .scalars import format_scalar, infer_field, to_mp
 from .symbols import FHDescriptor, FHProduct, JumpT, MomentSymbol, SpeciesError
@@ -476,34 +476,36 @@ class AsymptoticsReport:
         return self.verdict != "fail"
 
 
-def _real_det(M, bits):
-    """Determinant forced real: tiny phases are asserted away, not kept."""
-    res = det_auto(M, bits)
-    v = res.value
-    if isinstance(v, mp.mpc):
-        with mp.workprec(bits + 32):
-            if abs(v.imag) > mp.mpf("1e-10") * max(abs(v), mp.mpf("1e-300")):
-                raise AccuracyError(
-                    "expected a real determinant, got %s" % mp.nstr(v, 12)
-                )
-        v = v.real
-    return v, res.digits_guaranteed
+def _real_dets(M, orders, bits):
+    """Leading-block determinants forced real: tiny phases are asserted away, not kept."""
+    out = []
+    for res in leading_minors(M, orders, bits):
+        v = res.value
+        if isinstance(v, mp.mpc):
+            with mp.workprec(bits + 32):
+                if abs(v.imag) > mp.mpf("1e-10") * max(abs(v), mp.mpf("1e-300")):
+                    raise AccuracyError(
+                        "expected a real determinant, got %s" % mp.nstr(v, 12)
+                    )
+            v = v.real
+        out.append(v)
+    return out
 
 
 def _ratio_study(kind, num_sym, den_sym, Ns, bits, power, prediction, flags, tol):
     """Common driver: ratios det(num)/det(den) at order N or 2N, compensated by N^power."""
     scale = 2 if kind in ("cor53", "conjecture_sym") else 1
     top = scale * max(Ns)
+    orders = [scale * N for N in Ns]
     T_num = matrices.toeplitz(num_sym, top, infer_field(num_sym, bits))
-    if den_sym is not None:
+    nums = _real_dets(T_num, orders, bits)
+    if den_sym is None:
+        dens = [mp.mpf(1)] * len(Ns)
+    else:
         T_den = matrices.toeplitz(den_sym, top, infer_field(den_sym, bits))
+        dens = _real_dets(T_den, orders, bits)
     ratios = []
-    for N in Ns:
-        num, _ = _real_det(T_num.leading(scale * N), bits)
-        if den_sym is None:
-            den = mp.mpf(1)
-        else:
-            den, _ = _real_det(T_den.leading(scale * N), bits)
+    for N, num, den in zip(Ns, nums, dens):
         with mp.workprec(bits + 32):
             if den == 0:
                 raise AccuracyError("denominator determinant vanished at N=%d" % N)
@@ -552,7 +554,7 @@ def _double_fit(data, bits):
 def _moment_det_study(kind, b, Ns, bits, F, exponent, prediction, flags, tol):
     """Exponent-only check on det H_N[b]: fitted Omega and compensated trend."""
     H = matrices.hankel_moment(b, max(Ns), infer_field(b, bits))
-    dets = [_real_det(H.leading(N), bits)[0] for N in Ns]
+    dets = _real_dets(H, Ns, bits)
     data = list(zip(Ns, dets))
     fitted = _double_fit(data, bits)
     with mp.workprec(bits + 32):

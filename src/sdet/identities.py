@@ -4,12 +4,15 @@ Each IdentityKind names one equality between determinants of matrices built
 from a common input (an even symbol or sequence, an odd sequence, or a
 moment symbol).  verify() builds each side's matrix once, at the largest
 requested N, and reads every smaller size off its leading block (each
-family is closed under leading blocks); every size still gets its own
-determinant.  Residuals are recorded per N: in exact mode a pass means the
-residual is literally zero, in hp mode the relative residual must stay below
-10^(-digits_guaranteed/2) where digits_guaranteed comes from the determinant
-engine's two-precision agreement.  A record whose sides carry no guaranteed
-digits fails, since two values known to no digits agree by accident.
+family is closed under leading blocks); determinants.leading_minors gives
+the determinants of all those blocks from one pass.  Residuals are recorded
+per N: in exact mode a pass means the residual is literally zero, in hp mode
+the relative residual must stay below 10^(-digits_guaranteed/2) where
+digits_guaranteed comes from the determinant engine's two-precision
+agreement.  A record whose sides carry no guaranteed digits fails, since two
+values known to no digits agree by accident.  An hp_complex side whose
+imaginary part lies below its guaranteed digits is recorded as its real
+part, so quadrature noise never reaches the report.
 
 Kinds backed by moment integrals have no exact mode (generic moments are
 transcendental); requesting exact there silently upgrades to hp and says so
@@ -23,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import symbols, transforms
-from .determinants import DetResult, det_auto, pfaffian
+from .determinants import DetResult, leading_minors, pfaffian
 from .matrices import hankel_moment, toeplitz, toeplitz_plus_hankel
 from .scalars import abs_val, format_scalar, infer_field, is_exact_scalar, to_mp
 from .symbols import (
@@ -216,11 +219,22 @@ def _residuals(lhs, rhs, bits):
     return a, rel
 
 
+def _drop_noise(v, digits):
+    """v, or its real part when its imaginary part is below 10^-digits of |v|.
+
+    An hp_complex value carries quadrature noise in its imaginary part far
+    below its guaranteed digits; dropping it keeps report bytes off the noise.
+    """
+    if digits and isinstance(v, mp.mpc) and abs(v.imag) < mp.mpf(10) ** (-digits) * abs(v):
+        return v.real
+    return v
+
+
 def _make_record(N, lhs_res, rhs_res, mode, bits, extra_digits=()):
     lhs = lhs_res.value if isinstance(lhs_res, DetResult) else lhs_res
     rhs = rhs_res.value if isinstance(rhs_res, DetResult) else rhs_res
-    a, rel = _residuals(lhs, rhs, bits or 64)
     if mode == "exact":
+        a, rel = _residuals(lhs, rhs, bits or 64)
         return IdentityRecord(N, lhs, rhs, a, rel, mode, None, None, a == 0)
     digits = [extra for extra in extra_digits if extra]
     for res in (lhs_res, rhs_res):
@@ -228,6 +242,8 @@ def _make_record(N, lhs_res, rhs_res, mode, bits, extra_digits=()):
             digits.append(res.digits_guaranteed)
     # with no guaranteed digit on either side, agreement proves nothing
     dg = min(digits, default=0)
+    lhs, rhs = _drop_noise(lhs, dg), _drop_noise(rhs, dg)
+    a, rel = _residuals(lhs, rhs, bits or 64)
     ok = bool(digits) and rel < mp.mpf(10) ** (-(dg / 2))
     return IdentityRecord(N, lhs, rhs, a, rel, mode, bits, dg, ok)
 
@@ -240,28 +256,29 @@ def _sweep(Ns, mode, bits, lhs, rhs, squared=False):
     or the product of the determinants of a pair rhs.
 
     Runners build each matrix once, at k * max(Ns) for k = 1 or 2; at N it
-    stands for its leading block of order k * N.  Products are taken at
+    stands for its leading block of order k * N, and leading_minors gives
+    every block of one matrix from one pass.  Products are taken at
     2*bits+32, and in hp mode they keep their factors' guaranteed digits.
     """
     top = max(Ns)
 
-    def det_at(M, N):
-        return det_auto(M.leading(M.order // top * N), bits)
+    def dets(M):
+        return leading_minors(M, [M.order // top * N for N in Ns], bits)
 
+    left = dets(lhs)
+    if isinstance(rhs, tuple):
+        factors = list(zip(*(dets(M) for M in rhs)))
+    else:
+        right = dets(rhs)
+        if not squared:
+            return [_make_record(*rec, mode, bits) for rec in zip(Ns, left, right)]
+        factors = [(r, r) for r in right]
     records = []
-    for N in Ns:
-        left = det_at(lhs, N)
-        if squared:
-            factors = [det_at(rhs, N)] * 2
-        elif isinstance(rhs, tuple):
-            factors = [det_at(M, N) for M in rhs]
-        else:
-            records.append(_make_record(N, left, det_at(rhs, N), mode, bits))
-            continue
+    for N, l, (f1, f2) in zip(Ns, left, factors):
         with mp.workprec(2 * bits + 32):
-            right = factors[0].value * factors[1].value
-        extra = tuple(f.digits_guaranteed for f in factors) if mode == "hp" else ()
-        records.append(_make_record(N, left, right, mode, bits, extra_digits=extra))
+            product = f1.value * f2.value
+        extra = (f1.digits_guaranteed, f2.digits_guaranteed) if mode == "hp" else ()
+        records.append(_make_record(N, l, product, mode, bits, extra_digits=extra))
     return records
 
 
@@ -459,11 +476,10 @@ def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> Identit
     Hn = hankel_moment(b, n, field)
     notes = []
     records = []
-    for N in Ns:
-        T2 = T2n.leading(2 * N)
-        pf = pfaffian(T2)
-        detT = det_auto(T2, bits)
-        detH = det_auto(Hn.leading(N), bits)
+    detTs = leading_minors(T2n, [2 * N for N in Ns], bits)
+    detHs = leading_minors(Hn, Ns, bits)
+    for N, detT, detH in zip(Ns, detTs, detHs):
+        pf = pfaffian(T2n.leading(2 * N))
         with mp.workprec(2 * bits + 32):
             pf_sq = pf * pf
         records.append(

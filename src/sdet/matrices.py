@@ -5,8 +5,8 @@ field (exact rationals or high-precision reals/complexes).  The constructor
 re-checks the claimed structure (diagonal or anti-diagonal constancy) and
 the builders check the symmetry that the source symbol promises: an even
 symbol yields a symmetric Toeplitz matrix, an odd symbol a skewsymmetric
-one.  Dense storage is deliberate; the determinant identities need full
-determinants at moderate N, not fast solvers.
+one.  Storage is dense; determinants.leading_minors reads only the first
+row and column of an hp Toeplitz matrix and eliminates a copy of the others.
 
 The leading k x k block of a size-N Toeplitz, Hankel, Toeplitz+Hankel or
 Hankel moment matrix is the size-k matrix of the same source, so a walk over

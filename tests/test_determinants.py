@@ -12,6 +12,7 @@ from sdet.determinants import (
 )
 from sdet.matrices import StructuredMatrix, toeplitz
 from sdet.scalars import hp_real, rational, to_mp
+from sdet.symbols import CoeffSeq
 from sdet.transforms import ScalarSeq
 
 from conftest import rand_fraction
@@ -115,6 +116,15 @@ class TestLU:
         res = det_lu(hp_matrix([[1, 1], [1, 1]]))
         assert res.value == 0
         assert res.digits_guaranteed == 0
+
+    def test_small_determinant_is_not_zero(self):
+        # det = 10^-80 sits far below 2^-128 times the largest entry, but
+        # every pivot is 1/100: singularity is read off the pivots
+        T = toeplitz(CoeffSeq({0: Fraction(1, 100)}), 40, bits=256)
+        res = det_lu(T)
+        assert res.digits_guaranteed > 0
+        with mp.workprec(256):
+            assert abs(res.value / mp.mpf(10) ** -80 - 1) < mp.mpf(10) ** -70
 
     def test_minimum_bits(self):
         with pytest.raises(ValueError):

@@ -178,14 +178,27 @@ class TestFloatInputs:
 
 class TestNoGuaranteedDigits:
     def test_underflowed_sides_do_not_pass(self):
-        a = ScalarSeq({0: 1 / 50, 1: 1 / 200}, "even")
-        rep = verify(IdentityKind.SkewSquare, a, [6, 30], mode="hp", bits=128)
+        # A_2 = [[1, 1], [1, 1]]: both sides are 0 and carry no digits
+        a = ScalarSeq({0: 1.0, 2: 1.0}, "even")
+        rep = verify(IdentityKind.SkewSquare, a, [1, 2], mode="hp", bits=128)
         small, large = rep.records
         assert small.ok
         assert large.lhs == large.rhs == 0
         assert large.digits == 0
         assert not large.ok
         assert rep.verdict == "fail"
+
+
+class TestSmallDeterminants:
+    def test_skew_square_far_below_the_entries(self):
+        # det A_30 = 3.36e-104 is below 2^-64 times the largest entry; it
+        # used to read as 0 on both sides with no guaranteed digits
+        a = ScalarSeq({0: 1 / 50, 1: 1 / 200}, "even")
+        rep = verify(IdentityKind.SkewSquare, a, [6, 30], mode="hp", bits=128)
+        large = rep.records[1]
+        assert mp.mpf("3.35e-104") < large.lhs < mp.mpf("3.36e-104")
+        assert large.digits > 30
+        assert rep.passed
 
 
 class TestHighPrecisionKinds:
@@ -226,6 +239,15 @@ class TestHighPrecisionKinds:
         rep = verify(IdentityKind.ParitySplitChi, a, 3, mode="hp", bits=256)
         assert rep.passed
         assert abs(max_rel(rep)) < mp.mpf("1e-20")
+
+    def test_parity_split_chi_drops_imaginary_noise(self):
+        # the coefficients of JumpT(+-1/2) d come from complex quadrature, so
+        # rhs carries an imaginary part ~1e-49 far below its 38 digits
+        a = FHProduct(FHDescriptor({2: 0.1, -2: 0.1}))
+        rep = verify(IdentityKind.ParitySplitChi, a, 4, mode="hp", bits=128)
+        assert rep.passed
+        for rec in rep.to_json()["records"]:
+            assert "j" not in rec["rhs"] and "j" not in rec["lhs"]
 
     def test_hp_mode_on_exact_sequence(self):
         rep = verify(IdentityKind.SkewSquare, GEOM, 4, mode="hp", bits=256)
