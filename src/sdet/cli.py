@@ -101,8 +101,8 @@ def _write_or_print(text: str, out_path):
 
 def _cmd_verify(args) -> int:
     bits = args.bits or _default_bits()
-    if args.mode == "hp" and bits < 64:
-        raise UsageError("bits must be >= 64 in hp mode")
+    if bits < 64:
+        raise UsageError("bits must be >= 64")
     if args.nmax < 1:
         raise UsageError("--nmax must be >= 1")
     subject = _load_subject(args.symbol)

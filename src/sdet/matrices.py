@@ -1,10 +1,11 @@
 """Finite structured matrices built from symbols and sequences.
 
 Builders produce dense row-major StructuredMatrix values over an explicit
-field (exact rationals or high-precision reals/complexes).  The constructor
-re-checks the claimed structure (diagonal or anti-diagonal constancy) and
-the builders check the symmetry that the source symbol promises: an even
-symbol yields a symmetric Toeplitz matrix, an odd symbol a skewsymmetric
+field (exact rationals or high-precision reals/complexes), laid out of one
+coefficient table per matrix, with each index coerced once.  The constructor
+re-checks the claimed structure (diagonal or anti-diagonal constancy) on
+every matrix, and toeplitz checks the symmetry that the source promises on
+the table: an even symbol gives a symmetric matrix, an odd one a skewsymmetric
 one.  Storage is dense; determinants.leading_minors reads only the first
 row and column of an hp Toeplitz matrix and eliminates a copy of the others.
 
@@ -36,6 +37,18 @@ _TAGS = (
 )
 
 
+def _bound_for(field: Field, values):
+    """Largest entry difference that structure checks forgive.
+
+    0 over exact fields; otherwise 2^-(bits/2) times the larger of 1
+    and the largest of the values.
+    """
+    if field.is_exact:
+        return 0
+    scale = max(abs_val(v) for v in values)
+    return mp.mpf(2) ** (-(field.bits // 2)) * max(scale, 1)
+
+
 class StructuredMatrix:
     __slots__ = ("order", "field", "structure", "rows")
 
@@ -53,15 +66,8 @@ class StructuredMatrix:
             self._check_structure()
 
     def _entry_bound(self):
-        """Largest entry difference that structure checks forgive.
-
-        0 over exact fields; otherwise 2^-(bits/2) times the larger of 1
-        and the largest entry.
-        """
-        if self.field.is_exact:
-            return 0
-        scale = max(abs_val(v) for row in self.rows for v in row)
-        return mp.mpf(2) ** (-(self.field.bits // 2)) * max(scale, 1)
+        """_bound_for over the entries of this matrix."""
+        return _bound_for(self.field, (v for row in self.rows for v in row))
 
     def _check_structure(self):
         n = self.order
@@ -150,27 +156,16 @@ def _drop_tiny_imag(v, bits: int):
     return v
 
 
-def _coeff_lookup(a, lo: int, hi: int, field: Field):
-    """Coefficient fetcher over [lo, hi] honoring the target field."""
+def _coeff_table(a, lo: int, hi: int, field: Field) -> dict:
+    """{n: a_n} for lo <= n <= hi in the target field, each coerced once.
+
+    Sequences store both signs of an even or odd sequence already.
+    """
     entries = a if isinstance(a, dict) else getattr(a, "entries", None)
     if entries is not None:
-        symmetry = getattr(a, "symmetry", None)
-        seq = a if isinstance(a, transforms.ScalarSeq) else None
-
-        def fetch(n):
-            if seq is not None:
-                v = seq[n]
-            elif symmetry == "even":
-                v = entries.get(n, entries.get(-n, 0))
-            elif symmetry == "odd":
-                v = entries.get(n)
-                if v is None:
-                    v = -entries.get(-n, 0)
-            else:
-                v = entries.get(n, 0)
-            return coerce(v, field)
-
-        return fetch
+        # ScalarSeq indexing also rejects indices below 1 of a one_sided sequence
+        get = a.__getitem__ if isinstance(a, transforms.ScalarSeq) else lambda n: entries.get(n, 0)
+        return {n: coerce(get(n), field) for n in range(lo, hi + 1)}
     moments = isinstance(a, symbols.MomentSymbol)
     if not (moments or isinstance(a, symbols.FourierSymbol)):
         raise TypeError("cannot read coefficients from %r" % (type(a),))
@@ -187,7 +182,19 @@ def _coeff_lookup(a, lo: int, hi: int, field: Field):
             table = {n: _drop_tiny_imag(v, field.bits) for n, v in table.items()}
         else:
             table = {n: mp.mpc(v) for n, v in table.items()}
-    return lambda n: table[n]
+    return table
+
+
+def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, entry, default_bits=256):
+    """The N x N matrix (entry(c, j, k)) and c, the table of a over [lo, hi]."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    field = field or infer_field(a, bits or default_bits, exact=bits is None)
+    c = _coeff_table(a, lo, hi, field)
+    # sums of entries (T+H) must not round at ambient precision
+    with mp.workprec((field.bits or 0) + 32):
+        rows = [[entry(c, j, k) for k in range(N)] for j in range(N)]
+    return StructuredMatrix(rows, field, structure), c
 
 
 def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
@@ -197,36 +204,25 @@ def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> 
     otherwise the field comes from scalars.infer_field at bits (default 256).
     hankel, toeplitz_plus_hankel and hankel_moment use the same rule.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    field = field or infer_field(a, bits or 256, exact=bits is None)
-    fetch = _coeff_lookup(a, -(N - 1), N - 1, field)
-    rows = [[fetch(j - k) for k in range(N)] for j in range(N)]
-    m = StructuredMatrix(rows, field, "toeplitz")
+    m, c = _build(a, N, field, bits, -(N - 1), N - 1, "toeplitz", lambda c, j, k: c[j - k])
     sym = getattr(a, "symmetry", None)
-    if sym == "even" and not m.is_symmetric():
+    bound = _bound_for(m.field, c.values())
+    if sym == "even" and any(abs_val(c[-n] - c[n]) > bound for n in range(1, N)):
         raise StructureError("even symbol must give a symmetric Toeplitz matrix")
-    if sym == "odd" and not m.is_skew():
+    if sym == "odd" and any(abs_val(c[-n] + c[n]) > bound for n in range(N)):
         raise StructureError("odd symbol must give a skewsymmetric Toeplitz matrix")
     return m
 
 
 def hankel(a, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
     """H_N(a) = (a_{j+k+1}), using coefficient indices 1..2N-1."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    field = field or infer_field(a, bits or 256, exact=bits is None)
-    fetch = _coeff_lookup(a, 1, 2 * N - 1, field)
-    rows = [[fetch(j + k + 1) for k in range(N)] for j in range(N)]
-    return StructuredMatrix(rows, field, "hankel")
+    return _build(a, N, field, bits, 1, 2 * N - 1, "hankel", lambda c, j, k: c[j + k + 1])[0]
 
 
 def toeplitz_plus_hankel(
     a, N: int, field: Field | None = None, bits: int | None = None
 ) -> StructuredMatrix:
     """A_N = (a_{j-k} + a_{j+k+1}); requires an even symbol."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if isinstance(a, dict):
         a = transforms.ScalarSeq(a, "even")
     sym = getattr(a, "symmetry", None)
@@ -235,30 +231,19 @@ def toeplitz_plus_hankel(
             isinstance(a, symbols.FourierSymbol) and symbols.certify_even(a)
         ):
             raise symbols.SpeciesError("toeplitz_plus_hankel needs an even symbol")
-    field = field or infer_field(a, bits or 256, exact=bits is None)
-    fetch = _coeff_lookup(a, -(N - 1), 2 * N - 1, field)
-    if field.is_exact:
-        rows = [[fetch(j - k) + fetch(j + k + 1) for k in range(N)] for j in range(N)]
-    else:
-        # the sum must not round at ambient precision
-        with mp.workprec(field.bits + 32):
-            rows = [
-                [fetch(j - k) + fetch(j + k + 1) for k in range(N)] for j in range(N)
-            ]
-    return StructuredMatrix(rows, field, "toeplitz_plus_hankel")
+    return _build(
+        a, N, field, bits, -(N - 1), 2 * N - 1, "toeplitz_plus_hankel",
+        lambda c, j, k: c[j - k] + c[j + k + 1],
+    )[0]
 
 
 def hankel_moment(b, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
     """H_N[b] = (b_{1+j+k}) from a MomentSymbol or explicit moments."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if isinstance(b, symbols.MomentSymbol):
-        field = field or infer_field(b, bits or max(128, 12 * N))
-    else:
-        field = field or infer_field(b, bits or 256, exact=bits is None)
-    fetch = _coeff_lookup(b, 1, 2 * N - 1, field)
-    rows = [[fetch(1 + j + k) for k in range(N)] for j in range(N)]
-    return StructuredMatrix(rows, field, "hankel_moment")
+    default_bits = max(128, 12 * N) if isinstance(b, symbols.MomentSymbol) else 256
+    return _build(
+        b, N, field, bits, 1, 2 * N - 1, "hankel_moment", lambda c, j, k: c[1 + j + k],
+        default_bits,
+    )[0]
 
 
 def flip(N: int, field: Field | None = None) -> StructuredMatrix:

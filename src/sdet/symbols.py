@@ -92,37 +92,51 @@ def _dedup_jumps(points):
     return tuple(out)
 
 
-def _circle_panels(jumps, wp):
-    """Panels covering (0, 2pi), split at every jump."""
-    with mp.workprec(wp):
-        cuts = [mp.mpf(0)]
-        for p in jumps:
-            v = p.to_mpf()
-            if 1e-15 < p.approx() < 2 * math.pi - 1e-15:
-                cuts.append(v)
-        cuts.append(2 * mp.pi)
-        cuts.sort()
-        return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+def _panels(cuts, end, wp):
+    """Panels covering (0, end), split at the cut points.
+
+    Cuts must be computed under the caller's workprec(wp); panels no wider
+    than 2^(-wp/2) (repeated cuts) are dropped.
+    """
+    cuts = sorted([mp.mpf(0), *cuts, end])
+    tiny = mp.mpf(2) ** (-wp // 2)
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > tiny]
 
 
-def _half_panels(jumps, wp):
-    """Panels covering (0, pi), split at jumps folded into that range."""
-    with mp.workprec(wp):
-        cuts = [mp.mpf(0)]
-        for p in jumps:
-            a = p.approx()
-            v = p.to_mpf()
-            if 1e-15 < a < math.pi - 1e-15:
-                cuts.append(v)
-            elif math.pi + 1e-15 < a < 2 * math.pi - 1e-15:
-                cuts.append(2 * mp.pi - v)
-        cuts.append(mp.pi)
-        cuts.sort()
-        panels = []
-        for i in range(len(cuts) - 1):
-            if cuts[i + 1] - cuts[i] > mp.mpf(2) ** (-wp // 2):
-                panels.append((cuts[i], cuts[i + 1]))
-        return panels
+def _cached_table(owner, bits: int, limit: int, compute) -> dict:
+    """owner's table at bits covering limit, from compute(limit, bits).
+
+    One grow-only table per bits, in owner._cache under owner._lock.
+    """
+    with owner._lock:
+        got = owner._cache.get(bits)
+        if got is not None and got[0] >= limit:
+            return got[1]
+    table = compute(limit, bits)
+    with owner._lock:
+        held = owner._cache.get(bits)
+        if held is None or held[0] < limit:
+            owner._cache[bits] = (limit, table)
+    return table
+
+
+def _expj_series(entries: dict, theta):
+    """sum_n v_n e^{i n theta} at ambient precision."""
+    tot = mp.mpc(0)
+    for n, v in entries.items():
+        tot += to_mp(v, mp.mp.prec) * mp.expj(n * theta)
+    return tot
+
+
+def _trig_series(entries: dict, theta, trig):
+    """v_0 + sum_{n>0} 2 v_n cos(n theta) for trig = mp.cos, or
+    sum_{n>0} 2 v_n sin(n theta) for mp.sin: the real profile of an even
+    sequence, or of an odd one divided by i."""
+    tot = to_mp(entries.get(0, 0), mp.mp.prec) if trig is mp.cos else mp.mpf(0)
+    for n, v in entries.items():
+        if n > 0:
+            tot += 2 * to_mp(v, mp.mp.prec) * trig(n * theta)
+    return tot
 
 
 def _reduce_mod_2pi(theta):
@@ -191,47 +205,40 @@ class FourierSymbol:
         probe = self.closed_coeff(0, bits)
         if probe is not None:
             return {n: self.closed_coeff(n, bits) for n in range(n_lo, n_hi + 1)}
-        key = bits
-        with self._lock:
-            got = self._cache.get(key)
-            if got is not None and got[0] >= max(abs(n_lo), abs(n_hi)):
-                table = got[1]
-                return {n: table[n] for n in range(n_lo, n_hi + 1)}
         limit = max(abs(n_lo), abs(n_hi))
-        table = self._compute_coeffs(limit, bits)
-        with self._lock:
-            held = self._cache.get(key)
-            if held is None or held[0] < limit:
-                self._cache[key] = (limit, table)
+        table = _cached_table(self, bits, limit, self._compute_coeffs)
         return {n: table[n] for n in range(n_lo, n_hi + 1)}
 
     def _compute_coeffs(self, limit: int, bits: int) -> dict:
         wp = bits + quadrature.GUARD
         profile = self.real_profile()
         jumps = self.jump_points()
-        if profile is not None:
-            kind, fn = profile
-            panels = _half_panels(jumps, wp)
-            with mp.workprec(wp):
-                if kind == "even":
-                    raw = quadrature.trig_transform(fn, panels, limit, bits, "cos")
-                    vals = [v / mp.pi for v in raw]
-                    table = {0: vals[0]}
-                    for n in range(1, limit + 1):
-                        table[n] = vals[n]
-                        table[-n] = vals[n]
-                    return table
-                raw = quadrature.trig_transform(fn, panels, limit, bits, "sin")
-                vals = [v / mp.pi for v in raw]
-                table = {0: mp.mpf(0)}
-                for n in range(1, limit + 1):
-                    table[n] = vals[n]
-                    table[-n] = -vals[n]
-                return table
-        if not jumps:
+        if profile is None and not jumps:
             return quadrature.circle_coeffs_periodic(self.eval_at, -limit, limit, bits)
-        panels = _circle_panels(jumps, wp)
-        return quadrature.circle_coeffs(self.eval_at, panels, -limit, limit, bits)
+        with mp.workprec(wp):
+            if profile is None:
+                cuts = [p.to_mpf() for p in jumps if 1e-15 < p.approx() < 2 * math.pi - 1e-15]
+                panels = _panels(cuts, 2 * mp.pi, wp)
+                return quadrature.circle_coeffs(self.eval_at, panels, -limit, limit, bits)
+            # a real profile is even or odd about pi: fold jumps into (0, pi)
+            cuts = []
+            for p in jumps:
+                a, v = p.approx(), p.to_mpf()
+                if 1e-15 < a < math.pi - 1e-15:
+                    cuts.append(v)
+                elif math.pi + 1e-15 < a < 2 * math.pi - 1e-15:
+                    cuts.append(2 * mp.pi - v)
+            kind, fn = profile
+            even = kind == "even"
+            raw = quadrature.trig_transform(
+                fn, _panels(cuts, mp.pi, wp), limit, bits, "cos" if even else "sin"
+            )
+            vals = [v / mp.pi for v in raw]
+            table = {0: vals[0]}
+            for n in range(1, limit + 1):
+                table[n] = vals[n]
+                table[-n] = vals[n] if even else -vals[n]
+            return table
 
     def to_json(self) -> dict:
         raise NotImplementedError(
@@ -356,33 +363,14 @@ class CoeffSeq(FourierSymbol):
         return to_mp(v, bits)
 
     def eval_at(self, theta):
-        total = mp.mpc(0)
-        for n, v in self.entries.items():
-            total += to_mp(v, mp.mp.prec) * mp.expj(n * theta)
-        return total
+        return _expj_series(self.entries, theta)
 
     def real_profile(self):
-        if not self.real:
+        if not self.real or self.symmetry is None:
             return None
-        if self.symmetry == "even":
-            def f(theta, _e=self.entries):
-                tot = to_mp(_e.get(0, 0), mp.mp.prec)
-                for n, v in _e.items():
-                    if n > 0:
-                        tot += 2 * to_mp(v, mp.mp.prec) * mp.cos(n * theta)
-                return tot
-
-            return ("even", f)
-        if self.symmetry == "odd":
-            def g(theta, _e=self.entries):
-                tot = mp.mpf(0)
-                for n, v in _e.items():
-                    if n > 0:
-                        tot += 2 * to_mp(v, mp.mp.prec) * mp.sin(n * theta)
-                return tot
-
-            return ("odd_i", g)
-        return None
+        trig = mp.cos if self.symmetry == "even" else mp.sin
+        kind = "even" if self.symmetry == "even" else "odd_i"
+        return (kind, lambda theta: _trig_series(self.entries, theta, trig))
 
     def to_json(self):
         return {
@@ -513,15 +501,9 @@ class FHProduct(FourierSymbol):
     def jump_points(self):
         return tuple(JumpPoint(0, t) for t, _ in self.desc.jumps)
 
-    def _smooth_at(self, theta):
-        tot = mp.mpc(0)
-        for n, v in self.desc.log_smooth.items():
-            tot += to_mp(v, mp.mp.prec) * mp.expj(n * theta)
-        return mp.exp(tot)
-
     def eval_at(self, theta):
         th = to_mp(theta, mp.mp.prec)
-        val = self._smooth_at(th)
+        val = mp.exp(_expj_series(self.desc.log_smooth, th))
         for t_r, b_r in self.desc.jumps:
             r = _reduce_mod_2pi(th - mp.mpf(t_r))
             if r == 0:
@@ -549,14 +531,7 @@ class FHProduct(FourierSymbol):
         if self.desc.jumps or not self._log_real_even:
             return None
 
-        def f(theta, _ls=self.desc.log_smooth):
-            tot = to_mp(_ls.get(0, 0), mp.mp.prec)
-            for n, v in _ls.items():
-                if n > 0:
-                    tot += 2 * to_mp(v, mp.mp.prec) * mp.cos(n * theta)
-            return mp.exp(tot)
-
-        return ("even", f)
+        return ("even", lambda theta: mp.exp(_trig_series(self.desc.log_smooth, theta, mp.cos)))
 
     def to_json(self):
         return self.desc.to_json()
@@ -599,23 +574,17 @@ class SymbolProduct(FourierSymbol):
             if p is None:
                 return None
             (evens if p[0] == "even" else odds).append(p[1])
-        if len(odds) == 0:
-            def fe(theta, _fs=tuple(evens)):
-                tot = mp.mpf(1)
-                for fn in _fs:
-                    tot *= fn(theta)
-                return tot
+        if len(odds) > 1:
+            return None
+        first = odds[0] if odds else lambda theta: mp.mpf(1)
 
-            return ("even", fe)
-        if len(odds) == 1:
-            def go(theta, _fs=tuple(evens), _g=odds[0]):
-                tot = _g(theta)
-                for fn in _fs:
-                    tot *= fn(theta)
-                return tot
+        def prod(theta, _fs=tuple(evens)):
+            tot = first(theta)
+            for fn in _fs:
+                tot *= fn(theta)
+            return tot
 
-            return ("odd_i", go)
-        return None
+        return ("odd_i" if odds else "even", prod)
 
     def even_support(self):
         return _sampled_even_support(self)
@@ -644,6 +613,15 @@ class ClosedFormSymbol(FourierSymbol):
 
     def real_profile(self):
         return self._profile
+
+
+def _mapped_even_profile(base: FourierSymbol, arg):
+    """("even", f(arg(theta))) when base has the real even profile f, else None."""
+    p = base.real_profile()
+    if p is None or p[0] != "even":
+        return None
+    fn = p[1]
+    return ("even", lambda theta: fn(arg(to_mp(theta, mp.mp.prec))))
 
 
 class ArgDoubled(FourierSymbol):
@@ -691,17 +669,9 @@ class ArgDoubled(FourierSymbol):
         return out
 
     def real_profile(self):
-        p = self.base.real_profile()
-        if p is None:
-            return None
-        kind, fn = p
-
-        def wrapped(theta, _fn=fn):
-            return _fn(_reduce_mod_2pi(2 * to_mp(theta, mp.mp.prec)))
-
         # doubling the argument keeps real-evenness but breaks oddness in
         # theta (sin(2t) is not odd about pi), so only the even case maps
-        return ("even", wrapped) if kind == "even" else None
+        return _mapped_even_profile(self.base, lambda th: _reduce_mod_2pi(2 * th))
 
 
 class HalvedArg(FourierSymbol):
@@ -734,15 +704,7 @@ class HalvedArg(FourierSymbol):
         return {n: inner[2 * n] for n in range(n_lo, n_hi + 1)}
 
     def real_profile(self):
-        p = self.base.real_profile()
-        if p is None or p[0] != "even":
-            return None
-        fn = p[1]
-
-        def wrapped(theta, _fn=fn):
-            return _fn(_reduce_mod_2pi(to_mp(theta, mp.mp.prec)) / 2)
-
-        return ("even", wrapped)
+        return _mapped_even_profile(self.base, lambda th: _reduce_mod_2pi(th) / 2)
 
 
 class MomentSymbol:
@@ -833,13 +795,9 @@ class MomentSymbol:
         return v
 
     def theta_panels(self, wp):
+        """Panels covering (0, pi) in theta = acos(x), split at the jumps."""
         with mp.workprec(wp):
-            cuts = [mp.mpf(0)]
-            for x in self.jumps:
-                cuts.append(mp.acos(mp.mpf(x)))
-            cuts.append(mp.pi)
-            cuts.sort()
-            return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+            return _panels([mp.acos(mp.mpf(x)) for x in self.jumps], mp.pi, wp)
 
     def _integrand(self):
         # After x = cos(theta) the moment integrand carries a sin(theta)
@@ -849,20 +807,15 @@ class MomentSymbol:
         return lambda th: self.smooth_theta(th) * mp.sin(th)
 
     def moment_table(self, n_max: int, bits: int) -> dict:
-        with self._lock:
-            got = self._cache.get(bits)
-            if got is not None and got[0] >= n_max:
-                return {n: got[1][n] for n in range(1, n_max + 1)}
+        table = _cached_table(self, bits, n_max, self._compute_moments)
+        return {n: table[n] for n in range(1, n_max + 1)}
+
+    def _compute_moments(self, n_max: int, bits: int) -> dict:
         wp = bits + quadrature.GUARD
         panels = self.theta_panels(wp)
         with mp.workprec(wp):
             raw = quadrature.cospower_transform(self._integrand(), panels, n_max, bits)
-            table = {n: raw[n] / mp.pi for n in range(1, n_max + 1)}
-        with self._lock:
-            held = self._cache.get(bits)
-            if held is None or held[0] < n_max:
-                self._cache[bits] = (n_max, table)
-        return dict(table)
+            return {n: raw[n] / mp.pi for n in range(1, n_max + 1)}
 
     def moment(self, n: int, bits: int = 128):
         if n < 1:
@@ -1055,15 +1008,21 @@ def _parse_pair(re, im):
     return complex(float(rv), float(iv))
 
 
+def _parse_entries(items) -> dict:
+    """{n: value} from [[n, re, im], ...]; the inverse of _json_entries."""
+    out = {}
+    for item in items:
+        n, re, im = item
+        out[int(n)] = _parse_pair(re, im)
+    return out
+
+
 def symbol_from_json(obj) -> FourierSymbol:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("symbol JSON needs a 'kind' field")
     kind = obj["kind"]
     if kind == "coeffs":
-        entries = {}
-        for item in obj.get("entries", []):
-            n, re, im = item
-            entries[int(n)] = _parse_pair(re, im)
+        entries = _parse_entries(obj.get("entries", []))
         return CoeffSeq(entries, symmetry=obj.get("symmetry", "none"))
     if kind == "chi":
         return Chi()
@@ -1080,11 +1039,10 @@ def symbol_from_json(obj) -> FourierSymbol:
 def descriptor_from_json(obj) -> FHDescriptor:
     if obj.get("kind") not in (None, "fh"):
         raise ValueError("descriptor JSON must have kind 'fh'")
-    log_smooth = {}
-    for item in obj.get("log_smooth", []):
-        n, re, im = item
-        v = _parse_pair(re, im)
-        log_smooth[int(n)] = float(v) if isinstance(v, Fraction) else v
+    log_smooth = {
+        n: float(v) if isinstance(v, Fraction) else v
+        for n, v in _parse_entries(obj.get("log_smooth", [])).items()
+    }
     jumps = []
     for j in obj.get("jumps", []):
         re, im = j["beta"]
@@ -1096,12 +1054,8 @@ def descriptor_from_json(obj) -> FHDescriptor:
 def moment_from_json(obj) -> MomentSymbol:
     if obj.get("kind") != "moment":
         raise ValueError("moment JSON must have kind 'moment'")
-    coeffs = {}
-    for item in obj.get("poly", []):
-        k, re, im = item
-        coeffs[int(k)] = _parse_pair(re, im)
     return MomentSymbol.from_poly(
-        coeffs,
+        _parse_entries(obj.get("poly", [])),
         weight=obj.get("weight", "one"),
         parity=obj.get("parity"),
         jumps=obj.get("jumps", ()),

@@ -126,6 +126,14 @@ class TestVerifyCommand:
         assert code == 2
         assert "SDET_DEFAULT_BITS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("identity", ["skew_square", "all"])
+    def test_low_bits_is_usage_error_in_exact_mode(self, delta_path, capsys, identity):
+        code = cli.run(
+            ["verify", "--identity", identity, "--symbol", delta_path, "--nmax", "3", "--bits", "32"]
+        )
+        assert code == 2
+        assert "bits must be >= 64" in capsys.readouterr().err
+
     def test_unknown_identity(self, delta_path, capsys):
         code = cli.run(
             ["verify", "--identity", "magic", "--symbol", delta_path, "--nmax", "2"]

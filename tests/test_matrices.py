@@ -15,7 +15,7 @@ from sdet.matrices import (
     toeplitz_plus_hankel,
 )
 from sdet.scalars import abs_val, hp_real, rational
-from sdet.symbols import Chi, CoeffSeq, JumpT, MomentSymbol, SpeciesError
+from sdet.symbols import Chi, ClosedFormSymbol, CoeffSeq, JumpT, MomentSymbol, SpeciesError
 from sdet.transforms import ScalarSeq
 
 from conftest import random_even_seq
@@ -50,6 +50,16 @@ class TestToeplitz:
         m = toeplitz(a, 2)
         assert m.tolist() == [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]
         assert m.is_symmetric()
+
+    def test_even_promise_is_checked(self):
+        liar = ClosedFormSymbol(lambda t: 2 + mp.expj(t), symmetry="even")
+        with pytest.raises(StructureError, match="even symbol must give a symmetric Toeplitz matrix"):
+            toeplitz(liar, 4, bits=128)
+
+    def test_odd_promise_is_checked(self):
+        liar = ClosedFormSymbol(lambda t: mp.expj(t), symmetry="odd")
+        with pytest.raises(StructureError, match="odd symbol must give a skewsymmetric Toeplitz matrix"):
+            toeplitz(liar, 4, bits=128)
 
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):

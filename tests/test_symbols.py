@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from sdet import quadrature
 from sdet.symbols import (
     Chi,
     ClosedFormSymbol,
@@ -311,6 +312,53 @@ class TestMomentSymbol:
     def test_moment_twin_needs_even_symbol(self):
         with pytest.raises(SpeciesError):
             th_to_moment_symbol(CoeffSeq({1: 1}, symmetry="odd"))
+
+
+class TestTableCache:
+    """coeff_table and moment_table keep one grow-only table per bits."""
+
+    @staticmethod
+    def _source(kind):
+        """(table request, keys it must return, quadrature routine it uses)."""
+        if kind == "coeffs":
+            a = FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))
+            table = lambda n, bits: a.coeff_table(-n, n, bits)
+            return table, (lambda n: range(-n, n + 1)), "trig_transform"
+        b = MomentSymbol.from_poly({0: 1, 2: Fraction(1, 3)}, weight="sqrt_ratio")
+        return b.moment_table, (lambda n: range(1, n + 1)), "cospower_transform"
+
+    @pytest.mark.parametrize("kind", ["coeffs", "moments"])
+    def test_grow_only_table_per_bits(self, monkeypatch, kind):
+        table, keys, routine = self._source(kind)
+        calls = []
+        real = getattr(quadrature, routine)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, routine, counted)
+        big = table(8, 96)
+        assert len(calls) == 1 and sorted(big) == list(keys(8))
+        small = table(3, 96)
+        assert len(calls) == 1
+        assert sorted(small) == list(keys(3))
+        assert all(small[n] == big[n] for n in small)
+        larger = table(12, 96)
+        assert len(calls) == 2 and sorted(larger) == list(keys(12))
+        table(10, 96)
+        assert len(calls) == 2
+        other = table(3, 128)
+        assert len(calls) == 3 and sorted(other) == list(keys(3))
+        table(12, 96)
+        assert len(calls) == 3
+
+    def test_one_sided_coefficient_range(self):
+        a = FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))
+        full = a.coeff_table(-6, 6, 96)
+        part = a.coeff_table(2, 5, 96)
+        assert sorted(part) == [2, 3, 4, 5]
+        assert all(part[n] == full[n] for n in part)
 
 
 class TestSkewFromMoment:
