@@ -17,7 +17,7 @@ from . import matrices, symbols
 from .determinants import leading_minors
 from .quadrature import AccuracyError
 from .scalars import format_scalar, infer_field, to_mp
-from .symbols import FHDescriptor, FHProduct, JumpT, MomentSymbol, SpeciesError
+from .symbols import ArgDoubled, FHDescriptor, FHProduct, JumpT, MomentSymbol, SpeciesError
 
 
 REPORT_DIGITS = 30
@@ -492,8 +492,30 @@ def _real_dets(M, orders, bits):
     return out
 
 
-def _ratio_study(kind, num_sym, den_sym, Ns, bits, power, prediction, flags, tol):
-    """Common driver: ratios det(num)/det(den) at order N or 2N, compensated by N^power."""
+def _report(kind, Ns, values, comp, limit, prediction, fitted, ok, flags, bits):
+    """The study's AsymptoticsReport; a CONJECTURE study is only informational."""
+    if "CONJECTURE" in flags:
+        verdict = "informational"
+    else:
+        verdict = "pass" if ok else "fail"
+    return AsymptoticsReport(
+        kind=kind,
+        N_list=list(Ns),
+        det_values=[format_scalar(v, REPORT_DIGITS) for v in values],
+        compensated_values=[format_scalar(c, REPORT_DIGITS) for c in comp],
+        prediction=prediction.to_json(),
+        fitted=fitted,
+        extrapolated_limit=format_scalar(limit, REPORT_DIGITS),
+        verdict=verdict,
+        flags=list(flags),
+        bits=bits,
+    )
+
+
+def _ratio_study(kind, num_sym, den_sym, Ns, bits, prediction, flags):
+    """Common driver: ratios det(num)/det(den) at order N or 2N, compensated
+    by N^(-exponent_of_N) and extrapolated to the ratio coefficient."""
+    tol = mp.mpf("0.01")
     scale = 2 if kind in ("cor53", "conjecture_sym") else 1
     top = scale * max(Ns)
     orders = [scale * N for N in Ns]
@@ -511,29 +533,15 @@ def _ratio_study(kind, num_sym, den_sym, Ns, bits, power, prediction, flags, tol
                 raise AccuracyError("denominator determinant vanished at N=%d" % N)
             ratios.append(+(num / den))
     with mp.workprec(bits + 32):
-        comp = [mp.mpf(N) ** (-to_mp(power, bits + 32)) * r for N, r in zip(Ns, ratios)]
+        power = to_mp(prediction.exponent_of_N, bits + 32)
+        comp = [mp.mpf(N) ** (-power) * r for N, r in zip(Ns, ratios)]
     limit, err = extrapolate_limit(list(zip(Ns, comp)), bits)
     pred_val = prediction.ratio_coefficient
     with mp.workprec(bits + 32):
         rel_gap = abs(limit - pred_val) / abs(pred_val)
         ok = rel_gap < tol
     fitted = _double_fit(list(zip(Ns, ratios)), bits)
-    if "CONJECTURE" in flags:
-        verdict = "informational"
-    else:
-        verdict = "pass" if ok else "fail"
-    return AsymptoticsReport(
-        kind=kind,
-        N_list=list(Ns),
-        det_values=[format_scalar(r, REPORT_DIGITS) for r in ratios],
-        compensated_values=[format_scalar(c, REPORT_DIGITS) for c in comp],
-        prediction=prediction.to_json(),
-        fitted=fitted,
-        extrapolated_limit=format_scalar(limit, REPORT_DIGITS),
-        verdict=verdict,
-        flags=list(flags),
-        bits=bits,
-    )
+    return _report(kind, Ns, ratios, comp, limit, prediction, fitted, ok, flags, bits)
 
 
 def _double_fit(data, bits):
@@ -551,15 +559,16 @@ def _double_fit(data, bits):
     return out
 
 
-def _moment_det_study(kind, b, Ns, bits, F, exponent, prediction, flags, tol):
+def _moment_det_study(kind, b, Ns, bits, prediction):
     """Exponent-only check on det H_N[b]: fitted Omega and compensated trend."""
+    tol = mp.mpf("0.05")
     H = matrices.hankel_moment(b, max(Ns), infer_field(b, bits))
     dets = _real_dets(H, Ns, bits)
     data = list(zip(Ns, dets))
     fitted = _double_fit(data, bits)
     with mp.workprec(bits + 32):
-        Fv = to_mp(F, bits + 32)
-        expv = to_mp(exponent, bits + 32)
+        Fv = to_mp(prediction.F, bits + 32)
+        expv = to_mp(prediction.exponent_of_N, bits + 32)
         comp = [
             v / (Fv ** N * mp.mpf(N) ** expv) for N, v in data
         ]
@@ -576,50 +585,15 @@ def _moment_det_study(kind, b, Ns, bits, F, exponent, prediction, flags, tol):
             fitted_omega = mp.mpf(tail["Omega"])
             exp_ok = abs(fitted_omega - expv) < mp.mpf("0.02") * max(1, abs(expv))
     limit, _ = extrapolate_limit(list(zip(Ns, comp)), bits)
-    verdict = "pass" if (trend_ok and exp_ok) else "fail"
-    if "CONJECTURE" in flags:
-        verdict = "informational"
-    return AsymptoticsReport(
-        kind=kind,
-        N_list=list(Ns),
-        det_values=[format_scalar(v, REPORT_DIGITS) for v in dets],
-        compensated_values=[format_scalar(c, REPORT_DIGITS) for c in comp],
-        prediction=prediction.to_json(),
-        fitted=fitted,
-        extrapolated_limit=format_scalar(limit, REPORT_DIGITS),
-        verdict=verdict,
-        flags=list(flags),
-        bits=bits,
-    )
+    return _report(kind, Ns, dets, comp, limit, prediction, fitted, trend_ok and exp_ok, [], bits)
 
 
-def _halfangle_pullback(desc: FHDescriptor, bits: int) -> MomentSymbol:
+def _halfangle_pullback(desc: FHDescriptor) -> MomentSymbol:
     """b with b(cos(theta/2)) = d(e^{i theta}), as a moment symbol."""
     d = FHProduct(desc)
     if not symbols.certify_even(d):
         raise SpeciesError("an even symbol is required for the pullback")
-    prof = d.real_profile()
-    if prof is not None:
-        fn = prof[1]
-        theta_fn = lambda t, _f=fn: _f(2 * t)
-        real = True
-    else:
-        theta_fn = lambda t, _d=d: _d.eval_at(2 * t)
-        real = False
-    jumps_x = []
-    for p in d.jump_points():
-        v = p.approx()
-        if 1e-12 < v < 2 * mp.pi - 1e-12:
-            jumps_x.append(mp.cos(mp.mpf(v) / 2))
-    jumps_x = sorted(set(float(x) for x in jumps_x))
-    return MomentSymbol(
-        smooth=lambda x, _d=d: _d.eval_at(2 * mp.acos(x)),
-        weight="one",
-        jumps=jumps_x,
-        parity="even",
-        smooth_theta=theta_fn,
-        real=real,
-    )
+    return symbols._pullback(ArgDoubled(d), "one")
 
 
 def study(kind: str, subject, N_list, bits: int = 256, sign=Fraction(-1, 2), desc=None):
@@ -641,8 +615,6 @@ def study(kind: str, subject, N_list, bits: int = 256, sign=Fraction(-1, 2), des
         raise ValueError("N values must be >= 1")
     if len(Ns) < 4:
         raise ValueError("at least 4 sizes are required")
-    tol = mp.mpf("0.01")
-
     if kind == "prop52_ratio":
         dsc = subject if subject is not None else FHDescriptor()
         if not isinstance(dsc, FHDescriptor):
@@ -654,9 +626,7 @@ def study(kind: str, subject, N_list, bits: int = 256, sign=Fraction(-1, 2), des
         else:
             base = FHProduct(dsc)
             num, den = symbols.SymbolProduct((jump, base)), base
-        return _ratio_study(
-            kind, num, den, Ns, bits, Fraction(-1, 4), pred, [], tol
-        )
+        return _ratio_study(kind, num, den, Ns, bits, pred, [])
 
     if kind in ("cor53", "conjecture_sym"):
         if not isinstance(subject, FHDescriptor):
@@ -670,35 +640,24 @@ def study(kind: str, subject, N_list, bits: int = 256, sign=Fraction(-1, 2), des
                 raise SpeciesError("a(1/t) = a(t) is required")
         pred = predict_cor53(bits)
         flags = ["CONJECTURE"] if kind == "conjecture_sym" else []
-        return _ratio_study(
-            kind,
-            symbols.multiply_by_chi(a),
-            a,
-            Ns,
-            bits,
-            Fraction(-1, 2),
-            pred,
-            flags,
-            tol,
-        )
+        return _ratio_study(kind, symbols.multiply_by_chi(a), a, Ns, bits, pred, flags)
 
     if kind == "cor54":
         if not isinstance(subject, FHDescriptor):
             raise SpeciesError("an FHDescriptor is required")
-        b = _halfangle_pullback(subject, bits)
+        b = _halfangle_pullback(subject)
         growth = predict_szego_fh(subject, bits)
         bc = barnes_constants(bits)
         with mp.workprec(bits + 32):
             expo = to_mp(growth.Omega, bits + 32) - mp.mpf(1) / 4
-        pred = FHPrediction(
-            F=growth.F,
-            Omega=growth.Omega,
-            ratio_coefficient=bc.pair_product,
-            exponent_of_N=+expo,
-        )
-        return _moment_det_study(
-            kind, b, Ns, bits, growth.F, pred.exponent_of_N, pred, [], mp.mpf("0.05")
-        )
+        with mp.workprec(bits):
+            pred = FHPrediction(
+                F=growth.F,
+                Omega=growth.Omega,
+                ratio_coefficient=bc.pair_product,
+                exponent_of_N=+expo,
+            )
+        return _moment_det_study(kind, b, Ns, bits, pred)
 
     # cor56: subject is the moment symbol itself; desc (optional) carries
     # the growth data of the argument-halved smooth factor
@@ -713,6 +672,4 @@ def study(kind: str, subject, N_list, bits: int = 256, sign=Fraction(-1, 2), des
         ratio_coefficient=None,
         exponent_of_N=growth.Omega,
     )
-    return _moment_det_study(
-        kind, subject, Ns, bits, growth.F, pred.exponent_of_N, pred, [], mp.mpf("0.05")
-    )
+    return _moment_det_study(kind, subject, Ns, bits, pred)

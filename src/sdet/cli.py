@@ -217,10 +217,8 @@ def _cmd_dump(args) -> int:
     bits = args.bits or _default_bits()
     subject = _load_subject(args.symbol)
     if isinstance(subject, symbols.MomentSymbol):
-        rows = [
-            [n, format_scalar(symbols.moment(subject, n, bits=bits), 30)]
-            for n in range(1, args.nmax + 1)
-        ]
+        table = subject.moment_table(args.nmax, bits)
+        rows = [[n, format_scalar(table[n], 30)] for n in range(1, args.nmax + 1)]
         text = json.dumps({"moments": rows}, indent=2) + "\n"
     else:
         if isinstance(subject, symbols.CoeffSeq) and subject.is_exact:

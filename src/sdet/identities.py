@@ -66,8 +66,6 @@ _HP_ONLY = {
     IdentityKind.ParitySplitChi,
 }
 
-_MOMENT_KINDS = {IdentityKind.MomentToToeplitz, IdentityKind.MomentSkewSquare}
-
 
 class IdentityRecord:
     __slots__ = ("N", "lhs", "rhs", "abs_resid", "rel_resid", "mode", "bits", "digits", "ok")
@@ -102,14 +100,10 @@ class IdentityReport:
     def to_json(self) -> dict:
         recs = []
         for r in self.records:
-            digits = r.digits if r.digits else 20
             recs.append(
                 {
                     "N": r.N,
-                    "lhs": format_scalar(r.lhs, digits),
-                    "rhs": format_scalar(r.rhs, digits),
-                    "abs_resid": format_scalar(r.abs_resid, 8),
-                    "rel_resid": format_scalar(r.rel_resid, 8),
+                    **_formatted_values(r),
                     "mode": r.mode,
                     "bits": r.bits,
                     "digits_guaranteed": r.digits,
@@ -126,23 +120,25 @@ class IdentityReport:
         }
 
 
+def _formatted_values(r: IdentityRecord) -> dict:
+    """lhs, rhs, abs_resid and rel_resid as report text; the sides print at
+    their guaranteed digits, or 20 when none are known."""
+    digits = r.digits if r.digits else 20
+    return {
+        "lhs": format_scalar(r.lhs, digits),
+        "rhs": format_scalar(r.rhs, digits),
+        "abs_resid": format_scalar(r.abs_resid, 8),
+        "rel_resid": format_scalar(r.rel_resid, 8),
+    }
+
+
 def reports_to_csv(reports) -> str:
     lines = ["kind,N,lhs,rhs,abs_resid,rel_resid,mode,bits"]
     for rep in reports:
         for r in rep.records:
-            digits = r.digits if r.digits else 20
             lines.append(
                 "%s,%d,%s,%s,%s,%s,%s,%s"
-                % (
-                    rep.kind,
-                    r.N,
-                    format_scalar(r.lhs, digits),
-                    format_scalar(r.rhs, digits),
-                    format_scalar(r.abs_resid, 8),
-                    format_scalar(r.rel_resid, 8),
-                    r.mode,
-                    r.bits if r.bits else "",
-                )
+                % (rep.kind, r.N, *_formatted_values(r).values(), r.mode, r.bits if r.bits else "")
             )
     return "\n".join(lines) + "\n"
 

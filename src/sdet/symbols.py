@@ -12,6 +12,10 @@ whose product with the sin(theta) Jacobian (or with the sin(n theta) kernel)
 is analytic on the closed panel, so the endpoint singularity never reaches
 the quadrature engine.
 
+Both pullbacks from the circle to [-1, 1] through x = cos(theta), the
+moment twin of an even symbol and the half-angle pullback of the growth
+studies, go through one helper, _pullback.
+
 Real-valued even symbols and i * (real odd) symbols get dedicated cosine and
 sine transforms over (0, pi) in real arithmetic; this is what keeps the large
 asymptotic studies fast.  Values are immutable after construction and all
@@ -178,7 +182,13 @@ class FourierSymbol:
 
     def even_support(self) -> bool:
         """Whether a(-t) = a(t), i.e. all odd-index coefficients vanish."""
-        return _sampled_even_support(self)
+        bad = {p.approx() % math.pi for p in self.jump_points()}
+        return _sampled_symmetry(
+            self,
+            0.37,
+            lambda t: t + mp.pi,
+            lambda t: any(abs(t - b) < 1e-6 or abs(t - b - math.pi) < 1e-6 for b in bad),
+        )
 
     @property
     def real(self) -> bool:
@@ -246,49 +256,28 @@ class FourierSymbol:
         )
 
 
-def _sampled_even_support(a: FourierSymbol) -> bool:
-    bad = {p.approx() % math.pi for p in a.jump_points()}
+def _sampled_symmetry(a: FourierSymbol, start: float, partner, near_jump) -> bool:
+    """Check a(e^{it}) = a(e^{i partner(t)}) by sampling t in (0, pi).
+
+    t walks from start in golden-ratio steps; points where near_jump(t) holds
+    are skipped, as are samples that hit a jump.
+    """
     with mp.workprec(_CERT_BITS):
         scale = mp.mpf(0)
         worst = mp.mpf(0)
         k = 0
-        t = 0.37
+        t = start
         while k < _CERT_SAMPLES:
             t = (t + math.pi * (math.sqrt(5) - 1)) % math.pi
-            if any(abs(t - b) < 1e-6 or abs(t - b - math.pi) < 1e-6 for b in bad):
+            if near_jump(t):
                 continue
             k += 1
             try:
                 v1 = a.eval_at(mp.mpf(t))
-                v2 = a.eval_at(mp.mpf(t) + mp.pi)
+                v2 = a.eval_at(partner(mp.mpf(t)))
             except JumpError:
                 continue
             worst = max(worst, abs(v1 - v2))
-            scale = max(scale, abs(v1), abs(v2))
-        return worst <= _CERT_TOL * max(scale, mp.mpf(1))
-
-
-def _sampled_relation(a: FourierSymbol, flip_sign: int) -> bool:
-    """Check a(e^{-it}) = (+-) a(e^{it}) by sampling off jumps."""
-    bad = {p.approx() for p in a.jump_points()}
-    with mp.workprec(_CERT_BITS):
-        scale = mp.mpf(0)
-        worst = mp.mpf(0)
-        k = 0
-        t = 0.29
-        while k < _CERT_SAMPLES:
-            t = (t + math.pi * (math.sqrt(5) - 1)) % math.pi
-            if any(
-                min(abs(t - b), abs(2 * math.pi - t - b)) < 1e-6 for b in bad
-            ):
-                continue
-            k += 1
-            try:
-                v1 = a.eval_at(mp.mpf(t))
-                v2 = a.eval_at(2 * mp.pi - mp.mpf(t))
-            except JumpError:
-                continue
-            worst = max(worst, abs(v1 - flip_sign * v2))
             scale = max(scale, abs(v1), abs(v2))
         return worst <= _CERT_TOL * max(scale, mp.mpf(1))
 
@@ -298,7 +287,13 @@ def certify_even(a: FourierSymbol) -> bool:
         return True
     if a.symmetry == "odd":
         return False
-    return _sampled_relation(a, 1)
+    bad = {p.approx() for p in a.jump_points()}
+    return _sampled_symmetry(
+        a,
+        0.29,
+        lambda t: 2 * mp.pi - t,
+        lambda t: any(min(abs(t - b), abs(2 * math.pi - t - b)) < 1e-6 for b in bad),
+    )
 
 
 def _json_entries(table: dict) -> list:
@@ -347,9 +342,6 @@ class CoeffSeq(FourierSymbol):
     @property
     def real(self) -> bool:
         return all(is_real_scalar(v) for v in self.entries.values())
-
-    def jump_points(self):
-        return ()
 
     def even_support(self) -> bool:
         return all(n % 2 == 0 for n in self.entries)
@@ -586,9 +578,6 @@ class SymbolProduct(FourierSymbol):
 
         return ("odd_i" if odds else "even", prod)
 
-    def even_support(self):
-        return _sampled_even_support(self)
-
     def to_json(self):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
 
@@ -784,9 +773,6 @@ class MomentSymbol:
                 scale = max(scale, abs(v1))
             return worst <= _CERT_TOL * scale
 
-    def eval_plain(self, x):
-        return self.smooth(to_mp(x, mp.mp.prec))
-
     def eval_at(self, x):
         x = to_mp(x, mp.mp.prec)
         v = self.smooth(x)
@@ -843,12 +829,7 @@ class SkewFromMoment(FourierSymbol):
         self.b = b
 
     def jump_points(self):
-        pts = [JumpPoint(0), JumpPoint(1)]
-        for x in self.b.jumps:
-            t = math.acos(x)
-            pts.append(JumpPoint(0, t))
-            pts.append(JumpPoint(0, 2 * math.pi - t))
-        return _dedup_jumps(pts)
+        return _dedup_jumps([JumpPoint(0), JumpPoint(1), *_circle_jumps(self.b.jumps, 1)])
 
     def even_support(self):
         return False
@@ -936,30 +917,44 @@ def multiply_by_chi(a: FourierSymbol) -> FourierSymbol:
     return SymbolProduct((Chi(), a))
 
 
-def th_to_moment_symbol(a: FourierSymbol) -> MomentSymbol:
-    """b(cos t) = a(e^{it}) sqrt((1+cos t)/(1-cos t)), the moment twin of a."""
-    if not certify_even(a):
-        raise SpeciesError("moment twin needs an even symbol")
+def _pullback(a: FourierSymbol, weight: str) -> MomentSymbol:
+    """The moment symbol with smooth factor b(cos t) = a(e^{it}) and weight.
+
+    a must be even on the circle; its jumps in (0, pi) become jumps at
+    cos t, and its real even profile, if any, is what the quadrature uses.
+    """
     jumps_x = []
     for p in a.jump_points():
         v = p.approx()
         if 1e-12 < v < math.pi - 1e-12:
             jumps_x.append(math.cos(v))
     profile = a.real_profile()
-    if profile is not None and profile[0] == "even":
-        theta_fn = profile[1]
-        real = True
-    else:
-        theta_fn = a.eval_at
-        real = False
+    real = profile is not None and profile[0] == "even"
     return MomentSymbol(
         smooth=lambda x: a.eval_at(mp.acos(x)),
-        weight="sqrt_ratio",
+        weight=weight,
         jumps=jumps_x,
         parity="even" if a.even_support() else None,
-        smooth_theta=theta_fn,
+        smooth_theta=profile[1] if real else a.eval_at,
         real=real,
     )
+
+
+def _circle_jumps(xs, scale) -> list:
+    """Jump points t and 2pi - t with t = scale * acos(x), for each x in xs."""
+    pts = []
+    for x in xs:
+        t = scale * math.acos(x)
+        pts.append(JumpPoint(0, t))
+        pts.append(JumpPoint(0, 2 * math.pi - t))
+    return pts
+
+
+def th_to_moment_symbol(a: FourierSymbol) -> MomentSymbol:
+    """b(cos t) = a(e^{it}) sqrt((1+cos t)/(1-cos t)), the moment twin of a."""
+    if not certify_even(a):
+        raise SpeciesError("moment twin needs an even symbol")
+    return _pullback(a, "sqrt_ratio")
 
 
 def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
@@ -978,12 +973,9 @@ def moment_to_halfangle(b0: MomentSymbol) -> FourierSymbol:
         th = _reduce_mod_2pi(to_mp(theta, mp.mp.prec))
         return _b.smooth(mp.cos(th / 2))
 
-    jumps = []
-    for x in b0.jumps:
-        jumps.append(JumpPoint(0, 2 * math.acos(x)))
-        jumps.append(JumpPoint(0, 2 * math.pi - 2 * math.acos(x)))
     profile = ("even", ev) if b0.real else None
-    return ClosedFormSymbol(ev, jumps=_dedup_jumps(jumps), symmetry="even", profile=profile)
+    jumps = _dedup_jumps(_circle_jumps(b0.jumps, 2))
+    return ClosedFormSymbol(ev, jumps=jumps, symmetry="even", profile=profile)
 
 
 # -- JSON schemas --------------------------------------------------------

@@ -293,6 +293,17 @@ class TestStudies:
         assert rep.verdict == "pass"
         assert rep.prediction["exponent_of_N"].startswith("-0.25")
 
+    def test_cor54_exponent_keeps_working_precision(self):
+        # Omega = -(0.2i)^2 - (0.2i)^2 = 0.08 is not a 53-bit number
+        pair = FHDescriptor(
+            {1: 0.1, -1: 0.1}, jumps=[(1.0, 0.2j), (2 * math.pi - 1.0, -0.2j)]
+        )
+        rep = study("cor54", pair, [4, 5, 6, 7], bits=128)
+        with mp.workprec(192):
+            omega = mp.mpf(rep.prediction["Omega"])
+            expo = mp.mpf(rep.prediction["exponent_of_N"])
+            assert abs(expo - (omega - mp.mpf(1) / 4)) < mp.mpf("1e-29")
+
     def test_sqrt_ratio_moment_growth_constant_symbol(self):
         b = MomentSymbol.from_poly({0: 1}, weight="sqrt_ratio")
         rep = study("cor56", b, [4, 8, 12, 16], bits=192)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sdet import cli
+from sdet import cli, quadrature
 from sdet.determinants import PrecisionError
 
 
@@ -365,6 +365,25 @@ class TestDumpCommand:
         doc = json.loads(capsys.readouterr().out)
         values = [float(v) for _, v in doc["moments"]]
         assert values == pytest.approx([1.0, 1.0, 2.0])
+
+    def test_moment_dump_reads_one_table(self, write_config, monkeypatch, capsys):
+        calls = []
+        real = quadrature.cospower_transform
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "cospower_transform", counted)
+        b = write_config(
+            "weight.json",
+            {"kind": "moment", "weight": "sqrt_ratio", "poly": [[0, 1, 0], [2, "1/3", 0]]},
+        )
+        code = cli.run(["dump", "--symbol", b, "--nmax", "8", "--bits", "128"])
+        assert code == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [n for n, _ in doc["moments"]] == list(range(1, 9))
 
     def test_chi_dump_uses_closed_forms(self, write_config, capsys):
         chi = write_config("chi.json", {"kind": "chi"})

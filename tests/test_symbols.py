@@ -4,13 +4,14 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from sdet import quadrature
+from sdet import asymptotics, quadrature
 from sdet.symbols import (
     Chi,
     ClosedFormSymbol,
     CoeffSeq,
     FHDescriptor,
     FHProduct,
+    HalvedArg,
     JumpError,
     JumpPoint,
     JumpT,
@@ -33,6 +34,11 @@ from sdet.symbols import (
 
 
 COS_SEQ = CoeffSeq({-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}, symmetry="even")
+
+# e^{0.2 cos t} times a jump pair at t and 2pi - t: even on the circle, with
+# odd-index coefficients
+PAIR_DESC = FHDescriptor({1: 0.1, -1: 0.1}, jumps=[(1.0, 0.2j), (2 * math.pi - 1.0, -0.2j)])
+EVEN2_DESC = FHDescriptor({2: 0.1, -2: 0.1})
 
 
 def poly_moment_exact(coeffs: dict, n: int) -> Fraction:
@@ -312,6 +318,82 @@ class TestMomentSymbol:
     def test_moment_twin_needs_even_symbol(self):
         with pytest.raises(SpeciesError):
             th_to_moment_symbol(CoeffSeq({1: 1}, symmetry="odd"))
+
+
+class TestSymmetrySampling:
+    """Decisions of the sampled symmetry checks on symbols that declare none."""
+
+    @pytest.mark.parametrize(
+        "make, want",
+        [
+            (lambda: FHProduct(PAIR_DESC), True),
+            (lambda: SymbolProduct((FHProduct(PAIR_DESC), FHProduct(EVEN2_DESC))), True),
+            (lambda: ClosedFormSymbol(lambda t: 2 + mp.cos(2 * t)), True),
+            (lambda: FHProduct(FHDescriptor({1: 0.1, -1: 0.1}, jumps=[(1.25, 0.2)])), False),
+            (lambda: JumpT(0.25), False),
+            (lambda: SymbolProduct((JumpT(0.25), FHProduct(FHDescriptor({1: 0.15, -1: 0.15})))), False),
+            (lambda: ClosedFormSymbol(lambda t: 2 + mp.expj(t)), False),
+        ],
+        ids=["jump_pair", "jump_pair_times_even", "cos2t", "one_jump", "jump_t", "jump_t_times_fh", "expj"],
+    )
+    def test_certify_even(self, make, want):
+        a = make()
+        assert a.symmetry is None
+        assert certify_even(a) is want
+
+    @pytest.mark.parametrize(
+        "make, want",
+        [
+            (lambda: FHProduct(EVEN2_DESC), True),
+            (lambda: ClosedFormSymbol(lambda t: 2 + mp.cos(2 * t)), True),
+            (lambda: FHProduct(FHDescriptor({1: 0.1, -1: 0.1})), False),
+            (lambda: FHProduct(PAIR_DESC), False),
+            (lambda: HalvedArg(FHProduct(EVEN2_DESC)), False),
+        ],
+        ids=["cos2t_fh", "cos2t", "cos_t_fh", "jump_pair", "halved"],
+    )
+    def test_even_support(self, make, want):
+        assert make().even_support() is want
+
+
+class TestPullbacks:
+    """Both circle-to-interval pullbacks against MomentSymbols built by hand."""
+
+    @staticmethod
+    def _case(kind):
+        """(pullback under test, hand-built moment symbol of the formula)."""
+        a = FHProduct(PAIR_DESC)
+        if kind == "moment_twin":
+            # b(cos t) = a(e^{it}) sqrt((1+cos t)/(1-cos t)); one jump in (0, pi)
+            want = MomentSymbol(
+                lambda x: a.eval_at(mp.acos(x)),
+                weight="sqrt_ratio",
+                jumps=[math.cos(1.0)],
+                parity=None,
+                real=False,
+            )
+            return th_to_moment_symbol(a), want
+        # b(cos t) = a(e^{2it}); both jumps land in (0, pi) at half angle
+        want = MomentSymbol(
+            lambda x: a.eval_at(2 * mp.acos(x)),
+            weight="one",
+            jumps=[math.cos(0.5), math.cos(math.pi - 0.5)],
+            parity="even",
+            real=False,
+        )
+        return asymptotics._halfangle_pullback(PAIR_DESC), want
+
+    @pytest.mark.parametrize("kind", ["moment_twin", "half_angle"])
+    def test_matches_formula(self, kind):
+        got, want = self._case(kind)
+        assert got.jumps == pytest.approx(want.jumps, abs=1e-15)
+        assert (got.parity, got.real, got.weight) == (want.parity, want.real, want.weight)
+        got_tab, want_tab = got.moment_table(6, 128), want.moment_table(6, 128)
+        assert sorted(got_tab) == list(range(1, 7))
+        with mp.workprec(160):
+            for n in got_tab:
+                scale = max(1, abs(want_tab[n]))
+                assert abs(got_tab[n] - want_tab[n]) < mp.mpf("1e-30") * scale
 
 
 class TestTableCache:
