@@ -337,7 +337,7 @@ def _smooth_part(b: MomentSymbol) -> MomentSymbol:
     return MomentSymbol(
         b.smooth,
         weight="one",
-        jumps=b.jumps,
+        jumps=b.cuts,
         parity=b.parity,
         smooth_theta=b.smooth_theta,
         real=b.real,

@@ -14,14 +14,21 @@ pushing spectral error below 2^-512 at oscillation ~100 with a fixed small
 order would need thousands of subpanels, while order ~bits/3 converges
 after a single doubling.
 
-All routines run at bits + GUARD internal precision and leave the global
-mpmath context untouched.
+Node values f(t) * weight are evaluated in mpf at wp = bits + GUARD and
+turned once into ints scaled by 2^W; the kernels then run on ints (cos nt,
+sin nt and e^{-int} by the recurrence y_{n+1} = 2 cos t y_n - y_{n-1}, the
+moment powers by one product per index), and each level's sums become mpf
+once.  W = wp + growth + log2(node count) keeps their error below 2^-wp:
+an error made at index k reaches index n at most n - k times larger in the
+recurrence (growth 2 log2(index count)) and 2^(n-k) times larger in the
+powers (growth n_max).  The global mpmath context is left untouched.
 """
 
 import math
 import threading
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 GUARD = 32
 
@@ -151,40 +158,84 @@ def _agreement(new, old):
     return diff / scale
 
 
-def _panel_quadrature(f, panels, size: int, oscillation: int, bits: int, kernel, what: str):
+def _fixed(x, W: int) -> int:
+    """floor(x * 2^W) for an mpf x."""
+    return to_fixed(x._mpf_, W)
+
+
+def _parts(fv, W: int, size: int):
+    """(offset, fixed-point value) of fv's real part, and of an mpc's imaginary part."""
+    if isinstance(fv, mp.mpc):
+        return ((0, _fixed(fv.real, W)), (size, _fixed(fv.imag, W)))
+    return ((0, _fixed(fv, W)),)
+
+
+def _level_sums(acc, scale: int, cplx: bool):
+    """acc / 2^scale at ambient precision: the first half as mpf, or both
+    halves as the real and imaginary parts of mpc when cplx."""
+    vals = [mp.make_mpf(from_man_exp(x, -scale, mp.mp.prec, "n")) for x in acc]
+    half = len(vals) // 2
+    return [mp.mpc(re, im) for re, im in zip(vals, vals[half:])] if cplx else vals[:half]
+
+
+def _recur(acc, start: int, count: int, y0: int, y1: int, tc: int, W: int):
+    """acc[start + k] += y_k for k < count, y_{k+1} = tc y_k / 2^W - y_{k-1}:
+    with tc = 2 cos t * 2^W, the recurrence of cos kt, sin kt and e^{-ikt}."""
+    for i in range(start, start + count):
+        acc[i] += y0
+        y0, y1 = y1, ((tc * y1) >> W) - y0
+
+
+def _first_agreement(levels, bits: int, what: str):
+    """The first of the levels' sums that agrees with the one before it to
+    2^-(bits-SLACK); AccuracyError when the levels run out."""
+    tol = mp.mpf(2) ** (-(bits - SLACK))
+    prev = None
+    best = None
+    for tot in levels:
+        if prev is not None:
+            best = _agreement(tot, prev)
+            if best <= tol:
+                return tot
+        prev = tot
+    raise AccuracyError("%s did not converge at %d bits" % (what, bits), achieved=best)
+
+
+def _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, cplx=False):
     """Composite Gauss-Legendre sums over panels, doubling subpanels until
     two levels agree.
 
-    kernel(t, fv, tot) adds the node value fv = f(t) * weight, times each
-    kernel function at t, into the list tot of the given size.  Returns tot
-    at the first level that agrees with the previous one to 2^-(bits-SLACK);
-    raises AccuracyError when the subpanel count runs out.
+    kernel(t, fv, acc, W) adds the node value fv = f(t) * weight, times each
+    kernel function at t, into acc: 2 * size ints scaled by 2^W, real parts
+    then imaginary parts.  The sums are mpc when cplx is set or some fv is an
+    mpc; raises AccuracyError when the subpanel count runs out.
     """
     order = _gl_order(bits)
-    with mp.workprec(bits + GUARD):
-        nodes, weights = gauss_legendre_rule(order, bits + GUARD)
-        tol = mp.mpf(2) ** (-(bits - SLACK))
+    wp = bits + GUARD
+    with mp.workprec(wp):
+        nodes, weights = gauss_legendre_rule(order, wp)
         longest = max(float(hi - lo) for lo, hi in panels)
-        m = _start_subpanels(oscillation, longest, order, mp.mpf(2) ** (-(bits + SLACK)))
-        prev = None
-        best = None
-        while m <= _MAX_SUBPANELS:
-            tot = [mp.mpf(0)] * size
-            for lo, hi in panels:
-                h = (hi - lo) / m
-                half = h / 2
-                for s in range(m):
-                    base = lo + s * h
-                    for x, w in zip(nodes, weights):
-                        t = base + half * (x + 1)
-                        kernel(t, f(t) * (w * half), tot)
-            if prev is not None:
-                best = _agreement(tot, prev)
-                if best <= tol:
-                    return tot
-            prev = tot
-            m *= 2
-    raise AccuracyError("%s did not converge at %d bits" % (what, bits), achieved=best)
+        start = _start_subpanels(oscillation, longest, order, mp.mpf(2) ** (-(bits + SLACK)))
+
+        def levels(m=start, cplx=cplx):
+            while m <= _MAX_SUBPANELS:
+                W = wp + growth + (len(panels) * m * order).bit_length()
+                acc = [0] * (2 * size)
+                for lo, hi in panels:
+                    h = (hi - lo) / m
+                    half = h / 2
+                    scaled = [w * half for w in weights]
+                    for s in range(m):
+                        base = lo + s * h
+                        for x, w in zip(nodes, scaled):
+                            t = base + half * (x + 1)
+                            fv = f(t) * w
+                            cplx = cplx or isinstance(fv, mp.mpc)
+                            kernel(t, fv, acc, W)
+                yield _level_sums(acc, W, cplx)
+                m *= 2
+
+        return _first_agreement(levels(), bits, what)
 
 
 def trig_transform(f, panels, n_max: int, bits: int, kind: str):
@@ -198,14 +249,15 @@ def trig_transform(f, panels, n_max: int, bits: int, kind: str):
         raise ValueError("kind must be cos or sin")
     sine = kind == "sin"
 
-    def kernel(t, fv, tot):
+    def kernel(t, fv, acc, W):
         ct, st = mp.cos_sin(t)
-        c, sn = mp.mpf(1), mp.mpf(0)
-        for n in range(n_max + 1):
-            tot[n] += fv * (sn if sine else c)
-            c, sn = c * ct - sn * st, sn * ct + c * st
+        c = _fixed(ct, W)
+        first = _fixed(st, W) if sine else c
+        for start, v in _parts(fv, W, n_max + 1):
+            _recur(acc, start, n_max + 1, 0 if sine else v, (v * first) >> W, 2 * c, W)
 
-    return _panel_quadrature(f, panels, n_max + 1, n_max, bits, kernel, "trig transform")
+    growth = 2 * (n_max + 1).bit_length()
+    return _panel_quadrature(f, panels, n_max + 1, n_max, growth, bits, kernel, "trig transform")
 
 
 def cospower_transform(f, panels, n_max: int, bits: int):
@@ -214,14 +266,14 @@ def cospower_transform(f, panels, n_max: int, bits: int):
     Returns a list indexed 1..n_max (slot 0 is None).
     """
 
-    def kernel(t, fv, tot):
-        two_c = 2 * mp.cos(t)
-        p = fv
-        for n in range(1, n_max + 1):
-            tot[n] += p
-            p = p * two_c
+    def kernel(t, fv, acc, W):
+        tc = _fixed(2 * mp.cos(t), W)
+        for start, p in _parts(fv, W, n_max + 1):
+            for i in range(start + 1, start + n_max + 1):
+                acc[i] += p
+                p = (tc * p) >> W
 
-    tot = _panel_quadrature(f, panels, n_max + 1, n_max, bits, kernel, "moment transform")
+    tot = _panel_quadrature(f, panels, n_max + 1, n_max, n_max, bits, kernel, "moment transform")
     tot[0] = None
     return tot
 
@@ -229,13 +281,13 @@ def cospower_transform(f, panels, n_max: int, bits: int):
 def _rotation_kernel(n_min: int, count: int):
     """Kernel adding fv * e^{-int} for n = n_min .. n_min + count - 1."""
 
-    def kernel(t, fv, tot):
+    def kernel(t, fv, acc, W):
         ct, st = mp.cos_sin(t)
-        rot = mp.mpc(ct, -st)
-        cur = mp.expj(-n_min * t)
-        for i in range(count):
-            tot[i] += fv * cur
-            cur = cur * rot
+        z0 = mp.mpc(fv) * mp.expj(-n_min * t)
+        z1 = z0 * mp.mpc(ct, -st)
+        tc = 2 * _fixed(ct, W)
+        _recur(acc, 0, count, _fixed(z0.real, W), _fixed(z1.real, W), tc, W)
+        _recur(acc, count, count, _fixed(z0.imag, W), _fixed(z1.imag, W), tc, W)
 
     return kernel
 
@@ -249,7 +301,8 @@ def circle_coeffs(f, panels, n_min: int, n_max: int, bits: int) -> dict:
     count = n_max - n_min + 1
     osc = max(abs(n_min), abs(n_max))
     tot = _panel_quadrature(
-        f, panels, count, osc, bits, _rotation_kernel(n_min, count), "coefficient quadrature"
+        f, panels, count, osc, 2 * count.bit_length(), bits,
+        _rotation_kernel(n_min, count), "coefficient quadrature", cplx=True,
     )
     with mp.workprec(bits + GUARD):
         twopi = 2 * mp.pi
@@ -259,42 +312,30 @@ def circle_coeffs(f, panels, n_min: int, n_max: int, bits: int) -> dict:
 def circle_coeffs_periodic(f, n_min: int, n_max: int, bits: int) -> dict:
     """Fourier coefficients of a jump-free smooth symbol via the trapezoid rule.
 
-    Spectral for periodic analytic integrands; node values are cached across
-    doublings.
+    Spectral for periodic analytic integrands.  The nodes of one level are
+    the even nodes of the next, so each level adds only its new nodes to the
+    integer sums of the one before.
     """
     count = n_max - n_min + 1
     osc = max(abs(n_min), abs(n_max))
+    # a mean over the nodes needs no guard bits for their count
+    W = bits + GUARD + 2 * count.bit_length()
+    kernel = _rotation_kernel(n_min, count)
     with mp.workprec(bits + GUARD):
-        tol = mp.mpf(2) ** (-(bits - SLACK))
         twopi = 2 * mp.pi
         size = 64
         while size < 4 * osc + 64:
             size *= 2
-        values = {}  # j/size as Fraction-free key: (j, size) reduced
-        kernel = _rotation_kernel(n_min, count)
 
-        def node_value(j, m):
-            g = math.gcd(j, m)
-            key = (j // g, m // g)
-            v = values.get(key)
-            if v is None:
-                v = f(twopi * j / m)
-                values[key] = v
-            return v
+        def levels(size=size, new=range(size)):
+            acc = [0] * (2 * count)
+            while size <= (1 << 18):
+                for j in new:
+                    t = twopi * j / size
+                    kernel(t, f(t), acc, W)
+                yield _level_sums(acc, W + size.bit_length() - 1, True)
+                size *= 2
+                new = range(1, size, 2)
 
-        prev = None
-        best = None
-        while size <= (1 << 18):
-            tot = [mp.mpc(0)] * count
-            for j in range(size):
-                kernel(twopi * j / size, node_value(j, size), tot)
-            tot = [v / size for v in tot]
-            if prev is not None:
-                best = _agreement(tot, prev)
-                if best <= tol:
-                    return {n_min + i: tot[i] for i in range(count)}
-            prev = tot
-            size *= 2
-    raise AccuracyError(
-        "periodic quadrature did not converge at %d bits" % bits, achieved=best
-    )
+        tot = _first_agreement(levels(), bits, "periodic quadrature")
+        return {n_min + i: tot[i] for i in range(count)}

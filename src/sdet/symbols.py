@@ -124,22 +124,30 @@ def _cached_table(owner, bits: int, limit: int, compute) -> dict:
     return table
 
 
-def _expj_series(entries: dict, theta):
-    """sum_n v_n e^{i n theta} at ambient precision."""
+def _mp_values(cache: dict, entries: dict) -> dict:
+    """entries as mp values at ambient precision, converted once per precision."""
+    prec = mp.mp.prec
+    if prec not in cache:
+        cache[prec] = {n: to_mp(v, prec) for n, v in entries.items()}
+    return cache[prec]
+
+
+def _expj_series(values: dict, theta):
+    """sum_n v_n e^{i n theta}."""
     tot = mp.mpc(0)
-    for n, v in entries.items():
-        tot += to_mp(v, mp.mp.prec) * mp.expj(n * theta)
+    for n, v in values.items():
+        tot += v * mp.expj(n * theta)
     return tot
 
 
-def _trig_series(entries: dict, theta, trig):
+def _trig_series(values: dict, theta, trig):
     """v_0 + sum_{n>0} 2 v_n cos(n theta) for trig = mp.cos, or
     sum_{n>0} 2 v_n sin(n theta) for mp.sin: the real profile of an even
     sequence, or of an odd one divided by i."""
-    tot = to_mp(entries.get(0, 0), mp.mp.prec) if trig is mp.cos else mp.mpf(0)
-    for n, v in entries.items():
+    tot = values.get(0, mp.mpf(0)) if trig is mp.cos else mp.mpf(0)
+    for n, v in values.items():
         if n > 0:
-            tot += 2 * to_mp(v, mp.mp.prec) * trig(n * theta)
+            tot += 2 * v * trig(n * theta)
     return tot
 
 
@@ -330,6 +338,7 @@ class CoeffSeq(FourierSymbol):
                 raise TypeError("bad coefficient value %r" % (v,))
         _complete_symmetric(store, symmetry, "a")
         self.entries = store
+        self._mp: dict = {}
         self.symmetry = symmetry
 
     def support(self) -> int:
@@ -355,14 +364,14 @@ class CoeffSeq(FourierSymbol):
         return to_mp(v, bits)
 
     def eval_at(self, theta):
-        return _expj_series(self.entries, theta)
+        return _expj_series(_mp_values(self._mp, self.entries), theta)
 
     def real_profile(self):
         if not self.real or self.symmetry is None:
             return None
         trig = mp.cos if self.symmetry == "even" else mp.sin
         kind = "even" if self.symmetry == "even" else "odd_i"
-        return (kind, lambda theta: _trig_series(self.entries, theta, trig))
+        return (kind, lambda theta: _trig_series(_mp_values(self._mp, self.entries), theta, trig))
 
     def to_json(self):
         return {
@@ -450,22 +459,27 @@ class FHDescriptor:
 
     The smooth part is exp of a trigonometric polynomial, so its winding
     number is zero by construction.  |Re beta_r| < 1/2 is required by every
-    asymptotic statement built on this data.
+    asymptotic statement built on this data.  A theta_r given as a JumpPoint
+    (such as JumpPoint(2, -1.0) = 2pi - 1, the mirror of 1) is kept exact in
+    points; jumps holds every theta_r as a float.
     """
 
     def __init__(self, log_smooth: dict | None = None, jumps=()):
         self.log_smooth = {int(n): v for n, v in (log_smooth or {}).items() if v != 0}
-        cleaned = []
+        cleaned, points = [], []
         for theta, beta in jumps:
-            theta = float(theta)
+            point = theta if isinstance(theta, JumpPoint) else JumpPoint(0, theta)
+            theta = point.approx() if isinstance(theta, JumpPoint) else float(theta)
             if not 0 < theta < 2 * math.pi:
                 raise ValueError("jump location must lie in (0, 2pi)")
             if abs(complex(beta).real) >= 0.5:
                 raise ValueError("|Re beta| < 1/2 is required")
             cleaned.append((theta, beta))
+            points.append(point)
         if len({t for t, _ in cleaned}) != len(cleaned):
             raise ValueError("jump locations must be distinct")
         self.jumps = tuple(cleaned)
+        self.points = tuple(points)
 
     @property
     def is_trivial(self) -> bool:
@@ -489,15 +503,16 @@ class FHProduct(FourierSymbol):
     def __init__(self, desc: FHDescriptor):
         super().__init__()
         self.desc = desc
+        self._mp: dict = {}
 
     def jump_points(self):
-        return tuple(JumpPoint(0, t) for t, _ in self.desc.jumps)
+        return self.desc.points
 
     def eval_at(self, theta):
         th = to_mp(theta, mp.mp.prec)
-        val = mp.exp(_expj_series(self.desc.log_smooth, th))
-        for t_r, b_r in self.desc.jumps:
-            r = _reduce_mod_2pi(th - mp.mpf(t_r))
+        val = mp.exp(_expj_series(_mp_values(self._mp, self.desc.log_smooth), th))
+        for p, (t_r, b_r) in zip(self.desc.points, self.desc.jumps):
+            r = _reduce_mod_2pi(th - p.to_mpf())
             if r == 0:
                 raise JumpError("symbol jump at theta = %r" % (t_r,))
             val *= mp.exp(mp.mpc(0, 1) * to_mp(b_r, mp.mp.prec) * (r - mp.pi))
@@ -523,7 +538,8 @@ class FHProduct(FourierSymbol):
         if self.desc.jumps or not self._log_real_even:
             return None
 
-        return ("even", lambda theta: mp.exp(_trig_series(self.desc.log_smooth, theta, mp.cos)))
+        log = self.desc.log_smooth
+        return ("even", lambda th: mp.exp(_trig_series(_mp_values(self._mp, log), th, mp.cos)))
 
     def to_json(self):
         return self.desc.to_json()
@@ -702,7 +718,9 @@ class MomentSymbol:
     weight "one" is the plain factor; "sqrt_ratio" multiplies by
     sqrt((1+x)/(1-x)).  smooth_theta, when given, evaluates the smooth factor
     directly at x = cos(theta) and is what the quadrature uses; it must agree
-    with smooth_factor(cos(theta)).
+    with smooth_factor(cos(theta)).  Each jump is a float x in (-1, 1) or a
+    JumpPoint theta in (0, pi) with x = cos(theta), whose exact angle the
+    panels then cut at; cuts keeps them as given, jumps holds each x.
     """
 
     def __init__(
@@ -721,7 +739,8 @@ class MomentSymbol:
             raise ValueError("parity must be even or none")
         self.smooth = smooth
         self.weight = weight
-        self.jumps = tuple(sorted(float(x) for x in jumps))
+        self.cuts = tuple(sorted(jumps, key=_jump_x))
+        self.jumps = tuple(_jump_x(j) for j in self.cuts)
         if any(not -1 < x < 1 for x in self.jumps):
             raise ValueError("moment jumps must lie in (-1, 1)")
         self.parity = None if parity == "none" else parity
@@ -783,7 +802,10 @@ class MomentSymbol:
     def theta_panels(self, wp):
         """Panels covering (0, pi) in theta = acos(x), split at the jumps."""
         with mp.workprec(wp):
-            return _panels([mp.acos(mp.mpf(x)) for x in self.jumps], mp.pi, wp)
+            cuts = [
+                j.to_mpf() if isinstance(j, JumpPoint) else mp.acos(mp.mpf(j)) for j in self.cuts
+            ]
+            return _panels(cuts, mp.pi, wp)
 
     def _integrand(self):
         # After x = cos(theta) the moment integrand carries a sin(theta)
@@ -829,7 +851,7 @@ class SkewFromMoment(FourierSymbol):
         self.b = b
 
     def jump_points(self):
-        return _dedup_jumps([JumpPoint(0), JumpPoint(1), *_circle_jumps(self.b.jumps, 1)])
+        return _dedup_jumps([JumpPoint(0), JumpPoint(1), *_circle_jumps(self.b.cuts, 1)])
 
     def even_support(self):
         return False
@@ -920,33 +942,36 @@ def multiply_by_chi(a: FourierSymbol) -> FourierSymbol:
 def _pullback(a: FourierSymbol, weight: str) -> MomentSymbol:
     """The moment symbol with smooth factor b(cos t) = a(e^{it}) and weight.
 
-    a must be even on the circle; its jumps in (0, pi) become jumps at
-    cos t, and its real even profile, if any, is what the quadrature uses.
+    a must be even on the circle; its jumps t in (0, pi) become jumps at
+    cos t, kept as the exact angles t, and its real even profile, if any, is
+    what the quadrature uses.
     """
-    jumps_x = []
-    for p in a.jump_points():
-        v = p.approx()
-        if 1e-12 < v < math.pi - 1e-12:
-            jumps_x.append(math.cos(v))
     profile = a.real_profile()
     real = profile is not None and profile[0] == "even"
     return MomentSymbol(
         smooth=lambda x: a.eval_at(mp.acos(x)),
         weight=weight,
-        jumps=jumps_x,
+        jumps=[p for p in a.jump_points() if 1e-12 < p.approx() < math.pi - 1e-12],
         parity="even" if a.even_support() else None,
         smooth_theta=profile[1] if real else a.eval_at,
         real=real,
     )
 
 
-def _circle_jumps(xs, scale) -> list:
-    """Jump points t and 2pi - t with t = scale * acos(x), for each x in xs."""
+def _jump_x(j) -> float:
+    """The x in (-1, 1) of a moment jump given as x or as the angle acos(x)."""
+    return math.cos(j.approx()) if isinstance(j, JumpPoint) else float(j)
+
+
+def _circle_jumps(cuts, scale) -> list:
+    """Jump points t and 2pi - t with t = scale * acos(x), for each moment jump."""
     pts = []
-    for x in xs:
-        t = scale * math.acos(x)
-        pts.append(JumpPoint(0, t))
-        pts.append(JumpPoint(0, 2 * math.pi - t))
+    for j in cuts:
+        if isinstance(j, JumpPoint):
+            pts += [j.scaled(scale), j.scaled(-scale, extra_pi=2)]
+        else:
+            t = scale * math.acos(j)
+            pts += [JumpPoint(0, t), JumpPoint(0, 2 * math.pi - t)]
     return pts
 
 
@@ -974,7 +999,7 @@ def moment_to_halfangle(b0: MomentSymbol) -> FourierSymbol:
         return _b.smooth(mp.cos(th / 2))
 
     profile = ("even", ev) if b0.real else None
-    jumps = _dedup_jumps(_circle_jumps(b0.jumps, 2))
+    jumps = _dedup_jumps(_circle_jumps(b0.cuts, 2))
     return ClosedFormSymbol(ev, jumps=jumps, symmetry="even", profile=profile)
 
 

@@ -1,12 +1,28 @@
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdet
-from sdet.quadrature import gauss_legendre_rule
+from sdet import quadrature
+from sdet.quadrature import (
+    GUARD,
+    SLACK,
+    AccuracyError,
+    circle_coeffs,
+    circle_coeffs_periodic,
+    cospower_transform,
+    gauss_legendre_rule,
+    trig_transform,
+)
+from sdet.scalars import to_mp
+from sdet.symbols import JumpT
 
 
 # (order, precision) pairs the quadrature builds: _gl_order(bits) at bits + GUARD
@@ -34,3 +50,145 @@ def test_import_leaves_numpy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# -- transforms against exact references ---------------------------------------
+#
+# Each case must agree with its exact value to 2^-(bits-SLACK) relative to
+# max(sup, 1), the accuracy the transforms promise.  n_max 255 at 512 bits is
+# where the growth of the recurrences and of the powers (2 cos t)^(n-1) bites;
+# every kernel runs there once.  circle_coeffs shares its rotation kernel with
+# circle_coeffs_periodic and is by far the slowest case at that size, so it
+# runs at n_max 19 only.
+
+
+def _assert_close(got, want, bits):
+    with mp.workprec(bits + 64):
+        sup = max([abs(w) for w in want.values()] + [mp.mpf(1)])
+        tol = mp.mpf(2) ** (-(bits - SLACK)) * sup
+        bad = {n: abs(got[n] - w) for n, w in want.items() if abs(got[n] - w) > tol}
+    worst = max(bad, key=bad.get) if bad else None
+    assert not bad, "%d of %d indices off, worst at %s" % (len(bad), len(want), worst)
+
+
+def _half_circle_panels(bits):
+    with mp.workprec(bits + GUARD):
+        return [(mp.mpf(0), mp.mpf(1)), (mp.mpf(1), +mp.pi)]
+
+
+def _trig_poly(n_max):
+    """Rational coefficients on a sparse set of degrees up to n_max."""
+    degrees = sorted({0, 1, 7, n_max // 2, n_max})
+    return {k: Fraction((-1) ** k * (k + 3), 2 * k + 5) for k in degrees}
+
+
+def _series(a, basis):
+    """t -> sum_k a_k basis(k t)."""
+    return lambda t: mp.fsum(to_mp(v, mp.mp.prec) * basis(k * t) for k, v in a.items())
+
+
+def _check_trig(a, panels, n_max, bits, kind):
+    # integral_0^pi (sum_k a_k trig(kt)) trig(nt) dt = pi a_n / 2 (pi a_0 for cos at n = 0)
+    if kind == "sin":
+        a.pop(0, None)
+    f = _series(a, mp.cos if kind == "cos" else mp.sin)
+    got = trig_transform(f, panels, n_max, bits, kind)
+    with mp.workprec(bits + 64):
+        want = {n: mp.pi * a.get(n, 0) / (1 if n == 0 else 2) for n in range(n_max + 1)}
+    _assert_close(got, want, bits)
+
+
+@pytest.mark.parametrize(
+    "kind, n_max, bits", [("cos", 19, 256), ("sin", 19, 256), ("cos", 255, 512)]
+)
+def test_trig_transform_on_trig_polynomials(kind, n_max, bits):
+    _check_trig(_trig_poly(n_max), _half_circle_panels(bits), n_max, bits, kind)
+
+
+@pytest.mark.parametrize(
+    "weight, n_max, bits", [("sin", 19, 256), ("one_plus_cos", 19, 256), ("sin", 255, 512)]
+)
+def test_cospower_transform_on_polynomials(weight, n_max, bits):
+    # f(t) = p(cos t) w(t) with p(x) = sum_k c_k x^k; for even m the Wallis
+    # integrals are integral_0^pi cos^m t sin t dt = 2/(m+1) and
+    # integral_0^pi cos^m t dt = pi binom(m, m/2) / 2^m, and both vanish for odd m
+    c = {0: Fraction(1, 3), 1: Fraction(-2, 5), 4: Fraction(7, 4)}
+
+    def cos_power(m):
+        return 0 if m % 2 else mp.pi * Fraction(math.comb(m, m // 2), 2**m)
+
+    def wallis(m):
+        # integral_0^pi cos^m t w(t) dt
+        if weight == "sin":
+            return 0 if m % 2 else Fraction(2, m + 1)
+        return cos_power(m) + cos_power(m + 1)
+
+    def f(t):
+        ct = mp.cos(t)
+        p = mp.fsum(to_mp(v, mp.mp.prec) * ct**k for k, v in c.items())
+        return p * (mp.sin(t) if weight == "sin" else 1 + ct)
+
+    got = cospower_transform(f, _half_circle_panels(bits), n_max, bits)
+    assert got[0] is None
+    with mp.workprec(bits + 64):
+        want = {
+            n: mp.fsum(2 ** (n - 1) * v * wallis(k + n - 1) for k, v in c.items())
+            for n in range(1, n_max + 1)
+        }
+    _assert_close(got, want, bits)
+
+
+@pytest.mark.parametrize("beta", [Fraction(3, 10), complex(-0.25, 0.125)])
+def test_circle_coeffs_on_jump_t(beta):
+    n_max, bits = 19, 256
+    a = JumpT(beta)
+    with mp.workprec(bits + GUARD):
+        panels = [(mp.mpf(0), 2 * mp.pi)]
+        got = circle_coeffs(a.eval_at, panels, -n_max, n_max, bits)
+    want = {n: a.closed_coeff(n, bits + 64) for n in range(-n_max, n_max + 1)}
+    _assert_close(got, want, bits)
+
+
+@pytest.mark.parametrize("n_max, bits", [(19, 256), (255, 512)])
+def test_circle_coeffs_periodic_on_complex_trig_polynomial(n_max, bits):
+    c = {
+        k: complex(Fraction(k + 2, 7), Fraction(1 - k, 3))
+        for k in sorted({-n_max, -3, 0, 1, 5, n_max // 2, n_max})
+    }
+    got = circle_coeffs_periodic(_series(c, mp.expj), -n_max, n_max, bits)
+    assert sorted(got) == list(range(-n_max, n_max + 1))
+    with mp.workprec(bits + 64):
+        want = {n: mp.mpc(c.get(n, 0)) for n in range(-n_max, n_max + 1)}
+    _assert_close(got, want, bits)
+
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["cos", "sin"]),
+    a=st.dictionaries(st.integers(0, 12), coefficients, min_size=1, max_size=5),
+    n_max=st.integers(1, 16),
+    cut=st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=16),
+)
+def test_trig_transform_property(kind, a, n_max, cut):
+    bits = 128
+    with mp.workprec(bits + GUARD):
+        x = to_mp(cut, bits + GUARD)
+        panels = [(mp.mpf(0), x), (x, +mp.pi)]
+    _check_trig(a, panels, n_max, bits, kind)
+
+
+def test_unsplit_jump_raises_accuracy_error(monkeypatch):
+    # a step at t = 1 inside the one panel: Gauss-Legendre converges only
+    # like the subpanel width, so the doubling runs out (capped here to stay fast)
+    monkeypatch.setattr(quadrature, "_MAX_SUBPANELS", 32)
+    bits = 64
+    with mp.workprec(bits + GUARD):
+        panels = [(mp.mpf(0), +mp.pi)]
+    with pytest.raises(AccuracyError) as err:
+        trig_transform(lambda t: 1 if t < 1 else 0, panels, 3, bits, "cos")
+    achieved = err.value.achieved
+    assert isinstance(achieved, mp.mpf)
+    assert achieved > mp.mpf(2) ** (-(bits - SLACK))

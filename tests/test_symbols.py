@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from sdet import asymptotics, quadrature
+from sdet.identities import verify
 from sdet.symbols import (
     Chi,
     ClosedFormSymbol,
@@ -364,11 +365,12 @@ class TestPullbacks:
         """(pullback under test, hand-built moment symbol of the formula)."""
         a = FHProduct(PAIR_DESC)
         if kind == "moment_twin":
-            # b(cos t) = a(e^{it}) sqrt((1+cos t)/(1-cos t)); one jump in (0, pi)
+            # b(cos t) = a(e^{it}) sqrt((1+cos t)/(1-cos t)); one jump in (0, pi),
+            # given as its exact angle
             want = MomentSymbol(
                 lambda x: a.eval_at(mp.acos(x)),
                 weight="sqrt_ratio",
-                jumps=[math.cos(1.0)],
+                jumps=[JumpPoint(0, 1.0)],
                 parity=None,
                 real=False,
             )
@@ -377,7 +379,7 @@ class TestPullbacks:
         want = MomentSymbol(
             lambda x: a.eval_at(2 * mp.acos(x)),
             weight="one",
-            jumps=[math.cos(0.5), math.cos(math.pi - 0.5)],
+            jumps=[JumpPoint(0, 0.5), JumpPoint(0, (2 * math.pi - 1.0) / 2)],
             parity="even",
             real=False,
         )
@@ -394,6 +396,33 @@ class TestPullbacks:
             for n in got_tab:
                 scale = max(1, abs(want_tab[n]))
                 assert abs(got_tab[n] - want_tab[n]) < mp.mpf("1e-30") * scale
+
+    # PAIR_DESC with its second jump at exactly 2pi - 1, the mirror of the first:
+    # an exactly even symbol, whose pullbacks must keep the jumps' exact angles
+    EXACT_PAIR_DESC = FHDescriptor(
+        {1: 0.1, -1: 0.1}, jumps=[(1.0, 0.2j), (JumpPoint(2, -1.0), -0.2j)]
+    )
+
+    def test_exact_jump_location_is_kept(self):
+        a = FHProduct(self.EXACT_PAIR_DESC)
+        assert [(p.coeff, p.offset) for p in a.jump_points()] == [(0, 1.0), (2, -1.0)]
+        assert self.EXACT_PAIR_DESC.jumps[1][0] == 2 * math.pi - 1.0
+        with mp.workprec(160):
+            assert abs(a.eval_at(mp.mpf(2)) - a.eval_at(2 * mp.pi - 2)) < mp.mpf(2) ** -150
+
+    def test_moment_twin_identity_holds_to_working_precision(self):
+        # with jumps cut at acos(float(cos 1)) the records failed at ~1e-16
+        rep = verify("th_vs_moment", FHProduct(self.EXACT_PAIR_DESC), 5, mode="hp", bits=128)
+        assert rep.verdict == "pass", rep.notes
+
+    def test_half_angle_pullback_odd_moments_vanish(self):
+        bits = 128
+        b = asymptotics._halfangle_pullback(self.EXACT_PAIR_DESC)
+        assert b.parity == "even"
+        tab = b.moment_table(4, bits)
+        with mp.workprec(bits):
+            for n in (2, 4):
+                assert abs(tab[n]) <= mp.mpf(2) ** (-(bits - quadrature.SLACK))
 
 
 class TestTableCache:
