@@ -223,12 +223,11 @@ def wh_factors(desc: FHDescriptor, theta, accuracy=None, bits: int | None = None
         th = to_mp(theta, wp)
         if isinstance(th, mp.mpc):
             raise TypeError("theta must be real")
-        for loc, _ in desc.jumps:
-            d = (th - to_mp(loc, wp)) / (2 * mp.pi)
+        locs = [p.to_mpf() for p in desc.points]
+        for loc in locs:
+            d = (th - loc) / (2 * mp.pi)
             if abs(d - mp.nint(d)) * 2 * mp.pi < mp.mpf(2) ** (-(bits // 2)):
-                raise symbols.JumpError(
-                    "theta coincides with the jump at %s" % mp.nstr(mp.mpf(loc), 8)
-                )
+                raise symbols.JumpError("theta coincides with the jump at %s" % mp.nstr(loc, 8))
         d0p = mp.mpc(0)
         d0m = mp.mpc(0)
         for k, v in desc.log_smooth.items():
@@ -239,9 +238,9 @@ def wh_factors(desc: FHDescriptor, theta, accuracy=None, bits: int | None = None
         d0p = mp.exp(d0p)
         d0m = mp.exp(d0m)
         dp, dm = d0p, d0m
-        for loc, beta in desc.jumps:
+        for loc, (_, beta) in zip(locs, desc.jumps):
             b = to_mp(beta, wp)
-            rel = th - to_mp(loc, wp)
+            rel = th - loc
             dp *= mp.power(1 - mp.expj(rel), b)
             dm *= mp.power(1 - mp.expj(-rel), -b)
     with mp.workprec(bits):
@@ -282,9 +281,6 @@ def predict_half_jump_ratio(desc: FHDescriptor, sign, bits: int = 256) -> FHPred
     s = Fraction(sign)
     if s not in (Fraction(1, 2), Fraction(-1, 2)):
         raise ValueError("sign must be +1/2 or -1/2")
-    for loc, _ in desc.jumps:
-        if float(loc) == 0.0:
-            raise symbols.JumpError("the added jump would collide at theta = 0")
     bc = barnes_constants(bits + 32)
     _, _, dp, dm = wh_factors(desc, 0, bits=bits + 32)
     wp = bits + 32
@@ -369,31 +365,11 @@ def fit_asymptote(data, bits: int = 256) -> FitResult:
         sign = signs.pop() if signs else 1
         xs = [(mp.mpf(n), mp.log(mp.mpf(n)), mp.mpf(1)) for n, _ in pts]
         ys = [mp.log(abs(v)) for v in vals]
-        # 3x3 normal equations, solved by elimination
-        ata = [[mp.mpf(0)] * 3 for _ in range(3)]
-        aty = [mp.mpf(0)] * 3
-        for row, y in zip(xs, ys):
-            for i in range(3):
-                aty[i] += row[i] * y
-                for j in range(3):
-                    ata[i][j] += row[i] * row[j]
-        m = [ata[i] + [aty[i]] for i in range(3)]
-        for col in range(3):
-            piv = max(range(col, 3), key=lambda r: abs(m[r][col]))
-            if m[piv][col] == 0:
-                raise ValueError("ill-conditioned fit")
-            m[col], m[piv] = m[piv], m[col]
-            for r in range(col + 1, 3):
-                f = m[r][col] / m[col][col]
-                for c in range(col, 4):
-                    m[r][c] -= f * m[col][c]
-        sol = [mp.mpf(0)] * 3
-        for r in (2, 1, 0):
-            acc = m[r][3]
-            for c in range(r + 1, 3):
-                acc -= m[r][c] * sol[c]
-            sol[r] = acc / m[r][r]
-        logF, omega, logE = sol
+        try:
+            # least squares: lu_solve forms and solves the normal equations
+            logF, omega, logE = mp.lu_solve(mp.matrix(xs), mp.matrix(ys))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("ill-conditioned fit") from None
         resid = tuple(
             y - (logF * row[0] + omega * row[1] + logE) for row, y in zip(xs, ys)
         )

@@ -41,7 +41,7 @@ from operator import floordiv, mul, truediv
 import mpmath as mp
 
 from .matrices import StructuredMatrix
-from .scalars import abs_val, to_mp
+from .scalars import to_mp
 
 
 class PrecisionError(ArithmeticError):
@@ -436,9 +436,9 @@ def pfaffian(M: StructuredMatrix, bits: int | None = None):
         nonlocal sign, result
         for k in range(0, n - 1, 2):
             # choose the partner row maximizing |a[k][j]|, j > k
-            j_best, v_best = k + 1, abs_val(a[k][k + 1])
+            j_best, v_best = k + 1, abs(a[k][k + 1])
             for j in range(k + 2, n):
-                v = abs_val(a[k][j])
+                v = abs(a[k][j])
                 if v > v_best:
                     j_best, v_best = j, v
             if v_best == 0:

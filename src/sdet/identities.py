@@ -28,16 +28,15 @@ import mpmath as mp
 from . import symbols, transforms
 from .determinants import DetResult, leading_minors, pfaffian
 from .matrices import hankel_moment, toeplitz, toeplitz_plus_hankel
-from .scalars import abs_val, format_scalar, infer_field, is_exact_scalar, to_mp
+from .scalars import format_scalar, infer_field, is_exact_scalar, to_mp
 from .symbols import (
     CoeffSeq,
     JumpT,
     MomentSymbol,
-    SkewFromMoment,
     SpeciesError,
     SymbolProduct,
     halve_argument,
-    moment_to_halfangle,
+    moment_to_skew_symbol,
     multiply_by_chi,
     th_to_moment_symbol,
 )
@@ -202,8 +201,8 @@ def _even_input_seq(inp, max_index: int, mode: str, bits: int) -> ScalarSeq:
 def _residuals(lhs, rhs, bits):
     if isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction)):
         d = lhs - rhs
-        a = abs_val(d)
-        scale = max(abs_val(lhs), abs_val(rhs))
+        a = abs(d)
+        scale = max(abs(lhs), abs(rhs))
         rel = a / scale if scale else Fraction(0)
         return a, rel
     with mp.workprec(2 * bits + 32):
@@ -333,24 +332,12 @@ def _run_quarter_wave(inp, Ns, mode, bits, notes):
     return _sweep(Ns, mode, bits, A, T)
 
 
-def _smooth_part(b: MomentSymbol) -> MomentSymbol:
-    return MomentSymbol(
-        b.smooth,
-        weight="one",
-        jumps=b.cuts,
-        parity=b.parity,
-        smooth_theta=b.smooth_theta,
-        real=b.real,
-        poly=b.poly,
-    )
-
-
 def _run_moment_to_toeplitz(inp, Ns, mode, bits, notes):
     if not isinstance(inp, MomentSymbol):
         raise SpeciesError("a moment symbol is required")
     if inp.weight != "sqrt_ratio":
         raise SpeciesError("the sqrt((1+x)/(1-x)) weight is required")
-    d = moment_to_halfangle(_smooth_part(inp))
+    d = symbols._halfangle(inp)
     field = infer_field(inp, bits)
     n = max(Ns)
     H = hankel_moment(inp, n, field)
@@ -391,7 +378,7 @@ def _run_moment_skew_square(inp, Ns, mode, bits, notes):
         raise SpeciesError("a moment symbol is required")
     field = infer_field(inp, bits)
     n = max(Ns)
-    T2 = toeplitz(SkewFromMoment(inp), 2 * n, field)
+    T2 = toeplitz(moment_to_skew_symbol(inp), 2 * n, field)
     H = hankel_moment(inp, n, field)
     return _sweep(Ns, mode, bits, T2, H, squared=True)
 
@@ -468,7 +455,7 @@ def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> Identit
     bits = bits or DEFAULT_BITS
     field = infer_field(b, bits)
     n = max(Ns)
-    T2n = toeplitz(SkewFromMoment(b), 2 * n, field)
+    T2n = toeplitz(moment_to_skew_symbol(b), 2 * n, field)
     Hn = hankel_moment(b, n, field)
     notes = []
     records = []

@@ -2,17 +2,17 @@
 
 Builders produce dense row-major StructuredMatrix values over an explicit
 field (exact rationals or high-precision reals/complexes), laid out of one
-coefficient table per matrix, with each index coerced once.  The constructor
-re-checks the claimed structure (diagonal or anti-diagonal constancy) on
-every matrix, and toeplitz checks the symmetry that the source promises on
-the table: an even symbol gives a symmetric matrix, an odd one a skewsymmetric
-one.  Storage is dense; determinants.leading_minors reads only the first
+coefficient table per matrix, with each index coerced once, so their
+diagonals (or anti-diagonals) are constant by construction.  The constructor
+checks the claimed structure of a matrix built from a caller's own rows, and
+toeplitz checks the symmetry that the source promises on the table: an even
+symbol gives a symmetric matrix, an odd one a skewsymmetric one.  Storage is dense; determinants.leading_minors reads only the first
 row and column of an hp Toeplitz matrix and eliminates a copy of the others.
 
 The leading k x k block of a size-N Toeplitz, Hankel, Toeplitz+Hankel or
 Hankel moment matrix is the size-k matrix of the same source, so a walk over
 N builds once at the largest size and reads the rest with
-StructuredMatrix.leading; tables are filled and structure checked once.
+StructuredMatrix.leading; tables are filled once.
 """
 
 from fractions import Fraction
@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import scalars, symbols, transforms
-from .scalars import Field, abs_val, coerce, infer_field, rational
+from .scalars import Field, coerce, infer_field, rational
 
 
 class StructureError(ValueError):
@@ -45,7 +45,7 @@ def _bound_for(field: Field, values):
     """
     if field.is_exact:
         return 0
-    scale = max(abs_val(v) for v in values)
+    scale = max(abs(v) for v in values)
     return mp.mpf(2) ** (-(field.bits // 2)) * max(scale, 1)
 
 
@@ -76,17 +76,17 @@ class StructuredMatrix:
         if self.structure in ("toeplitz",):
             for i in range(1, n):
                 for j in range(1, n):
-                    if abs_val(rows[i][j] - rows[i - 1][j - 1]) > bound:
+                    if abs(rows[i][j] - rows[i - 1][j - 1]) > bound:
                         raise StructureError("not constant along diagonals")
         elif self.structure in ("hankel", "hankel_moment"):
             for i in range(n - 1):
                 for j in range(1, n):
-                    if abs_val(rows[i][j] - rows[i + 1][j - 1]) > bound:
+                    if abs(rows[i][j] - rows[i + 1][j - 1]) > bound:
                         raise StructureError("not constant along anti-diagonals")
 
     def leading(self, n: int) -> "StructuredMatrix":
         """The leading n x n block, over the same field and unchecked, since
-        this matrix passed the checks.  A flip's block is general; the other
+        this matrix has its structure.  A flip's block is general; the other
         families are closed under leading blocks and keep their tag.
         """
         if not 1 <= n <= self.order:
@@ -105,7 +105,7 @@ class StructuredMatrix:
         n = self.order
         bound = self._entry_bound()
         return all(
-            abs_val(self.rows[i][j] - self.rows[j][i]) <= bound
+            abs(self.rows[i][j] - self.rows[j][i]) <= bound
             for i in range(n)
             for j in range(i + 1, n)
         )
@@ -114,7 +114,7 @@ class StructuredMatrix:
         n = self.order
         bound = self._entry_bound()
         return all(
-            abs_val(self.rows[i][j] + self.rows[j][i]) <= bound
+            abs(self.rows[i][j] + self.rows[j][i]) <= bound
             for i in range(n)
             for j in range(i, n)
         )
@@ -194,7 +194,8 @@ def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, entry, defa
     # sums of entries (T+H) must not round at ambient precision
     with mp.workprec((field.bits or 0) + 32):
         rows = [[entry(c, j, k) for k in range(N)] for j in range(N)]
-    return StructuredMatrix(rows, field, structure), c
+    # constant along (anti-)diagonals by construction, so unchecked
+    return StructuredMatrix(rows, field, structure, check=False), c
 
 
 def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
@@ -207,9 +208,9 @@ def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> 
     m, c = _build(a, N, field, bits, -(N - 1), N - 1, "toeplitz", lambda c, j, k: c[j - k])
     sym = getattr(a, "symmetry", None)
     bound = _bound_for(m.field, c.values())
-    if sym == "even" and any(abs_val(c[-n] - c[n]) > bound for n in range(1, N)):
+    if sym == "even" and any(abs(c[-n] - c[n]) > bound for n in range(1, N)):
         raise StructureError("even symbol must give a symmetric Toeplitz matrix")
-    if sym == "odd" and any(abs_val(c[-n] + c[n]) > bound for n in range(N)):
+    if sym == "odd" and any(abs(c[-n] + c[n]) > bound for n in range(N)):
         raise StructureError("odd symbol must give a skewsymmetric Toeplitz matrix")
     return m
 
@@ -280,7 +281,7 @@ def checkerboard_split(M: StructuredMatrix, parity: str):
         if d % 2 != want_zero_residue % 2:
             continue
         j, k = (d, 0) if d >= 0 else (0, -d)
-        if abs_val(rows[j][k]) > bound:
+        if abs(rows[j][k]) > bound:
             raise StructureError(
                 "coefficient c_%d should vanish but is %s"
                 % (d, scalars.format_scalar(rows[j][k], 8))

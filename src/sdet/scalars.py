@@ -131,14 +131,6 @@ def coerce(x, field: Field):
     return v
 
 
-def abs_val(x):
-    if isinstance(x, Fraction):
-        return -x if x < 0 else x
-    if isinstance(x, int):
-        return abs(x)
-    return abs(x)
-
-
 def format_scalar(x, digits: int = 20) -> str:
     """Decimal string with a fixed digit count; rationals stay exact ("p/q")."""
     if isinstance(x, int):

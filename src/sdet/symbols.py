@@ -14,7 +14,10 @@ the quadrature engine.
 
 Both pullbacks from the circle to [-1, 1] through x = cos(theta), the
 moment twin of an even symbol and the half-angle pullback of the growth
-studies, go through one helper, _pullback.
+studies, go through one helper, _pullback.  Both maps back from [-1, 1] to
+the circle, the skew symbol i sign(theta) b(cos theta) and the half-angle
+symbol b(cos(theta/2)), go through one helper, _lift.  Every jump angle is a
+JumpPoint, exact in its pi and acos parts.
 
 Real-valued even symbols and i * (real odd) symbols get dedicated cosine and
 sine transforms over (0, pi) in real arithmetic; this is what keeps the large
@@ -46,45 +49,55 @@ class SpeciesError(TypeError):
 
 
 class JumpPoint:
-    """A point coeff*pi + offset on the circle, kept exact in the pi part.
+    """A point coeff*pi + arc*acos(x) + offset on the circle, kept exact in
+    the pi and acos parts.
 
     Jump locations that are rational multiples of pi (the chi jumps at 0 and
-    pi, the t_beta jump at 0) must be reproduced at full working precision
-    when quadrature panels are built; a float pi would leave a mis-signed
-    sliver of width ~1e-16 inside a panel and stall the doubling check.
+    pi, the t_beta jump at 0) and the angles acos(x) of jumps at x in [-1, 1]
+    must be reproduced at full working precision when quadrature panels are
+    built; a float angle would leave a mis-signed sliver of width ~1e-16
+    inside a panel and stall the doubling check.
     """
 
-    __slots__ = ("coeff", "offset")
+    __slots__ = ("coeff", "offset", "arc", "x")
 
-    def __init__(self, coeff=0, offset=0.0):
-        coeff = Fraction(coeff)
-        offset = float(offset)
+    def __init__(self, coeff=0, offset=0.0, arc=0, x=0.0):
+        self.coeff = Fraction(coeff)
+        self.offset = float(offset)
+        self.arc = Fraction(arc)
+        self.x = float(x)
         # normalize into [0, 2*pi)
-        approx = float(coeff) * math.pi + offset
+        approx = self.approx()
         while approx < 0:
-            coeff += 2
+            self.coeff += 2
             approx += 2 * math.pi
         while approx >= 2 * math.pi - 1e-15:
-            coeff -= 2
+            self.coeff -= 2
             approx -= 2 * math.pi
-        self.coeff = coeff
-        self.offset = offset
+
+    @classmethod
+    def arccos(cls, x) -> "JumpPoint":
+        """The angle acos(x) in [0, pi] of a jump at x on [-1, 1]."""
+        return cls(arc=1, x=x)
 
     def approx(self) -> float:
-        return float(self.coeff) * math.pi + self.offset
+        """The angle as a float; panels and factors read to_mpf."""
+        return float(self.coeff) * math.pi + float(self.arc) * math.acos(self.x) + self.offset
 
     def to_mpf(self):
         v = mp.pi * self.coeff.numerator / self.coeff.denominator
+        if self.arc:
+            v = v + mp.acos(mp.mpf(self.x)) * self.arc.numerator / self.arc.denominator
         if self.offset:
             v = v + mp.mpf(self.offset)
         return v
 
     def scaled(self, factor: Fraction, extra_pi=0) -> "JumpPoint":
         f = Fraction(factor)
-        return JumpPoint(self.coeff * f + extra_pi, float(self.offset * f))
+        return JumpPoint(self.coeff * f + extra_pi, float(self.offset * f), self.arc * f, self.x)
 
     def __repr__(self):
-        return "JumpPoint(%s*pi + %r)" % (self.coeff, self.offset)
+        return "JumpPoint(%s*pi + %s*acos(%r) + %r)" % (self.coeff, self.arc, self.x, self.offset)
 
 
 def _dedup_jumps(points):
@@ -404,11 +417,7 @@ class Chi(FourierSymbol):
             return 2 / (mp.pi * n)
 
     def real_profile(self):
-        def g(theta):
-            r = _reduce_mod_2pi(to_mp(theta, mp.mp.prec))
-            return mp.mpf(1) if r < mp.pi else mp.mpf(-1)
-
-        return ("odd_i", g)
+        return ("odd_i", lambda theta: mp.mpf(1) if theta < mp.pi else mp.mpf(-1))
 
     def even_support(self):
         return False
@@ -719,8 +728,9 @@ class MomentSymbol:
     sqrt((1+x)/(1-x)).  smooth_theta, when given, evaluates the smooth factor
     directly at x = cos(theta) and is what the quadrature uses; it must agree
     with smooth_factor(cos(theta)).  Each jump is a float x in (-1, 1) or a
-    JumpPoint theta in (0, pi) with x = cos(theta), whose exact angle the
-    panels then cut at; cuts keeps them as given, jumps holds each x.
+    JumpPoint theta in (0, pi) with x = cos(theta); cuts holds each as the
+    exact angle that the panels cut at (JumpPoint.arccos(x) for a float x),
+    jumps holds each x.
     """
 
     def __init__(
@@ -739,10 +749,11 @@ class MomentSymbol:
             raise ValueError("parity must be even or none")
         self.smooth = smooth
         self.weight = weight
-        self.cuts = tuple(sorted(jumps, key=_jump_x))
-        self.jumps = tuple(_jump_x(j) for j in self.cuts)
+        given = sorted(((_jump_x(j), j) for j in jumps), key=lambda p: p[0])
+        self.jumps = tuple(x for x, _ in given)
         if any(not -1 < x < 1 for x in self.jumps):
             raise ValueError("moment jumps must lie in (-1, 1)")
+        self.cuts = tuple(j if isinstance(j, JumpPoint) else JumpPoint.arccos(x) for x, j in given)
         self.parity = None if parity == "none" else parity
         self.smooth_theta = smooth_theta or (lambda th: smooth(mp.cos(th)))
         self.poly = poly
@@ -802,10 +813,7 @@ class MomentSymbol:
     def theta_panels(self, wp):
         """Panels covering (0, pi) in theta = acos(x), split at the jumps."""
         with mp.workprec(wp):
-            cuts = [
-                j.to_mpf() if isinstance(j, JumpPoint) else mp.acos(mp.mpf(j)) for j in self.cuts
-            ]
-            return _panels(cuts, mp.pi, wp)
+            return _panels([j.to_mpf() for j in self.cuts], mp.pi, wp)
 
     def _integrand(self):
         # After x = cos(theta) the moment integrand carries a sin(theta)
@@ -839,48 +847,6 @@ class MomentSymbol:
             "poly": _json_entries(self.poly),
             "parity": self.parity or "none",
         }
-
-
-class SkewFromMoment(FourierSymbol):
-    """The odd symbol c(e^{i theta}) = i sign(theta) b(cos theta)."""
-
-    symmetry = "odd"
-
-    def __init__(self, b: MomentSymbol):
-        super().__init__()
-        self.b = b
-
-    def jump_points(self):
-        return _dedup_jumps([JumpPoint(0), JumpPoint(1), *_circle_jumps(self.b.cuts, 1)])
-
-    def even_support(self):
-        return False
-
-    def _half_value(self, theta):
-        # b(cos theta) for theta in (0, pi), weight folded in analytically
-        if self.b.weight == "sqrt_ratio":
-            return self.b.smooth_theta(theta) * (1 + mp.cos(theta)) / mp.sin(theta)
-        return self.b.smooth_theta(theta)
-
-    def eval_at(self, theta):
-        r = _reduce_mod_2pi(to_mp(theta, mp.mp.prec))
-        if r == 0 or r == mp.pi:
-            raise JumpError("skew symbol jump at theta = %s" % mp.nstr(r, 8))
-        if r < mp.pi:
-            return mp.mpc(0, 1) * self._half_value(r)
-        return mp.mpc(0, -1) * self._half_value(2 * mp.pi - r)
-
-    def real_profile(self):
-        if not self.b.real:
-            return None
-
-        def g(theta):
-            r = _reduce_mod_2pi(to_mp(theta, mp.mp.prec))
-            if r < mp.pi:
-                return self._half_value(r)
-            return -self._half_value(2 * mp.pi - r)
-
-        return ("odd_i", g)
 
 
 # -- spec-level operations ----------------------------------------------
@@ -963,18 +929,6 @@ def _jump_x(j) -> float:
     return math.cos(j.approx()) if isinstance(j, JumpPoint) else float(j)
 
 
-def _circle_jumps(cuts, scale) -> list:
-    """Jump points t and 2pi - t with t = scale * acos(x), for each moment jump."""
-    pts = []
-    for j in cuts:
-        if isinstance(j, JumpPoint):
-            pts += [j.scaled(scale), j.scaled(-scale, extra_pi=2)]
-        else:
-            t = scale * math.acos(j)
-            pts += [JumpPoint(0, t), JumpPoint(0, 2 * math.pi - t)]
-    return pts
-
-
 def th_to_moment_symbol(a: FourierSymbol) -> MomentSymbol:
     """b(cos t) = a(e^{it}) sqrt((1+cos t)/(1-cos t)), the moment twin of a."""
     if not certify_even(a):
@@ -982,25 +936,49 @@ def th_to_moment_symbol(a: FourierSymbol) -> MomentSymbol:
     return _pullback(a, "sqrt_ratio")
 
 
+def _lift(b: MomentSymbol, scale, value) -> ClosedFormSymbol:
+    """The even circle symbol value(theta), with jumps at scale * acos(x) and
+    2pi minus that for each jump x of b.
+
+    value must be even about pi; as a real profile it is read on (0, 2pi),
+    so only the evaluator reduces theta first.
+    """
+    jumps = [p for j in b.cuts for p in (j.scaled(scale), j.scaled(-scale, extra_pi=2))]
+    return ClosedFormSymbol(
+        lambda theta: value(_reduce_mod_2pi(theta)),
+        jumps=_dedup_jumps(jumps),
+        symmetry="even",
+        profile=("even", value) if b.real else None,
+    )
+
+
 def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
-    """The odd symbol with c_n = (1/pi) integral_0^pi b(cos t) sin(nt) dt."""
-    return SkewFromMoment(b)
+    """The odd symbol c(e^{i theta}) = i sign(theta) b(cos theta), with
+    c_n = (1/pi) integral_0^pi b(cos t) sin(nt) dt."""
+
+    def half(theta):
+        # b(cos theta) with theta folded into (0, pi), weight folded in analytically
+        if theta > mp.pi:
+            theta = 2 * mp.pi - theta
+        if b.weight == "sqrt_ratio":
+            return b.smooth_theta(theta) * (1 + mp.cos(theta)) / mp.sin(theta)
+        return b.smooth_theta(theta)
+
+    return multiply_by_chi(_lift(b, 1, half))
+
+
+def _halfangle(b0: MomentSymbol) -> FourierSymbol:
+    """d(e^{i theta}) = b0.smooth(cos(theta/2)), whatever b0's weight."""
+    if b0.parity != "even" or not b0.certify_even():
+        raise SpeciesError("half-angle lift needs an even smooth factor")
+    return _lift(b0, 2, lambda theta: b0.smooth(mp.cos(theta / 2)))
 
 
 def moment_to_halfangle(b0: MomentSymbol) -> FourierSymbol:
     """The even symbol d(e^{i theta}) = b0(cos(theta/2))."""
     if b0.weight != "one":
         raise SpeciesError("half-angle lift applies to the smooth factor alone")
-    if b0.parity != "even" or not b0.certify_even():
-        raise SpeciesError("half-angle lift needs an even smooth factor")
-
-    def ev(theta, _b=b0):
-        th = _reduce_mod_2pi(to_mp(theta, mp.mp.prec))
-        return _b.smooth(mp.cos(th / 2))
-
-    profile = ("even", ev) if b0.real else None
-    jumps = _dedup_jumps(_circle_jumps(b0.cuts, 2))
-    return ClosedFormSymbol(ev, jumps=jumps, symmetry="even", profile=profile)
+    return _halfangle(b0)
 
 
 # -- JSON schemas --------------------------------------------------------

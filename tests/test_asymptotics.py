@@ -24,6 +24,7 @@ from sdet.quadrature import AccuracyError
 from sdet.symbols import (
     FHDescriptor,
     JumpError,
+    JumpPoint,
     MomentSymbol,
     SpeciesError,
 )
@@ -177,6 +178,21 @@ class TestPredictions:
         with mp.workprec(224):
             prod = plus.ratio_coefficient * minus.ratio_coefficient
             assert abs(prod - bc.pair_product_sq) < mp.mpf(2) ** -140
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_half_jump_ratio_reads_exact_jump_angles(self, bits):
+        # jumps at 1 and exactly 2pi - 1; a float 2pi - 1 is off by ~2e-16
+        desc = FHDescriptor({1: 0.1, -1: 0.1}, jumps=[(1.0, 0.2j), (JumpPoint(2, -1.0), -0.2j)])
+        got = predict_half_jump_ratio(desc, Fraction(-1, 2), bits=bits).ratio_coefficient
+        wp = 2 * bits
+        with mp.workprec(wp):
+            dp = dm = mp.exp(mp.mpf(0.1))
+            for theta, beta in ((mp.mpf(1), mp.mpc(0, 0.2)), (2 * mp.pi - 1, mp.mpc(0, -0.2))):
+                dp *= mp.power(1 - mp.expj(-theta), beta)
+                dm *= mp.power(1 - mp.expj(theta), -beta)
+            s = -mp.mpf(1) / 2
+            want = barnes_constants(wp).pair_product * mp.power(dp, s) * mp.power(dm, -s)
+            assert abs(got - want) < mp.mpf(2) ** -(bits - 16) * abs(want)
 
     def test_half_jump_sign_validation(self):
         with pytest.raises(ValueError):

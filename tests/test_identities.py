@@ -15,6 +15,7 @@ from sdet.symbols import (
     CoeffSeq,
     FHDescriptor,
     FHProduct,
+    JumpPoint,
     MomentSymbol,
     SpeciesError,
     th_to_moment_symbol,
@@ -261,6 +262,47 @@ class TestHighPrecisionKinds:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             verify(IdentityKind.SkewSquare, DELTA, 2, mode="fast")
+
+
+class TestQuadratureBackedEvenInputs:
+    # hp, 128 bits, N = 6: halve_argument of an FH symbol is a HalvedArg whose
+    # coefficients come from the base's table, and an even FH symbol reaches
+    # _even_input_seq as a quadrature-backed table rather than a sequence
+    @pytest.mark.parametrize("kind", [IdentityKind.QuarterWave, IdentityKind.ParitySplitEven])
+    def test_halved_argument_coefficients(self, kind):
+        a = FHProduct(FHDescriptor({2: 0.1, -2: 0.1}))
+        rep = verify(kind, a, 6, mode="hp", bits=128)
+        assert rep.passed
+        assert abs(max_rel(rep)) < mp.mpf(2) ** -100
+
+    @pytest.mark.parametrize("kind", [IdentityKind.HankelCongruence, IdentityKind.SkewSquare])
+    def test_even_symbol_coefficient_table(self, kind):
+        rep = verify(kind, EXP_COS, 6, mode="hp", bits=128)
+        assert rep.passed
+        assert abs(max_rel(rep)) < mp.mpf(2) ** -100
+
+
+class TestExactMomentJumps:
+    # a moment jump given as a float x is cut at the exact angle acos(x); a
+    # float angle left a mis-signed sliver in a panel (rel_resid ~1e-16) or
+    # stalled the quadrature's doubling check
+    @pytest.mark.parametrize("jump", [0.5, JumpPoint(Fraction(1, 3))], ids=["x", "angle"])
+    def test_moment_skew_square_and_pfaffian_link(self, jump):
+        b = MomentSymbol(lambda x: 1 if x < 0.5 else 2, jumps=[jump])
+        for rep in (
+            verify(IdentityKind.MomentSkewSquare, b, 5, mode="hp", bits=128),
+            pfaffian_link(b, 5, bits=128),
+        ):
+            assert rep.passed
+            assert abs(max_rel(rep)) < mp.mpf(2) ** -100
+
+    def test_moment_to_toeplitz_even_step(self):
+        b = MomentSymbol(
+            lambda x: 1 if abs(x) < 0.5 else 2, weight="sqrt_ratio", parity="even", jumps=[-0.5, 0.5]
+        )
+        rep = verify(IdentityKind.MomentToToeplitz, b, 5, mode="hp", bits=128)
+        assert rep.passed
+        assert abs(max_rel(rep)) < mp.mpf(2) ** -100
 
 
 class TestPfaffianLink:

@@ -14,7 +14,7 @@ from sdet.matrices import (
     toeplitz,
     toeplitz_plus_hankel,
 )
-from sdet.scalars import abs_val, hp_real, rational
+from sdet.scalars import hp_real, rational
 from sdet.symbols import Chi, ClosedFormSymbol, CoeffSeq, JumpT, MomentSymbol, SpeciesError
 from sdet.transforms import ScalarSeq
 
@@ -184,7 +184,7 @@ class TestLeadingBlocks:
             assert block.field == fresh.field == big.field
             assert block.structure == fresh.structure
             for row, want in zip(block.rows, fresh.rows):
-                assert all(abs_val(x - y) <= tol for x, y in zip(row, want))
+                assert all(abs(x - y) <= tol for x, y in zip(row, want))
 
     def test_flip_block_is_general(self):
         block = flip(4).leading(2)

@@ -17,7 +17,6 @@ from sdet.symbols import (
     JumpPoint,
     JumpT,
     MomentSymbol,
-    SkewFromMoment,
     SpeciesError,
     SymbolProduct,
     certify_even,
@@ -28,6 +27,7 @@ from sdet.symbols import (
     halve_argument,
     moment,
     moment_from_json,
+    moment_to_skew_symbol,
     multiply_by_chi,
     symbol_from_json,
     th_to_moment_symbol,
@@ -474,7 +474,7 @@ class TestTableCache:
 
 class TestSkewFromMoment:
     def test_values(self):
-        c = SkewFromMoment(MomentSymbol.from_poly({0: 1}))
+        c = moment_to_skew_symbol(MomentSymbol.from_poly({0: 1}))
         with mp.workprec(160):
             up = evaluate(c, mp.pi / 2, bits=128)
             down = evaluate(c, 3 * mp.pi / 2, bits=128)
@@ -482,14 +482,14 @@ class TestSkewFromMoment:
             assert abs(down + mp.mpc(0, 1)) < mp.mpf(2) ** -100
 
     def test_jump_locations(self):
-        c = SkewFromMoment(MomentSymbol.from_poly({0: 1}))
+        c = moment_to_skew_symbol(MomentSymbol.from_poly({0: 1}))
         with pytest.raises(JumpError):
             evaluate(c, 0)
         with pytest.raises(JumpError):
             c.eval_at(+mp.pi)
 
     def test_profile_parity(self):
-        c = SkewFromMoment(MomentSymbol.from_poly({0: 1}))
+        c = moment_to_skew_symbol(MomentSymbol.from_poly({0: 1}))
         kind, g = c.real_profile()
         assert kind == "odd_i"
         with mp.workprec(128):
