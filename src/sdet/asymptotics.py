@@ -15,7 +15,7 @@ import mpmath as mp
 
 from . import matrices, symbols
 from .determinants import leading_minors
-from .quadrature import AccuracyError
+from .quadrature import SLACK, AccuracyError
 from .scalars import format_scalar, infer_field, to_mp
 from .symbols import ArgDoubled, FHDescriptor, FHProduct, JumpT, MomentSymbol, SpeciesError
 
@@ -247,8 +247,9 @@ def wh_factors(desc: FHDescriptor, theta, accuracy=None, bits: int | None = None
         return (+d0p, +d0m, +dp, +dm)
 
 
-def _as_real_if_clean(v):
-    if isinstance(v, mp.mpc) and v.imag == 0:
+def _as_real_if_clean(v, bits):
+    """v's real part when its imaginary part is rounding, at most 2^-(bits-SLACK) |v|."""
+    if isinstance(v, mp.mpc) and abs(v.imag) <= mp.mpf(2) ** (SLACK - bits) * abs(v):
         return v.real
     return v
 
@@ -265,10 +266,10 @@ def predict_szego_fh(desc: FHDescriptor, bits: int = 256) -> FHPrediction:
             Omega = Omega - b * b
     with mp.workprec(bits):
         return FHPrediction(
-            F=_as_real_if_clean(+F),
-            Omega=_as_real_if_clean(+Omega),
+            F=_as_real_if_clean(+F, bits),
+            Omega=_as_real_if_clean(+Omega, bits),
             ratio_coefficient=None,
-            exponent_of_N=_as_real_if_clean(+Omega),
+            exponent_of_N=_as_real_if_clean(+Omega, bits),
         )
 
 
@@ -291,7 +292,7 @@ def predict_half_jump_ratio(desc: FHDescriptor, sign, bits: int = 256) -> FHPred
         return FHPrediction(
             F=mp.mpf(1),
             Omega=Fraction(-1, 4),
-            ratio_coefficient=_as_real_if_clean(+coeff),
+            ratio_coefficient=_as_real_if_clean(+coeff, bits),
             exponent_of_N=Fraction(-1, 4),
         )
 
@@ -453,14 +454,14 @@ class AsymptoticsReport:
 
 
 def _real_dets(M, orders, bits):
-    """Leading-block determinants forced real: tiny phases are asserted away, not kept."""
+    """Leading-block determinants forced real; a genuinely complex one is a SpeciesError."""
     out = []
     for res in leading_minors(M, orders, bits):
         v = res.value
         if isinstance(v, mp.mpc):
             with mp.workprec(bits + 32):
                 if abs(v.imag) > mp.mpf("1e-10") * max(abs(v), mp.mpf("1e-300")):
-                    raise AccuracyError(
+                    raise SpeciesError(
                         "expected a real determinant, got %s" % mp.nstr(v, 12)
                     )
             v = v.real

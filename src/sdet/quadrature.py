@@ -2,15 +2,20 @@
 
 Two engines cover every symbol this package meets:
 
-* composite Gauss-Legendre on panels delimited by jump points, used for
-  piecewise-smooth integrands (jump symbols, weights, products);
-* the periodic trapezoid rule for jump-free smooth symbols, where it
-  converges spectrally.
+* composite Gauss-Legendre on panels delimited by jump points
+  (_panel_quadrature), for integrands with cuts;
+* the nested trapezoid rule (_trapezoid_quadrature) for panels None, over
+  [0, 2pi) or, for an even integrand, [0, pi]: spectral on smooth periodic
+  integrands, and each doubling reuses every node.  Nested grids alias alike
+  at every level (a multiple of 2n looks constant on n nodes and on 2n), so
+  the first grid must also resolve f's own frequency, passed as band; an f
+  of unknown band belongs on panels.  Past the nodes the panel rule's first
+  two levels would take, or when f raises, it falls back to that rule.
 
 Both double their node count until two consecutive estimates agree within
-the target, and raise AccuracyError (carrying the achieved estimate) when
-they cannot.  The Gauss-Legendre order scales with the working precision:
-pushing spectral error below 2^-512 at oscillation ~100 with a fixed small
+the target; the panel rule raises AccuracyError (carrying the achieved
+estimate) when it cannot.  The Gauss-Legendre order scales with the working
+precision: pushing spectral error below 2^-512 at oscillation ~100 with a fixed small
 order would need thousands of subpanels, while order ~bits/3 converges
 after a single doubling.
 
@@ -238,12 +243,63 @@ def _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, 
         return _first_agreement(levels(), bits, what)
 
 
-def trig_transform(f, panels, n_max: int, bits: int, kind: str):
+def _trapezoid_quadrature(f, full, size, oscillation, growth, bits, kernel, what, cplx=False):
+    """_panel_quadrature's sums by the trapezoid rule over [0, 2pi) when full,
+    else over [0, pi] with the endpoint nodes at weight 1/2.
+
+    A level of n nodes per 2pi (at first the least power of two >= 16 and
+    >= 2 (oscillation + 1)) adds only its new odd nodes to the sums of the
+    level before.  Past the nodes the panel rule's first two levels would
+    take, or when f raises, _panel_quadrature redoes the sums on one panel.
+    """
+    order = _gl_order(bits)
+    wp = bits + GUARD
+    # a level's sums are a mean over its nodes: W needs no bits for their count
+    W = wp + growth
+    with mp.workprec(wp):
+        twopi = 2 * mp.pi
+        end = twopi if full else +mp.pi
+        tol = mp.mpf(2) ** (-(bits + SLACK))
+        budget = 3 * order * _start_subpanels(oscillation, float(end), order, tol)
+        n = max(16, 1 << (2 * oscillation + 1).bit_length())
+
+        def levels(n=n, step=1, cplx=cplx):
+            acc = [0] * (2 * size)
+            # nodes t = 2 pi j / n for j < top; after the first level, only odd j
+            while (top := n if full else n // 2 + 1) <= budget:
+                for j in range(step - 1, top, step):
+                    t = twopi * j / n
+                    fv = f(t) / (2 if not full and 2 * j % n == 0 else 1)
+                    cplx = cplx or isinstance(fv, mp.mpc)
+                    kernel(t, fv, acc, W)
+                yield [twopi * v for v in _level_sums(acc, W + n.bit_length() - 1, cplx)]
+                n, step = 2 * n, 2
+
+        try:
+            return _first_agreement(levels(), bits, what)
+        except (AccuracyError, ArithmeticError, ValueError):
+            panels = [(mp.mpf(0), end)]
+            return _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, cplx)
+
+
+def _quadrature(f, panels, full, size, oscillation, growth, bits, kernel, what, cplx=False):
+    """_panel_quadrature on the panels; when they are None, _trapezoid_quadrature
+    over [0, 2pi) if full, else over [0, pi]."""
+    if panels is None:
+        return _trapezoid_quadrature(f, full, size, oscillation, growth, bits, kernel, what, cplx)
+    return _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, cplx)
+
+
+def trig_transform(f, panels, n_max: int, bits: int, kind: str, band: int = 0):
     """integral over the panels of f(t) * cos(n t) (or sin) for n = 0..n_max.
 
     Returns the raw integrals as a list indexed by n; callers apply their
     own normalization.  kind is "cos" or "sin".  f is evaluated at interior
-    nodes only, so panel endpoints may be singular or jump points.
+    nodes only, so panel endpoints may be singular or jump points.  panels
+    None means [0, pi] for an f(t) cos nt (or sin nt) that is smooth, even
+    and 2pi-periodic, also evaluated at 0 and pi; band is then f's own
+    frequency (the degree of the trigonometric polynomial that f is, or is
+    the exponential of).
     """
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be cos or sin")
@@ -257,13 +313,15 @@ def trig_transform(f, panels, n_max: int, bits: int, kind: str):
             _recur(acc, start, n_max + 1, 0 if sine else v, (v * first) >> W, 2 * c, W)
 
     growth = 2 * (n_max + 1).bit_length()
-    return _panel_quadrature(f, panels, n_max + 1, n_max, growth, bits, kernel, "trig transform")
+    osc = n_max + band
+    return _quadrature(f, panels, False, n_max + 1, osc, growth, bits, kernel, "trig transform")
 
 
-def cospower_transform(f, panels, n_max: int, bits: int):
+def cospower_transform(f, panels, n_max: int, bits: int, band: int = 0):
     """integral of f(t) * (2 cos t)^(n-1) for n = 1..n_max (raw, unnormalized).
 
-    Returns a list indexed 1..n_max (slot 0 is None).
+    Returns a list indexed 1..n_max (slot 0 is None).  panels None and band
+    mean what they do for trig_transform.
     """
 
     def kernel(t, fv, acc, W):
@@ -273,7 +331,8 @@ def cospower_transform(f, panels, n_max: int, bits: int):
                 acc[i] += p
                 p = (tc * p) >> W
 
-    tot = _panel_quadrature(f, panels, n_max + 1, n_max, n_max, bits, kernel, "moment transform")
+    osc = n_max + band
+    tot = _quadrature(f, panels, False, n_max + 1, osc, n_max, bits, kernel, "moment transform")
     tot[0] = None
     return tot
 
@@ -292,16 +351,17 @@ def _rotation_kernel(n_min: int, count: int):
     return kernel
 
 
-def circle_coeffs(f, panels, n_min: int, n_max: int, bits: int) -> dict:
+def circle_coeffs(f, panels, n_min: int, n_max: int, bits: int, band: int = 0) -> dict:
     """Fourier coefficients (1/2pi) integral f(t) e^{-int} dt on given panels.
 
     The generic complex path; panels must cover (0, 2pi) split at every jump
-    of f.  Returns {n: mpc} for n_min <= n <= n_max.
+    of f.  panels None means the trapezoid over [0, 2pi) for a smooth f, with
+    band as for trig_transform.  Returns {n: mpc} for n_min <= n <= n_max.
     """
     count = n_max - n_min + 1
-    osc = max(abs(n_min), abs(n_max))
-    tot = _panel_quadrature(
-        f, panels, count, osc, 2 * count.bit_length(), bits,
+    osc = max(abs(n_min), abs(n_max)) + band
+    tot = _quadrature(
+        f, panels, True, count, osc, 2 * count.bit_length(), bits,
         _rotation_kernel(n_min, count), "coefficient quadrature", cplx=True,
     )
     with mp.workprec(bits + GUARD):
@@ -309,33 +369,7 @@ def circle_coeffs(f, panels, n_min: int, n_max: int, bits: int) -> dict:
         return {n_min + i: tot[i] / twopi for i in range(count)}
 
 
-def circle_coeffs_periodic(f, n_min: int, n_max: int, bits: int) -> dict:
-    """Fourier coefficients of a jump-free smooth symbol via the trapezoid rule.
-
-    Spectral for periodic analytic integrands.  The nodes of one level are
-    the even nodes of the next, so each level adds only its new nodes to the
-    integer sums of the one before.
-    """
-    count = n_max - n_min + 1
-    osc = max(abs(n_min), abs(n_max))
-    # a mean over the nodes needs no guard bits for their count
-    W = bits + GUARD + 2 * count.bit_length()
-    kernel = _rotation_kernel(n_min, count)
-    with mp.workprec(bits + GUARD):
-        twopi = 2 * mp.pi
-        size = 64
-        while size < 4 * osc + 64:
-            size *= 2
-
-        def levels(size=size, new=range(size)):
-            acc = [0] * (2 * count)
-            while size <= (1 << 18):
-                for j in new:
-                    t = twopi * j / size
-                    kernel(t, f(t), acc, W)
-                yield _level_sums(acc, W + size.bit_length() - 1, True)
-                size *= 2
-                new = range(1, size, 2)
-
-        tot = _first_agreement(levels(), bits, "periodic quadrature")
-        return {n_min + i: tot[i] for i in range(count)}
+def circle_coeffs_periodic(f, n_min: int, n_max: int, bits: int, band: int = 0) -> dict:
+    """circle_coeffs of a jump-free smooth symbol, by the trapezoid rule on
+    the full circle."""
+    return circle_coeffs(f, None, n_min, n_max, bits, band)

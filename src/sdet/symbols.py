@@ -198,7 +198,14 @@ class FourierSymbol:
     def real_profile(self):
         """("even", f) for real even symbols, ("odd_i", g) when the symbol
         is i*g with g real odd, else None.  Evaluators are valid on (0, 2pi)
-        off the jump set at ambient precision."""
+        off the jump set at ambient precision; a jump-free symbol's are also
+        called at theta = 0 and theta = pi."""
+        return None
+
+    def band(self) -> int | None:
+        """K when the symbol off its jumps is a trigonometric polynomial of
+        degree K or the exponential of one, None when unknown (an opaque
+        evaluator).  A jump-free symbol of known band takes the trapezoid."""
         return None
 
     def even_support(self) -> bool:
@@ -244,13 +251,14 @@ class FourierSymbol:
         wp = bits + quadrature.GUARD
         profile = self.real_profile()
         jumps = self.jump_points()
-        if profile is None and not jumps:
-            return quadrature.circle_coeffs_periodic(self.eval_at, -limit, limit, bits)
+        band = None if jumps else self.band()  # not None: take the trapezoid
         with mp.workprec(wp):
             if profile is None:
                 cuts = [p.to_mpf() for p in jumps if 1e-15 < p.approx() < 2 * math.pi - 1e-15]
-                panels = _panels(cuts, 2 * mp.pi, wp)
-                return quadrature.circle_coeffs(self.eval_at, panels, -limit, limit, bits)
+                panels = None if band is not None else _panels(cuts, 2 * mp.pi, wp)
+                return quadrature.circle_coeffs(
+                    self.eval_at, panels, -limit, limit, bits, band or 0
+                )
             # a real profile is even or odd about pi: fold jumps into (0, pi)
             cuts = []
             for p in jumps:
@@ -261,8 +269,9 @@ class FourierSymbol:
                     cuts.append(2 * mp.pi - v)
             kind, fn = profile
             even = kind == "even"
+            panels = None if band is not None else _panels(cuts, mp.pi, wp)
             raw = quadrature.trig_transform(
-                fn, _panels(cuts, mp.pi, wp), limit, bits, "cos" if even else "sin"
+                fn, panels, limit, bits, "cos" if even else "sin", band or 0
             )
             vals = [v / mp.pi for v in raw]
             table = {0: vals[0]}
@@ -356,6 +365,8 @@ class CoeffSeq(FourierSymbol):
 
     def support(self) -> int:
         return max((abs(n) for n in self.entries), default=0)
+
+    band = support
 
     @property
     def is_exact(self) -> bool:
@@ -550,6 +561,9 @@ class FHProduct(FourierSymbol):
         log = self.desc.log_smooth
         return ("even", lambda th: mp.exp(_trig_series(_mp_values(self._mp, log), th, mp.cos)))
 
+    def band(self):
+        return max((abs(n) for n in self.desc.log_smooth), default=0)
+
     def to_json(self):
         return self.desc.to_json()
 
@@ -603,14 +617,18 @@ class SymbolProduct(FourierSymbol):
 
         return ("odd_i" if odds else "even", prod)
 
+    def band(self):
+        bands = [f.band() for f in self.factors]
+        return None if None in bands else sum(bands)
+
     def to_json(self):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
 
 
 class ClosedFormSymbol(FourierSymbol):
-    """Caller-supplied evaluator with a declared jump set."""
+    """Caller-supplied evaluator with a declared jump set, and band if known."""
 
-    def __init__(self, evaluator, jumps=(), symmetry=None, profile=None):
+    def __init__(self, evaluator, jumps=(), symmetry=None, profile=None, band=None):
         super().__init__()
         self._fn = evaluator
         self._jumps = tuple(
@@ -618,9 +636,13 @@ class ClosedFormSymbol(FourierSymbol):
         )
         self.symmetry = symmetry
         self._profile = profile
+        self._band = band
 
     def jump_points(self):
         return self._jumps
+
+    def band(self):
+        return self._band
 
     def eval_at(self, theta):
         return self._fn(to_mp(theta, mp.mp.prec))
@@ -687,6 +709,9 @@ class ArgDoubled(FourierSymbol):
         # theta (sin(2t) is not odd about pi), so only the even case maps
         return _mapped_even_profile(self.base, lambda th: _reduce_mod_2pi(2 * th))
 
+    def band(self):
+        return None if self.base.band() is None else 2 * self.base.band()
+
 
 class HalvedArg(FourierSymbol):
     """d(e^{i theta}) = base(e^{i theta/2}) for a base with a(-t) = a(t)."""
@@ -720,6 +745,9 @@ class HalvedArg(FourierSymbol):
     def real_profile(self):
         return _mapped_even_profile(self.base, lambda th: _reduce_mod_2pi(th) / 2)
 
+    def band(self):
+        return None if self.base.band() is None else (self.base.band() + 1) // 2
+
 
 class MomentSymbol:
     """smooth_factor times weight on [-1, 1], with quadrature-backed moments.
@@ -730,7 +758,9 @@ class MomentSymbol:
     with smooth_factor(cos(theta)).  Each jump is a float x in (-1, 1) or a
     JumpPoint theta in (0, pi) with x = cos(theta); cuts holds each as the
     exact angle that the panels cut at (JumpPoint.arccos(x) for a float x),
-    jumps holds each x.
+    jumps holds each x.  band is the degree of the polynomial in x that the
+    smooth factor is, or is the exponential of (None: unknown); an uncut
+    sqrt_ratio symbol of known band also has smooth_theta called at 0, pi.
     """
 
     def __init__(
@@ -742,6 +772,7 @@ class MomentSymbol:
         smooth_theta=None,
         real: bool | None = None,
         poly: dict | None = None,
+        band: int | None = None,
     ):
         if weight not in ("one", "sqrt_ratio"):
             raise ValueError("weight must be one or sqrt_ratio")
@@ -757,6 +788,7 @@ class MomentSymbol:
         self.parity = None if parity == "none" else parity
         self.smooth_theta = smooth_theta or (lambda th: smooth(mp.cos(th)))
         self.poly = poly
+        self.band = band
         if real is None:
             real = self._sample_real()
         self.real = real
@@ -777,7 +809,8 @@ class MomentSymbol:
         if parity is None and coeffs and all(k % 2 == 0 for k in coeffs):
             parity = "even"
         real = all(is_real_scalar(v) for v in coeffs.values())
-        return cls(smooth, weight, jumps, parity, real=real, poly=coeffs)
+        band = max(coeffs, default=0)
+        return cls(smooth, weight, jumps, parity, real=real, poly=coeffs, band=band)
 
     def _sample_real(self) -> bool:
         with mp.workprec(_CERT_BITS):
@@ -828,9 +861,13 @@ class MomentSymbol:
 
     def _compute_moments(self, n_max: int, bits: int) -> dict:
         wp = bits + quadrature.GUARD
-        panels = self.theta_panels(wp)
+        # uncut sqrt_ratio of known band: smooth(cos t) (1 + cos t) is smooth,
+        # even and periodic, one frequency above the smooth factor
+        smooth = self.band is not None and not self.cuts and self.weight == "sqrt_ratio"
+        panels = None if smooth else self.theta_panels(wp)
         with mp.workprec(wp):
-            raw = quadrature.cospower_transform(self._integrand(), panels, n_max, bits)
+            band = self.band + 1 if smooth else 0
+            raw = quadrature.cospower_transform(self._integrand(), panels, n_max, bits, band)
             return {n: raw[n] / mp.pi for n in range(1, n_max + 1)}
 
     def moment(self, n: int, bits: int = 128):
@@ -921,6 +958,7 @@ def _pullback(a: FourierSymbol, weight: str) -> MomentSymbol:
         parity="even" if a.even_support() else None,
         smooth_theta=profile[1] if real else a.eval_at,
         real=real,
+        band=None if a.jump_points() else a.band(),  # a jump at 0 or pi makes no cut
     )
 
 
@@ -936,7 +974,7 @@ def th_to_moment_symbol(a: FourierSymbol) -> MomentSymbol:
     return _pullback(a, "sqrt_ratio")
 
 
-def _lift(b: MomentSymbol, scale, value) -> ClosedFormSymbol:
+def _lift(b: MomentSymbol, scale, value, band=None) -> ClosedFormSymbol:
     """The even circle symbol value(theta), with jumps at scale * acos(x) and
     2pi minus that for each jump x of b.
 
@@ -949,6 +987,7 @@ def _lift(b: MomentSymbol, scale, value) -> ClosedFormSymbol:
         jumps=_dedup_jumps(jumps),
         symmetry="even",
         profile=("even", value) if b.real else None,
+        band=band,
     )
 
 
@@ -971,7 +1010,9 @@ def _halfangle(b0: MomentSymbol) -> FourierSymbol:
     """d(e^{i theta}) = b0.smooth(cos(theta/2)), whatever b0's weight."""
     if b0.parity != "even" or not b0.certify_even():
         raise SpeciesError("half-angle lift needs an even smooth factor")
-    return _lift(b0, 2, lambda theta: b0.smooth(mp.cos(theta / 2)))
+    # an even smooth factor of degree K in cos(theta/2) has degree K/2 in theta
+    band = None if b0.band is None else (b0.band + 1) // 2
+    return _lift(b0, 2, lambda theta: b0.smooth(mp.cos(theta / 2)), band)
 
 
 def moment_to_halfangle(b0: MomentSymbol) -> FourierSymbol:

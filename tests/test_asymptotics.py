@@ -194,6 +194,22 @@ class TestPredictions:
             want = barnes_constants(wp).pair_product * mp.power(dp, s) * mp.power(dm, -s)
             assert abs(got - want) < mp.mpf(2) ** -(bits - 16) * abs(want)
 
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_half_jump_ratio_drops_rounding_level_imaginary_part(self, bits):
+        # an exactly even descriptor: the complex jump factors leave an
+        # imaginary part far below the working precision, which must not print
+        desc = FHDescriptor({1: 0.1, -1: 0.1}, jumps=[(1.0, 0.2j), (JumpPoint(2, -1.0), -0.2j)])
+        pred = predict_half_jump_ratio(desc, Fraction(-1, 2), bits=bits)
+        assert isinstance(pred.ratio_coefficient, mp.mpf)
+        assert "j" not in pred.to_json()["ratio_coefficient"]
+
+    def test_half_jump_ratio_keeps_a_genuine_imaginary_part(self):
+        desc = FHDescriptor({1: 0.1, -1: 0.1}, jumps=[(1.0, 0.2j)])
+        pred = predict_half_jump_ratio(desc, Fraction(-1, 2), bits=128)
+        assert isinstance(pred.ratio_coefficient, mp.mpc)
+        assert abs(pred.ratio_coefficient.imag) > mp.mpf("1e-3")
+        assert "j" in pred.to_json()["ratio_coefficient"]
+
     def test_half_jump_sign_validation(self):
         with pytest.raises(ValueError):
             predict_half_jump_ratio(FHDescriptor(), Fraction(1, 3))

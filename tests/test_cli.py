@@ -317,6 +317,21 @@ class TestStudyCommand:
         )
         assert code == 2
 
+    def test_complex_determinants_are_a_hypothesis_error(self, write_config, capsys):
+        # one real jump at theta = 2 makes the Toeplitz determinants genuinely
+        # complex: no bit count can make them real, so this is exit 2, not 3
+        desc = write_config(
+            "fhj.json",
+            {
+                "kind": "fh",
+                "log_smooth": [[1, 0.1, 0], [-1, 0.1, 0]],
+                "jumps": [{"theta": 2.0, "beta": [0.2, 0]}],
+            },
+        )
+        argv = ["study", "--kind", "prop52_ratio", "--desc", desc, "--N", "8,16,24,32"]
+        assert cli.run(argv + ["--bits", "128"]) == 2
+        assert "expected a real determinant" in capsys.readouterr().err
+
 
 class TestTransformCommand:
     def test_unit_sequence_b_values(self, delta_path, capsys):

@@ -105,10 +105,25 @@ def test_trig_transform_on_trig_polynomials(kind, n_max, bits):
     _check_trig(_trig_poly(n_max), _half_circle_panels(bits), n_max, bits, kind)
 
 
+@pytest.mark.parametrize("kind, n_max, bits", [("cos", 19, 256), ("sin", 19, 256), ("cos", 255, 512)])
+def test_trig_transform_trapezoid_on_trig_polynomials(kind, n_max, bits):
+    # panels None: the half-range trapezoid, exact here once it resolves the degree
+    _check_trig(_trig_poly(n_max), None, n_max, bits, kind)
+
+
 @pytest.mark.parametrize(
     "weight, n_max, bits", [("sin", 19, 256), ("one_plus_cos", 19, 256), ("sin", 255, 512)]
 )
 def test_cospower_transform_on_polynomials(weight, n_max, bits):
+    _check_cospower(weight, _half_circle_panels(bits), n_max, bits)
+
+
+@pytest.mark.parametrize("weight, n_max, bits", [("one_plus_cos", 19, 256), ("one_plus_cos", 255, 512)])
+def test_cospower_transform_trapezoid_on_polynomials(weight, n_max, bits):
+    _check_cospower(weight, None, n_max, bits)
+
+
+def _check_cospower(weight, panels, n_max, bits):
     # f(t) = p(cos t) w(t) with p(x) = sum_k c_k x^k; for even m the Wallis
     # integrals are integral_0^pi cos^m t sin t dt = 2/(m+1) and
     # integral_0^pi cos^m t dt = pi binom(m, m/2) / 2^m, and both vanish for odd m
@@ -128,7 +143,7 @@ def test_cospower_transform_on_polynomials(weight, n_max, bits):
         p = mp.fsum(to_mp(v, mp.mp.prec) * ct**k for k, v in c.items())
         return p * (mp.sin(t) if weight == "sin" else 1 + ct)
 
-    got = cospower_transform(f, _half_circle_panels(bits), n_max, bits)
+    got = cospower_transform(f, panels, n_max, bits)
     assert got[0] is None
     with mp.workprec(bits + 64):
         want = {

@@ -1,0 +1,266 @@
+"""Jump-free tables of known band take the nested trapezoid; tables with
+cuts, and opaque evaluators, keep the panels.
+
+Each routed table is checked against the same table forced onto the
+Gauss-Legendre panel rule, to 2^-(bits-SLACK) relative to max(sup, 1), the
+accuracy the transforms promise.  The aliasing cases have all their
+frequencies at multiples of 32, which nested grids of 16 and 32 nodes both
+see as constants; the fallback case hides a kink at an endpoint, where the
+trapezoid converges only algebraically.  Both must still match the panel
+rule, at a bounded cost.
+"""
+
+from fractions import Fraction
+
+import mpmath as mp
+import pytest
+
+from sdet import identities, quadrature
+from sdet.identities import IdentityKind
+from sdet.symbols import (
+    ArgDoubled,
+    ClosedFormSymbol,
+    CoeffSeq,
+    FHDescriptor,
+    FHProduct,
+    HalvedArg,
+    MomentSymbol,
+    moment_to_halfangle,
+    th_to_moment_symbol,
+)
+
+NMAX = 12
+
+
+def _exp_cos():
+    return FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))
+
+
+def _exp_x2(weight):
+    return MomentSymbol(
+        lambda x: mp.exp((mp.mpf(3) / 5) * x * x - mp.mpf(3) / 10), weight=weight, parity="even"
+    )
+
+
+def _odd_profile(th):
+    return mp.sin(th) * mp.exp(mp.cos(th) / 2)
+
+
+def _odd_closed_form():
+    """i g(theta) with g(theta) = sin(theta) e^{cos(theta)/2}, real and odd."""
+    return ClosedFormSymbol(
+        lambda th: mp.mpc(0, 1) * _odd_profile(th),
+        symmetry="odd",
+        profile=("odd_i", _odd_profile),
+        band=2,
+    )
+
+
+def _poly(weight):
+    return MomentSymbol.from_poly({0: 1, 2: Fraction(-1, 3), 4: Fraction(2, 5)}, weight=weight)
+
+
+def _sqrt_ratio_x2():
+    return MomentSymbol.from_poly({2: 2}, weight="sqrt_ratio")
+
+
+def _exp_cos32():
+    """e^{0.2 cos(32 theta)}: its coefficients are I_{k/32}(0.2) at multiples of 32."""
+    return FHProduct(FHDescriptor({32: 0.1, -32: 0.1}))
+
+
+def _coeffs(make):
+    return lambda bits: make().coeff_table(-NMAX, NMAX, bits)
+
+
+def _moments(make):
+    return lambda bits: make().moment_table(NMAX, bits)
+
+
+# every table is built from a fresh symbol, so no cache carries over
+ROUTED = {
+    "fh_product": _coeffs(_exp_cos),
+    "arg_doubled": _coeffs(lambda: ArgDoubled(_exp_cos())),
+    "halved_arg": _coeffs(
+        lambda: HalvedArg(FHProduct(FHDescriptor({2: 0.1, -2: 0.1, 4: 0.05, -4: 0.05})))
+    ),
+    "closed_form_odd_i": _coeffs(_odd_closed_form),
+    "halfangle_lift": _coeffs(lambda: moment_to_halfangle(_poly("one"))),
+    "pullback_fh": _moments(lambda: th_to_moment_symbol(_exp_cos())),
+    "pullback_coeff_seq": _moments(
+        lambda: th_to_moment_symbol(CoeffSeq({-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}, "even"))
+    ),
+    "poly_sqrt_ratio": _moments(lambda: _poly("sqrt_ratio")),
+}
+
+# tables whose first trapezoid grid must resolve frequency 32, not just 5
+ALIASED = {
+    "fh_cos32_coeffs": lambda bits: _exp_cos32().coeff_table(-5, 5, bits),
+    "fh_cos32_pullback": lambda bits: th_to_moment_symbol(_exp_cos32()).moment_table(5, bits),
+}
+
+# opaque evaluators: nothing bounds their frequency, so they keep the panels
+OPAQUE = {
+    "exp_sqrt_ratio": _moments(lambda: _exp_x2("sqrt_ratio")),
+    "exp_halfangle_lift": _coeffs(lambda: moment_to_halfangle(_exp_x2("one"))),
+    "chebyshev_32_sqrt_ratio": lambda bits: MomentSymbol(
+        lambda x: mp.exp(mp.mpf(0.2) * mp.chebyt(32, x)), weight="sqrt_ratio"
+    ).moment_table(5, bits),
+    "complex_closed_form": lambda bits: ClosedFormSymbol(
+        lambda th: mp.exp(mp.mpf(0.1) * mp.expj(32 * th))
+    ).coeff_table(-5, 5, bits),
+}
+
+
+def _sqrt_ratio_of_kink(t):
+    """sqrt(1 - cos^2 t) (1 + cos t): |sin t|, with its kink at t = 0 and pi."""
+    ct = mp.cos(t)
+    return mp.sqrt(1 - ct * ct) * (1 + ct)
+
+
+def _count(monkeypatch, name):
+    """Record the arguments of every call to quadrature.<name>, and count in
+    evaluations[0] the calls it makes to its integrand."""
+    calls, evaluations = [], [0]
+    real = getattr(quadrature, name)
+
+    def counted(f, *args, **kwargs):
+        def g(t):
+            evaluations[0] += 1
+            return f(t)
+
+        calls.append((f, *args))
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, name, counted)
+    return calls, evaluations
+
+
+def _force_panels(monkeypatch):
+    """Send every trapezoid request to the panel rule on its one panel."""
+    panel = quadrature._panel_quadrature
+
+    def forced(f, full, size, oscillation, growth, bits, *rest, **kwargs):
+        with mp.workprec(bits + quadrature.GUARD):
+            end = 2 * mp.pi if full else +mp.pi
+            panels = [(mp.mpf(0), end)]
+        return panel(f, panels, size, oscillation, growth, bits, *rest, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_trapezoid_quadrature", forced)
+
+
+def _assert_agree(got, want, bits):
+    assert sorted(got) == sorted(want)
+    with mp.workprec(bits + 64):
+        sup = max([abs(v) for v in want.values()] + [mp.mpf(1)])
+        worst = max(abs(got[n] - want[n]) for n in want)
+        assert worst <= mp.mpf(2) ** (-(bits - quadrature.SLACK)) * sup, mp.nstr(worst, 5)
+
+
+def _budget(oscillation, end, bits):
+    """The trapezoid's node budget: the panel rule's first two levels."""
+    order = quadrature._gl_order(bits)
+    with mp.workprec(bits + quadrature.GUARD):
+        tol = mp.mpf(2) ** (-(bits + quadrature.SLACK))
+        return 3 * order * quadrature._start_subpanels(oscillation, end, order, tol)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("case", sorted(ROUTED))
+def test_routed_table_matches_panel_rule(monkeypatch, case, bits):
+    with monkeypatch.context() as m:
+        panel_calls, _ = _count(m, "_panel_quadrature")
+        got = ROUTED[case](bits)
+        assert panel_calls == [], "the table did not take the trapezoid"
+    _force_panels(monkeypatch)
+    _assert_agree(got, ROUTED[case](bits), bits)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("case", sorted(ALIASED))
+def test_first_grid_resolves_the_symbols_band(monkeypatch, case, bits):
+    with monkeypatch.context() as m:
+        trapezoid_calls, _ = _count(m, "_trapezoid_quadrature")
+        got = ALIASED[case](bits)
+        # the oscillation the trapezoid starts from counts the band 32
+        assert [args[3] for args in trapezoid_calls] == [5 + (32 if "coeffs" in case else 33)]
+    with mp.workprec(bits + 64):
+        # c_0 = I_0(0.2), and the pullback's first moment is c_0 + c_1 = c_0
+        i0 = mp.besseli(0, mp.mpf(0.2))
+        first = got[0] if "coeffs" in case else got[1]
+        assert abs(first - i0) <= mp.mpf(2) ** (-(bits - quadrature.SLACK)), mp.nstr(first - i0, 5)
+    _force_panels(monkeypatch)
+    _assert_agree(got, ALIASED[case](bits), bits)
+
+
+@pytest.mark.parametrize("case", sorted(OPAQUE))
+def test_opaque_evaluators_keep_the_panels(monkeypatch, case):
+    trapezoid_calls, _ = _count(monkeypatch, "_trapezoid_quadrature")
+    panel_calls, _ = _count(monkeypatch, "_panel_quadrature")
+    got = OPAQUE[case](128)
+    assert trapezoid_calls == [] and len(panel_calls) == 1
+    if "32" in case or "complex" in case:
+        with mp.workprec(160):
+            first = got[0] if "complex" in case else got[1]
+            # e^{0.1 e^{32 i theta}} has c_0 = 1; e^{0.2 T_32(cos t)} = e^{0.2 cos 32t}
+            want = 1 if "complex" in case else mp.besseli(0, mp.mpf(0.2))
+            assert abs(first - want) <= mp.mpf(2) ** -116, mp.nstr(first - want, 5)
+
+
+def test_endpoint_kink_falls_back_to_panels(monkeypatch):
+    # a caller that declares the kinked |sin t| smooth still gets the panel
+    # rule's value, for at most the trapezoid's budget of extra evaluations
+    bits, n_max = 128, 10
+    with monkeypatch.context() as m:
+        panel_calls, _ = _count(m, "_panel_quadrature")
+        _, trapezoid_evaluations = _count(m, "_trapezoid_quadrature")
+        got = quadrature.cospower_transform(_sqrt_ratio_of_kink, None, n_max, bits)
+        assert len(panel_calls) == 1, "the trapezoid should have given up"
+    with monkeypatch.context() as m:
+        _, panel_evaluations = _count(m, "_panel_quadrature")
+        with mp.workprec(bits + quadrature.GUARD):
+            panels = [(mp.mpf(0), +mp.pi)]
+        want = quadrature.cospower_transform(_sqrt_ratio_of_kink, panels, n_max, bits)
+    _assert_agree(dict(enumerate(got[1:])), dict(enumerate(want[1:])), bits)
+    assert trapezoid_evaluations[0] <= _budget(n_max, float(mp.pi), bits) + panel_evaluations[0]
+
+
+def test_trapezoid_alone_does_not_converge_on_the_kink(monkeypatch):
+    # what the fallback is for: the trapezoid by itself runs out of nodes
+    def no_fallback(*args, **kwargs):
+        raise quadrature.AccuracyError("no fallback")
+
+    monkeypatch.setattr(quadrature, "_panel_quadrature", no_fallback)
+    with pytest.raises(quadrature.AccuracyError):
+        quadrature.cospower_transform(_sqrt_ratio_of_kink, None, 10, 128)
+
+
+def test_acceptance_2_set_keeps_panels_for_skew_and_opaque_tables(monkeypatch):
+    # the moment-backed hp identities at nmax 10 on fresh symbols: the four
+    # Chi-times-lift tables (two moment_skew_square, two pfaffian_link),
+    # whose folded sine integrand is singular at theta = 0, and the two
+    # tables of the lambda-built exp profile (its moments and its half-angle
+    # lift) stay on panels
+    exp_cos = _exp_cos()
+    cos_sym = CoeffSeq({-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}, symmetry="even")
+    image = th_to_moment_symbol
+    panel_calls, _ = _count(monkeypatch, "_panel_quadrature")
+    trig_calls = []
+    real_trig = quadrature.trig_transform
+    monkeypatch.setattr(
+        quadrature, "trig_transform", lambda *a, **k: trig_calls.append(a) or real_trig(*a, **k)
+    )
+    hp = {"mode": "hp", "bits": 256}
+    reports = [
+        identities.verify(IdentityKind.THvsMoment, exp_cos, 10, **hp),
+        identities.verify(IdentityKind.THvsMoment, cos_sym, 10, **hp),
+        identities.verify(IdentityKind.MomentSkewSquare, image(exp_cos), 10, **hp),
+        identities.verify(IdentityKind.MomentSkewSquare, image(cos_sym), 10, **hp),
+        identities.verify(IdentityKind.MomentToToeplitz, _exp_x2("sqrt_ratio"), 10, **hp),
+        identities.verify(IdentityKind.MomentToToeplitz, _sqrt_ratio_x2(), 10, **hp),
+        identities.pfaffian_link(image(exp_cos), 10, bits=256),
+        identities.pfaffian_link(image(cos_sym), 10, bits=256),
+    ]
+    assert all(rep.passed for rep in reports)
+    assert sorted(args[7] for args in panel_calls) == ["moment transform"] + ["trig transform"] * 5
+    assert sum(1 for args in trig_calls if args[4] == "sin" and args[1] is not None) == 4
