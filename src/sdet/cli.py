@@ -7,6 +7,7 @@ Exit codes: 0 all checks passed (or informational), 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -236,6 +237,7 @@ def _cmd_dump(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sdet",

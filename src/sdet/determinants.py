@@ -15,22 +15,26 @@ and det_auto is its one-order case.  The engine follows the entries:
   pivot is the k-th leading minor.
 
 Rational matrices are cleared of denominators row by row and eliminated over
-the integers, so their minors are exact.  Over hp fields every engine keeps
-det_lu's contract: it runs at bits and at 2*bits on the same entries, each
-order's value is the 2*bits result rounded to bits, and digits_guaranteed
-comes from the drift between the two.  An engine breaks down on a zero pivot,
-on an hp pivot (or Levinson ratio) below 2^(-bits/2) times the largest entry,
-or on a drift above 2^(-bits/4); that order and every later one then take the
-reference path, det_bareiss or det_lu on the leading block.
+the integers, so their minors are exact.  The exact Bareiss pass steps over a
+zero pivot with Bareiss's multistep look-ahead (Sylvester's identity, see
+_integer_minors), and an exact skewsymmetric pass that meets a zero Pfaffian
+pivot hands the later orders to that pass, so every exact order comes from
+one pass.  Over hp fields every engine keeps det_lu's contract: it runs at
+bits and at 2*bits on the same entries, each order's value is the 2*bits
+result rounded to bits, and digits_guaranteed comes from the drift between
+the two.  An hp engine breaks down on a pivot (or Levinson ratio) at or below
+2^(-bits/2) times the largest entry, or on a drift above 2^(-bits/4); that
+order and every later one then take the reference path, det_lu on the
+leading block.
 
-det_bareiss is pivoted fraction-free elimination.  det_lu runs
-partial-pivoted elimination at bits and at 2*bits.  It calls the matrix
-singular (value 0, no digits) when a pivot of the 2*bits pass falls below
-2^(-3*bits/2) times the largest entry, a size the bits pass cannot resolve,
-and raises PrecisionError rather than return a silently wrong value when the
-two passes drift apart by more than 2^(-bits/4).  Singularity is never read
-off the size of the determinant itself.  The Pfaffian uses skewsymmetric
-elimination with the convention Pf([[0, m], [-m, 0]]) = m.
+det_bareiss, the exact reference, is pivoted fraction-free elimination.
+det_lu runs partial-pivoted elimination at bits and at 2*bits.  It calls the
+matrix singular (value 0, no digits) when a pivot of the 2*bits pass falls
+below 2^(-3*bits/2) times the largest entry, a size the bits pass cannot
+resolve, and raises PrecisionError rather than return a silently wrong value
+when the two passes drift apart by more than 2^(-bits/4).  Singularity is
+never read off the size of the determinant itself.  The Pfaffian uses
+skewsymmetric elimination with the convention Pf([[0, m], [-m, 0]]) = m.
 """
 
 import math
@@ -75,12 +79,9 @@ def _integer_rows(rows):
     out = []
     scales = []
     for row in rows:
-        fracs = [Fraction(v) for v in row]
-        l = 1
-        for f in fracs:
-            l = l * f.denominator // math.gcd(l, f.denominator)
+        l = math.lcm(*[v.denominator for v in row])
         scales.append(l)
-        out.append([int(f * l) for f in fracs])
+        out.append([v.numerator * (l // v.denominator) for v in row])
     return out, scales
 
 
@@ -224,6 +225,54 @@ def _bareiss_pivots(a, div, tiny):
     return pivots
 
 
+def _integer_minors(a):
+    """Leading minors of orders 1..n of the integer matrix a, in place.
+
+    Bareiss elimination without pivoting, with his multistep look-ahead
+    (Bareiss, Math. Comp. 22, 1968) past a zero pivot.  After k steps with
+    previous pivot prev = det A_k, let C_s be the leading s x s block of the
+    trailing entries (bordered minors of A_k).  By Sylvester's identity
+    det C_s = prev^(s-1) det A_{k+s}, so the step eliminates the trailing
+    block with row pivots from the rows of C_s, admitting one more row and
+    column each time C_s proves singular.  At the first nonsingular C_s,
+    orders k+1..k+s-1 are 0, order k+s is det C_s / prev^(s-1), and the last
+    elimination divides the trailing entries exactly by prev^s, which leaves
+    the entries of a plain Bareiss pass at step k+s.  With s = 1 this is the
+    plain Bareiss step.  If no C_s is nonsingular, every later minor is 0.
+    """
+    n = len(a)
+    minors = []
+    prev = 1
+    k = 0
+    while k < n:
+        t, end, sign, div = k, k + 1, 1, 1
+        while t < end:
+            r = next((r for r in range(t, end) if a[r][t]), None)
+            if r is None:
+                if end == n:
+                    return minors + [0] * (n - k)
+                end += 1
+                continue
+            if r != t:
+                a[r], a[t] = a[t], a[r]
+                sign = -sign
+            p = a[t][t]
+            d = sign * div * prev ** (end - k) if t == end - 1 else div
+            rowt = a[t]
+            for i in range(t + 1, n):
+                rowi = a[i]
+                ait = rowi[t]
+                for j in range(t + 1, n):
+                    rowi[j] = (p * rowi[j] - ait * rowt[j]) // d
+            div = p
+            t += 1
+        minors += [0] * (end - k - 1)
+        prev = sign * div // prev ** (end - k - 1)
+        minors.append(prev)
+        k = end
+    return minors
+
+
 def _skew_pivots(a, div, tiny):
     """Fraction-free skewsymmetric elimination of a in pairs, in place.
 
@@ -283,13 +332,13 @@ def _levinson_ratios(col, row, tiny):
 
 
 def _is_skew(rows, bits):
-    """Skewsymmetric as seen at bits; exactly, over the rationals.
+    """Skewsymmetric as seen at bits.
 
     hp entries may carry guard bits beyond the field's precision, and mp
     negation rounds to the working precision, so both sides are read at bits.
     """
     n = len(rows)
-    with mp.workprec(bits or 53):  # rational signs are exact at any setting
+    with mp.workprec(bits):
         return all(+rows[i][j] == -rows[j][i] for i in range(n) for j in range(i, n))
 
 
@@ -315,18 +364,25 @@ def _one_pass(method, a, div, tiny, zero):
     return out
 
 
-def _exact_minors(rows, method):
-    """Exact leading minors of orders 1..m (m <= len(rows)) of rational rows."""
+def _exact_minors(rows):
+    """Exact leading minors of orders 1..len(rows) of rational rows."""
     a, scales = _integer_rows(rows)
-    power = 1
-    if method == "pfaffian":
+    weights = list(accumulate(scales, mul))
+    n = len(a)
+    found = []
+    # row i of a is row i of the matrix times scales[i]
+    if all(a[i][j] * scales[j] == -a[j][i] * scales[i] for i in range(n) for j in range(i, n)):
         # D A D with D = diag(scales) stays skewsymmetric, and its Pf of
         # order 2k carries the first 2k scales
-        a = [[v * s for v, s in zip(row, scales)] for row in a]
-        power = 2
-    minors = _one_pass(method, a, floordiv, lambda p, prev: p == 0, 0)
-    weights = accumulate(scales, mul)
-    return [DetResult(Fraction(m, w**power), method) for m, w in zip(minors, weights)]
+        dad = [[v * s for v, s in zip(row, scales)] for row in a]
+        minors = _one_pass("pfaffian", dad, floordiv, lambda p, prev: p == 0, 0)
+        found = [DetResult(Fraction(m, w * w), "pfaffian") for m, w in zip(minors, weights)]
+    if len(found) < n:
+        # a zero Pfaffian pivot: the general pass serves the later orders
+        minors = _integer_minors(a)
+        for k in range(len(found), n):
+            found.append(DetResult(Fraction(minors[k], weights[k]), "bareiss"))
+    return found
 
 
 def _hp_minors(rows, method, bits):
@@ -365,41 +421,33 @@ def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list
     """det of the leading n x n block of M for every n in orders, from one pass.
 
     orders may come unsorted and may repeat; the results follow them.  A
-    rational matrix gives exact values and ignores bits; an hp matrix runs at
-    bits (default: its field's) and at 2*bits, as det_lu does.  An order that
-    the engine cannot serve, and every later one, comes from det_bareiss or
-    det_lu on the leading block, so their errors propagate unchanged.
+    rational matrix gives exact values and ignores bits: orders past a zero
+    minor come from look-ahead steps of the same pass.  An hp matrix runs at
+    bits (default: its field's) and at 2*bits, as det_lu does; an order that
+    the engine cannot serve, and every later one, comes from det_lu on the
+    leading block, so its errors propagate unchanged.
     """
     orders = [int(n) for n in orders]
     if any(not 1 <= n <= M.order for n in orders):
         raise ValueError("leading block orders must be in 1..%d" % M.order)
     if not orders:
         return []
-    exact = M.field.is_exact
-    if exact:
-        bits = None
-    else:
-        bits = bits or M.field.bits
-        if bits < 64:
-            raise ValueError("leading_minors needs at least 64 bits")
     top = max(orders)
     rows = [row[:top] for row in M.rows[:top]]
+    if M.field.is_exact:
+        found = _exact_minors(rows)
+        return [found[n - 1] for n in orders]
+    bits = bits or M.field.bits
+    if bits < 64:
+        raise ValueError("leading_minors needs at least 64 bits")
     if _is_skew(rows, bits):
         method = "pfaffian"
-    elif not exact and M.structure == "toeplitz" and _is_toeplitz(rows):
+    elif M.structure == "toeplitz" and _is_toeplitz(rows):
         method = "levinson"
     else:
-        method = "bareiss" if exact else "lu"
-    if exact:
-        found = _exact_minors(rows, method)
-    else:
-        found = _hp_minors(rows, method, bits)
-
-    def reference(n):
-        block = M.leading(n)
-        return det_bareiss(block) if exact else det_lu(block, bits)
-
-    return [found[n - 1] if n <= len(found) else reference(n) for n in orders]
+        method = "lu"
+    found = _hp_minors(rows, method, bits)
+    return [found[n - 1] if n <= len(found) else det_lu(M.leading(n), bits) for n in orders]
 
 
 def det_auto(M: StructuredMatrix, bits: int | None = None) -> DetResult:

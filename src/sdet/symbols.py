@@ -481,7 +481,8 @@ class FHDescriptor:
     number is zero by construction.  |Re beta_r| < 1/2 is required by every
     asymptotic statement built on this data.  A theta_r given as a JumpPoint
     (such as JumpPoint(2, -1.0) = 2pi - 1, the mirror of 1) is kept exact in
-    points; jumps holds every theta_r as a float.
+    points; jumps holds every theta_r as a float.  In JSON such a point is
+    {"pi": p, "offset": x} for p*pi + x, p an integer or a fraction string.
     """
 
     def __init__(self, log_smooth: dict | None = None, jumps=()):
@@ -511,7 +512,9 @@ class FHDescriptor:
             c = complex(self.log_smooth[n])
             log.append([n, c.real, c.imag])
         jumps = []
-        for theta, beta in self.jumps:
+        for (theta, beta), point in zip(self.jumps, self.points):
+            if point.coeff and not point.arc:
+                theta = {"pi": str(point.coeff), "offset": point.offset}
             b = complex(beta)
             jumps.append({"theta": theta, "beta": [b.real, b.imag]})
         return {"kind": "fh", "log_smooth": log, "jumps": jumps}
@@ -1083,7 +1086,14 @@ def descriptor_from_json(obj) -> FHDescriptor:
     for j in obj.get("jumps", []):
         re, im = j["beta"]
         b = _parse_pair(re, im)
-        jumps.append((float(j["theta"]), float(b) if isinstance(b, Fraction) else b))
+        theta = j["theta"]
+        if isinstance(theta, dict):
+            if set(theta) != {"pi", "offset"}:
+                raise ValueError("a jump angle object needs exactly 'pi' and 'offset'")
+            theta = JumpPoint(_parse_value(theta["pi"]), float(theta["offset"]))
+        else:
+            theta = float(theta)
+        jumps.append((theta, float(b) if isinstance(b, Fraction) else b))
     return FHDescriptor(log_smooth, jumps)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from sdet import cli, quadrature
 from sdet.determinants import PrecisionError
+from sdet.symbols import JumpPoint, descriptor_from_json
 
 
 @pytest.fixture
@@ -181,6 +182,55 @@ class TestVerifyCommand:
             ]
         )
         assert code == 2
+
+
+class TestExactJumpAngles:
+    """A jump angle written {"pi": p, "offset": x} is p*pi + x, kept exact."""
+
+    PAIR = {
+        "kind": "fh",
+        "log_smooth": [[1, 0.1, 0], [-1, 0.1, 0]],
+        "jumps": [
+            {"theta": 1.0, "beta": [0, 0.2]},
+            {"theta": {"pi": 2, "offset": -1.0}, "beta": [0, -0.2]},
+        ],
+    }
+
+    def _th_vs_moment(self, write_config, capsys, second):
+        config = json.loads(json.dumps(self.PAIR))
+        config["jumps"][1]["theta"] = second
+        path = write_config("pair.json", config)
+        argv = ["verify", "--identity", "all", "--symbol", path, "--mode", "hp"]
+        cli.run(argv + ["--bits", "128", "--nmax", "5"])
+        lines = capsys.readouterr().out.splitlines()
+        return next(l for l in lines if l.startswith("check identity=th_vs_moment "))
+
+    def test_mirrored_pair_is_exactly_even(self, write_config, capsys):
+        line = self._th_vs_moment(write_config, capsys, {"pi": 2, "offset": -1.0})
+        assert "verdict=pass" in line
+
+    def test_float_mirror_is_not(self, write_config, capsys):
+        line = self._th_vs_moment(write_config, capsys, 5.283185307179586)
+        assert "verdict=fail worst_rel=2.9" in line
+
+    def test_json_round_trip(self):
+        desc = descriptor_from_json(self.PAIR)
+        first, second = desc.points
+        assert (first.coeff, first.offset) == (0, 1.0)
+        assert isinstance(second, JumpPoint)
+        assert (second.coeff, second.offset, second.arc) == (2, -1.0, 0)
+        assert desc.to_json()["jumps"] == [
+            {"theta": 1.0, "beta": [0.0, 0.2]},
+            {"theta": {"pi": "2", "offset": -1.0}, "beta": [0.0, -0.2]},
+        ]
+        assert descriptor_from_json(desc.to_json()).to_json() == desc.to_json()
+
+    def test_malformed_angle_is_usage_error(self, write_config, capsys):
+        config = json.loads(json.dumps(self.PAIR))
+        config["jumps"][1]["theta"] = {"pi": 2}
+        path = write_config("pair.json", config)
+        assert cli.run(["verify", "--identity", "all", "--symbol", path, "--nmax", "3"]) == 2
+        assert "'pi' and 'offset'" in capsys.readouterr().err
 
 
 class TestStudyCommand:

@@ -27,8 +27,7 @@ BITS = 128
 ORDERS = [7, 2, 12, 5, 12, 1]
 
 
-@pytest.fixture
-def reference_calls(monkeypatch):
+def count_reference_calls(monkeypatch):
     """Orders that reached the reference path, by engine name."""
     calls = []
     lu, bareiss = determinants.det_lu, determinants.det_bareiss
@@ -44,6 +43,11 @@ def reference_calls(monkeypatch):
     monkeypatch.setattr(determinants, "det_lu", counted_lu)
     monkeypatch.setattr(determinants, "det_bareiss", counted_bareiss)
     return calls
+
+
+@pytest.fixture
+def reference_calls(monkeypatch):
+    return count_reference_calls(monkeypatch)
 
 
 def assert_matches_lu(M, orders, bits):
@@ -133,8 +137,8 @@ class TestForcedFallback:
             M = StructuredMatrix([[0, 1], [1, 0]], field, "toeplitz")
             values = [r.value for r in leading_minors(M, [2, 1])]
             assert values == [-1, 0]
-        # both orders of both fields took the reference path
-        assert sorted(reference_calls) == [("bareiss", 1), ("bareiss", 2), ("lu", 1), ("lu", 2)]
+        # both hp orders took the reference path; the exact ones never do
+        assert sorted(reference_calls) == [("lu", 1), ("lu", 2)]
 
     def test_zero_minor_in_the_middle(self, reference_calls):
         t = {0: 1, 1: 1, -1: 1, 2: 2, -2: 3}
@@ -142,7 +146,7 @@ class TestForcedFallback:
             got = leading_minors(toeplitz(t, 3, bits=bits), [1, 2, 3])
             assert [r.value for r in got] == [1, 0, -2]
         assert [r.method for r in got] == ["levinson", "lu", "lu"]
-        assert sorted(reference_calls) == [("bareiss", 2), ("bareiss", 3), ("lu", 2), ("lu", 3)]
+        assert sorted(reference_calls) == [("lu", 2), ("lu", 3)]
 
     def test_drift_over_the_bound(self, reference_calls):
         # det T_2 = 2^-30 is above the pivot bar at 64 bits, but the recursion
@@ -158,25 +162,88 @@ class TestForcedFallback:
         assert got[0].value == ref.value and got[0].digits_guaranteed == ref.digits_guaranteed
 
 
+def tail(t, top):
+    """t completed to indices -top..top by 1/(k^2 + 1), a nonzero filler."""
+    return {k: t.get(k, Fraction(1, k * k + 1)) for k in range(-top, top + 1)}
+
+
+def assert_exact_minors(M):
+    """Every leading minor equals det_bareiss on its block; the values."""
+    got = leading_minors(M, range(1, M.order + 1))
+    values = [r.value for r in got]
+    assert values == [det_bareiss(M.leading(k)).value for k in range(1, M.order + 1)]
+    return values
+
+
+class TestExactLookAhead:
+    """Exact orders past a zero leading minor come from Sylvester look-ahead
+    steps on the same pass, never from det_bareiss."""
+
+    def test_zero_at_order_one(self, reference_calls):
+        values = assert_exact_minors(toeplitz(tail({0: 0}, 11), 12))
+        assert values[0] == 0 and all(values[1:])
+        assert reference_calls == []
+
+    def test_zero_at_order_two(self, reference_calls):
+        values = assert_exact_minors(toeplitz(tail({0: 1, 1: 1, -1: 1}, 11), 12))
+        assert values[1] == 0 and values[0] and all(values[2:])
+        assert reference_calls == []
+
+    def test_three_zeros_at_orders_one_to_three(self, reference_calls):
+        # t_0 = t_1 = t_2 = 0: the leading 3 x 3 block is strictly upper
+        # triangular, and det T_4 = -t_3 t_{-1}^3
+        values = assert_exact_minors(toeplitz(tail({0: 0, 1: 0, 2: 0, -1: 1, 3: 2}, 23), 24))
+        assert values[:3] == [0, 0, 0] and values[3] == -2
+        assert all(values[3:])
+        assert reference_calls == []
+
+    def test_three_zeros_at_orders_three_to_five(self, reference_calls):
+        t = {-5: -1, -4: 1, -3: 1, -2: 0, -1: -1, 0: 1, 1: 0, 2: -1, 3: 1, 4: -1, 5: -1}
+        values = assert_exact_minors(toeplitz(tail(t, 23), 24))
+        assert values[:6] == [1, 1, 0, 0, 0, 4]
+        assert all(values[5:])
+        assert reference_calls == []
+
+    @pytest.mark.parametrize("odd", [{1: 0, 2: 1, 3: 2}, {1: 1, 2: 2, 3: 3}])
+    def test_skew_zero_pfaffian_pivot(self, odd, reference_calls):
+        # Pf_2 = a_1 = 0, and Pf_4 = a_1^2 - a_2^2 + a_1 a_3 = 0
+        a = {k: odd.get(k, Fraction(1, k * k + 1)) for k in range(1, 12)}
+        values = assert_exact_minors(toeplitz(ScalarSeq(a, "odd"), 12))
+        zero = 2 if odd[1] == 0 else 4
+        assert [n for n, v in enumerate(values, 1) if v == 0] == sorted([*range(1, 12, 2), zero])
+        assert reference_calls == []
+
+    def test_minors_vanish_from_some_order_on(self, reference_calls):
+        # h_k = 1 + 2^k + 3^k: a Hankel matrix of rank 3
+        values = assert_exact_minors(hankel({k: 1 + 2**k + 3**k for k in range(1, 24)}, 12))
+        assert all(values[:3]) and values[3:] == [0] * 9
+        assert reference_calls == []
+
+
+# zero-rich, so that singular leading blocks of size >= 2 and skewsymmetric
+# matrices with a zero Pfaffian pivot occur
 fractions = st.builds(
-    Fraction, st.integers(-4, 4), st.integers(1, 4)
+    Fraction, st.integers(-2, 2), st.integers(1, 3)
 ) | st.just(Fraction(0))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     family=st.sampled_from(["toeplitz", "skew", "hankel", "t_plus_h"]),
-    n=st.integers(1, 8),
-    coeffs=st.lists(fractions, min_size=17, max_size=17),
+    n=st.integers(1, 12),
+    coeffs=st.lists(fractions, min_size=25, max_size=25),
 )
 def test_exact_minors_equal_bareiss(family, n, coeffs):
     if family == "toeplitz":
-        M = toeplitz({k - 8: v for k, v in enumerate(coeffs)}, n)
+        M = toeplitz({k - 12: v for k, v in enumerate(coeffs)}, n)
     elif family == "skew":
-        M = toeplitz(ScalarSeq({k: v for k, v in enumerate(coeffs[:9]) if k}, "odd"), n)
+        M = toeplitz(ScalarSeq({k: v for k, v in enumerate(coeffs[:13]) if k}, "odd"), n)
     elif family == "hankel":
         M = hankel({k + 1: v for k, v in enumerate(coeffs)}, n)
     else:
         M = toeplitz_plus_hankel(ScalarSeq(dict(enumerate(coeffs)), "even"), n)
-    got = [r.value for r in leading_minors(M, range(1, n + 1))]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_reference_calls(patch)
+        got = [r.value for r in leading_minors(M, range(1, n + 1))]
+    assert calls == []
     assert got == [det_bareiss(M.leading(k)).value for k in range(1, n + 1)]
