@@ -10,7 +10,9 @@ Two engines cover every symbol this package meets:
   at every level (a multiple of 2n looks constant on n nodes and on 2n), so
   the first grid must also resolve f's own frequency, passed as band; an f
   of unknown band belongs on panels.  Past the nodes the panel rule's first
-  two levels would take, or when f raises, it falls back to that rule.
+  two levels would take it goes on only while its levels converge
+  spectrally, so a kink (algebraic convergence) or a raising f falls back
+  to that rule, while a high-band exponential stays on the trapezoid.
 
 Both double their node count until two consecutive estimates agree within
 the target; the panel rule raises AccuracyError (carrying the achieved
@@ -20,13 +22,23 @@ order would need thousands of subpanels, while order ~bits/3 converges
 after a single doubling.
 
 Node values f(t) * weight are evaluated in mpf at wp = bits + GUARD and
-turned once into ints scaled by 2^W; the kernels then run on ints (cos nt,
-sin nt and e^{-int} by the recurrence y_{n+1} = 2 cos t y_n - y_{n-1}, the
-moment powers by one product per index), and each level's sums become mpf
-once.  W = wp + growth + log2(node count) keeps their error below 2^-wp:
-an error made at index k reaches index n at most n - k times larger in the
+turned once into ints scaled by 2^W; the kernels then run on ints, and each
+level's sums become mpf once:
+
+* cos nt, sin nt, U_{n-1}(cos t) = sin nt / sin t and e^{-int} by the
+  recurrence y_{n+1} = 2 cos t y_n - y_{n-1} (trig_transform, circle_coeffs);
+  U_{n-1} is the sine's recurrence started from 0 and 1 instead of 0 and
+  sin t;
+* the moment powers (2 cos t)^(n-1) by one product per index
+  (cospower_transform).
+
+W = wp + growth + log2(node count) keeps their error below 2^-wp: an error
+made at index k reaches index n at most n - k times larger in the
 recurrence (growth 2 log2(index count)) and 2^(n-k) times larger in the
-powers (growth n_max).  The global mpmath context is left untouched.
+powers (growth n_max).  U_{n-1} itself grows to n at t = 0 and pi, but an
+error there grows no faster than in the sine's recurrence (it is an error
+times U_{n-k}), so it takes the same growth.  The global mpmath context is
+left untouched.
 """
 
 import math
@@ -243,6 +255,17 @@ def _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, 
         return _first_agreement(levels(), bits, what)
 
 
+def _spectral(sums) -> bool:
+    """Whether three consecutive levels' sums converge spectrally: the second
+    agreement has at least 1.5 times the bits of the first.  A kink gains a
+    fixed number of bits per doubling, a smooth periodic integrand doubles
+    them, or more."""
+    if len(sums) < 3:
+        return False
+    older, newer = _agreement(sums[1], sums[0]), _agreement(sums[2], sums[1])
+    return newer < older < 1 and mp.log(newer) <= mp.mpf(1.5) * mp.log(older)
+
+
 def _trapezoid_quadrature(f, full, size, oscillation, growth, bits, kernel, what, cplx=False):
     """_panel_quadrature's sums by the trapezoid rule over [0, 2pi) when full,
     else over [0, pi] with the endpoint nodes at weight 1/2.
@@ -250,7 +273,11 @@ def _trapezoid_quadrature(f, full, size, oscillation, growth, bits, kernel, what
     A level of n nodes per 2pi (at first the least power of two >= 16 and
     >= 2 (oscillation + 1)) adds only its new odd nodes to the sums of the
     level before.  Past the nodes the panel rule's first two levels would
-    take, or when f raises, _panel_quadrature redoes the sums on one panel.
+    take, a level is added only while the levels converge spectrally (on a
+    smooth periodic integrand the panel rule needs more nodes than the
+    trapezoid for the same resolution), up to the panel rule's own cap.
+    Otherwise, or when f raises, _panel_quadrature redoes the sums on one
+    panel.
     """
     order = _gl_order(bits)
     wp = bits + GUARD
@@ -265,14 +292,19 @@ def _trapezoid_quadrature(f, full, size, oscillation, growth, bits, kernel, what
 
         def levels(n=n, step=1, cplx=cplx):
             acc = [0] * (2 * size)
+            last = []  # the sums of the last three levels
             # nodes t = 2 pi j / n for j < top; after the first level, only odd j
-            while (top := n if full else n // 2 + 1) <= budget:
+            while (top := n if full else n // 2 + 1) <= order * _MAX_SUBPANELS:
+                if top > budget and not _spectral(last):
+                    return
                 for j in range(step - 1, top, step):
                     t = twopi * j / n
                     fv = f(t) / (2 if not full and 2 * j % n == 0 else 1)
                     cplx = cplx or isinstance(fv, mp.mpc)
                     kernel(t, fv, acc, W)
-                yield [twopi * v for v in _level_sums(acc, W + n.bit_length() - 1, cplx)]
+                sums = [twopi * v for v in _level_sums(acc, W + n.bit_length() - 1, cplx)]
+                last = last[-2:] + [sums]
+                yield sums
                 n, step = 2 * n, 2
 
         try:
@@ -291,26 +323,28 @@ def _quadrature(f, panels, full, size, oscillation, growth, bits, kernel, what, 
 
 
 def trig_transform(f, panels, n_max: int, bits: int, kind: str, band: int = 0):
-    """integral over the panels of f(t) * cos(n t) (or sin) for n = 0..n_max.
+    """integral over the panels of f(t) * cos(n t) (or sin, or U_{n-1}(cos t))
+    for n = 0..n_max.
 
     Returns the raw integrals as a list indexed by n; callers apply their
-    own normalization.  kind is "cos" or "sin".  f is evaluated at interior
-    nodes only, so panel endpoints may be singular or jump points.  panels
-    None means [0, pi] for an f(t) cos nt (or sin nt) that is smooth, even
-    and 2pi-periodic, also evaluated at 0 and pi; band is then f's own
+    own normalization.  kind is "cos", "sin" or "u", the Chebyshev kernel
+    U_{n-1}(cos t) = sin(n t) / sin t (0 at n = 0).  f is evaluated at
+    interior nodes only, so panel endpoints may be singular or jump points.
+    panels None means [0, pi] for an f(t) times the kernel that is smooth,
+    even and 2pi-periodic, also evaluated at 0 and pi; band is then f's own
     frequency (the degree of the trigonometric polynomial that f is, or is
     the exponential of).
     """
-    if kind not in ("cos", "sin"):
-        raise ValueError("kind must be cos or sin")
-    sine = kind == "sin"
+    if kind not in ("cos", "sin", "u"):
+        raise ValueError("kind must be cos, sin or u")
 
     def kernel(t, fv, acc, W):
         ct, st = mp.cos_sin(t)
         c = _fixed(ct, W)
-        first = _fixed(st, W) if sine else c
+        # the value at n = 1: cos t, sin t, or U_0 = 1; sin and U start from 0
+        first = c if kind == "cos" else _fixed(st, W) if kind == "sin" else 1 << W
         for start, v in _parts(fv, W, n_max + 1):
-            _recur(acc, start, n_max + 1, 0 if sine else v, (v * first) >> W, 2 * c, W)
+            _recur(acc, start, n_max + 1, v if kind == "cos" else 0, (v * first) >> W, 2 * c, W)
 
     growth = 2 * (n_max + 1).bit_length()
     osc = n_max + band

@@ -273,17 +273,22 @@ class FourierSymbol:
             raw = quadrature.trig_transform(
                 fn, panels, limit, bits, "cos" if even else "sin", band or 0
             )
-            vals = [v / mp.pi for v in raw]
-            table = {0: vals[0]}
-            for n in range(1, limit + 1):
-                table[n] = vals[n]
-                table[-n] = vals[n] if even else -vals[n]
-            return table
+            return _half_range_table(raw, even)
 
     def to_json(self) -> dict:
         raise NotImplementedError(
             "%s has no JSON form" % (type(self).__name__,)
         )
+
+
+def _half_range_table(raw, even: bool) -> dict:
+    """{n: c_n} for |n| < len(raw) from the raw transform over (0, pi):
+    c_n = raw_n / pi, and c_{-n} = c_n when even, else -c_n."""
+    table = {0: raw[0] / mp.pi}
+    for n in range(1, len(raw)):
+        table[n] = raw[n] / mp.pi
+        table[-n] = table[n] if even else -table[n]
+    return table
 
 
 def _sampled_symmetry(a: FourierSymbol, start: float, partner, near_jump) -> bool:
@@ -557,12 +562,35 @@ class FHProduct(FourierSymbol):
             return "even"
         return None
 
-    def real_profile(self):
-        if self.desc.jumps or not self._log_real_even:
-            return None
+    @property
+    def _jumps_real_even(self) -> bool:
+        """Whether the jumps pair up as (t, beta) and (2pi - t, -beta), mirrored
+        exactly, with every beta imaginary: then their product is real and even."""
 
+        def key(p):  # exact parts: equal only for angles built alike
+            return (p.coeff, p.offset, p.arc, p.x)
+
+        betas = [complex(b) for _, b in self.desc.jumps]
+        by_point = {key(p): b for p, b in zip(self.desc.points, betas)}
+        return all(
+            b.real == 0 and by_point.get(key(p.scaled(-1, extra_pi=2))) == -b
+            for p, b in zip(self.desc.points, betas)
+        )
+
+    def real_profile(self):
+        if not (self._log_real_even and self._jumps_real_even):
+            return None
         log = self.desc.log_smooth
-        return ("even", lambda th: mp.exp(_trig_series(_mp_values(self._mp, log), th, mp.cos)))
+        # a jump factor e^{i beta (r - pi)} with beta = i g is e^{-g (r - pi)}
+        jumps = [(p, mp.mpf(complex(b).imag)) for p, (_, b) in zip(self.desc.points, self.desc.jumps)]
+
+        def profile(th):
+            tot = _trig_series(_mp_values(self._mp, log), th, mp.cos)
+            for p, g in jumps:
+                tot -= g * (_reduce_mod_2pi(th - p.to_mpf()) - mp.pi)
+            return mp.exp(tot)
+
+        return ("even", profile)
 
     def band(self):
         return max((abs(n) for n in self.desc.log_smooth), default=0)
@@ -851,6 +879,12 @@ class MomentSymbol:
         with mp.workprec(wp):
             return _panels([j.to_mpf() for j in self.cuts], mp.pi, wp)
 
+    def _periodic(self) -> bool:
+        """Whether the moment integrand is smooth, even and periodic, one
+        frequency above the smooth factor: an uncut sqrt_ratio symbol of
+        known band."""
+        return self.band is not None and not self.cuts and self.weight == "sqrt_ratio"
+
     def _integrand(self):
         # After x = cos(theta) the moment integrand carries a sin(theta)
         # Jacobian; sqrt_ratio * sin == 1 + cos removes the x=1 singularity.
@@ -864,9 +898,7 @@ class MomentSymbol:
 
     def _compute_moments(self, n_max: int, bits: int) -> dict:
         wp = bits + quadrature.GUARD
-        # uncut sqrt_ratio of known band: smooth(cos t) (1 + cos t) is smooth,
-        # even and periodic, one frequency above the smooth factor
-        smooth = self.band is not None and not self.cuts and self.weight == "sqrt_ratio"
+        smooth = self._periodic()
         panels = None if smooth else self.theta_panels(wp)
         with mp.workprec(wp):
             band = self.band + 1 if smooth else 0
@@ -994,9 +1026,37 @@ def _lift(b: MomentSymbol, scale, value, band=None) -> ClosedFormSymbol:
     )
 
 
+class _MomentSkew(SymbolProduct):
+    """Chi times the lift of a real moment symbol b whose moment integrand is
+    periodic, with b's own table kernel instead of the panels.
+
+    For weight sqrt_ratio, b(cos t) sin(nt) = m(t) U_{n-1}(cos t), where
+    m(t) = smooth(cos t) (1 + cos t) is b's moment integrand: smooth, even
+    and periodic of band b.band + 1, so the nested trapezoid converges on it
+    spectrally and never meets the weight's 1/sin t, infinite at t = 0.  The
+    plain product evaluates b(cos t) itself, and Chi has no band, so it runs
+    on panels.  c_n never comes from b's moments.
+    """
+
+    def __init__(self, b: MomentSymbol, lift: FourierSymbol):
+        super().__init__((Chi(), lift))
+        self._moment = b
+
+    def _compute_coeffs(self, limit: int, bits: int) -> dict:
+        b = self._moment
+        with mp.workprec(bits + quadrature.GUARD):
+            raw = quadrature.trig_transform(b._integrand(), None, limit, bits, "u", b.band + 1)
+            return _half_range_table(raw, False)
+
+
 def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
     """The odd symbol c(e^{i theta}) = i sign(theta) b(cos theta), with
-    c_n = (1/pi) integral_0^pi b(cos t) sin(nt) dt."""
+    c_n = (1/pi) integral_0^pi b(cos t) sin(nt) dt.
+
+    A real b with a periodic moment integrand takes its table from that
+    integrand against U_{n-1}(cos t) on the nested trapezoid; every other b
+    takes the panels.
+    """
 
     def half(theta):
         # b(cos theta) with theta folded into (0, pi), weight folded in analytically
@@ -1006,7 +1066,10 @@ def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
             return b.smooth_theta(theta) * (1 + mp.cos(theta)) / mp.sin(theta)
         return b.smooth_theta(theta)
 
-    return multiply_by_chi(_lift(b, 1, half))
+    lift = _lift(b, 1, half)
+    if b.real and b._periodic():
+        return _MomentSkew(b, lift)
+    return multiply_by_chi(lift)
 
 
 def _halfangle(b0: MomentSymbol) -> FourierSymbol:

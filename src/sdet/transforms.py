@@ -6,7 +6,7 @@ finite support read as zero.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 
 class ScalarSeq:
@@ -89,16 +89,24 @@ def _as_seq(a, symmetry: str) -> ScalarSeq:
 
 
 def a_to_b(a, n_max: int) -> ScalarSeq:
-    """b_n = sum_{k=0}^{n-1} C(n-1,k) (a_{1-n+2k} + a_{2-n+2k}), n >= 1."""
+    """b_n = sum_{k=0}^{n-1} C(n-1,k) (a_{1-n+2k} + a_{2-n+2k}), n >= 1.
+
+    Rational entries are summed as integer numerators over one common
+    denominator, one Fraction per b_n.
+    """
     a = _as_seq(a, "even")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    # s[i + n_max - 1] = a_i + a_{i+1} for 1 - n_max <= i < n_max
+    s = [a[i] + a[i + 1] for i in range(1 - n_max, n_max)]
+    den = 1
+    if all(isinstance(v, (int, Fraction)) for v in s):
+        den = lcm(*(Fraction(v).denominator for v in s))
+        s = [int(v * den) for v in s]
     out = {}
     for n in range(1, n_max + 1):
-        total = 0
-        for k in range(n):
-            total += comb(n - 1, k) * (a[1 - n + 2 * k] + a[2 - n + 2 * k])
-        out[n] = total
+        total = sum(comb(n - 1, k) * s[n_max - n + 2 * k] for k in range(n))
+        out[n] = Fraction(total, den) if den > 1 else total
     return ScalarSeq(out, "one_sided")
 
 

@@ -1,10 +1,12 @@
 import json
 
+import mpmath as mp
 import pytest
 
-from sdet import cli, quadrature
+from sdet import cli, identities, quadrature
 from sdet.determinants import PrecisionError
-from sdet.symbols import JumpPoint, descriptor_from_json
+from sdet.identities import IdentityKind
+from sdet.symbols import FHProduct, JumpPoint, descriptor_from_json, th_to_moment_symbol
 
 
 @pytest.fixture
@@ -212,6 +214,27 @@ class TestExactJumpAngles:
     def test_float_mirror_is_not(self, write_config, capsys):
         line = self._th_vs_moment(write_config, capsys, 5.283185307179586)
         assert "verdict=fail worst_rel=2.9" in line
+
+    def test_mirrored_pair_has_a_real_even_profile(self):
+        # the pair's jumps are (1, 0.2i) and (2pi - 1, -0.2i): real and even
+        a = FHProduct(descriptor_from_json(self.PAIR))
+        kind, profile = a.real_profile()
+        assert kind == "even"
+        with mp.workprec(160):
+            for t in (0.3, 1.7, 2.9, 4.0):
+                v = a.eval_at(mp.mpf(t))
+                assert abs(v.imag) + abs(v.real - profile(mp.mpf(t))) < mp.mpf(2) ** -150
+        moments = th_to_moment_symbol(a).moment_table(5, 128)
+        assert all(isinstance(v, mp.mpf) for v in moments.values())
+        assert identities.verify(IdentityKind.THvsMoment, a, 5, mode="hp", bits=128).passed
+
+    @pytest.mark.parametrize("second", [5.283185307179586, {"pi": 2, "offset": -1.0}])
+    def test_pairs_that_are_not_real_and_even_stay_complex(self, second):
+        config = json.loads(json.dumps(self.PAIR))
+        config["jumps"][1]["theta"] = second
+        if isinstance(second, dict):
+            config["jumps"][1]["beta"] = [0.1, -0.2]  # beta' = -beta fails
+        assert FHProduct(descriptor_from_json(config)).real_profile() is None
 
     def test_json_round_trip(self):
         desc = descriptor_from_json(self.PAIR)

@@ -88,10 +88,12 @@ def _series(a, basis):
 
 
 def _check_trig(a, panels, n_max, bits, kind):
-    # integral_0^pi (sum_k a_k trig(kt)) trig(nt) dt = pi a_n / 2 (pi a_0 for cos at n = 0)
-    if kind == "sin":
+    # integral_0^pi (sum_k a_k trig(kt)) trig(nt) dt = pi a_n / 2 (pi a_0 for cos at n = 0);
+    # kind u integrates (sum_k a_k sin(kt)) sin t against U_{n-1}(cos t) = sin(nt) / sin t
+    if kind != "cos":
         a.pop(0, None)
-    f = _series(a, mp.cos if kind == "cos" else mp.sin)
+    series = _series(a, mp.cos if kind == "cos" else mp.sin)
+    f = (lambda t: series(t) * mp.sin(t)) if kind == "u" else series
     got = trig_transform(f, panels, n_max, bits, kind)
     with mp.workprec(bits + 64):
         want = {n: mp.pi * a.get(n, 0) / (1 if n == 0 else 2) for n in range(n_max + 1)}
@@ -99,13 +101,15 @@ def _check_trig(a, panels, n_max, bits, kind):
 
 
 @pytest.mark.parametrize(
-    "kind, n_max, bits", [("cos", 19, 256), ("sin", 19, 256), ("cos", 255, 512)]
+    "kind, n_max, bits", [("cos", 19, 256), ("sin", 19, 256), ("u", 19, 256), ("cos", 255, 512)]
 )
 def test_trig_transform_on_trig_polynomials(kind, n_max, bits):
     _check_trig(_trig_poly(n_max), _half_circle_panels(bits), n_max, bits, kind)
 
 
-@pytest.mark.parametrize("kind, n_max, bits", [("cos", 19, 256), ("sin", 19, 256), ("cos", 255, 512)])
+@pytest.mark.parametrize(
+    "kind, n_max, bits", [("cos", 19, 256), ("sin", 19, 256), ("u", 19, 256), ("cos", 255, 512)]
+)
 def test_trig_transform_trapezoid_on_trig_polynomials(kind, n_max, bits):
     # panels None: the half-range trapezoid, exact here once it resolves the degree
     _check_trig(_trig_poly(n_max), None, n_max, bits, kind)
@@ -182,7 +186,7 @@ coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
 @settings(max_examples=25, deadline=None)
 @given(
-    kind=st.sampled_from(["cos", "sin"]),
+    kind=st.sampled_from(["cos", "sin", "u"]),
     a=st.dictionaries(st.integers(0, 12), coefficients, min_size=1, max_size=5),
     n_max=st.integers(1, 16),
     cut=st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=16),

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from math import comb
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdet.transforms import (
     ScalarSeq,
@@ -76,6 +80,43 @@ class TestAToB:
         bx, by, bm = a_to_b(x, 6), a_to_b(y, 6), a_to_b(mix, 6)
         for n in range(1, 7):
             assert bm[n] == 3 * bx[n] - 2 * by[n]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.dictionaries(
+            st.integers(0, 10),
+            st.integers(-9, 9) | st.fractions(min_value=-5, max_value=5, max_denominator=24),
+            max_size=6,
+        ),
+        n_max=st.integers(1, 14),
+    )
+    def test_common_denominator_matches_per_term_fraction_sum(self, entries, n_max):
+        a = ScalarSeq(entries, "even")
+        want = [
+            sum(
+                (comb(n - 1, k) * (Fraction(a[1 - n + 2 * k]) + Fraction(a[2 - n + 2 * k]))
+                 for k in range(n)),
+                Fraction(0),
+            )
+            for n in range(1, n_max + 1)
+        ]
+        got = a_to_b(a, n_max).values(n_max)
+        assert got == want
+        assert all(isinstance(v, (int, Fraction)) for v in got)
+
+    def test_hp_input_keeps_its_arithmetic(self):
+        # the same roundings as the per-term sum, in the caller's precision
+        with mp.workprec(200):
+            a = ScalarSeq({0: mp.mpf(1) / 3, 1: Fraction(1, 7), 3: mp.mpf(2) / 9}, "even")
+            got = a_to_b(a, 6).values(6)
+            want = []
+            for n in range(1, 7):
+                total = 0
+                for k in range(n):
+                    total += comb(n - 1, k) * (a[1 - n + 2 * k] + a[2 - n + 2 * k])
+                want.append(total)
+        assert all(isinstance(v, mp.mpf) for v in got)
+        assert got == want
 
 
 class TestAToC:

@@ -7,7 +7,9 @@ accuracy the transforms promise.  The aliasing cases have all their
 frequencies at multiples of 32, which nested grids of 16 and 32 nodes both
 see as constants; the fallback case hides a kink at an endpoint, where the
 trapezoid converges only algebraically.  Both must still match the panel
-rule, at a bounded cost.
+rule, at a bounded cost.  The skew tables of uncut real sqrt_ratio moment
+symbols take the U_{n-1}(cos t) kernel on the trapezoid and are checked
+against the Chi-times-lift product on the panels.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from sdet import identities, quadrature
+from sdet import identities, quadrature, transforms
 from sdet.identities import IdentityKind
 from sdet.symbols import (
     ArgDoubled,
@@ -25,7 +27,9 @@ from sdet.symbols import (
     FHProduct,
     HalvedArg,
     MomentSymbol,
+    SymbolProduct,
     moment_to_halfangle,
+    moment_to_skew_symbol,
     th_to_moment_symbol,
 )
 
@@ -109,6 +113,26 @@ OPAQUE = {
     "complex_closed_form": lambda bits: ClosedFormSymbol(
         lambda th: mp.exp(mp.mpf(0.1) * mp.expj(32 * th))
     ).coeff_table(-5, 5, bits),
+}
+
+
+def _cos_sym():
+    return CoeffSeq({-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}, symmetry="even")
+
+
+# uncut real sqrt_ratio symbols of known band: their skew tables take the U kernel
+SKEW_ROUTED = {
+    "image_exp_cos": lambda: th_to_moment_symbol(_exp_cos()),
+    "image_cos_sym": lambda: th_to_moment_symbol(_cos_sym()),
+    "poly_sqrt_ratio": lambda: _poly("sqrt_ratio"),
+}
+
+# their skew tables keep the panels
+SKEW_PANELS = {
+    "weight_one": lambda: _poly("one"),
+    "cut": lambda: MomentSymbol.from_poly({0: 1, 2: Fraction(1, 2)}, "sqrt_ratio", jumps=(0.25,)),
+    "lambda": lambda: _exp_x2("sqrt_ratio"),
+    "complex": lambda: MomentSymbol.from_poly({0: 1, 2: complex(0, 0.5)}, "sqrt_ratio"),
 }
 
 
@@ -235,14 +259,14 @@ def test_trapezoid_alone_does_not_converge_on_the_kink(monkeypatch):
         quadrature.cospower_transform(_sqrt_ratio_of_kink, None, 10, 128)
 
 
-def test_acceptance_2_set_keeps_panels_for_skew_and_opaque_tables(monkeypatch):
-    # the moment-backed hp identities at nmax 10 on fresh symbols: the four
-    # Chi-times-lift tables (two moment_skew_square, two pfaffian_link),
-    # whose folded sine integrand is singular at theta = 0, and the two
-    # tables of the lambda-built exp profile (its moments and its half-angle
-    # lift) stay on panels
+def test_acceptance_2_set_keeps_panels_only_for_the_exp_profile(monkeypatch):
+    # the moment-backed hp identities at nmax 10 on fresh symbols: only the
+    # two tables of the lambda-built exp profile (its moments and its
+    # half-angle lift) stay on panels; the four skew tables (two
+    # moment_skew_square, two pfaffian_link) take the U kernel on the
+    # trapezoid, from their moment symbols' own integrands
     exp_cos = _exp_cos()
-    cos_sym = CoeffSeq({-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}, symmetry="even")
+    cos_sym = _cos_sym()
     image = th_to_moment_symbol
     panel_calls, _ = _count(monkeypatch, "_panel_quadrature")
     trig_calls = []
@@ -262,5 +286,69 @@ def test_acceptance_2_set_keeps_panels_for_skew_and_opaque_tables(monkeypatch):
         identities.pfaffian_link(image(cos_sym), 10, bits=256),
     ]
     assert all(rep.passed for rep in reports)
-    assert sorted(args[7] for args in panel_calls) == ["moment transform"] + ["trig transform"] * 5
-    assert sum(1 for args in trig_calls if args[4] == "sin" and args[1] is not None) == 4
+    assert sorted(args[7] for args in panel_calls) == ["moment transform", "trig transform"]
+    assert [args[4] for args in trig_calls if args[1] is not None] == ["cos"]
+    assert [args[4] for args in trig_calls if args[4] == "u" and args[1] is None] == ["u"] * 4
+
+
+def test_high_band_exponential_stays_on_the_trapezoid(monkeypatch):
+    # e^{0.2 cos 32t} needs 2,048 nodes per 2pi at 128 bits, past the panel
+    # rule's first two levels; its levels converge spectrally, so the
+    # trapezoid goes on instead of handing the table to the panels
+    panel_calls, _ = _count(monkeypatch, "_panel_quadrature")
+    _, evaluations = _count(monkeypatch, "_trapezoid_quadrature")
+    got = _exp_cos32().coeff_table(-5, 5, 128)
+    assert panel_calls == []
+    assert _budget(37, float(mp.pi), 128) < evaluations[0] == 2048 // 2 + 1
+    with mp.workprec(192):
+        i0 = mp.besseli(0, mp.mpf(0.2))
+        assert abs(got[0] - i0) <= mp.mpf(2) ** -116, mp.nstr(got[0] - i0, 5)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a skew table must come from its symbol's own integrand")
+
+
+@pytest.mark.parametrize("bits, n_max", [(256, 19), (512, 63)])
+@pytest.mark.parametrize("case", sorted(SKEW_ROUTED))
+def test_skew_table_takes_the_u_kernel(monkeypatch, case, bits, n_max):
+    skew = moment_to_skew_symbol(SKEW_ROUTED[case]())
+    with monkeypatch.context() as m:
+        panel_calls, _ = _count(m, "_panel_quadrature")
+        m.setattr(quadrature, "cospower_transform", _forbidden)
+        m.setattr(MomentSymbol, "moment_table", _forbidden)
+        m.setattr(transforms, "c_to_b", _forbidden)
+        m.setattr(transforms, "a_to_b", _forbidden)
+        got = skew.coeff_table(-n_max, n_max, bits)
+        assert panel_calls == []
+    assert got[0] == 0 and all(got[-n] + got[n] == 0 for n in range(1, n_max + 1))
+    # today's route: the same Chi times lift product, on the panels
+    _assert_agree(got, SymbolProduct(skew.factors).coeff_table(-n_max, n_max, bits), bits)
+
+
+@pytest.mark.parametrize("case", sorted(SKEW_PANELS))
+def test_other_skew_tables_keep_the_panels(monkeypatch, case):
+    trapezoid_calls, _ = _count(monkeypatch, "_trapezoid_quadrature")
+    panel_calls, _ = _count(monkeypatch, "_panel_quadrature")
+    skew = moment_to_skew_symbol(SKEW_PANELS[case]())
+    skew.coeff_table(-5, 5, 128)
+    assert trapezoid_calls == [] and len(panel_calls) == 1
+
+
+def test_u_kernel_shifted_to_u_n_fails_moment_skew_square(monkeypatch):
+    # U_n(cos t) in place of U_{n-1}(cos t) for n >= 1, c_0 = 0 kept
+    def check():
+        b = _poly("sqrt_ratio")
+        return identities.verify(IdentityKind.MomentSkewSquare, b, 6, mode="hp", bits=128)
+
+    assert check().passed
+    real = quadrature.trig_transform
+
+    def shifted(f, panels, n_max, bits, kind, band=0):
+        if kind != "u":
+            return real(f, panels, n_max, bits, kind, band)
+        raw = real(f, panels, n_max + 1, bits, kind, band)
+        return raw[:1] + raw[2:]
+
+    monkeypatch.setattr(quadrature, "trig_transform", shifted)
+    assert not check().passed
