@@ -11,8 +11,28 @@ and det_auto is its one-order case.  The engine follows the entries:
   O(N^2) (Trench, J. SIAM 12, 1964; Bareiss, Numer. Math. 13, 1969).  It
   reads the first row and column, and its k-th step ratio is
   det T_k / det T_{k-1};
-- anything else: one fraction-free Bareiss pass without pivoting, whose k-th
-  pivot is the k-th leading minor.
+- anything else: one elimination pass without pivoting, fraction-free over
+  exact and complex fields, whose k-th pivot is the k-th leading minor.
+
+A real hp matrix runs these engines on Python ints, as quadrature's kernels
+do: a vector or row is held as ints x with value x / 2^s, its largest entry
+within GUARD/2 bits of W = prec + GUARD bits, and it is shifted back when it
+drifts further.  Levinson-Trench holds the entries at one scale and f and b
+at another.  Elimination scales each column once by the power of two that
+brings its largest entry to [1/2, 1), then holds each row at its own scale.
+The skew engine holds D A D, which stays skewsymmetric, with
+D = diag(2^-e_i) and e_i the exponent of row i's largest entry; its upper
+triangle is held at per-row scales.  Products are shifted down with floor
+rounding, so an update errs by at most a unit in its row's last place: a
+normwise error, as Levinson's own error is (Cybenko, SIAM J. Sci. Stat.
+Comput. 1, 1980), which the bits/2*bits drift sees like any rounding.  The
+multipliers of the two eliminations are quotients at W bits; Levinson's
+eps, g and d stay mpf at prec.  These engines return the ratios of
+consecutive minors (of Pfaffians, for skew), and the minors are their
+running products at prec + GUARD, each rounded once to prec.  A matrix with
+any mpc entry keeps the mpf engines: complex ints would double every vector
+for a path that no study runs at size, and the mpf engines stay the
+reference that the kernels are tested against.
 
 Rational matrices are cleared of denominators row by row and eliminated over
 the integers, so their minors are exact.  The exact Bareiss pass steps over a
@@ -22,10 +42,10 @@ pivot hands the later orders to that pass, so every exact order comes from
 one pass.  Over hp fields every engine keeps det_lu's contract: it runs at
 bits and at 2*bits on the same entries, each order's value is the 2*bits
 result rounded to bits, and digits_guaranteed comes from the drift between
-the two.  An hp engine breaks down on a pivot (or Levinson ratio) at or below
-2^(-bits/2) times the largest entry, or on a drift above 2^(-bits/4); that
-order and every later one then take the reference path, det_lu on the
-leading block.
+the two.  An hp engine breaks down on a pivot ratio (of consecutive minors
+or Pfaffians) at or below 2^(-bits/2) times the largest entry, or on a drift
+above 2^(-bits/4); that order and every later one then take the reference
+path, det_lu on the leading block.
 
 det_bareiss, the exact reference, is pivoted fraction-free elimination.
 det_lu runs partial-pivoted elimination at bits and at 2*bits.  It calls the
@@ -43,6 +63,7 @@ from itertools import accumulate
 from operator import floordiv, mul, truediv
 
 import mpmath as mp
+from mpmath.libmp import from_int, from_man_exp, mpf_div, to_fixed
 
 from .matrices import StructuredMatrix
 from .scalars import to_mp
@@ -331,6 +352,142 @@ def _levinson_ratios(col, row, tiny):
     return ratios
 
 
+# Fixed-point kernels for real hp matrices (see the module docstring)
+
+GUARD = 32
+
+
+def _exponent(x):
+    """e with 2^(e-1) <= |x| < 2^e for an mpf x; None for 0."""
+    _, man, exp, bc = x._mpf_
+    return exp + bc if man else None
+
+
+def _top(values):
+    """Largest _exponent among values, or 0 when all are zero."""
+    return max((e for e in map(_exponent, values) if e is not None), default=0)
+
+
+def _mpf(man, exp, prec):
+    """man * 2^exp rounded to prec bits."""
+    return mp.make_mpf(from_man_exp(man, exp, prec, "n"))
+
+
+def _quotient(num, den, prec):
+    """num / den for ints, rounded to prec bits, as a raw mpf tuple."""
+    return mpf_div(from_int(num), from_int(den), prec, "n")
+
+
+def _mantissas(coeffs, shift):
+    """Ints m and sh >= 0 with c * 2^shift = m / 2^sh exactly, for raw mpf
+    tuples c."""
+    parts = [(-m if s else m, e + shift) for s, m, e, _ in coeffs]
+    sh = max(0, -min(e for _, e in parts))
+    return [m << (e + sh) for m, e in parts], sh
+
+
+def _renorm(vecs, scale, width):
+    """Shift int vectors together so their largest entry has ~width bits;
+    (vectors, new scale).  Shifts of at most GUARD/2 bits are skipped."""
+    top = max((max(max(v), -min(v)) for v in vecs if v), default=0).bit_length()
+    sh = top - width
+    if not top or abs(sh) <= GUARD // 2:
+        return vecs, scale
+    if sh > 0:
+        return [[x >> sh for x in v] for v in vecs], scale - sh
+    return [[x << -sh for x in v] for v in vecs], scale - sh
+
+
+def _fixed_levinson(data, prec, tiny):
+    """_levinson_ratios on ints: the entries share one scale, and f and b
+    share another, which follows them as they grow or shrink."""
+    col, row = data
+    eps = col[0]
+    if tiny(eps, 1):
+        return []
+    W = prec + GUARD
+    E = W - _top(col + row)
+    tc = [to_fixed(v._mpf_, E) for v in col]
+    tr = [to_fixed(v._mpf_, E) for v in row]
+    ratios = [eps]
+    f, b, S = [1 << W], [1 << W], W
+    for k in range(1, len(col)):
+        gamma = _mpf(sum(map(mul, tc[k:0:-1], f)), -(E + S), prec)
+        delta = _mpf(sum(map(mul, tr[1 : k + 1], b)), -(E + S), prec)
+        g = gamma / eps
+        (gi, di), sh = _mantissas((g._mpf_, (delta / eps)._mpf_), 0)
+        f, b = (
+            [x - ((gi * y) >> sh) for x, y in zip(f + [0], [0] + b)],
+            [y - ((di * x) >> sh) for x, y in zip(f + [0], [0] + b)],
+        )
+        eps -= g * delta
+        if tiny(eps, 1):
+            break
+        ratios.append(eps)
+        (f, b), S = _renorm((f, b), S, W)
+    return ratios
+
+
+def _fixed_row(values, shifts, W):
+    """values[j] * 2^shifts[j] as ints whose largest has W bits: (ints, scale)."""
+    top = max((e + t for e, t in zip(map(_exponent, values), shifts) if e is not None), default=0)
+    s = W - top
+    return [to_fixed(v._mpf_, s + t) for v, t in zip(values, shifts)], s
+
+
+def _fixed_elimination(a, prec, tiny):
+    """Pivot ratios det A_k / det A_(k-1) of elimination without pivoting,
+    on ints with per-row scales, after scaling column j by 2^c_j so that its
+    largest entry lies in [1/2, 1).  Stops before the first tiny ratio."""
+    n = len(a)
+    W = prec + GUARD
+    c = [-_top(col) for col in zip(*a)]
+    held, s = map(list, zip(*(_fixed_row(r, c, W) for r in a)))
+    ratios = []
+    for k in range(n):
+        rowk = held[k]
+        ratio = _mpf(rowk[0], -(s[k] + c[k]), W)
+        if tiny(ratio, 1):
+            break
+        ratios.append(ratio)
+        tail = rowk[1:]
+        for i in range(k + 1, n):
+            # the scales of rows i and k cancel in the multiplier
+            (q,), sh = _mantissas((_quotient(held[i][0], rowk[0], W),), 0)
+            row = [x - ((q * y) >> sh) for x, y in zip(held[i][1:], tail)]
+            (held[i],), s[i] = _renorm((row,), s[i], W)
+    return ratios
+
+
+def _fixed_skew(a, prec, tiny):
+    """Pfaffian ratios Pf A_2(k+1) / Pf A_2k of skewsymmetric elimination in
+    pairs, on ints: D A D with D = diag(2^d_i), d_i minus the exponent of
+    row i's largest entry, stays skewsymmetric, and its upper triangle is
+    held with per-row scales.  Stops before the first tiny ratio."""
+    n = len(a)
+    W = prec + GUARD
+    d = [-_top(r) for r in a]
+    # held[i] holds columns i+1..n-1 of row i
+    upper = (_fixed_row(r[i + 1 :], [d[i] + t for t in d[i + 1 :]], W) for i, r in enumerate(a))
+    held, s = map(list, zip(*upper))
+    ratios = []
+    for k in range(0, n - 1, 2):
+        rowk, rowk1 = held[k], held[k + 1]
+        ratio = _mpf(rowk[0], -(s[k] + d[k] + d[k + 1]), W)
+        if tiny(ratio, 1):
+            break
+        ratios.append(ratio)
+        for i in range(k + 2, n):
+            # a_ij += (a_(k+1)i a_kj - a_ki a_(k+1)j) / a_k(k+1), j > i
+            u = _quotient(rowk1[i - k - 2], rowk[0], W)
+            v = _quotient(rowk[i - k - 1], rowk[0], W)
+            (u, v), sh = _mantissas((u, v), s[i] - s[k + 1])
+            terms = zip(held[i], rowk[i - k :], rowk1[i - k - 1 :])
+            row = [x + ((u * y - v * z) >> sh) for x, y, z in terms]
+            (held[i],), s[i] = _renorm((row,), s[i], W)
+    return ratios
+
+
 def _is_skew(rows, bits):
     """Skewsymmetric as seen at bits.
 
@@ -356,12 +513,33 @@ def _one_pass(method, a, div, tiny, zero):
         return list(accumulate(_levinson_ratios(*a, tiny), mul))
     if method != "pfaffian":
         return _bareiss_pivots(a, div, tiny)
+    return _skew_minors(_skew_pivots(a, div, tiny), len(a), zero)
+
+
+def _skew_minors(pfs, n, zero):
+    """Minors of orders 1..m of a skewsymmetric matrix from Pf of its leading
+    even blocks: zero for odd orders, Pf^2 for even ones."""
     out = []
-    for pf in _skew_pivots(a, div, tiny):
+    for pf in pfs:
         out += [zero, pf * pf]
-    if len(out) < len(a):
+    if len(out) < n:
         out.append(zero)  # the next order is odd
     return out
+
+
+_FIXED = {"levinson": _fixed_levinson, "lu": _fixed_elimination, "pfaffian": _fixed_skew}
+
+
+def _fixed_pass(method, data, prec, tiny):
+    """_one_pass of a real hp matrix on the fixed-point kernels: their ratios
+    multiply up to the minors (for pfaffian to Pf) with GUARD bits to spare,
+    and each minor is rounded to prec once."""
+    ratios = _FIXED[method](data, prec, tiny)
+    with mp.workprec(prec + GUARD):
+        minors = list(accumulate(ratios, mul))
+        if method == "pfaffian":
+            minors = _skew_minors(minors, len(data), mp.mpf(0))
+    return [+m for m in minors]
 
 
 def _exact_minors(rows):
@@ -399,11 +577,15 @@ def _hp_minors(rows, method, bits):
                 entries = [v for r in data for v in r]
             if bar is None:
                 bar = mp.mpf(2) ** (-(bits // 2)) * max(abs(v) for v in entries)
+                real = all(isinstance(v, mp.mpf) for v in entries)
 
             def tiny(p, prev):
                 return abs(p) <= bar * abs(prev)
 
-            minors = _one_pass(method, data, truediv, tiny, mp.mpf(0))
+            if real:
+                minors = _fixed_pass(method, data, prec, tiny)
+            else:
+                minors = _one_pass(method, data, truediv, tiny, mp.mpf(0))
         passes.append(minors)
         if not minors:
             return []

@@ -2,6 +2,7 @@
 leading block), engine by engine, plus its forced fallbacks."""
 
 from fractions import Fraction
+from operator import truediv
 
 import mpmath as mp
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdet.determinants as determinants
-from sdet.determinants import det_auto, det_bareiss, det_lu, leading_minors
+from sdet.determinants import PrecisionError, det_auto, det_bareiss, det_lu, leading_minors
 from sdet.matrices import (
     StructuredMatrix,
     hankel,
@@ -18,7 +19,7 @@ from sdet.matrices import (
     toeplitz_plus_hankel,
 )
 from sdet.scalars import hp_real, rational
-from sdet.symbols import FHDescriptor, FHProduct, JumpT, MomentSymbol
+from sdet.symbols import FHDescriptor, FHProduct, JumpT, MomentSymbol, multiply_by_chi
 from sdet.transforms import ScalarSeq
 
 from conftest import rand_fraction, random_even_seq
@@ -247,3 +248,129 @@ def test_exact_minors_equal_bareiss(family, n, coeffs):
         got = [r.value for r in leading_minors(M, range(1, n + 1))]
     assert calls == []
     assert got == [det_bareiss(M.leading(k)).value for k in range(1, n + 1)]
+
+
+def mpf_minors(M, orders, bits):
+    """leading_minors with the fixed-point kernels of real matrices replaced
+    by the mpf engines, which complex matrices run."""
+    def plain(method, data, prec, tiny):
+        return determinants._one_pass(method, data, truediv, tiny, mp.mpf(0))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(determinants, "_fixed_pass", plain)
+        return leading_minors(M, orders, bits)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """hp passes by kind ("fixed" or "mpf") and method."""
+    calls = []
+    fixed, plain = determinants._fixed_pass, determinants._one_pass
+
+    def counted_fixed(method, data, prec, tiny):
+        calls.append(("fixed", method))
+        return fixed(method, data, prec, tiny)
+
+    def counted_plain(method, a, div, tiny, zero):
+        calls.append(("mpf", method))
+        return plain(method, a, div, tiny, zero)
+
+    monkeypatch.setattr(determinants, "_fixed_pass", counted_fixed)
+    monkeypatch.setattr(determinants, "_one_pass", counted_plain)
+    return calls
+
+
+KERNEL_CASES = {
+    "levinson": lambda: toeplitz(JumpT(Fraction(-1, 2)), 64, bits=512),
+    "pfaffian": lambda: toeplitz(multiply_by_chi(FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))), 64, bits=512),
+    "lu": lambda: hankel_moment(MomentSymbol.from_poly({0: 1, 2: 2}, weight="sqrt_ratio"), 32, bits=256),
+}
+
+
+class TestFixedPointKernels:
+    """Real hp matrices run the int kernels; the mpf engines stay the complex
+    path and are the oracle here."""
+
+    @pytest.mark.parametrize("method", sorted(KERNEL_CASES))
+    def test_against_the_mpf_engine(self, method, engine_calls):
+        M = KERNEL_CASES[method]()
+        bits = M.field.bits
+        orders = range(1, M.order + 1)
+        got = leading_minors(M, orders)
+        assert engine_calls == [("fixed", method)] * 2
+        ref = mpf_minors(M, orders, bits)
+        tol = mp.mpf(2) ** -(bits - 12)
+        for res, old in zip(got, ref):
+            assert res.method == old.method == method
+            with mp.workprec(2 * bits):
+                assert abs(res.value - old.value) <= tol * abs(old.value)
+
+    def test_complex_entries_keep_the_mpf_engine(self, rng, engine_calls):
+        cases = {name: (M, method) for name, M, method in hp_cases(rng)}
+        M, _ = cases.pop("complex")
+        assert {r.method for r in leading_minors(M, ORDERS, BITS)} == {"levinson"}
+        assert engine_calls == [("mpf", "levinson")] * 2
+        engine_calls.clear()
+        for M, method in cases.values():
+            leading_minors(M, ORDERS, BITS)
+        assert {kind for kind, _ in engine_calls} == {"fixed"}
+
+    def test_graded_moment_hankel_claims_hold(self):
+        # moments of the uniform measure on [0, 1/16], m_k = 2^(-4k) / (k + 1):
+        # a Hankel matrix graded by 2^(-4(i + j)) that loses ~20 digits by N = 16
+        bits = 256
+        H = hankel_moment({k + 1: Fraction(1, 16**k * (k + 1)) for k in range(31)}, 16, field=hp_real(bits))
+        orders = range(1, 17)
+        got = leading_minors(H, orders, bits)
+        ref = mpf_minors(H, orders, bits)
+        for n, res, old in zip(orders, got, ref):
+            assert res.method == "lu"
+            exact = det_lu(H.leading(n), 4 * bits).value
+            with mp.workprec(4 * bits):
+                assert abs(res.value - exact) <= mp.mpf(10) ** -res.digits_guaranteed * abs(exact)
+            assert res.digits_guaranteed >= old.digits_guaranteed - 1
+        assert got[-1].digits_guaranteed < 60
+
+
+# zero-rich, with entries below the 2^-64 pivot bar of 128 bits, so that
+# the hp engines meet zero and tiny pivots, Pfaffian pivots among them
+hp_fractions = fractions | st.sampled_from([Fraction(1, 2**70), Fraction(-3, 2**66)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["toeplitz", "skew", "t_plus_h"]),
+    n=st.integers(1, 16),
+    coeffs=st.lists(hp_fractions, min_size=33, max_size=33),
+)
+def test_hp_minors_agree_with_lu(family, n, coeffs):
+    if family == "toeplitz":
+        M = toeplitz({k - 16: v for k, v in enumerate(coeffs)}, n, bits=BITS)
+    elif family == "skew":
+        M = toeplitz(ScalarSeq({k: v for k, v in enumerate(coeffs[:17]) if k}, "odd"), n, bits=BITS)
+    else:
+        M = toeplitz_plus_hankel(ScalarSeq(dict(enumerate(coeffs)), "even"), n, bits=BITS)
+    refs = []
+    for k in range(1, n + 1):
+        try:
+            refs.append(det_lu(M.leading(k), BITS))
+        except PrecisionError:
+            refs.append(None)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_reference_calls(patch)
+        try:
+            got = leading_minors(M, range(1, n + 1), BITS)
+        except PrecisionError:
+            assert None in refs  # only the det_lu path raises
+            return
+    fallback = {k for _, k in calls}
+    for k, res, ref in zip(range(1, n + 1), got, refs):
+        if k in fallback:
+            assert (res.value, res.digits_guaranteed) == (ref.value, ref.digits_guaranteed)
+        elif ref is None or ref.value == 0:
+            continue  # det_lu vouches for no digits here
+        else:
+            assert res.value != 0  # a nonsingular block never comes back as 0
+            digits = min(res.digits_guaranteed, ref.digits_guaranteed)
+            with mp.workprec(2 * BITS):
+                assert abs(res.value - ref.value) <= mp.mpf(10) ** (1 - digits) * abs(ref.value)
