@@ -14,25 +14,27 @@ and det_auto is its one-order case.  The engine follows the entries:
 - anything else: one elimination pass without pivoting, fraction-free over
   exact and complex fields, whose k-th pivot is the k-th leading minor.
 
-A real hp matrix runs these engines on Python ints, as quadrature's kernels
-do: a vector or row is held as ints x with value x / 2^s, its largest entry
-within GUARD/2 bits of W = prec + GUARD bits, and it is shifted back when it
-drifts further.  Levinson-Trench holds the entries at one scale and f and b
-at another.  Elimination scales each column once by the power of two that
-brings its largest entry to [1/2, 1), then holds each row at its own scale.
-The skew engine holds D A D, which stays skewsymmetric, with
+A real hp matrix runs these engines, and pfaffian its elimination with
+partner search, on Python ints, as quadrature's kernels do: a vector or row
+is held as ints x with value x / 2^s, its largest entry within GUARD/2 bits
+of W = prec + GUARD bits, and it is shifted back when it drifts further.
+Levinson-Trench holds the entries at one scale and f and b at another.
+Elimination scales each column once by the power of two that brings its
+largest entry to [1/2, 1), then holds each row at its own scale.  The skew
+engine and pfaffian hold D A D, which stays skewsymmetric, with
 D = diag(2^-e_i) and e_i the exponent of row i's largest entry; its upper
-triangle is held at per-row scales.  Products are shifted down with floor
-rounding, so an update errs by at most a unit in its row's last place: a
-normwise error, as Levinson's own error is (Cybenko, SIAM J. Sci. Stat.
-Comput. 1, 1980), which the bits/2*bits drift sees like any rounding.  The
-multipliers of the two eliminations are quotients at W bits; Levinson's
-eps, g and d stay mpf at prec.  These engines return the ratios of
-consecutive minors (of Pfaffians, for skew), and the minors are their
-running products at prec + GUARD, each rounded once to prec.  A matrix with
-any mpc entry keeps the mpf engines: complex ints would double every vector
-for a path that no study runs at size, and the mpf engines stay the
-reference that the kernels are tested against.
+triangle is held at per-row scales, between which pfaffian's swaps move
+entries.  Products are shifted down with floor rounding, so an update errs
+by at most a unit in its row's last place: a normwise error, as Levinson's
+own error is (Cybenko, SIAM J. Sci. Stat. Comput. 1, 1980), which the
+bits/2*bits drift sees like any rounding.  The multipliers of the two
+eliminations are quotients at W bits; Levinson's eps, g and d stay mpf at
+prec.  These engines return the ratios of consecutive minors (of Pfaffians,
+for skew and pfaffian), and the minors, or Pf, are their running products
+at prec + GUARD, each rounded once to prec.  A matrix with any mpc entry
+keeps the mpf engines, and pfaffian its mpf elimination: complex ints would
+double every vector for a path that no study runs at size, and the mpf
+engines stay the reference that the kernels are tested against.
 
 Rational matrices are cleared of denominators row by row and eliminated over
 the integers, so their minors are exact.  The exact Bareiss pass steps over a
@@ -48,13 +50,15 @@ above 2^(-bits/4); that order and every later one then take the reference
 path, det_lu on the leading block.
 
 det_bareiss, the exact reference, is pivoted fraction-free elimination.
-det_lu runs partial-pivoted elimination at bits and at 2*bits.  It calls the
-matrix singular (value 0, no digits) when a pivot of the 2*bits pass falls
-below 2^(-3*bits/2) times the largest entry, a size the bits pass cannot
-resolve, and raises PrecisionError rather than return a silently wrong value
-when the two passes drift apart by more than 2^(-bits/4).  Singularity is
-never read off the size of the determinant itself.  The Pfaffian uses
-skewsymmetric elimination with the convention Pf([[0, m], [-m, 0]]) = m.
+det_lu runs partial-pivoted elimination at bits and at 2*bits.  When the two
+passes drift apart by more than 2^(-bits/4), it calls the matrix singular
+(value 0, no digits) if a pivot of the 2*bits pass fell below 2^(-3*bits/2)
+times the largest entry, a size the bits pass cannot resolve, and otherwise
+raises PrecisionError rather than return a silently wrong value.  A tiny
+pivot that both passes agree on belongs to a small, nonsingular determinant:
+singularity is never read off the size of the determinant itself.  The
+Pfaffian uses skewsymmetric elimination with the convention
+Pf([[0, m], [-m, 0]]) = m.
 """
 
 import math
@@ -208,12 +212,13 @@ def det_lu(M: StructuredMatrix, bits: int | None = None) -> DetResult:
     d1, piv_max, piv_min = _lu_pass(M.rows, n, bits)
     d2, _, fine_min = _lu_pass(M.rows, n, 2 * bits)
     cond = mp.inf if piv_min == 0 else piv_max / piv_min
-    with mp.workprec(2 * bits):
-        # a pivot the bits pass cannot resolve, relative to the largest entry
-        if fine_min <= mp.mpf(2) ** (-(3 * bits // 2)) * _max_entry(M.rows, bits):
-            return DetResult(mp.mpf(0), "lu", condition=cond, bits=bits, digits_guaranteed=0)
-    rel = _drift(d1, d2, bits)
+    rel = _drift(d1, d2, bits) if d2 else mp.inf
     if rel > mp.mpf(2) ** (-(bits // 4)):
+        with mp.workprec(2 * bits):
+            # the bits pass does not match a pivot below what it resolves,
+            # relative to the largest entry
+            if fine_min <= mp.mpf(2) ** (-(3 * bits // 2)) * _max_entry(M.rows, bits):
+                return DetResult(mp.mpf(0), "lu", condition=cond, bits=bits, digits_guaranteed=0)
         raise PrecisionError(
             "determinant unstable at %d bits (relative drift %s); "
             "retry with at least %d bits" % (bits, mp.nstr(rel, 5), 2 * bits),
@@ -637,60 +642,119 @@ def det_auto(M: StructuredMatrix, bits: int | None = None) -> DetResult:
     return leading_minors(M, [M.order], bits)[0]
 
 
+def _plain_pfaffian(a, one):
+    """Pf by skewsymmetric elimination of a in place, on Fractions or on mpc
+    at the ambient precision: the partner row maximizes |a[k][j]|, j > k,
+    the first on ties, and row and column swaps happen together, each
+    flipping the sign."""
+    n = len(a)
+    sign = 1
+    result = one
+    for k in range(0, n - 1, 2):
+        j_best, v_best = k + 1, abs(a[k][k + 1])
+        for j in range(k + 2, n):
+            v = abs(a[k][j])
+            if v > v_best:
+                j_best, v_best = j, v
+        if v_best == 0:
+            # row k is zero beyond position k: the matrix is singular
+            return result * 0
+        if j_best != k + 1:
+            for row in a:
+                row[k + 1], row[j_best] = row[j_best], row[k + 1]
+            a[k + 1], a[j_best] = a[j_best], a[k + 1]
+            sign = -sign
+        p = a[k][k + 1]
+        result = result * p
+        for i in range(k + 2, n):
+            for j in range(i + 1, n):
+                upd = a[i][j] + (a[k + 1][i] * a[k][j] - a[k][i] * a[k + 1][j]) / p
+                a[i][j] = upd
+                a[j][i] = -upd
+    return sign * result
+
+
+def _shifted(x, sh):
+    """x * 2^sh for an int x, floored."""
+    return x << sh if sh >= 0 else x >> -sh
+
+
+def _fixed_pfaffian(a, prec):
+    """_plain_pfaffian of a real matrix on ints, with its partner search and
+    sign flips.  D A D is held as in _fixed_skew, upper triangle at per-row
+    scales, so a swap of indices p < q moves entries between rows: row p
+    gathers -a_cq (p < c < q), -a_pq and row q at one new scale, row q
+    takes row p's tail, and a_rq = -a_pr (p < r < q) enters row r without
+    losing bits.  The pivots multiply up at prec + GUARD to a result
+    rounded once to prec.  The update repeats _fixed_skew's rather than
+    share it, since Pf is the independent side of pfaffian_link."""
+    n = len(a)
+    W = prec + GUARD
+    d = [-_top(r) for r in a]
+    # held[i] holds columns i+1..n-1 of row i
+    upper = (_fixed_row(r[i + 1 :], [d[i] + t for t in d[i + 1 :]], W) for i, r in enumerate(a))
+    held, s = map(list, zip(*upper))
+    sign = 1
+    pivots = []
+    for k in range(0, n - 1, 2):
+        rowk = held[k]
+        # |a_kj| is |rowk[j-k-1]| 2^-d_j up to a factor common to the row
+        m = max(d[k + 1 :])
+        mags = [abs(x) << (m - t) for x, t in zip(rowk, d[k + 1 :])]
+        best = max(mags)
+        if not best:
+            return mp.mpf(0)  # row k is zero beyond position k
+        p, q = k + 1, k + 1 + mags.index(best)
+        if q != p:
+            rowk[0], rowk[q - p] = rowk[q - p], rowk[0]
+            # the new row p: -a_cq for p < c < q, -a_pq, then row q
+            moved = [(-held[c][q - c - 1], s[c]) for c in range(p + 1, q)]
+            moved += [(-held[p][q - p - 1], s[p])] + [(x, s[q]) for x in held[q]]
+            for r in range(p + 1, q):
+                # -a_pr becomes a_rq; row r widens rather than drop its bits
+                if s[r] < s[p] and held[p][r - p - 1]:
+                    held[r], s[r] = [x << (s[p] - s[r]) for x in held[r]], s[p]
+                held[r][q - r - 1] = _shifted(-held[p][r - p - 1], s[r] - s[p])
+            held[q], s[q] = held[p][q - p :], s[p]
+            s[p] = W - max((x.bit_length() - t for x, t in moved if x), default=0)
+            held[p] = [_shifted(x, s[p] - t) for x, t in moved]
+            d[p], d[q] = d[q], d[p]
+            sign = -sign
+        rowk1 = held[p]
+        pivots.append(_mpf(rowk[0], -(s[k] + d[k] + d[p]), W))
+        for i in range(k + 2, n):
+            # a_ij += (a_(k+1)i a_kj - a_ki a_(k+1)j) / a_k(k+1), j > i
+            u = _quotient(rowk1[i - k - 2], rowk[0], W)
+            v = _quotient(rowk[i - k - 1], rowk[0], W)
+            (u, v), sh = _mantissas((u, v), s[i] - s[p])
+            terms = zip(held[i], rowk[i - k :], rowk1[i - k - 1 :])
+            row = [x + ((u * y - v * z) >> sh) for x, y, z in terms]
+            (held[i],), s[i] = _renorm((row,), s[i], W)
+    with mp.workprec(W):
+        pf = sign * math.prod(pivots)
+    with mp.workprec(prec):
+        return +pf
+
+
 def pfaffian(M: StructuredMatrix, bits: int | None = None):
     """Pfaffian of a skewsymmetric matrix of even order.
 
-    Exact over rationals; over hp fields the elimination pivots on the
-    largest available off-diagonal entry.  Row and column swaps happen
+    Exact over rationals; over hp fields the result is rounded to
+    (bits or the field's) + 32 bits, and a real matrix runs on the
+    fixed-point ints of _fixed_pfaffian.  The elimination pivots on the
+    largest available off-diagonal entry; row and column swaps happen
     together, each flipping the sign.
     """
     if M.order % 2:
         raise ValueError("pfaffian needs even order")
     if not M.is_skew():
         raise ValueError("pfaffian needs a skewsymmetric matrix")
-    n = M.order
-    exact = M.field.is_exact
-    if exact:
-        a = [[Fraction(v) for v in row] for row in M.rows]
-        result = Fraction(1)
-    else:
-        prec = (bits or M.field.bits) + 32
-        with mp.workprec(prec):
-            a = [[to_mp(v, prec) for v in row] for row in M.rows]
-            result = mp.mpf(1) if all(
-                isinstance(v, mp.mpf) for r in a for v in r
-            ) else mp.mpc(1)
-    sign = 1
-
-    def run():
-        nonlocal sign, result
-        for k in range(0, n - 1, 2):
-            # choose the partner row maximizing |a[k][j]|, j > k
-            j_best, v_best = k + 1, abs(a[k][k + 1])
-            for j in range(k + 2, n):
-                v = abs(a[k][j])
-                if v > v_best:
-                    j_best, v_best = j, v
-            if v_best == 0:
-                # row k is zero beyond position k: the matrix is singular
-                result = result * 0
-                return
-            if j_best != k + 1:
-                for row in a:
-                    row[k + 1], row[j_best] = row[j_best], row[k + 1]
-                a[k + 1], a[j_best] = a[j_best], a[k + 1]
-                sign = -sign
-            p = a[k][k + 1]
-            result = result * p
-            for i in range(k + 2, n):
-                for j in range(i + 1, n):
-                    upd = a[i][j] + (a[k + 1][i] * a[k][j] - a[k][i] * a[k + 1][j]) / p
-                    a[i][j] = upd
-                    a[j][i] = -upd
-
-    if exact:
-        run()
-        return sign * result
-    with mp.workprec((bits or M.field.bits) + 32):
-        run()
-        return sign * result
+    if M.field.is_exact:
+        return _plain_pfaffian([[Fraction(v) for v in row] for row in M.rows], Fraction(1))
+    prec = (bits or M.field.bits) + 32
+    # mpf entries go in unrounded; the kernel reads prec + GUARD bits of each row
+    a = [[v if isinstance(v, mp.mpf) else to_mp(v, prec) for v in row] for row in M.rows]
+    if all(isinstance(v, mp.mpf) for r in a for v in r):
+        return _fixed_pfaffian(a, prec)
+    with mp.workprec(prec):
+        return _plain_pfaffian(a, mp.mpc(1))

@@ -8,6 +8,7 @@ rational data may be pushed into an hp field at full precision, never back.
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_float, from_int, fzero, mpf_div, mpf_pos
 
 RATIONAL = "rational"
 HP_REAL = "hp_real"
@@ -96,18 +97,27 @@ def infer_field(source, bits: int, exact: bool = False) -> Field:
 
 
 def to_mp(x, bits: int):
-    """Convert a scalar to mpf/mpc at the given precision."""
-    with mp.workprec(bits):
-        if isinstance(x, Fraction):
-            return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-        if isinstance(x, int):
-            return mp.mpf(x)
-        if isinstance(x, complex):
-            return mp.mpc(x)
-        if isinstance(x, (mp.mpf, mp.mpc)):
-            return +x
-        if isinstance(x, float):
-            return mp.mpf(x)
+    """Convert a scalar to mpf/mpc, rounded to nearest at bits.
+
+    The value is the one mp.mpf / mp.mpc give under mp.workprec(bits) (a
+    Fraction rounds its numerator and its denominator, then their quotient),
+    built from mpmath's raw libmp calls, so no precision context is entered
+    and mp.prec is left as it was.
+    """
+    if isinstance(x, Fraction):
+        num = from_int(x.numerator, bits, "n")
+        return mp.make_mpf(mpf_div(num, from_int(x.denominator, bits, "n"), bits, "n"))
+    if isinstance(x, int):
+        return mp.make_mpf(from_int(x, bits, "n"))
+    if isinstance(x, complex):
+        return mp.make_mpc((from_float(x.real, bits, "n"), from_float(x.imag, bits, "n")))
+    if isinstance(x, mp.mpf):
+        return mp.make_mpf(mpf_pos(x._mpf_, bits, "n"))
+    if isinstance(x, mp.mpc):
+        re, im = x._mpc_
+        return mp.make_mpc((mpf_pos(re, bits, "n"), mpf_pos(im, bits, "n")))
+    if isinstance(x, float):
+        return mp.make_mpf(from_float(x, bits, "n"))
     raise TypeError("cannot convert %r to mp scalar" % (type(x),))
 
 
@@ -125,9 +135,8 @@ def coerce(x, field: Field):
             if v.imag != 0:
                 raise TypeError("complex scalar cannot enter hp_real")
             v = v.real
-    else:
-        with mp.workprec(field.bits):
-            v = mp.mpc(v)
+    elif isinstance(v, mp.mpf):
+        v = mp.make_mpc((v._mpf_, fzero))
     return v
 
 

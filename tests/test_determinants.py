@@ -1,18 +1,30 @@
+import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sdet.determinants as determinants
 from sdet.determinants import (
     PrecisionError,
     det_auto,
     det_bareiss,
     det_lu,
+    leading_minors,
     pfaffian,
 )
 from sdet.matrices import StructuredMatrix, toeplitz
-from sdet.scalars import hp_real, rational, to_mp
-from sdet.symbols import CoeffSeq
+from sdet.scalars import hp_complex, hp_real, infer_field, rational, to_mp
+from sdet.symbols import (
+    CoeffSeq,
+    FHDescriptor,
+    FHProduct,
+    moment_to_skew_symbol,
+    th_to_moment_symbol,
+)
 from sdet.transforms import ScalarSeq
 
 from conftest import rand_fraction
@@ -126,6 +138,28 @@ class TestLU:
         with mp.workprec(256):
             assert abs(res.value / mp.mpf(10) ** -80 - 1) < mp.mpf(10) ** -70
 
+    def test_tiny_pivot_matched_by_both_passes_is_not_singular(self):
+        # lower bidiagonal, det = t_0^4 exactly: partial pivoting gathers the
+        # four small factors into one last pivot of ~2^-255, below the
+        # 2^-192 bar, but both passes find it exactly
+        t0 = Fraction(-3, 2**66)
+        T = toeplitz({0: t0, 1: Fraction(1, 2)}, 4, bits=128)
+        res = det_lu(T, 128)
+        assert res.digits_guaranteed > 0
+        assert res.value == to_mp(t0**4, 128)
+        assert res.value == leading_minors(T, [4], 128)[0].value
+
+    def test_rationally_singular_block_reports_zero(self):
+        # row 3 = row 1 + row 2 over the rationals; the entries round
+        # differently at bits and at 2*bits, so the passes disagree on the
+        # tiny last pivot
+        r1 = [Fraction(1, 3), Fraction(1, 7), Fraction(2, 5)]
+        r2 = [Fraction(2, 5), Fraction(3, 11), Fraction(-1, 9)]
+        M = StructuredMatrix([r1, r2, [a + b for a, b in zip(r1, r2)]], hp_real(128), check=False)
+        res = det_lu(M, 128)
+        assert res.value == 0
+        assert res.digits_guaranteed == 0
+
     def test_minimum_bits(self):
         with pytest.raises(ValueError):
             det_lu(hp_matrix([[1]]), 32)
@@ -209,3 +243,188 @@ class TestPfaffian:
         c = ScalarSeq({1: Fraction(3, 2)}, "odd")
         T = toeplitz(c, 2)
         assert pfaffian(T) == Fraction(-3, 2)
+
+
+def exact_rows(M):
+    """The rational values of an hp matrix's mpf entries."""
+    def exact(v):
+        sign, man, exp, _ = v._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+    return [[exact(v) for v in row] for row in M.rows]
+
+
+def skew_from_upper(upper, n, field=None):
+    """The skewsymmetric matrix with upper[(i, j)] above the diagonal, over
+    field (rational by default, else with entries rounded to its bits)."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), v in upper.items():
+        rows[i][j], rows[j][i] = Fraction(v), -Fraction(v)
+    if field is None:
+        return rational_matrix(rows)
+    return StructuredMatrix([[to_mp(v, field.bits) for v in r] for r in rows], field)
+
+
+def assert_close(got, exact, rel, prec):
+    with mp.workprec(prec):
+        want = to_mp(exact, prec)
+        assert abs(got - want) <= rel * abs(want)
+
+
+@pytest.fixture
+def pfaffian_paths(monkeypatch):
+    """Calls of pfaffian's two elimination paths, by name."""
+    calls = []
+    fixed, plain = determinants._fixed_pfaffian, determinants._plain_pfaffian
+
+    def counted_fixed(a, prec):
+        calls.append("fixed")
+        return fixed(a, prec)
+
+    def counted_plain(a, one):
+        calls.append("plain")
+        return plain(a, one)
+
+    monkeypatch.setattr(determinants, "_fixed_pfaffian", counted_fixed)
+    monkeypatch.setattr(determinants, "_plain_pfaffian", counted_plain)
+    return calls
+
+
+def pfaffian_link_symbols():
+    """The moment symbols of the hp pfaffian_link checks, whose T_2N(c) the
+    tests build."""
+    exp_cos = FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))
+    cos_sym = CoeffSeq({-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}, symmetry="even")
+    return [th_to_moment_symbol(exp_cos), th_to_moment_symbol(cos_sym)]
+
+
+class TestFixedPointPfaffian:
+    """A real hp matrix runs pfaffian's elimination on fixed-point ints."""
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_against_exact_and_double_precision(self, bits, pfaffian_paths):
+        for b in pfaffian_link_symbols():
+            T = toeplitz(moment_to_skew_symbol(b), 20, infer_field(b, bits))
+            R = StructuredMatrix(exact_rows(T), rational(), "toeplitz")
+            exact = [pfaffian(R.leading(2 * N)) for N in range(1, 11)]
+            pfaffian_paths.clear()
+            for N, pf in zip(range(1, 11), exact):
+                got = pfaffian(T.leading(2 * N))
+                assert_close(got, pf, mp.mpf(2) ** -(bits + 16), 4 * bits)
+                assert_close(got, pfaffian(T.leading(2 * N), 2 * bits), mp.mpf(2) ** -(bits + 16), 4 * bits)
+            assert pfaffian_paths == ["fixed"] * 20
+
+    def test_graded_rows_that_shrink_by_160_bits(self):
+        # a_01 = 2^82 and rows 0, 1 of size 2^80 clear the trailing entries,
+        # 2^78 (x_i y_j - y_i x_j) + s_ij, exactly down to s_ij ~ 2^-80, so the
+        # trailing rows shrink by 160 bits before the next, inexact steps
+        rng = random.Random(5)
+        n, bits = 10, 256
+        x = [0, 0] + [rng.choice([-3, -1, 1, 2, 3]) for _ in range(n - 2)]
+        y = [0, 0] + [rng.choice([-3, -1, 1, 2, 3]) for _ in range(n - 2)]
+        upper = {(0, 1): Fraction(2**82)}
+        for j in range(2, n):
+            upper[0, j], upper[1, j] = Fraction(2**80 * x[j]), Fraction(2**80 * y[j])
+            for i in range(2, j):
+                s = Fraction(rng.choice([-7, -5, -3, -1, 1, 3, 5, 7]), 2**83)
+                upper[i, j] = 2**78 * (x[i] * y[j] - y[i] * x[j]) + s
+        M = skew_from_upper(upper, n, hp_real(bits))
+        exps = [determinants._exponent(v) for row in M.rows for v in row if v]
+        assert min(exps) <= -80 and max(exps) >= 80
+        exact = pfaffian(rational_matrix(exact_rows(M)))
+        assert exact != 0
+        assert_close(pfaffian(M), exact, mp.mpf(2) ** -(bits - 16), 4 * bits)
+
+    def test_partner_search_swaps(self):
+        # a_01 = 0, so the first step must bring row 3 (|a_03| largest) up,
+        # across row 2
+        upper = {(0, 2): 1, (0, 3): -5, (0, 4): 2, (0, 5): 3, (1, 2): Fraction(1, 3)}
+        upper.update({(1, 3): 7, (1, 4): Fraction(-2, 7), (2, 3): 4, (2, 4): Fraction(5, 3)})
+        upper.update({(2, 5): -6, (3, 5): Fraction(1, 5), (4, 5): 9, (1, 5): 1})
+        for bits in (128, 256):
+            M = skew_from_upper(upper, 6, hp_real(bits))
+            exact = pfaffian(rational_matrix(exact_rows(M)))
+            assert_close(pfaffian(M), exact, mp.mpf(2) ** -(bits + 16), 4 * bits)
+        # relabelling indices 0 and 1 is a transposition, which flips Pf
+        relabel = {0: 1, 1: 0}
+        swapped = {}
+        for (i, j), v in upper.items():
+            i, j = relabel.get(i, i), relabel.get(j, j)
+            swapped[min(i, j), max(i, j)] = v if i < j else -v
+        got = pfaffian(skew_from_upper(swapped, 6, hp_real(bits)))
+        assert_close(got, -exact, mp.mpf(2) ** -(bits + 16), 4 * bits)
+
+    def test_swap_moves_an_entry_into_a_row_without_entries(self):
+        # the partner of row 0 is 3, so a_12 becomes an entry of row 2, whose
+        # part right of the diagonal was zero; it must keep all its bits
+        upper = {(0, 1): 1, (0, 3): 3 * 2**80, (1, 2): Fraction(5, 3), (1, 3): 2**80}
+        for bits in (128, 256):
+            M = skew_from_upper(upper, 4, hp_real(bits))
+            exact = pfaffian(rational_matrix(exact_rows(M)))
+            assert_close(pfaffian(M), exact, mp.mpf(2) ** -(bits + 16), 4 * bits)
+
+    def test_zero_row_gives_zero(self):
+        upper = {(0, 1): 1, (0, 3): 2, (1, 3): Fraction(1, 3), (3, 4): 5, (3, 5): -1, (4, 5): 2}
+        res = pfaffian(skew_from_upper(upper, 6, hp_real(128)))
+        assert isinstance(res, mp.mpf) and res == 0
+        assert pfaffian(skew_from_upper(upper, 6)) == 0
+
+    def test_odd_order_and_non_skew_raise(self):
+        with pytest.raises(ValueError):
+            pfaffian(skew_from_upper({(0, 1): 1, (1, 2): 2}, 3, hp_real(128)))
+        with pytest.raises(ValueError):
+            pfaffian(hp_matrix([[to_mp(0, 128), to_mp(1, 128)], [to_mp(1, 128), to_mp(0, 128)]]))
+
+    def test_complex_entries_keep_the_mpf_path(self, pfaffian_paths):
+        bits = 128
+        upper = {(0, 1): 2, (0, 2): 1, (0, 3): -1, (1, 2): 3, (1, 3): Fraction(1, 2), (2, 3): 5}
+        field = hp_complex(bits)
+        rows = [[to_mp(complex(v), bits) for v in r] for r in skew_from_upper(upper, 4).rows]
+        rows[0][1], rows[1][0] = to_mp(2 + 1j, bits), to_mp(-2 - 1j, bits)
+        got = pfaffian(StructuredMatrix(rows, field))
+        assert pfaffian_paths == ["plain"]
+        # Pf = a01 a23 - a02 a13 + a03 a12
+        assert isinstance(got, mp.mpc)
+        with mp.workprec(2 * bits):
+            assert abs(got - ((2 + 1j) * 5 - 1 * mp.mpf(1) / 2 + (-1) * 3)) < mp.mpf(2) ** -(bits - 8)
+        pfaffian_paths.clear()
+        pfaffian(skew_from_upper(upper, 4, hp_real(bits)))
+        assert pfaffian_paths == ["fixed"]
+
+    def test_never_runs_the_leading_minor_engines(self, monkeypatch):
+        # Pf is the independent side of pfaffian_link; det T_2N there comes
+        # from leading_minors, so the two must not share a kernel
+        calls = []
+        for name in ("leading_minors", "_hp_minors", "_fixed_skew"):
+            original = getattr(determinants, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(determinants, name, counted)
+        b = pfaffian_link_symbols()[0]
+        for field in (hp_real(128), hp_complex(128)):
+            pfaffian(toeplitz(moment_to_skew_symbol(b), 8, field))
+        pfaffian(toeplitz(ScalarSeq({1: 1, 2: Fraction(1, 3)}, "odd"), 8))
+        assert calls == []
+
+
+# zero-rich, so that zero rows and zero Pfaffians occur
+fractions = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)) | st.just(Fraction(0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(half=st.integers(1, 6), values=st.lists(fractions, min_size=66, max_size=66))
+def test_hp_pfaffian_within_the_hadamard_bound(half, values):
+    n, bits = 2 * half, 128
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    upper = dict(zip(pairs, values))
+    R = skew_from_upper(upper, n)
+    exact = pfaffian(R)
+    got = pfaffian(skew_from_upper(upper, n, hp_real(bits)))
+    with mp.workprec(4 * bits):
+        # |Pf| <= prod ||row_i||^(1/2), since Pf^2 = det
+        hadamard = math.prod(mp.sqrt(mp.sqrt(to_mp(sum(v * v for v in r), 4 * bits))) for r in R.rows)
+        # where the exact Pf is 0, got is 0 or below the bound too
+        assert abs(got - to_mp(exact, 4 * bits)) <= mp.mpf(2) ** -(bits - 16) * hadamard

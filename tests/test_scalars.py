@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from sdet.matrices import hankel_moment, toeplitz
-from sdet.scalars import hp_complex, hp_real, infer_field, rational
+from sdet.scalars import hp_complex, hp_real, infer_field, rational, to_mp
 from sdet.symbols import (
     Chi,
     CoeffSeq,
@@ -55,3 +57,43 @@ def test_matrices_follow_the_field_rule():
 def test_unreadable_source_is_rejected():
     with pytest.raises(TypeError):
         infer_field(object(), BITS)
+
+
+def workprec_to_mp(x, bits):
+    """to_mp as it was written under a precision context, the reference."""
+    with mp.workprec(bits):
+        if isinstance(x, Fraction):
+            return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+        if isinstance(x, int):
+            return mp.mpf(x)
+        if isinstance(x, complex):
+            return mp.mpc(x)
+        if isinstance(x, (mp.mpf, mp.mpc)):
+            return +x
+        return mp.mpf(x)
+
+
+def raw(v):
+    return v._mpf_ if isinstance(v, mp.mpf) else v._mpc_
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+def test_to_mp_matches_the_workprec_form(bits):
+    rng = random.Random(bits)
+    wide = 2 * bits + 37
+    values = [
+        Fraction(rng.getrandbits(wide) - 2 ** (wide - 1), rng.getrandbits(wide) + 1) for _ in range(20)
+    ]
+    values += [Fraction(1, 3), Fraction(-(2**wide) - 1, 2**wide + 3)]
+    values += [rng.getrandbits(wide) - 2 ** (wide - 1) for _ in range(10)]
+    values += [2**wide + 1, -(2**wide) - 1, 0, 1, True, False]
+    values += [1 / 3, -2.5e-300, 1e300, 0.0, complex(1 / 3, -1 / 7), complex(0.1, 0)]
+    with mp.workprec(3 * bits):
+        values += [mp.mpf(1) / 3, -mp.pi / 7, mp.mpc(1, 1) / 7, mp.mpc(mp.e, -mp.pi)]
+    prec = mp.mp.prec
+    for x in values:
+        got = to_mp(x, bits)
+        assert mp.mp.prec == prec
+        want = workprec_to_mp(x, bits)
+        assert type(got) is type(want)
+        assert raw(got) == raw(want), x
