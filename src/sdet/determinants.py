@@ -2,63 +2,62 @@
 
 leading_minors(M, orders, bits) is the determinant entry point: one pass
 over the largest requested block gives det of every requested leading block,
-and det_auto is its one-order case.  The engine follows the entries:
+and det_auto is its one-order case.  DetResult.method names the engine that
+served each order:
 
-- a skewsymmetric block: skewsymmetric elimination in pairs, without the
-  partner search of pfaffian.  After k steps the pivot is Pf of the leading
+- "pfaffian", a skewsymmetric block: elimination in pairs, without
+  pfaffian's partner search.  After k steps the pivot is Pf of the leading
   2k block, so det = Pf^2, and odd orders are exactly 0;
-- an hp Toeplitz block: the nonsymmetric Levinson-Trench recursion in
-  O(N^2) (Trench, J. SIAM 12, 1964; Bareiss, Numer. Math. 13, 1969).  It
-  reads the first row and column, and its k-th step ratio is
-  det T_k / det T_{k-1};
-- anything else: one elimination pass without pivoting, fraction-free over
-  exact and complex fields, whose k-th pivot is the k-th leading minor.
+- "levinson", an hp Toeplitz block: the nonsymmetric Levinson-Trench
+  recursion in O(N^2) (Trench, J. SIAM 12, 1964; Bareiss, Numer. Math. 13,
+  1969), whose k-th step ratio is det T_k / det T_{k-1};
+- "elimination" over hp fields and "bareiss" over the rationals, any other
+  block: one pass without pivoting, whose k-th pivot is the k-th minor;
+- "lu": the reference path, det_lu on the leading block.
+
+A block is skewsymmetric when a_ji = -a_ij for every i <= j: exactly over
+the rationals, and over hp fields after both entries are rounded to bits.
+That one rule, matrices._is_skew, also guards pfaffian, so both sides of
+det T_2N = Pf(T_2N)^2 call the same matrices skewsymmetric.  The exact pass
+tests it on the integer rows that it has already cleared of denominators.
 
 A real hp matrix runs these engines, and pfaffian its elimination with
 partner search, on Python ints, as quadrature's kernels do: a vector or row
 is held as ints x with value x / 2^s, its largest entry within GUARD/2 bits
-of W = prec + GUARD bits, and it is shifted back when it drifts further.
-Levinson-Trench holds the entries at one scale and f and b at another.
-Elimination scales each column once by the power of two that brings its
-largest entry to [1/2, 1), then holds each row at its own scale.  The skew
-engine and pfaffian hold D A D, which stays skewsymmetric, with
-D = diag(2^-e_i) and e_i the exponent of row i's largest entry; its upper
-triangle is held at per-row scales, between which pfaffian's swaps move
-entries.  Products are shifted down with floor rounding, so an update errs
-by at most a unit in its row's last place: a normwise error, as Levinson's
-own error is (Cybenko, SIAM J. Sci. Stat. Comput. 1, 1980), which the
-bits/2*bits drift sees like any rounding.  The multipliers of the two
-eliminations are quotients at W bits; Levinson's eps, g and d stay mpf at
-prec.  These engines return the ratios of consecutive minors (of Pfaffians,
-for skew and pfaffian), and the minors, or Pf, are their running products
-at prec + GUARD, each rounded once to prec.  A matrix with any mpc entry
-keeps the mpf engines, and pfaffian its mpf elimination: complex ints would
-double every vector for a path that no study runs at size, and the mpf
-engines stay the reference that the kernels are tested against.
+of W = prec + GUARD bits.  Levinson-Trench holds the entries at one scale
+and f and b at another.  Elimination scales each column once by the power
+of two that brings its largest entry to [1/2, 1), then holds each row at
+its own scale.  The skew engine and pfaffian hold D A D, D = diag(2^-e_i)
+with e_i the exponent of row i's largest entry, its upper triangle at
+per-row scales between which pfaffian's swaps move entries.  Products are
+shifted down with floor rounding, so an update errs by at most a unit in its
+row's last place: a normwise error, as Levinson's own is (Cybenko, SIAM J.
+Sci. Stat. Comput. 1, 1980), which the bits/2*bits drift sees like any
+rounding.  Multipliers are quotients at W bits; Levinson's eps, g and d stay
+mpf at prec.  The engines return ratios of consecutive minors (Pfaffians,
+for the skew ones), multiplied up at prec + GUARD and each rounded once to
+prec.  A matrix with any mpc entry keeps the mpf engines, the reference the
+kernels are tested against: complex ints would double every vector for a
+path that no study runs at size.
 
 Rational matrices are cleared of denominators row by row and eliminated over
-the integers, so their minors are exact.  The exact Bareiss pass steps over a
-zero pivot with Bareiss's multistep look-ahead (Sylvester's identity, see
-_integer_minors), and an exact skewsymmetric pass that meets a zero Pfaffian
-pivot hands the later orders to that pass, so every exact order comes from
-one pass.  Over hp fields every engine keeps det_lu's contract: it runs at
-bits and at 2*bits on the same entries, each order's value is the 2*bits
-result rounded to bits, and digits_guaranteed comes from the drift between
-the two.  An hp engine breaks down on a pivot ratio (of consecutive minors
-or Pfaffians) at or below 2^(-bits/2) times the largest entry, or on a drift
-above 2^(-bits/4); that order and every later one then take the reference
-path, det_lu on the leading block.
+the integers, so their minors are exact.  The Bareiss pass steps over a zero
+pivot with Bareiss's multistep look-ahead (see _integer_minors), and a skew
+pass that meets a zero Pfaffian pivot hands the later orders to it.  Over hp
+fields every engine keeps det_lu's contract: it runs at bits and at 2*bits
+on the same entries, each value is the 2*bits result rounded to bits, and
+digits_guaranteed comes from the drift between the two.  An engine breaks
+down on a pivot ratio at or below 2^(-bits/2) times the largest entry, or on
+a drift above 2^(-bits/4); that order and every later one then take det_lu.
 
 det_bareiss, the exact reference, is pivoted fraction-free elimination.
 det_lu runs partial-pivoted elimination at bits and at 2*bits.  When the two
-passes drift apart by more than 2^(-bits/4), it calls the matrix singular
-(value 0, no digits) if a pivot of the 2*bits pass fell below 2^(-3*bits/2)
-times the largest entry, a size the bits pass cannot resolve, and otherwise
-raises PrecisionError rather than return a silently wrong value.  A tiny
-pivot that both passes agree on belongs to a small, nonsingular determinant:
-singularity is never read off the size of the determinant itself.  The
-Pfaffian uses skewsymmetric elimination with the convention
-Pf([[0, m], [-m, 0]]) = m.
+drift apart by more than 2^(-bits/4), it calls the matrix singular (value 0,
+no digits) if a pivot of the 2*bits pass fell below 2^(-3*bits/2) times the
+largest entry, a size the bits pass cannot resolve, and otherwise raises
+PrecisionError.  A tiny pivot that both passes agree on belongs to a small,
+nonsingular determinant: singularity is never read off the determinant's
+size.  pfaffian uses the convention Pf([[0, m], [-m, 0]]) = m.
 """
 
 import math
@@ -69,7 +68,7 @@ from operator import floordiv, mul, truediv
 import mpmath as mp
 from mpmath.libmp import from_int, from_man_exp, mpf_div, to_fixed
 
-from .matrices import StructuredMatrix
+from .matrices import StructuredMatrix, _is_skew
 from .scalars import to_mp
 
 
@@ -82,13 +81,11 @@ class PrecisionError(ArithmeticError):
 
 
 class DetResult:
-    __slots__ = ("value", "method", "condition", "bits", "digits_guaranteed")
+    __slots__ = ("value", "method", "digits_guaranteed")
 
-    def __init__(self, value, method, condition=None, bits=None, digits_guaranteed=None):
+    def __init__(self, value, method, digits_guaranteed=None):
         self.value = value
         self.method = method
-        self.condition = condition
-        self.bits = bits
         self.digits_guaranteed = digits_guaranteed
 
     def __repr__(self):
@@ -140,11 +137,10 @@ def det_bareiss(M: StructuredMatrix) -> DetResult:
 
 
 def _lu_pass(rows, n, prec):
-    """One elimination at the given precision: (det, max_piv, min_piv)."""
+    """One elimination at the given precision: (det, smallest |pivot|)."""
     with mp.workprec(prec):
         a = [[to_mp(v, prec) for v in row] for row in rows]
         det = mp.mpf(1) if all(isinstance(v, mp.mpf) for r in a for v in r) else mp.mpc(1)
-        piv_max = mp.mpf(0)
         piv_min = mp.inf
         for k in range(n):
             r_best, v_best = k, abs(a[k][k])
@@ -153,13 +149,12 @@ def _lu_pass(rows, n, prec):
                 if v > v_best:
                     r_best, v_best = r, v
             if v_best == 0:
-                return mp.mpf(0) * det, piv_max, mp.mpf(0)
+                return mp.mpf(0) * det, mp.mpf(0)
             if r_best != k:
                 a[k], a[r_best] = a[r_best], a[k]
                 det = -det
             piv = a[k][k]
             det *= piv
-            piv_max = max(piv_max, abs(piv))
             piv_min = min(piv_min, abs(piv))
             for i in range(k + 1, n):
                 f = a[i][k] / piv
@@ -169,18 +164,7 @@ def _lu_pass(rows, n, prec):
                 rowk = a[k]
                 for j in range(k + 1, n):
                     rowi[j] -= f * rowk[j]
-        return det, piv_max, piv_min
-
-
-def _max_entry(rows, prec):
-    with mp.workprec(prec):
-        best = mp.mpf(0)
-        for row in rows:
-            for v in row:
-                a = abs(to_mp(v, prec))
-                if a > best:
-                    best = a
-        return best
+        return det, piv_min
 
 
 def _drift(d1, d2, bits):
@@ -189,42 +173,39 @@ def _drift(d1, d2, bits):
         return abs(d1 - d2) / abs(d2) if d1 != d2 else mp.mpf(0)
 
 
-def _hp_result(d2, drift, bits, method, condition=None):
+def _hp_result(d2, drift, bits, method):
     """d2 rounded to bits, with the digits that the drift guarantees."""
     cap = int(bits * 0.30103)
     with mp.workprec(2 * bits):
         digits = cap if drift == 0 else max(1, min(cap, int(-mp.log10(drift))))
     with mp.workprec(bits):
         value = +d2
-    return DetResult(value, method, condition=condition, bits=bits, digits_guaranteed=digits)
+    return DetResult(value, method, digits)
 
 
 def det_lu(M: StructuredMatrix, bits: int | None = None) -> DetResult:
     """Determinant with a doubled-precision recheck on the same entries."""
     if bits is None:
-        if M.field.is_exact:
-            bits = 256
-        else:
-            bits = M.field.bits
+        bits = 256 if M.field.is_exact else M.field.bits
     if bits < 64:
         raise ValueError("det_lu needs at least 64 bits")
     n = M.order
-    d1, piv_max, piv_min = _lu_pass(M.rows, n, bits)
-    d2, _, fine_min = _lu_pass(M.rows, n, 2 * bits)
-    cond = mp.inf if piv_min == 0 else piv_max / piv_min
+    d1, _ = _lu_pass(M.rows, n, bits)
+    d2, fine_min = _lu_pass(M.rows, n, 2 * bits)
     rel = _drift(d1, d2, bits) if d2 else mp.inf
     if rel > mp.mpf(2) ** (-(bits // 4)):
-        with mp.workprec(2 * bits):
-            # the bits pass does not match a pivot below what it resolves,
-            # relative to the largest entry
-            if fine_min <= mp.mpf(2) ** (-(3 * bits // 2)) * _max_entry(M.rows, bits):
-                return DetResult(mp.mpf(0), "lu", condition=cond, bits=bits, digits_guaranteed=0)
+        # the bits pass does not match a pivot below what it resolves,
+        # relative to the largest entry
+        with mp.workprec(bits):
+            top = max(abs(to_mp(v, bits)) for row in M.rows for v in row)
+            if fine_min <= mp.mpf(2) ** (-(3 * bits // 2)) * top:
+                return DetResult(mp.mpf(0), "lu", 0)
         raise PrecisionError(
             "determinant unstable at %d bits (relative drift %s); "
             "retry with at least %d bits" % (bits, mp.nstr(rel, 5), 2 * bits),
             recommended_bits=2 * bits,
         )
-    return _hp_result(d2, rel, bits, "lu", cond)
+    return _hp_result(d2, rel, bits, "lu")
 
 
 def _bareiss_pivots(a, div, tiny):
@@ -493,17 +474,6 @@ def _fixed_skew(a, prec, tiny):
     return ratios
 
 
-def _is_skew(rows, bits):
-    """Skewsymmetric as seen at bits.
-
-    hp entries may carry guard bits beyond the field's precision, and mp
-    negation rounds to the working precision, so both sides are read at bits.
-    """
-    n = len(rows)
-    with mp.workprec(bits):
-        return all(+rows[i][j] == -rows[j][i] for i in range(n) for j in range(i, n))
-
-
 def _is_toeplitz(rows):
     return all(rows[i][1:] == rows[i - 1][:-1] for i in range(1, len(rows)))
 
@@ -532,7 +502,7 @@ def _skew_minors(pfs, n, zero):
     return out
 
 
-_FIXED = {"levinson": _fixed_levinson, "lu": _fixed_elimination, "pfaffian": _fixed_skew}
+_FIXED = {"levinson": _fixed_levinson, "elimination": _fixed_elimination, "pfaffian": _fixed_skew}
 
 
 def _fixed_pass(method, data, prec, tiny):
@@ -632,7 +602,7 @@ def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list
     elif M.structure == "toeplitz" and _is_toeplitz(rows):
         method = "levinson"
     else:
-        method = "lu"
+        method = "elimination"
     found = _hp_minors(rows, method, bits)
     return [found[n - 1] if n <= len(found) else det_lu(M.leading(n), bits) for n in orders]
 
@@ -739,19 +709,21 @@ def _fixed_pfaffian(a, prec):
 def pfaffian(M: StructuredMatrix, bits: int | None = None):
     """Pfaffian of a skewsymmetric matrix of even order.
 
-    Exact over rationals; over hp fields the result is rounded to
-    (bits or the field's) + 32 bits, and a real matrix runs on the
+    The matrix must be skewsymmetric by the rule of leading_minors, read at
+    bits (default: the field's).  Exact over rationals; over hp fields the
+    result is rounded to bits + 32 bits, and a real matrix runs on the
     fixed-point ints of _fixed_pfaffian.  The elimination pivots on the
     largest available off-diagonal entry; row and column swaps happen
     together, each flipping the sign.
     """
     if M.order % 2:
         raise ValueError("pfaffian needs even order")
-    if not M.is_skew():
+    bits = None if M.field.is_exact else bits or M.field.bits
+    if not _is_skew(M.rows, bits):
         raise ValueError("pfaffian needs a skewsymmetric matrix")
-    if M.field.is_exact:
+    if bits is None:
         return _plain_pfaffian([[Fraction(v) for v in row] for row in M.rows], Fraction(1))
-    prec = (bits or M.field.bits) + 32
+    prec = bits + 32
     # mpf entries go in unrounded; the kernel reads prec + GUARD bits of each row
     a = [[v if isinstance(v, mp.mpf) else to_mp(v, prec) for v in row] for row in M.rows]
     if all(isinstance(v, mp.mpf) for r in a for v in r):

@@ -18,9 +18,10 @@ StructuredMatrix.leading; tables are filled once.
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_neg
 
 from . import scalars, symbols, transforms
-from .scalars import Field, coerce, infer_field, rational
+from .scalars import Field, coerce, infer_field, rational, to_mp
 
 
 class StructureError(ValueError):
@@ -47,6 +48,27 @@ def _bound_for(field: Field, values):
         return 0
     scale = max(abs(v) for v in values)
     return mp.mpf(2) ** (-(field.bits // 2)) * max(scale, 1)
+
+
+def _negated(x, y):
+    """x == -y exactly: rationals as they are, mp values on their raw
+    (real, imaginary) tuples, since mp negation rounds."""
+    if isinstance(x, mp.mpf) and isinstance(y, mp.mpf):
+        return x._mpf_ == mpf_neg(y._mpf_)
+    x, y = [(v._mpf_, fzero) if isinstance(v, mp.mpf) else getattr(v, "_mpc_", v) for v in (x, y)]
+    return x == (tuple(map(mpf_neg, y)) if isinstance(y, tuple) else -y)
+
+
+def _is_skew(rows, bits=None):
+    """a_ji = -a_ij for every i <= j: the one skewsymmetry rule.
+
+    Rationals (bits None) compare exactly; hp values compare after both are
+    rounded to bits, as scalars.to_mp rounds, so guard bits do not count.
+    Equal values stay equal at any precision, so each pair is compared
+    exactly first, and only a mismatch is rounded.
+    """
+    pairs = ((row[j], rows[j][i]) for i, row in enumerate(rows) for j in range(i, len(rows)))
+    return all(_negated(x, y) or bits and _negated(to_mp(x, bits), to_mp(y, bits)) for x, y in pairs)
 
 
 class StructuredMatrix:
@@ -111,13 +133,9 @@ class StructuredMatrix:
         )
 
     def is_skew(self) -> bool:
-        n = self.order
-        bound = self._entry_bound()
-        return all(
-            abs(self.rows[i][j] + self.rows[j][i]) <= bound
-            for i in range(n)
-            for j in range(i, n)
-        )
+        """_is_skew at the field's bits: the rule by which leading_minors picks
+        its skew engine and pfaffian accepts a matrix."""
+        return _is_skew(self.rows, self.field.bits)
 
     def to_json(self) -> dict:
         if self.field.is_exact:

@@ -913,12 +913,15 @@ class MomentSymbol:
     def to_json(self):
         if self.poly is None:
             raise NotImplementedError("only polynomial smooth factors serialize")
-        return {
+        out = {
             "kind": "moment",
             "weight": self.weight,
             "poly": _json_entries(self.poly),
             "parity": self.parity or "none",
         }
+        if self.jumps:
+            out["jumps"] = list(self.jumps)
+        return out
 
 
 # -- spec-level operations ----------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdet.determinants as determinants
+import sdet.matrices as matrices
 from sdet.determinants import (
     PrecisionError,
     det_auto,
@@ -181,7 +182,7 @@ class TestLU:
         exact = det_auto(rational_matrix([[2, 0], [0, 2]]))
         assert exact.method == "bareiss" and exact.value == 4
         hp = det_auto(hp_matrix([[2, 0], [0, 2]]))
-        assert hp.method == "lu"
+        assert hp.method == "elimination"
         assert hp.value == 4
 
 
@@ -407,6 +408,52 @@ class TestFixedPointPfaffian:
         for field in (hp_real(128), hp_complex(128)):
             pfaffian(toeplitz(moment_to_skew_symbol(b), 8, field))
         pfaffian(toeplitz(ScalarSeq({1: 1, 2: Fraction(1, 3)}, "odd"), 8))
+        assert calls == []
+
+
+def odd_toeplitz_block(bits, rel):
+    """The general-tagged hp block (t_(j-k)), n = 8, with t_k = k/(k^2 + 3) for
+    k > 0 at bits, t_0 = 0 and t_(-k) = -t_k (1 + rel), at bits + 64."""
+    n = 8
+    t = {k: to_mp(Fraction(k, k * k + 3), bits) for k in range(1, n)}
+    t[0] = to_mp(0, bits)
+    with mp.workprec(bits + 64):
+        t.update({-k: -t[k] * (1 + rel) for k in range(1, n)})
+    return StructuredMatrix([[t[j - k] for k in range(n)] for j in range(n)], hp_real(bits))
+
+
+class TestOneSkewRule:
+    """leading_minors' skew engine, pfaffian and is_skew read skewsymmetry by
+    one rule: a_ji = -a_ij after both are rounded to bits."""
+
+    def test_guard_bits_do_not_count(self):
+        bits = 128
+        M = odd_toeplitz_block(bits, mp.mpf(2) ** -(bits + 20))
+        with mp.workprec(2 * bits):
+            assert M.rows[1][0] != -M.rows[0][1]
+        assert M.is_skew()
+        got = leading_minors(M, range(1, 9))
+        assert {r.method for r in got} == {"pfaffian"}
+        exact = odd_toeplitz_block(bits, 0)
+        assert_close(pfaffian(M), pfaffian(exact), mp.mpf(2) ** -(bits + 16), 4 * bits)
+
+    def test_a_difference_at_bits_is_not_skew(self):
+        bits = 128
+        M = odd_toeplitz_block(bits, mp.mpf(2) ** -(bits - 8))
+        assert not M.is_skew()
+        # odd orders are ~2^-120 here, which det_lu cannot resolve at bits
+        assert {r.method for r in leading_minors(M, [2, 4, 6, 8])} <= {"elimination", "lu"}
+        with pytest.raises(ValueError):
+            pfaffian(M)
+
+    def test_pfaffian_reads_no_entry_bound(self, monkeypatch):
+        M = odd_toeplitz_block(128, 0)
+        calls = []
+        bound_for, entry_bound = matrices._bound_for, StructuredMatrix._entry_bound
+        monkeypatch.setattr(matrices, "_bound_for", lambda *a: calls.append("_bound_for") or bound_for(*a))
+        monkeypatch.setattr(StructuredMatrix, "_entry_bound", lambda m: calls.append("_entry_bound") or entry_bound(m))
+        pfaffian(M)
+        pfaffian(M, 256)
         assert calls == []
 
 

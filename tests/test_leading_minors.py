@@ -76,8 +76,8 @@ def hp_cases(rng):
         ("symmetric", toeplitz(FHProduct(FHDescriptor({1: 0.15, -1: 0.15})), 12, bits=BITS), "levinson"),
         ("complex", toeplitz(complex_seq, 12, bits=BITS), "levinson"),
         ("skew", toeplitz(ScalarSeq({1: 1, 2: Fraction(1, 3), 3: Fraction(-1, 5)}, "odd"), 12, bits=BITS), "pfaffian"),
-        ("moment", hankel_moment(MomentSymbol.from_poly({2: 2}, weight="sqrt_ratio"), 12, bits=BITS), "lu"),
-        ("t_plus_h", toeplitz_plus_hankel(ScalarSeq({0: 3, 1: 1, 2: Fraction(1, 2)}, "even"), 12, bits=BITS), "lu"),
+        ("moment", hankel_moment(MomentSymbol.from_poly({2: 2}, weight="sqrt_ratio"), 12, bits=BITS), "elimination"),
+        ("t_plus_h", toeplitz_plus_hankel(ScalarSeq({0: 3, 1: 1, 2: Fraction(1, 2)}, "even"), 12, bits=BITS), "elimination"),
     ]
 
 
@@ -283,7 +283,7 @@ def engine_calls(monkeypatch):
 KERNEL_CASES = {
     "levinson": lambda: toeplitz(JumpT(Fraction(-1, 2)), 64, bits=512),
     "pfaffian": lambda: toeplitz(multiply_by_chi(FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))), 64, bits=512),
-    "lu": lambda: hankel_moment(MomentSymbol.from_poly({0: 1, 2: 2}, weight="sqrt_ratio"), 32, bits=256),
+    "elimination": lambda: hankel_moment(MomentSymbol.from_poly({0: 1, 2: 2}, weight="sqrt_ratio"), 32, bits=256),
 }
 
 
@@ -315,6 +315,15 @@ class TestFixedPointKernels:
             leading_minors(M, ORDERS, BITS)
         assert {kind for kind, _ in engine_calls} == {"fixed"}
 
+    def test_elimination_is_named_apart_from_its_fallback(self, reference_calls):
+        # c_0 = 1 with c_19..c_22 below the 2^-64 pivot bar: the engine serves
+        # every order, and no order reaches det_lu
+        tiny = Fraction(1, 2**70)
+        M = toeplitz_plus_hankel(ScalarSeq({0: 1, **dict.fromkeys(range(19, 23), tiny)}, "even"), 14, bits=BITS)
+        got = assert_matches_lu(M, range(1, 15), BITS)
+        assert [r.method for r in got] == ["elimination"] * 14
+        assert reference_calls == []
+
     def test_graded_moment_hankel_claims_hold(self):
         # moments of the uniform measure on [0, 1/16], m_k = 2^(-4k) / (k + 1):
         # a Hankel matrix graded by 2^(-4(i + j)) that loses ~20 digits by N = 16
@@ -323,8 +332,10 @@ class TestFixedPointKernels:
         orders = range(1, 17)
         got = leading_minors(H, orders, bits)
         ref = mpf_minors(H, orders, bits)
+        # the engine's drift passes the bound up to order 11; det_lu serves the rest
+        assert [r.method for r in got] == ["elimination"] * 11 + ["lu"] * 5
         for n, res, old in zip(orders, got, ref):
-            assert res.method == "lu"
+            assert res.method == old.method
             exact = det_lu(H.leading(n), 4 * bits).value
             with mp.workprec(4 * bits):
                 assert abs(res.value - exact) <= mp.mpf(10) ** -res.digits_guaranteed * abs(exact)

@@ -550,6 +550,15 @@ class TestJsonConfigs:
         assert back.parity == "even"
         assert back.poly == {0: Fraction(1), 2: Fraction(1, 2)}
 
+    def test_moment_roundtrip_keeps_jumps(self):
+        b = MomentSymbol.from_poly({0: 1, 2: 2}, "sqrt_ratio", jumps=[0.5])
+        back = moment_from_json(b.to_json())
+        assert back.jumps == (0.5,)
+        assert back.to_json() == b.to_json()
+        # the cut keeps the symbol off the trapezoid, as it keeps b
+        assert not back._periodic() and not b._periodic()
+        assert "jumps" not in MomentSymbol.from_poly({0: 1, 2: 2}, "sqrt_ratio").to_json()
+
     def test_product_roundtrip(self):
         prod = SymbolProduct((Chi(), COS_SEQ))
         back = symbol_from_json(prod.to_json())
