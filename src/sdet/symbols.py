@@ -21,8 +21,11 @@ JumpPoint, exact in its pi and acos parts.
 
 Real-valued even symbols and i * (real odd) symbols get dedicated cosine and
 sine transforms over (0, pi) in real arithmetic; this is what keeps the large
-asymptotic studies fast.  Values are immutable after construction and all
-operations are pure, so symbols are safe to share between threads.
+asymptotic studies fast.  Symbols are immutable after construction.  Each
+one memoizes what is derived from it under its own lock: its coefficient or
+moment tables, its images (moment twin, skew symbol, half-angle lift) and
+its sampled symmetry certificates.  So each image is built once per symbol,
+and symbols are still safe to share between threads.
 """
 
 import math
@@ -137,6 +140,21 @@ def _cached_table(owner, bits: int, limit: int, compute) -> dict:
     return table
 
 
+def _once(owner, key, build):
+    """owner's derived value under key, from build() on the first call.
+
+    Held in owner._derived under owner._lock; build runs outside the lock,
+    and when two threads race the first stored value wins.  A build that
+    raises stores nothing.
+    """
+    with owner._lock:
+        if key in owner._derived:
+            return owner._derived[key]
+    value = build()
+    with owner._lock:
+        return owner._derived.setdefault(key, value)
+
+
 def _mp_values(cache: dict, entries: dict) -> dict:
     """entries as mp values at ambient precision, converted once per precision."""
     prec = mp.mp.prec
@@ -182,6 +200,7 @@ class FourierSymbol:
 
     def __init__(self):
         self._cache: dict = {}
+        self._derived: dict = {}
         self._lock = threading.Lock()
 
     def jump_points(self) -> tuple:
@@ -209,14 +228,19 @@ class FourierSymbol:
         return None
 
     def even_support(self) -> bool:
-        """Whether a(-t) = a(t), i.e. all odd-index coefficients vanish."""
-        bad = {p.approx() % math.pi for p in self.jump_points()}
-        return _sampled_symmetry(
-            self,
-            0.37,
-            lambda t: t + mp.pi,
-            lambda t: any(abs(t - b) < 1e-6 or abs(t - b - math.pi) < 1e-6 for b in bad),
-        )
+        """Whether a(-t) = a(t), i.e. all odd-index coefficients vanish;
+        sampled once per symbol."""
+
+        def sample():
+            bad = {p.approx() % math.pi for p in self.jump_points()}
+            return _sampled_symmetry(
+                self,
+                0.37,
+                lambda t: t + mp.pi,
+                lambda t: any(abs(t - b) < 1e-6 or abs(t - b - math.pi) < 1e-6 for b in bad),
+            )
+
+        return _once(self, "even_support", sample)
 
     @property
     def real(self) -> bool:
@@ -318,17 +342,22 @@ def _sampled_symmetry(a: FourierSymbol, start: float, partner, near_jump) -> boo
 
 
 def certify_even(a: FourierSymbol) -> bool:
+    """Whether a(1/t) = a(t): its declared symmetry, else sampled once per symbol."""
     if a.symmetry == "even":
         return True
     if a.symmetry == "odd":
         return False
-    bad = {p.approx() for p in a.jump_points()}
-    return _sampled_symmetry(
-        a,
-        0.29,
-        lambda t: 2 * mp.pi - t,
-        lambda t: any(min(abs(t - b), abs(2 * math.pi - t - b)) < 1e-6 for b in bad),
-    )
+
+    def sample():
+        bad = {p.approx() for p in a.jump_points()}
+        return _sampled_symmetry(
+            a,
+            0.29,
+            lambda t: 2 * mp.pi - t,
+            lambda t: any(min(abs(t - b), abs(2 * math.pi - t - b)) < 1e-6 for b in bad),
+        )
+
+    return _once(a, "certify_even", sample)
 
 
 def _json_entries(table: dict) -> list:
@@ -595,6 +624,13 @@ class FHProduct(FourierSymbol):
     def band(self):
         return max((abs(n) for n in self.desc.log_smooth), default=0)
 
+    def even_support(self):
+        # jump-free: a(t + pi) = a(t) makes the odd part of the log, which
+        # has mean 0, a constant in 2 pi i Z, so every odd c_n is 0
+        if not self.desc.jumps:
+            return all(n % 2 == 0 for n in self.desc.log_smooth)
+        return super().even_support()
+
     def to_json(self):
         return self.desc.to_json()
 
@@ -824,6 +860,7 @@ class MomentSymbol:
             real = self._sample_real()
         self.real = real
         self._cache: dict = {}
+        self._derived: dict = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -856,16 +893,21 @@ class MomentSymbol:
         return True
 
     def certify_even(self) -> bool:
-        """parity=even must hold under sampling: smooth(x) = smooth(-x)."""
-        with mp.workprec(_CERT_BITS):
-            worst = mp.mpf(0)
-            scale = mp.mpf(1)
-            for k in range(_CERT_SAMPLES):
-                x = (mp.mpf(2 * k + 1)) / (2 * _CERT_SAMPLES + 1)
-                v1, v2 = self.smooth(x), self.smooth(-x)
-                worst = max(worst, abs(v1 - v2))
-                scale = max(scale, abs(v1))
-            return worst <= _CERT_TOL * scale
+        """parity=even must hold under sampling: smooth(x) = smooth(-x).
+        Sampled once per symbol."""
+
+        def sample():
+            with mp.workprec(_CERT_BITS):
+                worst = mp.mpf(0)
+                scale = mp.mpf(1)
+                for k in range(_CERT_SAMPLES):
+                    x = (mp.mpf(2 * k + 1)) / (2 * _CERT_SAMPLES + 1)
+                    v1, v2 = self.smooth(x), self.smooth(-x)
+                    worst = max(worst, abs(v1 - v2))
+                    scale = max(scale, abs(v1))
+                return worst <= _CERT_TOL * scale
+
+        return _once(self, "certify_even", sample)
 
     def eval_at(self, x):
         x = to_mp(x, mp.mp.prec)
@@ -985,19 +1027,23 @@ def _pullback(a: FourierSymbol, weight: str) -> MomentSymbol:
 
     a must be even on the circle; its jumps t in (0, pi) become jumps at
     cos t, kept as the exact angles t, and its real even profile, if any, is
-    what the quadrature uses.
+    what the quadrature uses.  Built once per a and weight.
     """
-    profile = a.real_profile()
-    real = profile is not None and profile[0] == "even"
-    return MomentSymbol(
-        smooth=lambda x: a.eval_at(mp.acos(x)),
-        weight=weight,
-        jumps=[p for p in a.jump_points() if 1e-12 < p.approx() < math.pi - 1e-12],
-        parity="even" if a.even_support() else None,
-        smooth_theta=profile[1] if real else a.eval_at,
-        real=real,
-        band=None if a.jump_points() else a.band(),  # a jump at 0 or pi makes no cut
-    )
+
+    def build():
+        profile = a.real_profile()
+        real = profile is not None and profile[0] == "even"
+        return MomentSymbol(
+            smooth=lambda x: a.eval_at(mp.acos(x)),
+            weight=weight,
+            jumps=[p for p in a.jump_points() if 1e-12 < p.approx() < math.pi - 1e-12],
+            parity="even" if a.even_support() else None,
+            smooth_theta=profile[1] if real else a.eval_at,
+            real=real,
+            band=None if a.jump_points() else a.band(),  # a jump at 0 or pi makes no cut
+        )
+
+    return _once(a, ("_pullback", weight), build)
 
 
 def _jump_x(j) -> float:
@@ -1058,7 +1104,7 @@ def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
 
     A real b with a periodic moment integrand takes its table from that
     integrand against U_{n-1}(cos t) on the nested trapezoid; every other b
-    takes the panels.
+    takes the panels.  Built once per b.
     """
 
     def half(theta):
@@ -1069,19 +1115,25 @@ def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
             return b.smooth_theta(theta) * (1 + mp.cos(theta)) / mp.sin(theta)
         return b.smooth_theta(theta)
 
-    lift = _lift(b, 1, half)
-    if b.real and b._periodic():
-        return _MomentSkew(b, lift)
-    return multiply_by_chi(lift)
+    def build():
+        lift = _lift(b, 1, half)
+        if b.real and b._periodic():
+            return _MomentSkew(b, lift)
+        return multiply_by_chi(lift)
+
+    return _once(b, "skew", build)
 
 
 def _halfangle(b0: MomentSymbol) -> FourierSymbol:
-    """d(e^{i theta}) = b0.smooth(cos(theta/2)), whatever b0's weight."""
+    """d(e^{i theta}) = b0.smooth(cos(theta/2)), whatever b0's weight; built
+    once per b0."""
     if b0.parity != "even" or not b0.certify_even():
         raise SpeciesError("half-angle lift needs an even smooth factor")
     # an even smooth factor of degree K in cos(theta/2) has degree K/2 in theta
     band = None if b0.band is None else (b0.band + 1) // 2
-    return _lift(b0, 2, lambda theta: b0.smooth(mp.cos(theta / 2)), band)
+    return _once(
+        b0, "halfangle", lambda: _lift(b0, 2, lambda theta: b0.smooth(mp.cos(theta / 2)), band)
+    )
 
 
 def moment_to_halfangle(b0: MomentSymbol) -> FourierSymbol:

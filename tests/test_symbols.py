@@ -1,17 +1,20 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from sdet import asymptotics, quadrature
-from sdet.identities import verify
+from sdet import asymptotics, quadrature, symbols
+from sdet.identities import pfaffian_link, verify, verify_all
 from sdet.symbols import (
     Chi,
     ClosedFormSymbol,
     CoeffSeq,
     FHDescriptor,
     FHProduct,
+    FourierSymbol,
     HalvedArg,
     JumpError,
     JumpPoint,
@@ -27,6 +30,7 @@ from sdet.symbols import (
     halve_argument,
     moment,
     moment_from_json,
+    moment_to_halfangle,
     moment_to_skew_symbol,
     multiply_by_chi,
     symbol_from_json,
@@ -50,6 +54,19 @@ def poly_moment_exact(coeffs: dict, n: int) -> Fraction:
         if p % 2 == 0:
             total += Fraction(c) * 2 ** (n - 1) * Fraction(2, p + 1)
     return total
+
+
+def count_samples(monkeypatch) -> list:
+    """One entry per sampled symmetry check of a circle symbol."""
+    calls = []
+    real = symbols._sampled_symmetry
+
+    def counted(a, *args):
+        calls.append(a)
+        return real(a, *args)
+
+    monkeypatch.setattr(symbols, "_sampled_symmetry", counted)
+    return calls
 
 
 class TestCoeffSeq:
@@ -356,6 +373,23 @@ class TestSymmetrySampling:
     def test_even_support(self, make, want):
         assert make().even_support() is want
 
+    @pytest.mark.parametrize(
+        "log, want",
+        [
+            ({2: 0.1, -2: 0.1, 4: 0.05, -4: 0.05}, True),
+            ({1: 0.1, -1: 0.1}, False),
+            ({1: 0.05, -1: 0.05, 2: 0.1, -2: 0.1}, False),
+        ],
+        ids=["even_indices", "odd_index", "mixed"],
+    )
+    def test_jump_free_even_support_needs_no_samples(self, monkeypatch, log, want):
+        # a jump-free product has even support exactly when its log has no
+        # odd-index coefficient; the sampler agrees
+        assert FourierSymbol.even_support(FHProduct(FHDescriptor(log))) is want
+        samples = count_samples(monkeypatch)
+        assert FHProduct(FHDescriptor(log)).even_support() is want
+        assert samples == []
+
 
 class TestPullbacks:
     """Both circle-to-interval pullbacks against MomentSymbols built by hand."""
@@ -494,6 +528,110 @@ class TestSkewFromMoment:
         assert kind == "odd_i"
         with mp.workprec(128):
             assert abs(g(mp.mpf(1)) - 1) < mp.mpf(2) ** -100
+
+
+class TestDerivedOnce:
+    """Images and symmetry certificates are built once per source symbol."""
+
+    @staticmethod
+    def _exp_cos():
+        return FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))
+
+    def test_repeated_derivations_return_one_object(self):
+        a = self._exp_cos()
+        b = th_to_moment_symbol(a)
+        assert th_to_moment_symbol(a) is b
+        assert moment_to_skew_symbol(b) is moment_to_skew_symbol(b)
+        b0 = MomentSymbol.from_poly({0: 1, 2: Fraction(-1, 3)})
+        assert moment_to_halfangle(b0) is moment_to_halfangle(b0)
+
+    def test_failed_checks_raise_every_time(self):
+        odd = CoeffSeq({1: 1}, symmetry="odd")
+        liar = MomentSymbol(smooth=lambda x: x, parity="even")
+        for _ in range(2):
+            with pytest.raises(SpeciesError):
+                th_to_moment_symbol(odd)
+            with pytest.raises(SpeciesError):
+                moment_to_halfangle(liar)
+
+    def test_moment_parity_is_sampled_once(self):
+        seen = []
+        b0 = MomentSymbol(lambda x: seen.append(x) or x * x, parity="even", real=True)
+        assert b0.certify_even() and b0.certify_even()
+        assert len(seen) == 2 * symbols._CERT_SAMPLES
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: FHProduct(FHDescriptor({1: 0.15, -1: 0.15})), lambda: COS_SEQ],
+        ids=["exp_cos", "cos_seq"],
+    )
+    def test_twin_tables_are_computed_once(self, count_calls, monkeypatch, make):
+        a = make()
+        moments, _ = count_calls(monkeypatch, "cospower_transform")
+        trig, _ = count_calls(monkeypatch, "trig_transform")
+        reports = [
+            verify("th_vs_moment", a, 4, mode="hp", bits=128),
+            verify("moment_skew_square", th_to_moment_symbol(a), 4, mode="hp", bits=128),
+            pfaffian_link(th_to_moment_symbol(a), 4, bits=128),
+        ]
+        assert all(rep.passed for rep in reports)
+        assert len(moments) == 1
+        assert [args[4] for args in trig if args[4] == "u"] == ["u"]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MomentSymbol.from_poly({0: 1, 2: Fraction(1, 3)}, weight="sqrt_ratio"),
+            lambda: th_to_moment_symbol(FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))),
+        ],
+        ids=["poly", "twin"],
+    )
+    def test_skew_table_leaves_the_moment_table_alone(self, make):
+        b = make()
+        moment_to_skew_symbol(b).coeff_table(-6, 6, 128)
+        assert b._cache == {}
+
+    def test_threads_get_one_image(self):
+        # the twin's build samples even support, slow enough for the
+        # threads to race on it; a lost update would hand out two twins
+        a = ClosedFormSymbol(lambda t: 2 + mp.cos(2 * t), symmetry="even")
+        workers = 4
+        barrier = threading.Barrier(workers)
+        got = []
+
+        def derive():
+            barrier.wait(timeout=10)
+            b = th_to_moment_symbol(a)
+            got.append((b, moment_to_skew_symbol(b)))
+
+        threads = [threading.Thread(target=derive) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == workers
+        assert all(pair[0] is got[0][0] and pair[1] is got[0][1] for pair in got)
+
+    def test_verify_all_samples_each_certificate_once(self, monkeypatch):
+        # mirrored jumps of opposite imaginary beta: even on the circle, and
+        # without even support, so both checks sample
+        a = FHProduct(
+            FHDescriptor({2: 0.1, -2: 0.1}, jumps=[(1.0, 0.2j), (JumpPoint(2, -1.0), -0.2j)])
+        )
+        samples = count_samples(monkeypatch)
+        reports = verify_all(a, 3, mode="hp", bits=128)
+        assert {rep.kind for rep in reports if rep.passed} == {
+            "hankel_congruence",
+            "skew_square",
+            "th_vs_moment",
+        }
+        assert len(samples) <= 2
 
 
 class TestJumpPoint:

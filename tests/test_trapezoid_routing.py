@@ -142,24 +142,6 @@ def _sqrt_ratio_of_kink(t):
     return mp.sqrt(1 - ct * ct) * (1 + ct)
 
 
-def _count(monkeypatch, name):
-    """Record the arguments of every call to quadrature.<name>, and count in
-    evaluations[0] the calls it makes to its integrand."""
-    calls, evaluations = [], [0]
-    real = getattr(quadrature, name)
-
-    def counted(f, *args, **kwargs):
-        def g(t):
-            evaluations[0] += 1
-            return f(t)
-
-        calls.append((f, *args))
-        return real(g, *args, **kwargs)
-
-    monkeypatch.setattr(quadrature, name, counted)
-    return calls, evaluations
-
-
 def _force_panels(monkeypatch):
     """Send every trapezoid request to the panel rule on its one panel."""
     panel = quadrature._panel_quadrature
@@ -191,9 +173,9 @@ def _budget(oscillation, end, bits):
 
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("case", sorted(ROUTED))
-def test_routed_table_matches_panel_rule(monkeypatch, case, bits):
+def test_routed_table_matches_panel_rule(monkeypatch, count_calls, case, bits):
     with monkeypatch.context() as m:
-        panel_calls, _ = _count(m, "_panel_quadrature")
+        panel_calls, _ = count_calls(m, "_panel_quadrature")
         got = ROUTED[case](bits)
         assert panel_calls == [], "the table did not take the trapezoid"
     _force_panels(monkeypatch)
@@ -202,9 +184,9 @@ def test_routed_table_matches_panel_rule(monkeypatch, case, bits):
 
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("case", sorted(ALIASED))
-def test_first_grid_resolves_the_symbols_band(monkeypatch, case, bits):
+def test_first_grid_resolves_the_symbols_band(monkeypatch, count_calls, case, bits):
     with monkeypatch.context() as m:
-        trapezoid_calls, _ = _count(m, "_trapezoid_quadrature")
+        trapezoid_calls, _ = count_calls(m, "_trapezoid_quadrature")
         got = ALIASED[case](bits)
         # the oscillation the trapezoid starts from counts the band 32
         assert [args[3] for args in trapezoid_calls] == [5 + (32 if "coeffs" in case else 33)]
@@ -218,9 +200,9 @@ def test_first_grid_resolves_the_symbols_band(monkeypatch, case, bits):
 
 
 @pytest.mark.parametrize("case", sorted(OPAQUE))
-def test_opaque_evaluators_keep_the_panels(monkeypatch, case):
-    trapezoid_calls, _ = _count(monkeypatch, "_trapezoid_quadrature")
-    panel_calls, _ = _count(monkeypatch, "_panel_quadrature")
+def test_opaque_evaluators_keep_the_panels(monkeypatch, count_calls, case):
+    trapezoid_calls, _ = count_calls(monkeypatch, "_trapezoid_quadrature")
+    panel_calls, _ = count_calls(monkeypatch, "_panel_quadrature")
     got = OPAQUE[case](128)
     assert trapezoid_calls == [] and len(panel_calls) == 1
     if "32" in case or "complex" in case:
@@ -231,17 +213,17 @@ def test_opaque_evaluators_keep_the_panels(monkeypatch, case):
             assert abs(first - want) <= mp.mpf(2) ** -116, mp.nstr(first - want, 5)
 
 
-def test_endpoint_kink_falls_back_to_panels(monkeypatch):
+def test_endpoint_kink_falls_back_to_panels(monkeypatch, count_calls):
     # a caller that declares the kinked |sin t| smooth still gets the panel
     # rule's value, for at most the trapezoid's budget of extra evaluations
     bits, n_max = 128, 10
     with monkeypatch.context() as m:
-        panel_calls, _ = _count(m, "_panel_quadrature")
-        _, trapezoid_evaluations = _count(m, "_trapezoid_quadrature")
+        panel_calls, _ = count_calls(m, "_panel_quadrature")
+        _, trapezoid_evaluations = count_calls(m, "_trapezoid_quadrature")
         got = quadrature.cospower_transform(_sqrt_ratio_of_kink, None, n_max, bits)
         assert len(panel_calls) == 1, "the trapezoid should have given up"
     with monkeypatch.context() as m:
-        _, panel_evaluations = _count(m, "_panel_quadrature")
+        _, panel_evaluations = count_calls(m, "_panel_quadrature")
         with mp.workprec(bits + quadrature.GUARD):
             panels = [(mp.mpf(0), +mp.pi)]
         want = quadrature.cospower_transform(_sqrt_ratio_of_kink, panels, n_max, bits)
@@ -259,21 +241,19 @@ def test_trapezoid_alone_does_not_converge_on_the_kink(monkeypatch):
         quadrature.cospower_transform(_sqrt_ratio_of_kink, None, 10, 128)
 
 
-def test_acceptance_2_set_keeps_panels_only_for_the_exp_profile(monkeypatch):
+def test_acceptance_2_set_keeps_panels_only_for_the_exp_profile(monkeypatch, count_calls):
     # the moment-backed hp identities at nmax 10 on fresh symbols: only the
     # two tables of the lambda-built exp profile (its moments and its
-    # half-angle lift) stay on panels; the four skew tables (two
-    # moment_skew_square, two pfaffian_link) take the U kernel on the
-    # trapezoid, from their moment symbols' own integrands
+    # half-angle lift) stay on panels.  Each twin is built once, so it has
+    # one moment table and one skew table, which moment_skew_square and
+    # pfaffian_link share; the skew table takes the U kernel on the
+    # trapezoid, from the twin's own integrand
     exp_cos = _exp_cos()
     cos_sym = _cos_sym()
     image = th_to_moment_symbol
-    panel_calls, _ = _count(monkeypatch, "_panel_quadrature")
-    trig_calls = []
-    real_trig = quadrature.trig_transform
-    monkeypatch.setattr(
-        quadrature, "trig_transform", lambda *a, **k: trig_calls.append(a) or real_trig(*a, **k)
-    )
+    panel_calls, _ = count_calls(monkeypatch, "_panel_quadrature")
+    trig_calls, _ = count_calls(monkeypatch, "trig_transform")
+    moment_calls, _ = count_calls(monkeypatch, "cospower_transform")
     hp = {"mode": "hp", "bits": 256}
     reports = [
         identities.verify(IdentityKind.THvsMoment, exp_cos, 10, **hp),
@@ -288,15 +268,17 @@ def test_acceptance_2_set_keeps_panels_only_for_the_exp_profile(monkeypatch):
     assert all(rep.passed for rep in reports)
     assert sorted(args[7] for args in panel_calls) == ["moment transform", "trig transform"]
     assert [args[4] for args in trig_calls if args[1] is not None] == ["cos"]
-    assert [args[4] for args in trig_calls if args[4] == "u" and args[1] is None] == ["u"] * 4
+    assert [args[4] for args in trig_calls if args[4] == "u" and args[1] is None] == ["u"] * 2
+    # the two twins, the exp profile and the polynomial profile
+    assert len(moment_calls) == 4
 
 
-def test_high_band_exponential_stays_on_the_trapezoid(monkeypatch):
+def test_high_band_exponential_stays_on_the_trapezoid(monkeypatch, count_calls):
     # e^{0.2 cos 32t} needs 2,048 nodes per 2pi at 128 bits, past the panel
     # rule's first two levels; its levels converge spectrally, so the
     # trapezoid goes on instead of handing the table to the panels
-    panel_calls, _ = _count(monkeypatch, "_panel_quadrature")
-    _, evaluations = _count(monkeypatch, "_trapezoid_quadrature")
+    panel_calls, _ = count_calls(monkeypatch, "_panel_quadrature")
+    _, evaluations = count_calls(monkeypatch, "_trapezoid_quadrature")
     got = _exp_cos32().coeff_table(-5, 5, 128)
     assert panel_calls == []
     assert _budget(37, float(mp.pi), 128) < evaluations[0] == 2048 // 2 + 1
@@ -311,10 +293,10 @@ def _forbidden(*args, **kwargs):
 
 @pytest.mark.parametrize("bits, n_max", [(256, 19), (512, 63)])
 @pytest.mark.parametrize("case", sorted(SKEW_ROUTED))
-def test_skew_table_takes_the_u_kernel(monkeypatch, case, bits, n_max):
+def test_skew_table_takes_the_u_kernel(monkeypatch, count_calls, case, bits, n_max):
     skew = moment_to_skew_symbol(SKEW_ROUTED[case]())
     with monkeypatch.context() as m:
-        panel_calls, _ = _count(m, "_panel_quadrature")
+        panel_calls, _ = count_calls(m, "_panel_quadrature")
         m.setattr(quadrature, "cospower_transform", _forbidden)
         m.setattr(MomentSymbol, "moment_table", _forbidden)
         m.setattr(transforms, "c_to_b", _forbidden)
@@ -327,9 +309,9 @@ def test_skew_table_takes_the_u_kernel(monkeypatch, case, bits, n_max):
 
 
 @pytest.mark.parametrize("case", sorted(SKEW_PANELS))
-def test_other_skew_tables_keep_the_panels(monkeypatch, case):
-    trapezoid_calls, _ = _count(monkeypatch, "_trapezoid_quadrature")
-    panel_calls, _ = _count(monkeypatch, "_panel_quadrature")
+def test_other_skew_tables_keep_the_panels(monkeypatch, count_calls, case):
+    trapezoid_calls, _ = count_calls(monkeypatch, "_trapezoid_quadrature")
+    panel_calls, _ = count_calls(monkeypatch, "_panel_quadrature")
     skew = moment_to_skew_symbol(SKEW_PANELS[case]())
     skew.coeff_table(-5, 5, 128)
     assert trapezoid_calls == [] and len(panel_calls) == 1
