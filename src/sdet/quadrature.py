@@ -21,6 +21,12 @@ precision: pushing spectral error below 2^-512 at oscillation ~100 with a fixed 
 order would need thousands of subpanels, while order ~bits/3 converges
 after a single doubling.
 
+The rules are built on ints too (gauss_legendre_rule): Newton's method on
+the three-term recurrence, from float seeds, runs on ints scaled by 2^W with
+W = prec + 40 + 2 bitlen(order) + 16, which covers the recurrence's rounding
+and the 2 log2(order) bits that 1 - x^2 costs P' at the outer roots.  Each
+(order, precision) rule is built once per process and cached.
+
 Node values f(t) * weight are evaluated in mpf at wp = bits + GUARD and
 turned once into ints scaled by 2^W; the kernels then run on ints, and each
 level's sums become mpf once:
@@ -97,13 +103,28 @@ def _float_root(k: int, order: int) -> float:
     return x
 
 
+def _legendre_fixed(x: int, order: int, W: int):
+    """(P_order(x), P_order'(x)) for x != +-1, all scaled by 2^W, by the
+    three-term recurrence on ints."""
+    one = 1 << W
+    p0, p1 = one, x
+    for k in range(2, order + 1):
+        p0, p1 = p1, (((2 * k - 1) * x * p1 >> W) - (k - 1) * p0) // k
+    return p1, (order * ((x * p1 >> W) - p0) << W) // ((x * x >> W) - one)
+
+
 def gauss_legendre_rule(order: int, prec: int):
     """Nodes and weights on [-1, 1] at the given binary precision (cached).
 
-    Float roots are refined by Newton iteration on the three-term recurrence
-    at doubling precision up to prec + 40 bits; weights use
-    w = 2 / ((1-x^2) P'(x)^2).  Only the positive half is computed: the rule
-    is symmetric, so negative nodes mirror it.
+    Newton's method refines each float root (_float_root) on ints scaled by
+    2^W, W = prec + 40 + 2 bitlen(order) + 16, until a step falls below
+    2^-(prec+20).  The weight 2 / ((1-x^2) P'(x)^2) is taken in mpf at
+    prec + 40 bits from the last evaluation's P', moved to the final root
+    to first order.  Only the positive half is computed: the rule is
+    symmetric, so negative nodes mirror it.  Raises AccuracyError when a
+    root does not converge within bitlen(W) steps, or when the half-rule's
+    roots are not strictly decreasing inside (0, 1), which means a seed
+    slid onto a neighbour's root.
     """
     key = (order, prec)
     with _rules_lock:
@@ -111,34 +132,38 @@ def gauss_legendre_rule(order: int, prec: int):
     if hit is not None:
         return hit
     wp = prec + 40
+    W = wp + 2 * order.bit_length() + 16
+    eps = 1 << (W - prec - 20)
+    roots, slopes = [], []  # the positive half, largest first
+    for k in range(1, order // 2 + 1):
+        num, den = _float_root(k, order).as_integer_ratio()
+        x = (num << W) // den
+        for _ in range(W.bit_length()):
+            p, dp = _legendre_fixed(x, order, W)
+            step = (p << W) // dp
+            x -= step
+            if abs(step) < eps:
+                break
+        else:
+            raise AccuracyError("Gauss-Legendre root %d of %d did not converge" % (k, order))
+        roots.append(x)
+        # P' moved to the new x to first order: P'' = 2x P' / (1 - x^2) at a root
+        slopes.append(dp - (2 * x * step >> W) * dp // ((1 << W) - (x * x >> W)))
+    if not all(a > b for a, b in zip([1 << W] + roots, roots + [0])):
+        raise AccuracyError(
+            "Gauss-Legendre roots of order %d are not strictly decreasing in (0, 1)" % order
+        )
+    if order % 2:
+        roots.append(0)
+        slopes.append(_legendre_fixed(0, order, W)[1])
     with mp.workprec(wp):
-        eps = mp.mpf(2) ** (-(prec + 20))
-        roots = []  # the nonnegative half, largest first
-        for k in range(1, order // 2 + 1):
-            x = _float_root(k, order)
-            stage = 53
-            while 2 * stage < wp:
-                stage *= 2
-                with mp.workprec(stage):
-                    x = mp.mpf(x)
-                    p, dp = _legendre(x, order)
-                    x = x - p / dp
-            x = mp.mpf(x)
-            for _ in range(80):
-                p, dp = _legendre(x, order)
-                step = p / dp
-                x -= step
-                if abs(step) < eps:
-                    break
-            roots.append(x)
-        if order % 2:
-            roots.append(mp.mpf(0))
+        half = [mp.make_mpf(from_man_exp(x, -W, wp, "n")) for x in roots]
         half_w = []
-        for x in roots:
-            _, dp = _legendre(x, order)
+        for x, dp in zip(half, slopes):
+            dp = mp.make_mpf(from_man_exp(dp, -W, wp, "n"))
             half_w.append(2 / ((1 - x * x) * dp * dp))
         # negate at working precision; outside it -x would round to 53 bits
-        nodes = [-x for x in roots[: order // 2]] + roots[::-1]
+        nodes = [-x for x in half[: order // 2]] + half[::-1]
     weights = half_w[: order // 2] + half_w[::-1]
     with _rules_lock:
         _rules[key] = (nodes, weights)
@@ -242,10 +267,11 @@ def _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, 
                     h = (hi - lo) / m
                     half = h / 2
                     scaled = [w * half for w in weights]
+                    offsets = [half * (x + 1) for x in nodes]
                     for s in range(m):
                         base = lo + s * h
-                        for x, w in zip(nodes, scaled):
-                            t = base + half * (x + 1)
+                        for off, w in zip(offsets, scaled):
+                            t = base + off
                             fv = f(t) * w
                             cplx = cplx or isinstance(fv, mp.mpc)
                             kernel(t, fv, acc, W)

@@ -26,8 +26,8 @@ from sdet.symbols import JumpT
 
 
 # (order, precision) pairs the quadrature builds: _gl_order(bits) at bits + GUARD
-# for bits = 128 and bits = 256
-@pytest.mark.parametrize("order, prec", [(48, 160), (85, 288)])
+# for bits = 128, 256, 320 and 512
+@pytest.mark.parametrize("order, prec", [(48, 160), (85, 288), (106, 352), (170, 544)])
 def test_gauss_legendre_rule(order, prec):
     nodes, weights = gauss_legendre_rule(order, prec)
     assert len(nodes) == len(weights) == order
@@ -41,6 +41,54 @@ def test_gauss_legendre_rule(order, prec):
         for k in range(order):
             got = mp.fsum(w * x ** (2 * k) for x, w in zip(nodes, weights))
             assert abs(got - mp.mpf(2) / (2 * k + 1)) < tol
+    # an independent check at twice the precision: each node is within
+    # 2^-(prec+20) of the root mpf Newton reaches from it (two steps square
+    # that error past 2 prec), and each weight is 2 / ((1-x^2) P'(x)^2)
+    with mp.workprec(2 * prec):
+        for x, w in zip(nodes, weights):
+            root = x
+            for _ in range(2):
+                p, dp = quadrature._legendre(root, order)
+                root -= p / dp
+            assert abs(root - x) < mp.mpf(2) ** (-(prec + 20))
+            _, dp = quadrature._legendre(x, order)
+            exact = 2 / ((1 - x * x) * dp * dp)
+            assert abs(w - exact) < exact * mp.mpf(2) ** (-(prec + 16))
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        # root 2's seed is root 3's, so Newton lands on root 3 twice
+        (lambda real, k, order: real(k + (k == 2), order), "not strictly decreasing"),
+        # from 2, Newton creeps toward root 1 by ~(x^2-1)/(order x) a step
+        (lambda real, k, order: 2.0 if k == 3 else real(k, order), "did not converge"),
+    ],
+    ids=["neighbour", "no_convergence"],
+)
+def test_gauss_legendre_rule_raises_on_a_bad_seed(monkeypatch, seed, message):
+    real = quadrature._float_root
+    monkeypatch.setattr(quadrature, "_rules", {})
+    monkeypatch.setattr(quadrature, "_float_root", lambda k, order: seed(real, k, order))
+    with pytest.raises(AccuracyError, match=message):
+        gauss_legendre_rule(48, 160)
+    assert quadrature._rules == {}
+
+
+def test_gauss_legendre_rule_evaluations_per_root(monkeypatch):
+    # Newton from float seeds doubles its bits per step, so five evaluations
+    # per positive root reach 2^-564; the weights reuse the last one's P'
+    calls = [0]
+    real = quadrature._legendre_fixed
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "_rules", {})
+    monkeypatch.setattr(quadrature, "_legendre_fixed", counted)
+    gauss_legendre_rule(170, 544)
+    assert calls[0] <= 7 * 85
 
 
 def test_import_leaves_numpy_out():
