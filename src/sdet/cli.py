@@ -24,16 +24,17 @@ class UsageError(Exception):
     pass
 
 
-def _default_bits() -> int:
-    raw = os.environ.get("SDET_DEFAULT_BITS")
-    if not raw:
-        return 256
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise UsageError("SDET_DEFAULT_BITS must be an integer, got %r" % (raw,))
+def _bits(args) -> int:
+    """--bits if given (0 included), else SDET_DEFAULT_BITS, else 256; at least 64."""
+    name, bits = "bits", args.bits
+    if bits is None:
+        name, raw = "SDET_DEFAULT_BITS", os.environ.get("SDET_DEFAULT_BITS")
+        try:
+            bits = int(raw) if raw else 256
+        except ValueError:
+            raise UsageError("SDET_DEFAULT_BITS must be an integer, got %r" % (raw,))
     if bits < 64:
-        raise UsageError("SDET_DEFAULT_BITS must be >= 64")
+        raise UsageError("%s must be >= 64" % name)
     return bits
 
 
@@ -101,9 +102,7 @@ def _write_or_print(text: str, out_path):
 
 
 def _cmd_verify(args) -> int:
-    bits = args.bits or _default_bits()
-    if bits < 64:
-        raise UsageError("bits must be >= 64")
+    bits = _bits(args)
     if args.nmax < 1:
         raise UsageError("--nmax must be >= 1")
     subject = _load_subject(args.symbol)
@@ -150,7 +149,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    bits = args.bits or _default_bits()
+    bits = _bits(args)
     Ns = _parse_n_list(args.N)
     obj = _load_json(args.desc)
     if not isinstance(obj, dict):
@@ -215,7 +214,7 @@ def _cmd_transform(args) -> int:
 def _cmd_dump(args) -> int:
     if args.nmax < 1:
         raise UsageError("--nmax must be >= 1")
-    bits = args.bits or _default_bits()
+    bits = _bits(args)
     subject = _load_subject(args.symbol)
     if isinstance(subject, symbols.MomentSymbol):
         table = subject.moment_table(args.nmax, bits)

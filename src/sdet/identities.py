@@ -142,6 +142,14 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bits(bits):
+    """bits, or DEFAULT_BITS when it is None; ValueError below 64."""
+    bits = DEFAULT_BITS if bits is None else bits
+    if bits < 64:
+        raise ValueError("bits must be >= 64")
+    return bits
+
+
 def _n_list(N_values):
     if isinstance(N_values, int):
         if N_values < 1:
@@ -428,9 +436,7 @@ def verify(kind, inp, N_values, mode: str = "exact", bits: int | None = None) ->
     Ns = _n_list(N_values)
     if mode not in ("exact", "hp"):
         raise ValueError("mode must be exact or hp")
-    bits = bits or DEFAULT_BITS
-    if bits < 64:
-        raise ValueError("bits must be >= 64")
+    bits = _bits(bits)
     notes = []
     if kind in _HP_ONLY and mode == "exact":
         notes.append(
@@ -452,7 +458,7 @@ def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> Identit
     if not isinstance(b, MomentSymbol):
         raise SpeciesError("a moment symbol is required")
     Ns = _n_list(N_values)
-    bits = bits or DEFAULT_BITS
+    bits = _bits(bits)
     field = infer_field(b, bits)
     n = max(Ns)
     T2n = toeplitz(moment_to_skew_symbol(b), 2 * n, field)
@@ -523,7 +529,7 @@ def _applicable_kinds(inp, mode: str):
 
 def verify_all(inp, N_max, mode: str = "exact", bits: int | None = None):
     """Run every applicable kind; inapplicable kinds get a skipped report."""
-    bits = bits or DEFAULT_BITS
+    bits = _bits(bits)
     applicable = _applicable_kinds(inp, mode)
     reports = []
     for kind in IdentityKind:

@@ -19,13 +19,20 @@ the circle, the skew symbol i sign(theta) b(cos theta) and the half-angle
 symbol b(cos(theta/2)), go through one helper, _lift.  Every jump angle is a
 JumpPoint, exact in its pi and acos parts.
 
-Real-valued even symbols and i * (real odd) symbols get dedicated cosine and
-sine transforms over (0, pi) in real arithmetic; this is what keeps the large
-asymptotic studies fast.  Symbols are immutable after construction.  Each
-one memoizes what is derived from it under its own lock: its coefficient or
-moment tables, its images (moment twin, skew symbol, half-angle lift) and
-its sampled symmetry certificates.  So each image is built once per symbol,
-and symbols are still safe to share between threads.
+One rule, _route, picks how every table without a closed form is built
+(transform, integrand, trapezoid or panels, band), and one builder, _table,
+runs it on a cache miss.  Real even and i * (real odd) symbols run cosine
+and sine transforms over (0, pi) in real arithmetic, which keeps the large
+asymptotic studies fast.  The skew symbol of a real, uncut sqrt_ratio
+moment symbol b of known band reads b's own moment integrand against
+U_{n-1}(cos t), never b's moments: no table is computed from another, so
+the two sides of an identity stay independent.
+
+Symbols are immutable after construction.  Each one memoizes what is
+derived from it under its own lock: its coefficient or moment tables, its
+images (moment twin, skew symbol, half-angle lift) and its sampled symmetry
+certificates.  So each image is built once per symbol, and symbols are
+still safe to share between threads.
 """
 
 import math
@@ -112,19 +119,8 @@ def _dedup_jumps(points):
     return tuple(out)
 
 
-def _panels(cuts, end, wp):
-    """Panels covering (0, end), split at the cut points.
-
-    Cuts must be computed under the caller's workprec(wp); panels no wider
-    than 2^(-wp/2) (repeated cuts) are dropped.
-    """
-    cuts = sorted([mp.mpf(0), *cuts, end])
-    tiny = mp.mpf(2) ** (-wp // 2)
-    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > tiny]
-
-
-def _cached_table(owner, bits: int, limit: int, compute) -> dict:
-    """owner's table at bits covering limit, from compute(limit, bits).
+def _cached_table(owner, bits: int, limit: int) -> dict:
+    """owner's table at bits covering limit, from _table on a miss.
 
     One grow-only table per bits, in owner._cache under owner._lock.
     """
@@ -132,7 +128,7 @@ def _cached_table(owner, bits: int, limit: int, compute) -> dict:
         got = owner._cache.get(bits)
         if got is not None and got[0] >= limit:
             return got[1]
-    table = compute(limit, bits)
+    table = _table(owner, limit, bits)
     with owner._lock:
         held = owner._cache.get(bits)
         if held is None or held[0] < limit:
@@ -198,6 +194,9 @@ class FourierSymbol:
     #: "even" when a(1/t) = a(t) is guaranteed, "odd" for a(1/t) = -a(t).
     symmetry: str | None = None
 
+    #: b when this is b's skew symbol, from moment_to_skew_symbol(b).
+    _skew_of: "MomentSymbol | None" = None
+
     def __init__(self):
         self._cache: dict = {}
         self._derived: dict = {}
@@ -255,64 +254,21 @@ class FourierSymbol:
     # -- coefficient machinery ------------------------------------------
 
     def coeff(self, n: int, bits: int = 128):
-        c = self.closed_coeff(n, bits)
-        if c is not None:
-            return c
         return self.coeff_table(n, n, bits)[n]
 
     def coeff_table(self, n_lo: int, n_hi: int, bits: int) -> dict:
         """Coefficients for every n in [n_lo, n_hi]; batched and cached."""
         if n_lo > n_hi:
             raise ValueError("empty coefficient range")
-        probe = self.closed_coeff(0, bits)
-        if probe is not None:
+        if self.closed_coeff(0, bits) is not None:
             return {n: self.closed_coeff(n, bits) for n in range(n_lo, n_hi + 1)}
-        limit = max(abs(n_lo), abs(n_hi))
-        table = _cached_table(self, bits, limit, self._compute_coeffs)
+        table = _cached_table(self, bits, max(abs(n_lo), abs(n_hi)))
         return {n: table[n] for n in range(n_lo, n_hi + 1)}
-
-    def _compute_coeffs(self, limit: int, bits: int) -> dict:
-        wp = bits + quadrature.GUARD
-        profile = self.real_profile()
-        jumps = self.jump_points()
-        band = None if jumps else self.band()  # not None: take the trapezoid
-        with mp.workprec(wp):
-            if profile is None:
-                cuts = [p.to_mpf() for p in jumps if 1e-15 < p.approx() < 2 * math.pi - 1e-15]
-                panels = None if band is not None else _panels(cuts, 2 * mp.pi, wp)
-                return quadrature.circle_coeffs(
-                    self.eval_at, panels, -limit, limit, bits, band or 0
-                )
-            # a real profile is even or odd about pi: fold jumps into (0, pi)
-            cuts = []
-            for p in jumps:
-                a, v = p.approx(), p.to_mpf()
-                if 1e-15 < a < math.pi - 1e-15:
-                    cuts.append(v)
-                elif math.pi + 1e-15 < a < 2 * math.pi - 1e-15:
-                    cuts.append(2 * mp.pi - v)
-            kind, fn = profile
-            even = kind == "even"
-            panels = None if band is not None else _panels(cuts, mp.pi, wp)
-            raw = quadrature.trig_transform(
-                fn, panels, limit, bits, "cos" if even else "sin", band or 0
-            )
-            return _half_range_table(raw, even)
 
     def to_json(self) -> dict:
         raise NotImplementedError(
             "%s has no JSON form" % (type(self).__name__,)
         )
-
-
-def _half_range_table(raw, even: bool) -> dict:
-    """{n: c_n} for |n| < len(raw) from the raw transform over (0, pi):
-    c_n = raw_n / pi, and c_{-n} = c_n when even, else -c_n."""
-    table = {0: raw[0] / mp.pi}
-    for n in range(1, len(raw)):
-        table[n] = raw[n] / mp.pi
-        table[-n] = table[n] if even else -table[n]
-    return table
 
 
 def _sampled_symmetry(a: FourierSymbol, start: float, partner, near_jump) -> bool:
@@ -916,17 +872,6 @@ class MomentSymbol:
             v = v * mp.sqrt((1 + x) / (1 - x))
         return v
 
-    def theta_panels(self, wp):
-        """Panels covering (0, pi) in theta = acos(x), split at the jumps."""
-        with mp.workprec(wp):
-            return _panels([j.to_mpf() for j in self.cuts], mp.pi, wp)
-
-    def _periodic(self) -> bool:
-        """Whether the moment integrand is smooth, even and periodic, one
-        frequency above the smooth factor: an uncut sqrt_ratio symbol of
-        known band."""
-        return self.band is not None and not self.cuts and self.weight == "sqrt_ratio"
-
     def _integrand(self):
         # After x = cos(theta) the moment integrand carries a sin(theta)
         # Jacobian; sqrt_ratio * sin == 1 + cos removes the x=1 singularity.
@@ -935,17 +880,8 @@ class MomentSymbol:
         return lambda th: self.smooth_theta(th) * mp.sin(th)
 
     def moment_table(self, n_max: int, bits: int) -> dict:
-        table = _cached_table(self, bits, n_max, self._compute_moments)
+        table = _cached_table(self, bits, n_max)
         return {n: table[n] for n in range(1, n_max + 1)}
-
-    def _compute_moments(self, n_max: int, bits: int) -> dict:
-        wp = bits + quadrature.GUARD
-        smooth = self._periodic()
-        panels = None if smooth else self.theta_panels(wp)
-        with mp.workprec(wp):
-            band = self.band + 1 if smooth else 0
-            raw = quadrature.cospower_transform(self._integrand(), panels, n_max, bits, band)
-            return {n: raw[n] / mp.pi for n in range(1, n_max + 1)}
 
     def moment(self, n: int, bits: int = 128):
         if n < 1:
@@ -1075,36 +1011,13 @@ def _lift(b: MomentSymbol, scale, value, band=None) -> ClosedFormSymbol:
     )
 
 
-class _MomentSkew(SymbolProduct):
-    """Chi times the lift of a real moment symbol b whose moment integrand is
-    periodic, with b's own table kernel instead of the panels.
-
-    For weight sqrt_ratio, b(cos t) sin(nt) = m(t) U_{n-1}(cos t), where
-    m(t) = smooth(cos t) (1 + cos t) is b's moment integrand: smooth, even
-    and periodic of band b.band + 1, so the nested trapezoid converges on it
-    spectrally and never meets the weight's 1/sin t, infinite at t = 0.  The
-    plain product evaluates b(cos t) itself, and Chi has no band, so it runs
-    on panels.  c_n never comes from b's moments.
-    """
-
-    def __init__(self, b: MomentSymbol, lift: FourierSymbol):
-        super().__init__((Chi(), lift))
-        self._moment = b
-
-    def _compute_coeffs(self, limit: int, bits: int) -> dict:
-        b = self._moment
-        with mp.workprec(bits + quadrature.GUARD):
-            raw = quadrature.trig_transform(b._integrand(), None, limit, bits, "u", b.band + 1)
-            return _half_range_table(raw, False)
-
-
 def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
     """The odd symbol c(e^{i theta}) = i sign(theta) b(cos theta), with
     c_n = (1/pi) integral_0^pi b(cos t) sin(nt) dt.
 
-    A real b with a periodic moment integrand takes its table from that
-    integrand against U_{n-1}(cos t) on the nested trapezoid; every other b
-    takes the panels.  Built once per b.
+    _route gives a real b with a periodic moment integrand its table from
+    that integrand against U_{n-1}(cos t) on the nested trapezoid; every
+    other b takes the panels.  Built once per b.
     """
 
     def half(theta):
@@ -1116,10 +1029,9 @@ def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
         return b.smooth_theta(theta)
 
     def build():
-        lift = _lift(b, 1, half)
-        if b.real and b._periodic():
-            return _MomentSkew(b, lift)
-        return multiply_by_chi(lift)
+        skew = multiply_by_chi(_lift(b, 1, half))
+        skew._skew_of = b
+        return skew
 
     return _once(b, "skew", build)
 
@@ -1141,6 +1053,76 @@ def moment_to_halfangle(b0: MomentSymbol) -> FourierSymbol:
     if b0.weight != "one":
         raise SpeciesError("half-angle lift applies to the smooth factor alone")
     return _halfangle(b0)
+
+
+# -- the route rule --------------------------------------------------------
+
+
+def _route(sym, bits: int):
+    """How sym's table is built: (transform, integrand, panels, band).
+
+    sym is a MomentSymbol or a FourierSymbol without a closed form.  The
+    transform is "cos", "sin" or "u" (trig_transform's kinds), "cospower"
+    or "circle" (circle_coeffs).  panels None means the nested trapezoid
+    from a grid that resolves band; otherwise band is 0 and the panels
+    cover (0, pi), or (0, 2pi) for "circle", split at the jumps.
+
+    A moment symbol b runs its integrand m(t) = b(cos t) sin t against
+    (2 cos t)^(n-1).  So does b's skew symbol, against U_{n-1}(cos t) as
+    b(cos t) sin nt = m(t) U_{n-1}(cos t), when b is real and m periodic,
+    of band b.band + 1: b uncut, sqrt_ratio and of known band, so that sin t
+    cancels the weight's 1/sin t, which Chi * b(cos t) meets at t = 0.
+    Every other symbol runs its real profile, or else its values; it is
+    periodic when it has no jumps and a known band.
+    """
+    b = sym if isinstance(sym, MomentSymbol) else sym._skew_of
+    periodic = b is not None and b.band is not None and not b.cuts and b.weight == "sqrt_ratio"
+    if b is sym or periodic and b.real:
+        kind = "cospower" if b is sym else "u"
+        f, jumps, band = b._integrand(), b.cuts, b.band + 1 if periodic else None
+    else:
+        profile = sym.real_profile()
+        jumps = sym.jump_points()
+        band = None if jumps else sym.band()
+        if profile is None:
+            kind, f = "circle", sym.eval_at
+        else:
+            kind, f = ("cos" if profile[0] == "even" else "sin"), profile[1]
+    if band is not None:
+        return kind, f, None, band
+    full = kind == "circle"
+    wp = bits + quadrature.GUARD
+    with mp.workprec(wp):
+        points = [mp.mpf(0)]
+        for p in jumps:
+            a = p.approx()
+            if 1e-15 < a < (2 if full else 1) * math.pi - 1e-15:
+                points.append(p.to_mpf())
+            elif not full and math.pi + 1e-15 < a < 2 * math.pi - 1e-15:
+                # a real profile is even or odd about pi: fold the jump into (0, pi)
+                points.append(2 * mp.pi - p.to_mpf())
+        points = sorted([*points, 2 * mp.pi if full else mp.pi])
+        tiny = mp.mpf(2) ** (-wp // 2)  # drops the panels between repeated cuts
+        panels = [(lo, hi) for lo, hi in zip(points, points[1:]) if hi - lo > tiny]
+    return kind, f, panels, 0
+
+
+def _table(sym, limit: int, bits: int) -> dict:
+    """sym's table for |n| <= limit (moments: 1 <= n <= limit), by _route."""
+    kind, f, panels, band = _route(sym, bits)
+    with mp.workprec(bits + quadrature.GUARD):
+        if kind == "circle":
+            return quadrature.circle_coeffs(f, panels, -limit, limit, bits, band)
+        if kind == "cospower":
+            raw = quadrature.cospower_transform(f, panels, limit, bits, band)
+            return {n: raw[n] / mp.pi for n in range(1, limit + 1)}
+        # over (0, pi): c_n = raw_n / pi, c_{-n} = c_n for cos, -c_n otherwise
+        raw = quadrature.trig_transform(f, panels, limit, bits, kind, band)
+        table = {0: raw[0] / mp.pi}
+        for n in range(1, limit + 1):
+            table[n] = raw[n] / mp.pi
+            table[-n] = table[n] if kind == "cos" else -table[n]
+        return table
 
 
 # -- JSON schemas --------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import sdet
 from sdet import cli, identities, quadrature
 from sdet.determinants import PrecisionError
 from sdet.identities import IdentityKind
@@ -129,11 +134,28 @@ class TestVerifyCommand:
         assert code == 2
         assert "SDET_DEFAULT_BITS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("identity", ["skew_square", "all"])
-    def test_low_bits_is_usage_error_in_exact_mode(self, delta_path, capsys, identity):
-        code = cli.run(
-            ["verify", "--identity", identity, "--symbol", delta_path, "--nmax", "3", "--bits", "32"]
-        )
+    @pytest.mark.parametrize(
+        "command, bits",
+        [
+            pytest.param("skew_square", "32", id="skew_square"),
+            pytest.param("all", "32", id="all"),
+            pytest.param("all", "0", id="all-0"),
+            pytest.param("dump", "8", id="dump"),
+            pytest.param("dump", "0", id="dump-0"),
+            pytest.param("study", "32", id="study"),
+            pytest.param("study", "0", id="study-0"),
+        ],
+    )
+    def test_low_bits_is_usage_error_in_exact_mode(
+        self, delta_path, write_config, capsys, command, bits
+    ):
+        # an explicit 0 is a request for 0 bits, not for the default
+        fh = write_config("fh.json", {"kind": "fh", "log_smooth": [[1, 0.15, 0], [-1, 0.15, 0]]})
+        argv = {
+            "dump": ["dump", "--symbol", fh, "--nmax", "3"],
+            "study": ["study", "--kind", "prop52_ratio", "--desc", fh, "--N", "4,8"],
+        }.get(command, ["verify", "--identity", command, "--symbol", delta_path, "--nmax", "3"])
+        code = cli.run(argv + ["--bits", bits])
         assert code == 2
         assert "bits must be >= 64" in capsys.readouterr().err
 
@@ -481,6 +503,19 @@ class TestDumpCommand:
         table = {n: v for n, v in doc["coeffs"]}
         assert float(table[1]) == pytest.approx(0.6366197723675814)
         assert float(table[0]) == 0.0
+
+
+def test_python_m_sdet_runs_the_cli(delta_path):
+    src = str(Path(sdet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "sdet", "dump", "--symbol", delta_path, "--nmax", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"coeffs": [[-1, "0"], [0, "1"], [1, "0"]]}
 
 
 class TestExitCodes:

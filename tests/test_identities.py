@@ -259,6 +259,17 @@ class TestHighPrecisionKinds:
         with pytest.raises(ValueError):
             verify(IdentityKind.SkewSquare, DELTA, 2, mode="hp", bits=32)
 
+    @pytest.mark.parametrize("bits", [0, 32])
+    def test_bits_floor_on_every_entry_point(self, bits):
+        # an explicit 0 is a request for 0 bits, not for DEFAULT_BITS
+        b = MomentSymbol.from_poly({0: 1}, weight="sqrt_ratio")
+        with pytest.raises(ValueError, match="bits must be >= 64"):
+            verify(IdentityKind.SkewSquare, DELTA, 2, mode="hp", bits=bits)
+        with pytest.raises(ValueError, match="bits must be >= 64"):
+            verify_all(DELTA, 2, "hp", bits)
+        with pytest.raises(ValueError, match="bits must be >= 64"):
+            pfaffian_link(b, 2, bits=bits)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             verify(IdentityKind.SkewSquare, DELTA, 2, mode="fast")

@@ -688,14 +688,25 @@ class TestJsonConfigs:
         assert back.parity == "even"
         assert back.poly == {0: Fraction(1), 2: Fraction(1, 2)}
 
-    def test_moment_roundtrip_keeps_jumps(self):
+    def test_moment_roundtrip_keeps_jumps(self, monkeypatch, count_calls):
         b = MomentSymbol.from_poly({0: 1, 2: 2}, "sqrt_ratio", jumps=[0.5])
         back = moment_from_json(b.to_json())
         assert back.jumps == (0.5,)
         assert back.to_json() == b.to_json()
+        uncut = MomentSymbol.from_poly({0: 1, 2: 2}, "sqrt_ratio")
+        assert "jumps" not in uncut.to_json()
         # the cut keeps the symbol off the trapezoid, as it keeps b
-        assert not back._periodic() and not b._periodic()
-        assert "jumps" not in MomentSymbol.from_poly({0: 1, 2: 2}, "sqrt_ratio").to_json()
+        for sym, driver in (
+            (b, "_panel_quadrature"),
+            (back, "_panel_quadrature"),
+            (uncut, "_trapezoid_quadrature"),
+        ):
+            with monkeypatch.context() as m:
+                trapezoid_calls, _ = count_calls(m, "_trapezoid_quadrature")
+                panel_calls, _ = count_calls(m, "_panel_quadrature")
+                sym.moment_table(4, 128)
+                ran = {"_trapezoid_quadrature": trapezoid_calls, "_panel_quadrature": panel_calls}
+                assert [name for name, calls in ran.items() for _ in calls] == [driver]
 
     def test_product_roundtrip(self):
         prod = SymbolProduct((Chi(), COS_SEQ))

@@ -21,11 +21,14 @@ from sdet import identities, quadrature, transforms
 from sdet.identities import IdentityKind
 from sdet.symbols import (
     ArgDoubled,
+    Chi,
     ClosedFormSymbol,
     CoeffSeq,
     FHDescriptor,
     FHProduct,
     HalvedArg,
+    JumpPoint,
+    JumpT,
     MomentSymbol,
     SymbolProduct,
     moment_to_halfangle,
@@ -36,8 +39,8 @@ from sdet.symbols import (
 NMAX = 12
 
 
-def _exp_cos():
-    return FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))
+def _exp_cos(jumps=()):
+    return FHProduct(FHDescriptor({1: 0.15, -1: 0.15}, jumps=jumps))
 
 
 def _exp_x2(weight):
@@ -334,3 +337,106 @@ def test_u_kernel_shifted_to_u_n_fails_moment_skew_square(monkeypatch):
 
     monkeypatch.setattr(quadrature, "trig_transform", shifted)
     assert not check().passed
+
+
+# family -> (table, the transform it runs, the driver it runs on); None for
+# a closed form, which runs no quadrature at all
+ROUTES = {
+    "coeff_seq": (_coeffs(_cos_sym), None, None),
+    "chi": (_coeffs(Chi), None, None),
+    "jump_t": (_coeffs(lambda: JumpT(Fraction(-1, 2))), None, None),
+    "fh_real": (_coeffs(_exp_cos), "cos", "trapezoid"),
+    "arg_doubled_fh": (_coeffs(lambda: ArgDoubled(_exp_cos())), "cos", "trapezoid"),
+    "halved_arg_fh": (
+        _coeffs(lambda: HalvedArg(FHProduct(FHDescriptor({2: 0.1, -2: 0.1})))),
+        "cos",
+        "trapezoid",
+    ),
+    "halfangle_poly": (_coeffs(lambda: moment_to_halfangle(_poly("one"))), "cos", "trapezoid"),
+    "fh_mirrored_imaginary_jumps": (
+        _coeffs(lambda: _exp_cos(((1.0, 0.2j), (JumpPoint(2, -1.0), -0.2j)))),
+        "cos",
+        "panels",
+    ),
+    "halfangle_exp": (_coeffs(lambda: moment_to_halfangle(_exp_x2("one"))), "cos", "panels"),
+    "closed_form_odd_i": (_coeffs(_odd_closed_form), "sin", "trapezoid"),
+    "chi_fh": (_coeffs(lambda: SymbolProduct((Chi(), _exp_cos()))), "sin", "panels"),
+    "skew_poly_one": (_coeffs(lambda: moment_to_skew_symbol(_poly("one"))), "sin", "panels"),
+    "skew_exp_sqrt_ratio": (
+        _coeffs(lambda: moment_to_skew_symbol(_exp_x2("sqrt_ratio"))),
+        "sin",
+        "panels",
+    ),
+    "skew_poly_sqrt_ratio": (
+        _coeffs(lambda: moment_to_skew_symbol(_poly("sqrt_ratio"))),
+        "u",
+        "trapezoid",
+    ),
+    # the same factors in a product of their own: not a skew symbol, so no U kernel
+    "chi_lift_poly_sqrt_ratio": (
+        _coeffs(lambda: SymbolProduct(moment_to_skew_symbol(_poly("sqrt_ratio")).factors)),
+        "sin",
+        "panels",
+    ),
+    "fh_complex": (
+        _coeffs(lambda: FHProduct(FHDescriptor({1: complex(0.1, 0.05), -1: 0.15}))),
+        "circle",
+        "trapezoid",
+    ),
+    "fh_one_jump": (_coeffs(lambda: _exp_cos(((1.0, 0.25),))), "circle", "panels"),
+    "jump_t_fh": (
+        _coeffs(lambda: SymbolProduct((JumpT(Fraction(-1, 2)), _exp_cos()))),
+        "circle",
+        "panels",
+    ),
+    "closed_form_opaque": (
+        _coeffs(lambda: ClosedFormSymbol(lambda th: mp.exp(mp.mpf(0.1) * mp.expj(th)))),
+        "circle",
+        "panels",
+    ),
+    "skew_complex_poly": (
+        _coeffs(
+            lambda: moment_to_skew_symbol(
+                MomentSymbol.from_poly({0: 1, 2: complex(0, 0.5)}, "sqrt_ratio")
+            )
+        ),
+        "circle",
+        "panels",
+    ),
+    "poly_sqrt_ratio_moments": (_moments(lambda: _poly("sqrt_ratio")), "cospower", "trapezoid"),
+    "pullback_fh": (
+        _moments(lambda: th_to_moment_symbol(_exp_cos())),
+        "cospower",
+        "trapezoid",
+    ),
+    "poly_one_moments": (_moments(lambda: _poly("one")), "cospower", "panels"),
+    "sqrt_ratio_cut_moments": (
+        _moments(
+            lambda: MomentSymbol.from_poly({0: 1, 2: Fraction(1, 2)}, "sqrt_ratio", jumps=(0.25,))
+        ),
+        "cospower",
+        "panels",
+    ),
+    "exp_sqrt_ratio_moments": (_moments(lambda: _exp_x2("sqrt_ratio")), "cospower", "panels"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROUTES))
+def test_each_family_takes_its_route(monkeypatch, count_calls, family):
+    # the route contract: which transform builds each family's table, and
+    # on which driver; a trapezoid that fell back would show both drivers
+    table, transform, driver = ROUTES[family]
+    trig_calls, _ = count_calls(monkeypatch, "trig_transform")
+    cospower_calls, _ = count_calls(monkeypatch, "cospower_transform")
+    circle_calls, _ = count_calls(monkeypatch, "circle_coeffs")
+    trapezoid_calls, _ = count_calls(monkeypatch, "_trapezoid_quadrature")
+    panel_calls, _ = count_calls(monkeypatch, "_panel_quadrature")
+    table(128)
+    transforms_run = (
+        [args[4] for args in trig_calls]
+        + ["cospower"] * len(cospower_calls)
+        + ["circle"] * len(circle_calls)
+    )
+    drivers = ["trapezoid"] * len(trapezoid_calls) + ["panels"] * len(panel_calls)
+    assert transforms_run == ([transform] if transform else [])
+    assert drivers == ([driver] if driver else [])
