@@ -215,10 +215,12 @@ def _cmd_dump(args) -> int:
     if args.nmax < 1:
         raise UsageError("--nmax must be >= 1")
     bits = _bits(args)
+    # the tables promise 2^-(bits-16) relative accuracy; print no digit beyond it
+    digits = min(30, int((bits - 16) * 0.30103))
     subject = _load_subject(args.symbol)
     if isinstance(subject, symbols.MomentSymbol):
         table = subject.moment_table(args.nmax, bits)
-        rows = [[n, format_scalar(table[n], 30)] for n in range(1, args.nmax + 1)]
+        rows = [[n, format_scalar(table[n], digits)] for n in range(1, args.nmax + 1)]
         text = json.dumps({"moments": rows}, indent=2) + "\n"
     else:
         if isinstance(subject, symbols.CoeffSeq) and subject.is_exact:
@@ -229,7 +231,7 @@ def _cmd_dump(args) -> int:
         else:
             table = subject.coeff_table(-args.nmax, args.nmax, bits)
         rows = [
-            [n, format_scalar(table[n], 30)] for n in range(-args.nmax, args.nmax + 1)
+            [n, format_scalar(table[n], digits)] for n in range(-args.nmax, args.nmax + 1)
         ]
         text = json.dumps({"coeffs": rows}, indent=2) + "\n"
     _write_or_print(text, args.out)

@@ -14,13 +14,18 @@ values known to no digits agree by accident.  An hp_complex side whose
 imaginary part lies below its guaranteed digits is recorded as its real
 part, so quadrature noise never reaches the report.
 
-Kinds backed by moment integrals have no exact mode (generic moments are
+Each kind is one row of a private table: the species gate verify_all
+applies, whether the kind has an exact mode, and the builder of its two
+matrices; verify, verify_all and pfaffian_link all read it.  Kinds backed
+by moment integrals have no exact mode (generic moments are
 transcendental); requesting exact there silently upgrades to hp and says so
 in the report notes.  Sequence-level inputs are accepted even when no L1
 symbol is known to back them; the identities are finite-matrix statements.
 """
 
 import enum
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -55,15 +60,6 @@ class IdentityKind(str, enum.Enum):
     MomentSkewSquare = "moment_skew_square"
     ParitySplitEven = "parity_split_even"
     ParitySplitChi = "parity_split_chi"
-
-
-# kinds whose right-hand data comes from integrals; no exact arithmetic
-_HP_ONLY = {
-    IdentityKind.THvsMoment,
-    IdentityKind.MomentToToeplitz,
-    IdentityKind.MomentSkewSquare,
-    IdentityKind.ParitySplitChi,
-}
 
 
 class IdentityRecord:
@@ -251,14 +247,14 @@ def _make_record(N, lhs_res, rhs_res, mode, bits, extra_digits=()):
     return IdentityRecord(N, lhs, rhs, a, rel, mode, bits, dg, ok)
 
 
-# -- per-kind builders ----------------------------------------------------
+# -- one row per identity ----------------------------------------------------
 
 
 def _sweep(Ns, mode, bits, lhs, rhs, squared=False):
     """One record per N: det lhs against det rhs, (det rhs)^2 when squared,
     or the product of the determinants of a pair rhs.
 
-    Runners build each matrix once, at k * max(Ns) for k = 1 or 2; at N it
+    Builders make each matrix once, at k * max(Ns) for k = 1 or 2; at N it
     stands for its leading block of order k * N, and leading_minors gives
     every block of one matrix from one pass.  Products are taken at
     2*bits+32, and in hp mode they keep their factors' guaranteed digits.
@@ -285,33 +281,78 @@ def _sweep(Ns, mode, bits, lhs, rhs, squared=False):
     return records
 
 
-def _run_hankel_congruence(inp, Ns, mode, bits, notes):
-    n = max(Ns)
+@dataclass(frozen=True)
+class _Identity:
+    """One row of _IDENTITIES: applies(inp) is verify_all's species gate,
+    exact whether the kind has an exact mode, squared the _sweep flag, and
+    build(inp, n, mode, bits, notes) returns the two sides' matrices at
+    order n (a pair of matrices for a product side), raising SpeciesError
+    on an input it cannot take."""
+
+    applies: Callable
+    exact: bool
+    squared: bool
+    build: Callable
+
+
+_IDENTITIES = {}  # IdentityKind -> _Identity, filled by @_identity
+
+
+def _identity(kind, applies, exact=True, squared=False):
+    """Decorator: the builder below it, with its gate and flags, is kind's row."""
+
+    def register(build):
+        _IDENTITIES[kind] = _Identity(applies, exact, squared, build)
+        return build
+
+    return register
+
+
+def _is_moment(inp):
+    return isinstance(inp, MomentSymbol)
+
+
+def _is_odd(inp):
+    return isinstance(inp, (ScalarSeq, symbols.FourierSymbol)) and inp.symmetry == "odd"
+
+
+def _is_even(inp):
+    """The gate of the kinds on an even input: neither a moment symbol nor odd."""
+    return not _is_moment(inp) and not _is_odd(inp)
+
+
+def _has_even_support(inp):
+    if not _is_even(inp):
+        return False
+    try:
+        if isinstance(inp, symbols.FourierSymbol):
+            return inp.even_support()
+        return all(n % 2 == 0 for n in getattr(inp, "entries", inp))
+    except Exception:
+        return False
+
+
+@_identity(IdentityKind.HankelCongruence, _is_even)
+def _hankel_congruence(inp, n, mode, bits, notes):
     seq = _even_input_seq(inp, 2 * n + 2, mode, bits)
     field = infer_field(seq, bits, exact=mode == "exact")
     with mp.workprec(2 * bits + 32):
         b = a_to_b(seq, 2 * n)
-    A = toeplitz_plus_hankel(seq, n, field)
-    B = hankel_moment(b, n, field)
-    return _sweep(Ns, mode, bits, A, B)
+    return toeplitz_plus_hankel(seq, n, field), hankel_moment(b, n, field)
 
 
-def _run_th_vs_moment(inp, Ns, mode, bits, notes):
+@_identity(IdentityKind.THvsMoment, _is_even, exact=False)
+def _th_vs_moment(inp, n, mode, bits, notes):
     if isinstance(inp, (ScalarSeq, dict)):
         try:
             inp = CoeffSeq(dict(getattr(inp, "entries", inp)), symmetry="even")
         except ValueError as exc:
             raise SpeciesError(str(exc)) from exc
-    if not isinstance(inp, symbols.FourierSymbol):
-        raise SpeciesError("an even symbol is required")
-    if not symbols.certify_even(inp):
+    if not isinstance(inp, symbols.FourierSymbol) or not symbols.certify_even(inp):
         raise SpeciesError("an even symbol is required")
     b = th_to_moment_symbol(inp)
     field = infer_field(b, bits)
-    n = max(Ns)
-    A = toeplitz_plus_hankel(inp, n, field)
-    H = hankel_moment(b, n, field)
-    return _sweep(Ns, mode, bits, A, H)
+    return toeplitz_plus_hankel(inp, n, field), hankel_moment(b, n, field)
 
 
 def _require_even_support(inp, mode, bits, max_index):
@@ -331,40 +372,39 @@ def _require_even_support(inp, mode, bits, max_index):
     raise SpeciesError("unsupported input %r" % (type(inp),))
 
 
-def _run_quarter_wave(inp, Ns, mode, bits, notes):
-    n = max(Ns)
+@_identity(IdentityKind.QuarterWave, _has_even_support)
+def _quarter_wave(inp, n, mode, bits, notes):
     src = _require_even_support(inp, mode, bits, 4 * n)
     field = infer_field(src, bits, exact=mode == "exact")
-    A = toeplitz_plus_hankel(src, n, field)
-    T = toeplitz(halve_argument(src), n, field)
-    return _sweep(Ns, mode, bits, A, T)
+    return toeplitz_plus_hankel(src, n, field), toeplitz(halve_argument(src), n, field)
 
 
-def _run_moment_to_toeplitz(inp, Ns, mode, bits, notes):
+@_identity(
+    IdentityKind.MomentToToeplitz,
+    lambda inp: _is_moment(inp) and inp.weight == "sqrt_ratio" and inp.parity == "even",
+    exact=False,
+)
+def _moment_to_toeplitz(inp, n, mode, bits, notes):
     if not isinstance(inp, MomentSymbol):
         raise SpeciesError("a moment symbol is required")
     if inp.weight != "sqrt_ratio":
         raise SpeciesError("the sqrt((1+x)/(1-x)) weight is required")
     d = symbols._halfangle(inp)
     field = infer_field(inp, bits)
-    n = max(Ns)
-    H = hankel_moment(inp, n, field)
-    T = toeplitz(d, n, field)
-    return _sweep(Ns, mode, bits, H, T)
+    return hankel_moment(inp, n, field), toeplitz(d, n, field)
 
 
-def _run_skew_square(inp, Ns, mode, bits, notes):
-    n = max(Ns)
+@_identity(IdentityKind.SkewSquare, _is_even, squared=True)
+def _skew_square(inp, n, mode, bits, notes):
     seq = _even_input_seq(inp, 2 * n, mode, bits)
     field = infer_field(seq, bits, exact=mode == "exact")
     with mp.workprec(2 * bits + 32):
         c = a_to_c(seq, 2 * n - 1)
-    T2 = toeplitz(c, 2 * n, field)
-    A = toeplitz_plus_hankel(seq, n, field)
-    return _sweep(Ns, mode, bits, T2, A, squared=True)
+    return toeplitz(c, 2 * n, field), toeplitz_plus_hankel(seq, n, field)
 
 
-def _run_cseq_square(inp, Ns, mode, bits, notes):
+@_identity(IdentityKind.CSeqSquare, _is_odd, squared=True)
+def _cseq_square(inp, n, mode, bits, notes):
     seq = _input_seq(inp, "odd", mode)
     note = (
         "sequence-level input: the identity is a finite-matrix statement and "
@@ -372,58 +412,42 @@ def _run_cseq_square(inp, Ns, mode, bits, notes):
     )
     if note not in notes:
         notes.append(note)
-    n = max(Ns)
     field = infer_field(seq, bits, exact=mode == "exact")
     with mp.workprec(2 * bits + 32):
         b = c_to_b(seq, 2 * n - 1)
-    T2 = toeplitz(seq, 2 * n, field)
-    B = hankel_moment(b, n, field)
-    return _sweep(Ns, mode, bits, T2, B, squared=True)
+    return toeplitz(seq, 2 * n, field), hankel_moment(b, n, field)
 
 
-def _run_moment_skew_square(inp, Ns, mode, bits, notes):
+@_identity(IdentityKind.MomentSkewSquare, _is_moment, exact=False, squared=True)
+def _moment_skew_square(inp, n, mode, bits, notes):
     if not isinstance(inp, MomentSymbol):
         raise SpeciesError("a moment symbol is required")
     field = infer_field(inp, bits)
-    n = max(Ns)
-    T2 = toeplitz(moment_to_skew_symbol(inp), 2 * n, field)
-    H = hankel_moment(inp, n, field)
-    return _sweep(Ns, mode, bits, T2, H, squared=True)
+    return toeplitz(moment_to_skew_symbol(inp), 2 * n, field), hankel_moment(inp, n, field)
 
 
-def _run_parity_split_even(inp, Ns, mode, bits, notes):
-    n = max(Ns)
+@_identity(IdentityKind.ParitySplitEven, _has_even_support, squared=True)
+def _parity_split_even(inp, n, mode, bits, notes):
     src = _require_even_support(inp, mode, bits, 4 * n)
     field = infer_field(src, bits, exact=mode == "exact")
-    T2 = toeplitz(src, 2 * n, field)
-    T1 = toeplitz(halve_argument(src), n, field)
-    return _sweep(Ns, mode, bits, T2, T1, squared=True)
+    return toeplitz(src, 2 * n, field), toeplitz(halve_argument(src), n, field)
 
 
-def _run_parity_split_chi(inp, Ns, mode, bits, notes):
-    n = max(Ns)
-    src = _require_even_support(inp, "hp", bits, 4 * n)
+@_identity(IdentityKind.ParitySplitChi, _has_even_support, exact=False)
+def _parity_split_chi(inp, n, mode, bits, notes):
+    src = _require_even_support(inp, mode, bits, 4 * n)
     d = halve_argument(src)
     d1 = SymbolProduct((JumpT(-0.5), d))
     d2 = SymbolProduct((JumpT(0.5), d))
     chi_a = multiply_by_chi(src)
     T2 = toeplitz(chi_a, 2 * n, infer_field(chi_a, bits))
-    T_d1 = toeplitz(d1, n, infer_field(d1, bits))
-    T_d2 = toeplitz(d2, n, infer_field(d2, bits))
-    return _sweep(Ns, "hp", bits, T2, (T_d1, T_d2))
+    return T2, (toeplitz(d1, n, infer_field(d1, bits)), toeplitz(d2, n, infer_field(d2, bits)))
 
 
-_RUNNERS = {
-    IdentityKind.HankelCongruence: _run_hankel_congruence,
-    IdentityKind.THvsMoment: _run_th_vs_moment,
-    IdentityKind.QuarterWave: _run_quarter_wave,
-    IdentityKind.MomentToToeplitz: _run_moment_to_toeplitz,
-    IdentityKind.SkewSquare: _run_skew_square,
-    IdentityKind.CSeqSquare: _run_cseq_square,
-    IdentityKind.MomentSkewSquare: _run_moment_skew_square,
-    IdentityKind.ParitySplitEven: _run_parity_split_even,
-    IdentityKind.ParitySplitChi: _run_parity_split_chi,
-}
+def _report(kind, mode, bits, records, notes):
+    """An IdentityReport that passes when every record does."""
+    verdict = "pass" if all(r.ok for r in records) else "fail"
+    return IdentityReport(kind, mode, bits, records, notes, verdict)
 
 
 def verify(kind, inp, N_values, mode: str = "exact", bits: int | None = None) -> IdentityReport:
@@ -437,33 +461,30 @@ def verify(kind, inp, N_values, mode: str = "exact", bits: int | None = None) ->
     if mode not in ("exact", "hp"):
         raise ValueError("mode must be exact or hp")
     bits = _bits(bits)
+    row = _IDENTITIES[kind]
     notes = []
-    if kind in _HP_ONLY and mode == "exact":
+    if mode == "exact" and not row.exact:
         notes.append(
             "no exact arithmetic for integral-backed data; running hp at %d bits"
             % bits
         )
         mode = "hp"
-    records = _RUNNERS[kind](inp, Ns, mode, bits, notes)
-    verdict = "pass" if all(r.ok for r in records) else "fail"
-    return IdentityReport(kind.value, mode, bits if mode == "hp" else None, records, notes, verdict)
+    lhs, rhs = row.build(inp, max(Ns), mode, bits, notes)
+    records = _sweep(Ns, mode, bits, lhs, rhs, row.squared)
+    return _report(kind.value, mode, bits if mode == "hp" else None, records, notes)
 
 
 def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> IdentityReport:
     """Pf(T_2N(c))^2 = det T_2N(c) and |Pf(T_2N(c))| = |det H_N[b]|.
 
     Two records per N: the Pfaffian-square check, then the cross-family
-    magnitude check against the Hankel moment determinant.
+    magnitude check against the Hankel moment determinant.  The matrices
+    are moment_skew_square's.
     """
-    if not isinstance(b, MomentSymbol):
-        raise SpeciesError("a moment symbol is required")
     Ns = _n_list(N_values)
     bits = _bits(bits)
-    field = infer_field(b, bits)
-    n = max(Ns)
-    T2n = toeplitz(moment_to_skew_symbol(b), 2 * n, field)
-    Hn = hankel_moment(b, n, field)
-    notes = []
+    build = _IDENTITIES[IdentityKind.MomentSkewSquare].build
+    T2n, Hn = build(b, max(Ns), "hp", bits, [])
     records = []
     detTs = leading_minors(T2n, [2 * N for N in Ns], bits)
     detHs = leading_minors(Hn, Ns, bits)
@@ -487,86 +508,29 @@ def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> Identit
                     extra_digits=(detH.digits_guaranteed,),
                 )
             )
-    verdict = "pass" if all(r.ok for r in records) else "fail"
-    return IdentityReport("pfaffian_link", "hp", bits, records, notes, verdict)
-
-
-def _applicable_kinds(inp, mode: str):
-    if isinstance(inp, MomentSymbol):
-        applicable = {IdentityKind.MomentSkewSquare}
-        if inp.weight == "sqrt_ratio" and inp.parity == "even":
-            applicable.add(IdentityKind.MomentToToeplitz)
-        return applicable
-    odd = (
-        isinstance(inp, ScalarSeq)
-        and inp.symmetry == "odd"
-        or isinstance(inp, symbols.FourierSymbol)
-        and inp.symmetry == "odd"
-    )
-    if odd:
-        return {IdentityKind.CSeqSquare}
-    applicable = {
-        IdentityKind.HankelCongruence,
-        IdentityKind.SkewSquare,
-        IdentityKind.THvsMoment,
-    }
-    try:
-        even_support = (
-            inp.even_support()
-            if isinstance(inp, symbols.FourierSymbol)
-            else all(n % 2 == 0 for n in getattr(inp, "entries", inp))
-        )
-    except Exception:
-        even_support = False
-    if even_support:
-        applicable |= {
-            IdentityKind.QuarterWave,
-            IdentityKind.ParitySplitEven,
-            IdentityKind.ParitySplitChi,
-        }
-    return applicable
+    return _report("pfaffian_link", "hp", bits, records, [])
 
 
 def verify_all(inp, N_max, mode: str = "exact", bits: int | None = None):
-    """Run every applicable kind; inapplicable kinds get a skipped report."""
+    """Run every kind whose row takes the input; the others get a skipped report."""
     bits = _bits(bits)
-    applicable = _applicable_kinds(inp, mode)
     reports = []
     for kind in IdentityKind:
-        if kind not in applicable:
-            reports.append(
-                IdentityReport(
-                    kind.value, mode, None, [], ["species mismatch; skipped"], "skipped"
-                )
-            )
-            continue
-        if mode == "exact" and kind in _HP_ONLY:
-            reports.append(
-                IdentityReport(
-                    kind.value,
-                    mode,
-                    None,
-                    [],
-                    ["integral-backed kind has no exact mode; skipped"],
-                    "skipped",
-                )
-            )
-            continue
-        try:
-            reports.append(verify(kind, inp, N_max, mode, bits))
-        except SpeciesError as exc:
-            reports.append(
-                IdentityReport(kind.value, mode, None, [], [str(exc)], "skipped")
-            )
-        except Exception as exc:
-            reports.append(
-                IdentityReport(
-                    kind.value,
-                    mode,
-                    bits,
-                    [],
-                    ["%s: %s" % (type(exc).__name__, exc)],
-                    "error",
-                )
-            )
+        row = _IDENTITIES[kind]
+        skipped = None
+        if not row.applies(inp):
+            skipped = "species mismatch; skipped"
+        elif mode == "exact" and not row.exact:
+            skipped = "integral-backed kind has no exact mode; skipped"
+        else:
+            try:
+                rep = verify(kind, inp, N_max, mode, bits)
+            except SpeciesError as exc:
+                skipped = str(exc)
+            except Exception as exc:
+                note = "%s: %s" % (type(exc).__name__, exc)
+                rep = IdentityReport(kind.value, mode, bits, [], [note], "error")
+        if skipped is not None:
+            rep = IdentityReport(kind.value, mode, None, [], [skipped], "skipped")
+        reports.append(rep)
     return reports

@@ -11,6 +11,7 @@ import sdet
 from sdet import cli, identities, quadrature
 from sdet.determinants import PrecisionError
 from sdet.identities import IdentityKind
+from sdet.scalars import format_scalar
 from sdet.symbols import FHProduct, JumpPoint, descriptor_from_json, th_to_moment_symbol
 
 
@@ -504,6 +505,23 @@ class TestDumpCommand:
         assert float(table[1]) == pytest.approx(0.6366197723675814)
         assert float(table[0]) == 0.0
 
+    def test_low_bits_print_only_backed_digits(self, write_config, capsys):
+        # the tables promise 2^-(bits-16): 14 digits at 64 bits, 30 at 256
+        fh = write_config(
+            "exp_cos.json", {"kind": "fh", "log_smooth": [[1, 0.15, 0], [-1, 0.15, 0]], "jumps": []}
+        )
+        tables = {}
+        for bits in (64, 256):
+            code = cli.run(["dump", "--symbol", fh, "--nmax", "4", "--bits", str(bits)])
+            assert code == 0
+            tables[bits] = dict(json.loads(capsys.readouterr().out)["coeffs"])
+        for n, text in tables[64].items():
+            mantissa = text.split("e")[0].replace(".", "").lstrip("0")
+            assert len(mantissa) <= 14, text
+            with mp.workprec(256):
+                assert format_scalar(mp.mpf(tables[256][n]), 14) == text
+        assert len(tables[256][0].replace(".", "")) == 30
+
 
 def test_python_m_sdet_runs_the_cli(delta_path):
     src = str(Path(sdet.__file__).resolve().parents[1])
@@ -535,3 +553,31 @@ class TestExitCodes:
         )
         assert code == 3
         assert "precision failure" in capsys.readouterr().err
+
+    def test_error_report_maps_to_three(self, monkeypatch, write_config, capsys):
+        # the first kind to run meets a PrecisionError: verify_all reports it
+        # as an error, the other kinds still run, and the exit code is 3
+        real = identities.leading_minors
+        calls = []
+
+        def first_call_fails(M, orders, bits=None):
+            calls.append(M.order)
+            if len(calls) == 1:
+                raise PrecisionError("unstable at 64 bits", recommended_bits=128)
+            return real(M, orders, bits)
+
+        monkeypatch.setattr(identities, "leading_minors", first_call_fails)
+        cos = write_config(
+            "cos.json",
+            {"kind": "coeffs", "symmetry": "even", "entries": [[-1, "1/2", 0], [0, 1, 0], [1, "1/2", 0]]},
+        )
+        code = cli.run(["verify", "--identity", "all", "--symbol", cos, "--nmax", "3"])
+        assert code == 3
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[0] == "check identity=hankel_congruence mode=exact nmax=3 verdict=error worst_rel=0"
+        assert lines[4] == "check identity=skew_square mode=exact nmax=3 verdict=pass worst_rel=0"
+        report = json.loads(out[out.index("[\n") :])
+        assert report[0]["verdict"] == "error"
+        assert report[0]["notes"] == ["PrecisionError: unstable at 64 bits"]
+        assert report[0]["records"] == []

@@ -12,6 +12,7 @@ from sdet.identities import (
     verify_all,
 )
 from sdet.symbols import (
+    Chi,
     CoeffSeq,
     FHDescriptor,
     FHProduct,
@@ -403,3 +404,117 @@ class TestReportShapes:
         a = verify(IdentityKind.HankelCongruence, GEOM, 3).to_json()
         b = verify(IdentityKind.HankelCongruence, GEOM, 3).to_json()
         assert a == b
+
+
+MISMATCH = "species mismatch; skipped"
+NO_EXACT = "integral-backed kind has no exact mode; skipped"
+SEQ_NOTE = (
+    "sequence-level input: the identity is a finite-matrix statement and "
+    "does not require the sequence to come from an L1 symbol"
+)
+PASS = ("pass", [])
+
+
+def _pinned(**ran):
+    """verdict and notes per kind: a species mismatch, except those named."""
+    out = {kind.value: ("skipped", [MISMATCH]) for kind in IdentityKind}
+    out.update(ran)
+    return out
+
+
+def _skip(note):
+    return ("skipped", [note])
+
+
+EVEN_SUPPORT = ScalarSeq({0: 2, 2: Fraction(1, 2)}, "even")
+
+VERIFY_ALL_CASES = {
+    "even": (
+        ScalarSeq({0: 2, 1: Fraction(1, 2), 2: Fraction(-1, 3)}, "even"),
+        "exact",
+        _pinned(hankel_congruence=PASS, th_vs_moment=_skip(NO_EXACT), skew_square=PASS),
+    ),
+    "odd": (
+        ScalarSeq({1: 1, 2: Fraction(1, 3)}, "odd"),
+        "exact",
+        _pinned(cseq_square=("pass", [SEQ_NOTE])),
+    ),
+    "even_support": (
+        EVEN_SUPPORT,
+        "exact",
+        _pinned(
+            hankel_congruence=PASS,
+            th_vs_moment=_skip(NO_EXACT),
+            quarter_wave=PASS,
+            skew_square=PASS,
+            parity_split_even=PASS,
+            parity_split_chi=_skip(NO_EXACT),
+        ),
+    ),
+    "even_support_hp": (
+        EVEN_SUPPORT,
+        "hp",
+        _pinned(
+            hankel_congruence=PASS,
+            th_vs_moment=PASS,
+            quarter_wave=PASS,
+            skew_square=PASS,
+            parity_split_even=PASS,
+            parity_split_chi=PASS,
+        ),
+    ),
+    "asymmetric_coeffs": (
+        CoeffSeq({-1: 1, 0: 2, 1: 3}),
+        "exact",
+        _pinned(
+            hankel_congruence=_skip("an even sequence is required"),
+            th_vs_moment=_skip(NO_EXACT),
+            skew_square=_skip("an even sequence is required"),
+        ),
+    ),
+    "chi_hp": (
+        Chi(),
+        "hp",
+        _pinned(cseq_square=_skip("cannot interpret %r as an odd sequence" % Chi)),
+    ),
+    "exp_cos_exact": (
+        EXP_COS,
+        "exact",
+        _pinned(
+            hankel_congruence=_skip("exact mode needs finite rational coefficients"),
+            th_vs_moment=_skip(NO_EXACT),
+            skew_square=_skip("exact mode needs finite rational coefficients"),
+        ),
+    ),
+    "sqrt_ratio_moment_hp": (
+        MomentSymbol.from_poly({0: 1, 2: Fraction(1, 3)}, weight="sqrt_ratio"),
+        "hp",
+        _pinned(moment_to_toeplitz=PASS, moment_skew_square=PASS),
+    ),
+    "sqrt_ratio_moment_exact": (
+        MomentSymbol.from_poly({0: 1, 2: Fraction(1, 3)}, weight="sqrt_ratio"),
+        "exact",
+        _pinned(moment_to_toeplitz=_skip(NO_EXACT), moment_skew_square=_skip(NO_EXACT)),
+    ),
+    "one_moment_hp": (
+        MomentSymbol.from_poly({0: 1, 1: Fraction(1, 2)}),
+        "hp",
+        _pinned(moment_skew_square=PASS),
+    ),
+}
+
+
+class TestVerifyAllPinned:
+    """verify_all's verdict, notes, mode and bits for every kind, per input
+    species: its gate, exact-mode skip and SpeciesError branch."""
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_ALL_CASES))
+    def test_every_kind(self, name):
+        inp, mode, expected = VERIFY_ALL_CASES[name]
+        reports = verify_all(inp, 3, mode, 128)
+        assert [rep.kind for rep in reports] == [kind.value for kind in IdentityKind]
+        got = {rep.kind: (rep.verdict, rep.notes) for rep in reports}
+        assert got == expected
+        for rep in reports:
+            ran_hp = mode == "hp" and rep.verdict == "pass"
+            assert (rep.mode, rep.bits) == (mode, 128 if ran_hp else None)

@@ -18,7 +18,7 @@ from sdet.matrices import (
     toeplitz,
     toeplitz_plus_hankel,
 )
-from sdet.scalars import hp_real, rational
+from sdet.scalars import hp_complex, hp_real, rational
 from sdet.symbols import FHDescriptor, FHProduct, JumpT, MomentSymbol, multiply_by_chi
 from sdet.transforms import ScalarSeq
 
@@ -161,6 +161,40 @@ class TestForcedFallback:
         assert reference_calls == [("lu", 5)]
         ref = det_lu(T, 64)
         assert got[0].value == ref.value and got[0].digits_guaranteed == ref.digits_guaranteed
+
+    @pytest.mark.parametrize(
+        "t, served",
+        [
+            # det T_2 = 1 - (-i)(i) = 0: the recursion stops after order 1
+            ({0: 1, 1: 1j, -1: -1j, 2: 0.5, -2: 0.25, 3: 2j, -3: 1}, 1),
+            # t_0 = 0 with t_1 = t_-1 = i (not skew): it stops at its first step
+            ({0: 0, 1: 1j, -1: 1j, 2: 0.5, -2: -1, 3: 1 + 1j, -3: 3}, 0),
+        ],
+    )
+    def test_complex_levinson_stops(self, t, served, reference_calls, monkeypatch):
+        ratios = []
+        levinson = determinants._levinson_ratios
+
+        def counted(col, row, tiny):
+            out = levinson(col, row, tiny)
+            ratios.append(len(out))
+            return out
+
+        monkeypatch.setattr(determinants, "_levinson_ratios", counted)
+        T = toeplitz(t, 4, bits=BITS)
+        assert T.field == hp_complex(BITS)
+        got = leading_minors(T, [1, 2, 3, 4], BITS)
+        # the complex engine ran, and stopped after `served` orders
+        assert ratios[0] == served
+        assert [r.method for r in got] == ["levinson"] * served + ["lu"] * (4 - served)
+        assert reference_calls == [("lu", n) for n in range(served + 1, 5)]
+        for n, res in zip(range(1, 5), got):
+            ref = det_lu(T.leading(n), BITS)
+            if n > served:
+                assert (res.value, res.digits_guaranteed) == (ref.value, ref.digits_guaranteed)
+            else:
+                assert abs(res.value - ref.value) <= mp.mpf(2) ** (-BITS // 2) * abs(ref.value)
+        assert got[served].value == 0  # the minor the recursion stopped at
 
 
 def tail(t, top):

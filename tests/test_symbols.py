@@ -337,6 +337,28 @@ class TestMomentSymbol:
         with pytest.raises(SpeciesError):
             th_to_moment_symbol(CoeffSeq({1: 1}, symmetry="odd"))
 
+    @pytest.mark.parametrize("weight", ["one", "sqrt_ratio"])
+    def test_evaluate_is_smooth_times_weight(self, weight):
+        def smooth(x):
+            return mp.exp(x) / 3 + x * x
+
+        def poly(x):
+            return 1 / mp.mpf(3) + x * x
+
+        cases = [
+            (MomentSymbol(smooth, weight), smooth),
+            (MomentSymbol.from_poly({0: Fraction(1, 3), 2: 1}, weight), poly),
+        ]
+        for b, f in cases:
+            for x in (Fraction(-3, 4), 0, 0.5, mp.mpf("0.875")):
+                got = evaluate(b, x, bits=160)
+                with mp.workprec(160):
+                    xm = mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+                    want = f(xm)
+                    if weight == "sqrt_ratio":
+                        want *= mp.sqrt((1 + xm) / (1 - xm))
+                    assert abs(got - want) <= mp.mpf(2) ** -150 * abs(want)
+
 
 class TestSymmetrySampling:
     """Decisions of the sampled symmetry checks on symbols that declare none."""
