@@ -27,6 +27,15 @@ W = prec + 40 + 2 bitlen(order) + 16, which covers the recurrence's rounding
 and the 2 log2(order) bits that 1 - x^2 costs P' at the outer roots.  Each
 (order, precision) rule is built once per process and cached.
 
+So is each node's trig pair: every cos and sin that sdet takes at a
+quadrature node, in a kernel here or in an integrand in symbols, goes
+through _cos_sin, which returns mp.cos_sin(t) at the ambient precision,
+computed once per (t, precision) per process.  The integrand and the kernel
+at one node then share one evaluation, and a table built again at the same
+nodes makes none.  The cache holds only these pure functions of (t,
+precision), never a symbol's values; past _NODE_TRIG_CAP entries the oldest
+goes first.
+
 Node values f(t) * weight are evaluated in mpf at wp = bits + GUARD and
 turned once into ints scaled by 2^W; the kernels then run on ints, and each
 level's sums become mpf once:
@@ -49,6 +58,7 @@ left untouched.
 
 import math
 import threading
+from collections import OrderedDict
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, to_fixed
@@ -60,6 +70,10 @@ GUARD = 32
 SLACK = 12
 
 _MAX_SUBPANELS = 1 << 16
+
+# the moment-backed hp identities at nmax 10 and 256 bits read ~650
+# distinct (node, precision) pairs; an entry at 288 bits takes ~0.75 KB
+_NODE_TRIG_CAP = 4096
 
 
 class AccuracyError(Exception):
@@ -76,6 +90,38 @@ class AccuracyError(Exception):
 
 _rules: dict = {}
 _rules_lock = threading.Lock()
+
+
+_node_trig: OrderedDict = OrderedDict()
+_node_trig_lock = threading.Lock()
+
+
+def _cos_sin(t):
+    """mp.cos_sin(t) at the ambient precision, cached per (t, precision) for
+    an mpf t; the oldest entry is dropped past _NODE_TRIG_CAP."""
+    if not isinstance(t, mp.mpf):
+        return mp.cos_sin(t)
+    prec = mp.mp.prec
+    key = (t._mpf_, prec)
+    with _node_trig_lock:
+        hit = _node_trig.get(key)
+    if hit is not None:
+        return hit
+    pair = mp.cos_sin(t, prec=prec)  # the key's precision, even if another thread moves mp's
+    with _node_trig_lock:
+        if key not in _node_trig:
+            if len(_node_trig) >= _NODE_TRIG_CAP:
+                _node_trig.popitem(last=False)
+            _node_trig[key] = pair
+    return pair
+
+
+def _expj(x):
+    """mp.expj(x), from _cos_sin's pair for an mpf x (mpmath builds e^{ix}
+    from the same cos_sin, so the bits agree)."""
+    if isinstance(x, mp.mpf):
+        return mp.mpc(*_cos_sin(x))
+    return mp.expj(x)
 
 
 def _legendre(x, order: int):
@@ -365,7 +411,7 @@ def trig_transform(f, panels, n_max: int, bits: int, kind: str, band: int = 0):
         raise ValueError("kind must be cos, sin or u")
 
     def kernel(t, fv, acc, W):
-        ct, st = mp.cos_sin(t)
+        ct, st = _cos_sin(t)
         c = _fixed(ct, W)
         # the value at n = 1: cos t, sin t, or U_0 = 1; sin and U start from 0
         first = c if kind == "cos" else _fixed(st, W) if kind == "sin" else 1 << W
@@ -385,7 +431,7 @@ def cospower_transform(f, panels, n_max: int, bits: int, band: int = 0):
     """
 
     def kernel(t, fv, acc, W):
-        tc = _fixed(2 * mp.cos(t), W)
+        tc = _fixed(2 * _cos_sin(t)[0], W)
         for start, p in _parts(fv, W, n_max + 1):
             for i in range(start + 1, start + n_max + 1):
                 acc[i] += p
@@ -401,8 +447,8 @@ def _rotation_kernel(n_min: int, count: int):
     """Kernel adding fv * e^{-int} for n = n_min .. n_min + count - 1."""
 
     def kernel(t, fv, acc, W):
-        ct, st = mp.cos_sin(t)
-        z0 = mp.mpc(fv) * mp.expj(-n_min * t)
+        ct, st = _cos_sin(t)
+        z0 = mp.mpc(fv) * _expj(-n_min * t)
         z1 = z0 * mp.mpc(ct, -st)
         tc = 2 * _fixed(ct, W)
         _recur(acc, 0, count, _fixed(z0.real, W), _fixed(z1.real, W), tc, W)

@@ -32,7 +32,7 @@ Symbols are immutable after construction.  Each one memoizes what is
 derived from it under its own lock: its coefficient or moment tables, its
 images (moment twin, skew symbol, half-angle lift) and its sampled symmetry
 certificates.  So each image is built once per symbol, and symbols are
-still safe to share between threads.
+still safe to share between threads; table builds take turns (_table).
 """
 
 import math
@@ -163,18 +163,18 @@ def _expj_series(values: dict, theta):
     """sum_n v_n e^{i n theta}."""
     tot = mp.mpc(0)
     for n, v in values.items():
-        tot += v * mp.expj(n * theta)
+        tot += v * quadrature._expj(n * theta)
     return tot
 
 
-def _trig_series(values: dict, theta, trig):
-    """v_0 + sum_{n>0} 2 v_n cos(n theta) for trig = mp.cos, or
-    sum_{n>0} 2 v_n sin(n theta) for mp.sin: the real profile of an even
-    sequence, or of an odd one divided by i."""
-    tot = values.get(0, mp.mpf(0)) if trig is mp.cos else mp.mpf(0)
+def _trig_series(values: dict, theta, odd=False):
+    """v_0 + sum_{n>0} 2 v_n cos(n theta), or sum_{n>0} 2 v_n sin(n theta)
+    when odd: the real profile of an even sequence, or of an odd one divided
+    by i."""
+    tot = mp.mpf(0) if odd else values.get(0, mp.mpf(0))
     for n, v in values.items():
         if n > 0:
-            tot += 2 * v * trig(n * theta)
+            tot += 2 * v * quadrature._cos_sin(n * theta)[odd]
     return tot
 
 
@@ -383,9 +383,9 @@ class CoeffSeq(FourierSymbol):
     def real_profile(self):
         if not self.real or self.symmetry is None:
             return None
-        trig = mp.cos if self.symmetry == "even" else mp.sin
-        kind = "even" if self.symmetry == "even" else "odd_i"
-        return (kind, lambda theta: _trig_series(_mp_values(self._mp, self.entries), theta, trig))
+        odd = self.symmetry != "even"
+        kind = "odd_i" if odd else "even"
+        return (kind,lambda theta: _trig_series(_mp_values(self._mp, self.entries), theta, odd))
 
     def to_json(self):
         return {
@@ -570,7 +570,7 @@ class FHProduct(FourierSymbol):
         jumps = [(p, mp.mpf(complex(b).imag)) for p, (_, b) in zip(self.desc.points, self.desc.jumps)]
 
         def profile(th):
-            tot = _trig_series(_mp_values(self._mp, log), th, mp.cos)
+            tot = _trig_series(_mp_values(self._mp, log), th)
             for p, g in jumps:
                 tot -= g * (_reduce_mod_2pi(th - p.to_mpf()) - mp.pi)
             return mp.exp(tot)
@@ -809,7 +809,7 @@ class MomentSymbol:
             raise ValueError("moment jumps must lie in (-1, 1)")
         self.cuts = tuple(j if isinstance(j, JumpPoint) else JumpPoint.arccos(x) for x, j in given)
         self.parity = None if parity == "none" else parity
-        self.smooth_theta = smooth_theta or (lambda th: smooth(mp.cos(th)))
+        self.smooth_theta = smooth_theta or (lambda th: smooth(quadrature._cos_sin(th)[0]))
         self.poly = poly
         self.band = band
         if real is None:
@@ -823,11 +823,12 @@ class MomentSymbol:
     def from_poly(cls, coeffs: dict, weight="one", parity=None, jumps=()):
         """Smooth factor sum_k c_k x^k; exact-friendly and JSON-serializable."""
         coeffs = {int(k): v for k, v in coeffs.items() if v != 0}
+        values: dict = {}
 
-        def smooth(x, _c=coeffs):
+        def smooth(x):
             tot = 0
-            for k, v in _c.items():
-                tot += to_mp(v, mp.mp.prec) * x**k
+            for k, v in _mp_values(values, coeffs).items():
+                tot += v * x**k
             return tot
 
         if parity is None and coeffs and all(k % 2 == 0 for k in coeffs):
@@ -876,8 +877,8 @@ class MomentSymbol:
         # After x = cos(theta) the moment integrand carries a sin(theta)
         # Jacobian; sqrt_ratio * sin == 1 + cos removes the x=1 singularity.
         if self.weight == "sqrt_ratio":
-            return lambda th: self.smooth_theta(th) * (1 + mp.cos(th))
-        return lambda th: self.smooth_theta(th) * mp.sin(th)
+            return lambda th: self.smooth_theta(th) * (1 + quadrature._cos_sin(th)[0])
+        return lambda th: self.smooth_theta(th) * quadrature._cos_sin(th)[1]
 
     def moment_table(self, n_max: int, bits: int) -> dict:
         table = _cached_table(self, bits, n_max)
@@ -1025,7 +1026,8 @@ def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
         if theta > mp.pi:
             theta = 2 * mp.pi - theta
         if b.weight == "sqrt_ratio":
-            return b.smooth_theta(theta) * (1 + mp.cos(theta)) / mp.sin(theta)
+            c, s = quadrature._cos_sin(theta)
+            return b.smooth_theta(theta) * (1 + c) / s
         return b.smooth_theta(theta)
 
     def build():
@@ -1043,9 +1045,11 @@ def _halfangle(b0: MomentSymbol) -> FourierSymbol:
         raise SpeciesError("half-angle lift needs an even smooth factor")
     # an even smooth factor of degree K in cos(theta/2) has degree K/2 in theta
     band = None if b0.band is None else (b0.band + 1) // 2
-    return _once(
-        b0, "halfangle", lambda: _lift(b0, 2, lambda theta: b0.smooth(mp.cos(theta / 2)), band)
-    )
+
+    def value(theta):
+        return b0.smooth(quadrature._cos_sin(theta / 2)[0])
+
+    return _once(b0, "halfangle", lambda: _lift(b0, 2, value, band))
 
 
 def moment_to_halfangle(b0: MomentSymbol) -> FourierSymbol:
@@ -1107,22 +1111,31 @@ def _route(sym, bits: int):
     return kind, f, panels, 0
 
 
+_table_lock = threading.RLock()
+
+
 def _table(sym, limit: int, bits: int) -> dict:
-    """sym's table for |n| <= limit (moments: 1 <= n <= limit), by _route."""
-    kind, f, panels, band = _route(sym, bits)
-    with mp.workprec(bits + quadrature.GUARD):
-        if kind == "circle":
-            return quadrature.circle_coeffs(f, panels, -limit, limit, bits, band)
-        if kind == "cospower":
-            raw = quadrature.cospower_transform(f, panels, limit, bits, band)
-            return {n: raw[n] / mp.pi for n in range(1, limit + 1)}
-        # over (0, pi): c_n = raw_n / pi, c_{-n} = c_n for cos, -c_n otherwise
-        raw = quadrature.trig_transform(f, panels, limit, bits, kind, band)
-        table = {0: raw[0] / mp.pi}
-        for n in range(1, limit + 1):
-            table[n] = raw[n] / mp.pi
-            table[-n] = table[n] if kind == "cos" else -table[n]
-        return table
+    """sym's table for |n| <= limit (moments: 1 <= n <= limit), by _route.
+
+    Builds take turns under one process-wide lock: mpmath keeps a single
+    working precision per process, so two builds at once would change each
+    other's precision, and so their bytes.
+    """
+    with _table_lock:
+        kind, f, panels, band = _route(sym, bits)
+        with mp.workprec(bits + quadrature.GUARD):
+            if kind == "circle":
+                return quadrature.circle_coeffs(f, panels, -limit, limit, bits, band)
+            if kind == "cospower":
+                raw = quadrature.cospower_transform(f, panels, limit, bits, band)
+                return {n: raw[n] / mp.pi for n in range(1, limit + 1)}
+            # over (0, pi): c_n = raw_n / pi, c_{-n} = c_n for cos, -c_n otherwise
+            raw = quadrature.trig_transform(f, panels, limit, bits, kind, band)
+            table = {0: raw[0] / mp.pi}
+            for n in range(1, limit + 1):
+                table[n] = raw[n] / mp.pi
+                table[-n] = table[n] if kind == "cos" else -table[n]
+            return table
 
 
 # -- JSON schemas --------------------------------------------------------
