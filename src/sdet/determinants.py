@@ -19,7 +19,8 @@ A block is skewsymmetric when a_ji = -a_ij for every i <= j: exactly over
 the rationals, and over hp fields after both entries are rounded to bits.
 That one rule, matrices._is_skew, also guards pfaffian, so both sides of
 det T_2N = Pf(T_2N)^2 call the same matrices skewsymmetric.  The exact pass
-tests it on the integer rows that it has already cleared of denominators.
+tests it on the matrix's integer rows, whose one common denominator keeps a
+skew matrix skew.
 
 A real hp matrix runs these engines, and pfaffian its elimination with
 partner search, on Python ints, as quadrature's kernels do: a vector or row
@@ -33,15 +34,17 @@ per-row scales between which pfaffian's swaps move entries.  Products are
 shifted down with floor rounding, so an update errs by at most a unit in its
 row's last place: a normwise error, as Levinson's own is (Cybenko, SIAM J.
 Sci. Stat. Comput. 1, 1980), which the bits/2*bits drift sees like any
-rounding.  Multipliers are quotients at W bits; Levinson's eps, g and d stay
-mpf at prec.  The engines return ratios of consecutive minors (Pfaffians,
-for the skew ones), multiplied up at prec + GUARD and each rounded once to
-prec.  A matrix with any mpc entry keeps the mpf engines, the reference the
-kernels are tested against: complex ints would double every vector for a
-path that no study runs at size.
+rounding.  Multipliers are int quotients rounded to nearest at W bits, as
+mpf_div rounds them; Levinson's eps, g and d stay mpf at prec.  The engines
+return ratios of consecutive minors (Pfaffians, for the skew ones),
+multiplied up at prec + GUARD and each rounded once to prec.  A matrix with
+any mpc entry keeps the mpf engines, the reference the kernels are tested
+against: complex ints would double every vector for a path that no study
+runs at size.
 
-Rational matrices are cleared of denominators row by row and eliminated over
-the integers, so their minors are exact.  The Bareiss pass steps over a zero
+A rational matrix is eliminated on its integer rows ints, held over one
+common denominator den (see matrices), so its minors are exact: the k-th is
+the integer minor of ints over den^k.  The Bareiss pass steps over a zero
 pivot with Bareiss's multistep look-ahead (see _integer_minors), and a skew
 pass that meets a zero Pfaffian pivot hands the later orders to it.  Over hp
 fields every engine keeps det_lu's contract: it runs at bits and at 2*bits
@@ -52,12 +55,14 @@ a drift above 2^(-bits/4); that order and every later one then take det_lu.
 
 det_bareiss, the exact reference, is pivoted fraction-free elimination.
 det_lu runs partial-pivoted elimination at bits and at 2*bits.  When the two
-drift apart by more than 2^(-bits/4), it calls the matrix singular (value 0,
-no digits) if a pivot of the 2*bits pass fell below 2^(-3*bits/2) times the
-largest entry, a size the bits pass cannot resolve, and otherwise raises
-PrecisionError.  A tiny pivot that both passes agree on belongs to a small,
-nonsingular determinant: singularity is never read off the determinant's
-size.  pfaffian uses the convention Pf([[0, m], [-m, 0]]) = m.
+drift apart by more than 2^(-bits/4) and a pivot of the 2*bits pass fell
+below 2^(-3*bits/2) times the largest entry, a size the bits pass cannot
+resolve, it runs a third pass at 4*bits: if that agrees with the 2*bits pass
+within 2^(-bits/4), it returns that value with the digits of their drift,
+and otherwise it calls the matrix singular (value 0, no digits).  Any other
+drift raises PrecisionError.  A tiny pivot that both passes agree on belongs
+to a small, nonsingular determinant: singularity is never read off the
+determinant's size.  pfaffian uses the convention Pf([[0, m], [-m, 0]]) = m.
 """
 
 import math
@@ -66,7 +71,7 @@ from itertools import accumulate
 from operator import floordiv, mul, truediv
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, mpf_div, to_fixed
+from mpmath.libmp import from_man_exp, fzero, to_fixed
 
 from .matrices import StructuredMatrix, _is_skew
 from .scalars import to_mp
@@ -193,13 +198,20 @@ def det_lu(M: StructuredMatrix, bits: int | None = None) -> DetResult:
     d1, _ = _lu_pass(M.rows, n, bits)
     d2, fine_min = _lu_pass(M.rows, n, 2 * bits)
     rel = _drift(d1, d2, bits) if d2 else mp.inf
-    if rel > mp.mpf(2) ** (-(bits // 4)):
+    agree = mp.mpf(2) ** (-(bits // 4))
+    if rel > agree:
         # the bits pass does not match a pivot below what it resolves,
         # relative to the largest entry
         with mp.workprec(bits):
             top = max(abs(to_mp(v, bits)) for row in M.rows for v in row)
-            if fine_min <= mp.mpf(2) ** (-(3 * bits // 2)) * top:
-                return DetResult(mp.mpf(0), "lu", 0)
+            tiny = fine_min <= mp.mpf(2) ** (-(3 * bits // 2)) * top
+        if tiny:
+            # a small nonsingular determinant that 2*bits already resolves
+            d4, _ = _lu_pass(M.rows, n, 4 * bits)
+            rel = _drift(d2, d4, 2 * bits) if d4 else mp.inf
+            if rel <= agree:
+                return _hp_result(d4, rel, bits, "lu")
+            return DetResult(mp.mpf(0), "lu", 0)
         raise PrecisionError(
             "determinant unstable at %d bits (relative drift %s); "
             "retry with at least %d bits" % (bits, mp.nstr(rel, 5), 2 * bits),
@@ -360,8 +372,22 @@ def _mpf(man, exp, prec):
 
 
 def _quotient(num, den, prec):
-    """num / den for ints, rounded to prec bits, as a raw mpf tuple."""
-    return mpf_div(from_int(num), from_int(den), prec, "n")
+    """num / den for ints, den nonzero, rounded to nearest at prec bits with
+    ties to even, as a raw mpf tuple: mpf_div(from_int(num), from_int(den),
+    prec, "n"), computed on ints."""
+    if not num:
+        return fzero
+    a, b = abs(num), abs(den)
+    s = prec + 1 - a.bit_length() + b.bit_length()
+    q, r = divmod(a << s, b) if s >= 0 else divmod(a, b << -s)
+    # 2^prec <= q < 2^(prec+2): keep prec bits, and r decides a tie
+    extra = q.bit_length() - prec
+    m, low, half = q >> extra, q & ((1 << extra) - 1), 1 << (extra - 1)
+    if low > half or low == half and (r or m & 1):
+        m += 1
+    tz = (m & -m).bit_length() - 1
+    m >>= tz
+    return (int((num ^ den) < 0), m, extra + tz - s, m.bit_length())
 
 
 def _mantissas(coeffs, shift):
@@ -517,24 +543,20 @@ def _fixed_pass(method, data, prec, tiny):
     return [+m for m in minors]
 
 
-def _exact_minors(rows):
-    """Exact leading minors of orders 1..len(rows) of rational rows."""
-    a, scales = _integer_rows(rows)
-    weights = list(accumulate(scales, mul))
+def _exact_minors(a, den):
+    """Exact leading minors of orders 1..len(a) of the matrix a / den, for
+    integer rows a that the passes may overwrite: minor k is m_k / den^k."""
     n = len(a)
     found = []
-    # row i of a is row i of the matrix times scales[i]
-    if all(a[i][j] * scales[j] == -a[j][i] * scales[i] for i in range(n) for j in range(i, n)):
-        # D A D with D = diag(scales) stays skewsymmetric, and its Pf of
-        # order 2k carries the first 2k scales
-        dad = [[v * s for v, s in zip(row, scales)] for row in a]
-        minors = _one_pass("pfaffian", dad, floordiv, lambda p, prev: p == 0, 0)
-        found = [DetResult(Fraction(m, w * w), "pfaffian") for m, w in zip(minors, weights)]
+    # matrices._is_skew's rule on the ints, which one common den keeps
+    if all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n)):
+        minors = _one_pass("pfaffian", [r[:] for r in a], floordiv, lambda p, prev: p == 0, 0)
+        found = [DetResult(Fraction(m, den ** k), "pfaffian") for k, m in enumerate(minors, 1)]
     if len(found) < n:
         # a zero Pfaffian pivot: the general pass serves the later orders
         minors = _integer_minors(a)
         for k in range(len(found), n):
-            found.append(DetResult(Fraction(minors[k], weights[k]), "bareiss"))
+            found.append(DetResult(Fraction(minors[k], den ** (k + 1)), "bareiss"))
     return found
 
 
@@ -590,10 +612,10 @@ def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list
     if not orders:
         return []
     top = max(orders)
-    rows = [row[:top] for row in M.rows[:top]]
     if M.field.is_exact:
-        found = _exact_minors(rows)
+        found = _exact_minors([row[:top] for row in M.ints[:top]], M.den)
         return [found[n - 1] for n in orders]
+    rows = [row[:top] for row in M.rows[:top]]
     bits = bits or M.field.bits
     if bits < 64:
         raise ValueError("leading_minors needs at least 64 bits")

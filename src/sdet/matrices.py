@@ -1,13 +1,18 @@
 """Finite structured matrices built from symbols and sequences.
 
-Builders produce dense row-major StructuredMatrix values over an explicit
-field (exact rationals or high-precision reals/complexes), laid out of one
-coefficient table per matrix, with each index coerced once, so their
-diagonals (or anti-diagonals) are constant by construction.  The constructor
-checks the claimed structure of a matrix built from a caller's own rows, and
-toeplitz checks the symmetry that the source promises on the table: an even
-symbol gives a symmetric matrix, an odd one a skewsymmetric one.  Storage is dense; determinants.leading_minors reads only the first
-row and column of an hp Toeplitz matrix and eliminates a copy of the others.
+Builders produce dense StructuredMatrix values over an explicit field (exact
+rationals or high-precision reals/complexes), laid out of one coefficient
+table per matrix, with each index coerced once, so their diagonals (or
+anti-diagonals) are constant by construction.  A rational matrix is held as
+integer rows over one positive common denominator: a builder clears its
+table once (den is the lcm of the table's denominators) and lays out the
+numerators, so a Toeplitz+Hankel entry is an int sum.  Fractions appear
+only when a caller reads rows.  The constructor checks the claimed
+structure of a matrix built from a caller's own rows, and toeplitz checks
+the symmetry that the source promises on the table: an even symbol gives a
+symmetric matrix, an odd one a skewsymmetric one.  Storage is dense;
+determinants.leading_minors reads only the first row and column of an hp
+Toeplitz matrix and eliminates a copy of the others.
 
 The leading k x k block of a size-N Toeplitz, Hankel, Toeplitz+Hankel or
 Hankel moment matrix is the size-k matrix of the same source, so a walk over
@@ -15,6 +20,7 @@ N builds once at the largest size and reads the rest with
 StructuredMatrix.leading; tables are filled once.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -72,7 +78,16 @@ def _is_skew(rows, bits=None):
 
 
 class StructuredMatrix:
-    __slots__ = ("order", "field", "structure", "rows")
+    """A square matrix over a field, tagged with its structure.
+
+    Over the rationals the entries are held as integer rows ints over one
+    positive common denominator den: entry (j, k) is ints[j][k] / den.  rows
+    is a read-only view of the entries, as Fractions over the rationals
+    (made on first read and kept) and as mp values over hp fields, where
+    ints and den are None.
+    """
+
+    __slots__ = ("order", "field", "structure", "ints", "den", "_rows")
 
     def __init__(self, rows, field: Field, structure: str = "general", check: bool = True):
         if structure not in _TAGS:
@@ -83,17 +98,50 @@ class StructuredMatrix:
         self.order = order
         self.field = field
         self.structure = structure
-        self.rows = [list(r) for r in rows]
+        if field.is_exact:
+            if not all(scalars.is_exact_scalar(v) for r in rows for v in r):
+                raise TypeError("a rational matrix needs int or Fraction entries")
+            self.den = math.lcm(*[v.denominator for r in rows for v in r])
+            self.ints = [[v.numerator * (self.den // v.denominator) for v in r] for r in rows]
+            self._rows = None
+        else:
+            self.ints = self.den = None
+            self._rows = [list(r) for r in rows]
         if check:
             self._check_structure()
 
+    @classmethod
+    def _exact(cls, ints, den: int, structure: str, check: bool = False) -> "StructuredMatrix":
+        """The rational matrix ints / den, taking ownership of ints."""
+        m = cls.__new__(cls)
+        m.order = len(ints)
+        m.field = rational()
+        m.structure = structure
+        m.ints = ints
+        m.den = den
+        m._rows = None
+        if check:
+            m._check_structure()
+        return m
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            den = self.den
+            self._rows = [[Fraction(x, den) for x in r] for r in self.ints]
+        return self._rows
+
+    def _grid(self) -> list:
+        """The entries as held: ints over the rationals, rows otherwise."""
+        return self.rows if self.ints is None else self.ints
+
     def _entry_bound(self):
         """_bound_for over the entries of this matrix."""
-        return _bound_for(self.field, (v for row in self.rows for v in row))
+        return _bound_for(self.field, (v for row in self._grid() for v in row))
 
     def _check_structure(self):
         n = self.order
-        rows = self.rows
+        rows = self._grid()
         bound = self._entry_bound()
         if self.structure in ("toeplitz",):
             for i in range(1, n):
@@ -114,7 +162,9 @@ class StructuredMatrix:
         if not 1 <= n <= self.order:
             raise ValueError("leading block order must be in 1..%d" % self.order)
         structure = "general" if self.structure == "flip" else self.structure
-        rows = [row[:n] for row in self.rows[:n]]
+        rows = [row[:n] for row in self._grid()[:n]]
+        if self.ints is not None:
+            return StructuredMatrix._exact(rows, self.den, structure)
         return StructuredMatrix(rows, self.field, structure, check=False)
 
     def entry(self, i: int, j: int):
@@ -125,9 +175,10 @@ class StructuredMatrix:
 
     def is_symmetric(self) -> bool:
         n = self.order
+        rows = self._grid()
         bound = self._entry_bound()
         return all(
-            abs(self.rows[i][j] - self.rows[j][i]) <= bound
+            abs(rows[i][j] - rows[j][i]) <= bound
             for i in range(n)
             for j in range(i + 1, n)
         )
@@ -135,7 +186,7 @@ class StructuredMatrix:
     def is_skew(self) -> bool:
         """_is_skew at the field's bits: the rule by which leading_minors picks
         its skew engine and pfaffian accepts a matrix."""
-        return _is_skew(self.rows, self.field.bits)
+        return _is_skew(self._grid(), self.field.bits)
 
     def to_json(self) -> dict:
         if self.field.is_exact:
@@ -204,15 +255,22 @@ def _coeff_table(a, lo: int, hi: int, field: Field) -> dict:
 
 
 def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, entry, default_bits=256):
-    """The N x N matrix (entry(c, j, k)) and c, the table of a over [lo, hi]."""
+    """The N x N matrix (entry(c, j, k)) and c, the table of a over [lo, hi]:
+    over the rationals, the table's numerators over the matrix's den."""
     if N < 1:
         raise ValueError("N must be >= 1")
     field = field or infer_field(a, bits or default_bits, exact=bits is None)
     c = _coeff_table(a, lo, hi, field)
-    # sums of entries (T+H) must not round at ambient precision
-    with mp.workprec((field.bits or 0) + 32):
-        rows = [[entry(c, j, k) for k in range(N)] for j in range(N)]
     # constant along (anti-)diagonals by construction, so unchecked
+    if field.is_exact:
+        # the table over one denominator: entry sums are int sums
+        den = math.lcm(*[v.denominator for v in c.values()])
+        c = {n: v.numerator * (den // v.denominator) for n, v in c.items()}
+        ints = [[entry(c, j, k) for k in range(N)] for j in range(N)]
+        return StructuredMatrix._exact(ints, den, structure), c
+    # sums of entries (T+H) must not round at ambient precision
+    with mp.workprec(field.bits + 32):
+        rows = [[entry(c, j, k) for k in range(N)] for j in range(N)]
     return StructuredMatrix(rows, field, structure, check=False), c
 
 
@@ -291,7 +349,7 @@ def checkerboard_split(M: StructuredMatrix, parity: str):
     if parity not in ("even_entries", "odd_entries"):
         raise ValueError("parity must be even_entries or odd_entries")
     N = M.order // 2
-    rows = M.rows
+    rows = M._grid()
     bound = M._entry_bound()
     # coefficient c_d sits at any (j, k) with j - k = d
     want_zero_residue = 1 if parity == "even_entries" else 0
@@ -302,18 +360,13 @@ def checkerboard_split(M: StructuredMatrix, parity: str):
         if abs(rows[j][k]) > bound:
             raise StructureError(
                 "coefficient c_%d should vanish but is %s"
-                % (d, scalars.format_scalar(rows[j][k], 8))
+                % (d, scalars.format_scalar(M.rows[j][k], 8))
             )
     if parity == "even_entries":
-        b1 = [[rows[2 * j][2 * k] for k in range(N)] for j in range(N)]
-        b2 = [[rows[2 * j + 1][2 * k + 1] for k in range(N)] for j in range(N)]
-        return (
-            StructuredMatrix(b1, M.field, "toeplitz"),
-            StructuredMatrix(b2, M.field, "toeplitz"),
-        )
-    d1 = [[rows[2 * j + 1][2 * k] for k in range(N)] for j in range(N)]
-    d2 = [[rows[2 * j][2 * k + 1] for k in range(N)] for j in range(N)]
-    return (
-        StructuredMatrix(d1, M.field, "toeplitz"),
-        StructuredMatrix(d2, M.field, "toeplitz"),
-    )
+        offsets = ((0, 0), (1, 1))
+    else:
+        offsets = ((1, 0), (0, 1))
+    blocks = ([[rows[2 * j + r][2 * k + q] for k in range(N)] for j in range(N)] for r, q in offsets)
+    if M.ints is not None:
+        return tuple(StructuredMatrix._exact(b, M.den, "toeplitz", check=True) for b in blocks)
+    return tuple(StructuredMatrix(b, M.field, "toeplitz") for b in blocks)

@@ -31,8 +31,11 @@ the two sides of an identity stay independent.
 Symbols are immutable after construction.  Each one memoizes what is
 derived from it under its own lock: its coefficient or moment tables, its
 images (moment twin, skew symbol, half-angle lift) and its sampled symmetry
-certificates.  So each image is built once per symbol, and symbols are
-still safe to share between threads; table builds take turns (_table).
+certificates.  So each image is built once per symbol, and table builds
+take turns (_table).  That does not make hp work safe in threads: mpmath
+keeps one working precision per process, which every mp.workprec block
+saves and restores, so two threads that verify or build hp matrices at once
+can change each other's results.  Run concurrent hp work in processes.
 """
 
 import math

@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, mpf_div
 
 import sdet.determinants as determinants
 import sdet.matrices as matrices
@@ -150,6 +151,18 @@ class TestLU:
         assert res.value == to_mp(t0**4, 128)
         assert res.value == leading_minors(T, [4], 128)[0].value
 
+    def test_small_determinant_beyond_the_bits_pass_is_not_zero(self):
+        # lower banded, det = t_0^4 = 81/2^264: the bits pass drifts, the
+        # 2*bits pass has a pivot below 2^-192, and the 4*bits pass agrees
+        # with it
+        t0 = Fraction(-3, 2**66)
+        T = toeplitz({0: t0, 1: Fraction(1, 2), 2: Fraction(2, 3)}, 4, bits=128)
+        res = det_lu(T, 128)
+        assert res.digits_guaranteed > 30
+        with mp.workprec(256):
+            assert abs(res.value / to_mp(t0**4, 256) - 1) < mp.mpf(10) ** -res.digits_guaranteed
+        assert det_lu(toeplitz({0: t0, 1: Fraction(1, 2), 2: Fraction(2, 3)}, 4), 128).value == res.value
+
     def test_rationally_singular_block_reports_zero(self):
         # row 3 = row 1 + row 2 over the rationals; the entries round
         # differently at bits and at 2*bits, so the passes disagree on the
@@ -184,6 +197,26 @@ class TestLU:
         hp = det_auto(hp_matrix([[2, 0], [0, 2]]))
         assert hp.method == "elimination"
         assert hp.value == 4
+
+
+def test_quotient_rounds_as_mpf_div():
+    rng = random.Random(7)
+    for case in range(12000):
+        prec = rng.choice([64, 96, 160, 288, 544])
+        num = rng.getrandbits(rng.randint(1, 2 * prec)) * rng.choice([1, -1])
+        den = rng.getrandbits(rng.randint(1, 2 * prec)) or 1
+        kind = case % 4
+        if kind == 1:
+            den = 1 << rng.randint(0, 300)
+        elif kind == 2:
+            num = den * rng.getrandbits(rng.randint(1, prec + 4)) * rng.choice([1, -1])
+        elif kind == 3:
+            # prec + 1 significant bits ending in 1: halfway between two
+            # prec-bit values
+            num = ((rng.getrandbits(prec) | 1 << prec | 1) * den) << rng.randint(0, 4)
+        den *= rng.choice([1, -1])
+        want = mpf_div(from_int(num), from_int(den), prec, "n")
+        assert determinants._quotient(num, den, prec) == want, (num, den, prec)
 
 
 class TestPfaffian:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdet.determinants import det_bareiss
 from sdet.identities import (
@@ -518,3 +520,25 @@ class TestVerifyAllPinned:
         for rep in reports:
             ran_hp = mode == "hp" and rep.verdict == "pass"
             assert (rep.mode, rep.bits) == (mode, 128 if ran_hp else None)
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from([("even", range(0, 7)), ("odd", range(1, 7)), ("even", range(0, 7, 2))]),
+    values=st.lists(small_fractions, min_size=7, max_size=7),
+    n_max=st.integers(1, 8),
+)
+def test_exact_identities_hold_with_zero_residuals(family, values, n_max):
+    symmetry, indices = family
+    seq = ScalarSeq(dict(zip(indices, values)), symmetry)
+    ran = 0
+    for rep in verify_all(seq, n_max, "exact"):
+        if rep.verdict == "skipped":
+            continue
+        assert rep.verdict == "pass", (rep.kind, rep.notes)
+        assert all(isinstance(r.abs_resid, (int, Fraction)) and r.abs_resid == 0 for r in rep.records)
+        ran += 1
+    assert ran

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from sdet.determinants import det_bareiss, det_lu
+import sdet.matrices as matrices
+from sdet.determinants import det_bareiss, det_lu, leading_minors
 from sdet.matrices import (
     StructureError,
     StructuredMatrix,
@@ -18,7 +20,7 @@ from sdet.scalars import hp_real, rational
 from sdet.symbols import Chi, ClosedFormSymbol, CoeffSeq, JumpT, MomentSymbol, SpeciesError
 from sdet.transforms import ScalarSeq
 
-from conftest import random_even_seq
+from conftest import rand_fraction, random_even_seq, random_odd_seq
 
 
 DELTA = ScalarSeq({0: 1}, "even")
@@ -328,3 +330,59 @@ class TestStructureChecks:
         a = ScalarSeq({0: Fraction(1, 3), 1: Fraction(1, 7)}, "even")
         m = toeplitz(a, 4, field=hp_real(128))
         assert m.is_symmetric()
+
+
+MIXED = [
+    [Fraction(1, 3), Fraction(-5, 4), 2],
+    [Fraction(7, 6), 0, Fraction(1, 10)],
+    [Fraction(-2, 9), Fraction(3, 8), Fraction(5, 7)],
+]
+
+
+class TestExactRepresentation:
+    """A rational matrix holds integer rows ints over one denominator den."""
+
+    @pytest.mark.parametrize("even", [True, False])
+    def test_rows_are_the_fraction_entries(self, rng, even):
+        a = random_even_seq(rng) if even else random_odd_seq(rng)
+        c = {n: Fraction(a[n]) for n in range(-7, 8)}
+        n = 4
+        built = [(toeplitz, lambda j, k: c[j - k]), (hankel, lambda j, k: c[j + k + 1])]
+        if even:
+            built.append((toeplitz_plus_hankel, lambda j, k: c[j - k] + c[j + k + 1]))
+        for builder, want in built:
+            m = builder(a, n)
+            assert m.field.is_exact
+            assert m.rows == [[want(j, k) for k in range(n)] for j in range(n)]
+            assert all(type(v) is Fraction for row in m.rows for v in row)
+            assert m.ints == [[v * m.den for v in row] for row in m.rows]
+            block = m.leading(2)
+            assert block.den == m.den and block.rows == [row[:2] for row in m.rows[:2]]
+
+    def test_caller_rows_with_mixed_denominators(self):
+        rows = [list(r) for r in MIXED]
+        m = StructuredMatrix(rows, rational())
+        rows[0][0] = 5
+        assert m.den == math.lcm(3, 4, 6, 10, 9, 8, 7)
+        assert m.rows == MIXED
+        assert m.ints == [[v * m.den for v in row] for row in MIXED]
+        for n, got in zip(range(1, 4), leading_minors(m, range(1, 4))):
+            assert got.value == det_bareiss(m.leading(n)).value
+        with pytest.raises(TypeError):
+            StructuredMatrix([[Fraction(1, 2), 0.5], [0, 1]], rational())
+
+    def test_skew_read_on_ints_agrees_with_is_skew(self, rng):
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    v = rand_fraction(rng) if i < j or rng.random() < 0.2 else Fraction(0)
+                    rows[i][j], rows[j][i] = v, -v if rng.random() < 0.9 else v
+            m = StructuredMatrix(rows, rational())
+            skew = matrices._is_skew(rows)
+            assert m.is_skew() == skew
+            assert leading_minors(m, [n, 1])[1].method == ("pfaffian" if skew else "bareiss")
+            seen.add(skew)
+        assert seen == {True, False}
