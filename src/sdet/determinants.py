@@ -15,6 +15,13 @@ served each order:
   block: one pass without pivoting, whose k-th pivot is the k-th minor;
 - "lu": the reference path, det_lu on the leading block.
 
+leading_minors keeps what it ran on the matrix (StructuredMatrix._minors):
+the pass per bits and largest order, and each det_lu fallback per bits and
+order.  A matrix is read-only, so a later request, from the same caller or
+from another that shares the matrix, reads them; they go with the matrix,
+and nothing is kept process-wide.  det_lu, det_bareiss and pfaffian keep
+nothing.
+
 A block is skewsymmetric when a_ji = -a_ij for every i <= j: exactly over
 the rationals, and over hp fields after both entries are rounded to bits.
 That one rule, matrices._is_skew, also guards pfaffian, so both sides of
@@ -596,6 +603,22 @@ def _hp_minors(rows, method, bits):
     return out
 
 
+def _engine_minors(M: StructuredMatrix, top: int, bits):
+    """The engine's minors of orders 1..m (m <= top) of M's leading top x top
+    block: all of them over the rationals (bits None), up to the first order
+    the engine cannot serve over hp fields."""
+    if bits is None:
+        return _exact_minors([list(row[:top]) for row in M.ints[:top]], M.den)
+    rows = [row[:top] for row in M.rows[:top]]
+    if _is_skew(rows, bits):
+        method = "pfaffian"
+    elif M.structure == "toeplitz" and _is_toeplitz(rows):
+        method = "levinson"
+    else:
+        method = "elimination"
+    return _hp_minors(rows, method, bits)
+
+
 def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list[DetResult]:
     """det of the leading n x n block of M for every n in orders, from one pass.
 
@@ -605,6 +628,11 @@ def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list
     bits (default: its field's) and at 2*bits, as det_lu does; an order that
     the engine cannot serve, and every later one, comes from det_lu on the
     leading block, so its errors propagate unchanged.
+
+    M keeps what a call ran: the pass per bits and largest order (the
+    engine reads the whole leading block of that order), and each det_lu
+    fallback per bits and order.  A later call reads them and runs only
+    what it lacks; a call that raises keeps nothing.
     """
     orders = [int(n) for n in orders]
     if any(not 1 <= n <= M.order for n in orders):
@@ -613,20 +641,23 @@ def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list
         return []
     top = max(orders)
     if M.field.is_exact:
-        found = _exact_minors([row[:top] for row in M.ints[:top]], M.den)
-        return [found[n - 1] for n in orders]
-    rows = [row[:top] for row in M.rows[:top]]
-    bits = bits or M.field.bits
-    if bits < 64:
-        raise ValueError("leading_minors needs at least 64 bits")
-    if _is_skew(rows, bits):
-        method = "pfaffian"
-    elif M.structure == "toeplitz" and _is_toeplitz(rows):
-        method = "levinson"
+        bits = None
     else:
-        method = "elimination"
-    found = _hp_minors(rows, method, bits)
-    return [found[n - 1] if n <= len(found) else det_lu(M.leading(n), bits) for n in orders]
+        bits = bits or M.field.bits
+        if bits < 64:
+            raise ValueError("leading_minors needs at least 64 bits")
+    held = M._minors
+    found = held.get((bits, top))
+    if found is None:
+        found = _engine_minors(M, top, bits)
+    lu = {}
+    for n in orders:
+        if n > len(found) and n not in lu:
+            lu[n] = held.get((bits, "lu", n)) or det_lu(M.leading(n), bits)
+    held.setdefault((bits, top), found)
+    for n, res in lu.items():
+        held.setdefault((bits, "lu", n), res)
+    return [found[n - 1] if n <= len(found) else lu[n] for n in orders]
 
 
 def det_auto(M: StructuredMatrix, bits: int | None = None) -> DetResult:

@@ -21,6 +21,17 @@ by moment integrals have no exact mode (generic moments are
 transcendental); requesting exact there silently upgrades to hp and says so
 in the report notes.  Sequence-level inputs are accepted even when no L1
 symbol is known to back them; the identities are finite-matrix statements.
+
+Kinds that need the same matrix of one input build it from one owner: the
+matrix builders keep it on that symbol, and leading_minors keeps its pass
+on the matrix, so verify_all and pfaffian_link run one pass per distinct
+matrix.  The moment kinds and pfaffian_link share the moment twin's H_N[b]
+and its skew symbol's T_2N(c); hankel_congruence, quarter_wave and
+skew_square share a coefficient sequence's one even view, and with it
+T+H_N(a); quarter_wave and parity_split_even share one halve_argument, and
+with it T_N(d).  A plain dict or ScalarSeq input has no owner and shares
+nothing.  The two sides of one identity are always distinct matrices with
+passes of their own.
 """
 
 import enum
@@ -191,15 +202,27 @@ def _exact_value(v):
     return v
 
 
-def _even_input_seq(inp, max_index: int, mode: str, bits: int) -> ScalarSeq:
-    """Even ScalarSeq view of the input, wide enough for indices |n| <= max_index."""
+def _even_view(inp, max_index: int, mode: str, bits: int):
+    """The even coefficients of the input, wide enough for |n| <= max_index.
+
+    A quadrature-backed symbol gives a ScalarSeq of its table at bits.  A
+    sequence-level input gives a CoeffSeq, one per mode for a CoeffSeq
+    input, so the kinds on one input build from one owner and share its
+    matrices (see matrices).
+    """
     if isinstance(inp, symbols.FourierSymbol) and not isinstance(inp, CoeffSeq):
         if not symbols.certify_even(inp):
             raise SpeciesError("an even symbol is required")
         if mode == "exact":
             raise SpeciesError("exact mode needs finite rational coefficients")
         return ScalarSeq(inp.coeff_table(0, max_index, bits), "even")
-    return _input_seq(inp, "even", mode)
+
+    def build():
+        return CoeffSeq(_input_seq(inp, "even", mode).entries, symmetry="even")
+
+    if isinstance(inp, CoeffSeq):
+        return symbols._once(inp, ("even_view", mode), build)
+    return build()
 
 
 def _residuals(lhs, rhs, bits):
@@ -334,7 +357,7 @@ def _has_even_support(inp):
 
 @_identity(IdentityKind.HankelCongruence, _is_even)
 def _hankel_congruence(inp, n, mode, bits, notes):
-    seq = _even_input_seq(inp, 2 * n + 2, mode, bits)
+    seq = _even_view(inp, 2 * n + 2, mode, bits)
     field = infer_field(seq, bits, exact=mode == "exact")
     with mp.workprec(2 * bits + 32):
         b = a_to_b(seq, 2 * n)
@@ -358,13 +381,13 @@ def _th_vs_moment(inp, n, mode, bits, notes):
 def _require_even_support(inp, mode, bits, max_index):
     """The input as an even symbol whose odd coefficients vanish."""
     if isinstance(inp, (ScalarSeq, dict, CoeffSeq)):
-        seq = _even_input_seq(inp, max_index, mode, bits)
+        seq = _even_view(inp, max_index, mode, bits)
         odd = [n for n in seq.entries if n % 2 and seq.entries[n] != 0]
         if odd:
             raise SpeciesError(
                 "vanishing odd coefficients are required, found index %d" % odd[0]
             )
-        return CoeffSeq(seq.entries, symmetry="even")
+        return seq
     if isinstance(inp, symbols.FourierSymbol):
         if not inp.even_support():
             raise SpeciesError("vanishing odd coefficients are required")
@@ -396,7 +419,7 @@ def _moment_to_toeplitz(inp, n, mode, bits, notes):
 
 @_identity(IdentityKind.SkewSquare, _is_even, squared=True)
 def _skew_square(inp, n, mode, bits, notes):
-    seq = _even_input_seq(inp, 2 * n, mode, bits)
+    seq = _even_view(inp, 2 * n, mode, bits)
     field = infer_field(seq, bits, exact=mode == "exact")
     with mp.workprec(2 * bits + 32):
         c = a_to_c(seq, 2 * n - 1)
@@ -479,7 +502,8 @@ def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> Identit
 
     Two records per N: the Pfaffian-square check, then the cross-family
     magnitude check against the Hankel moment determinant.  The matrices
-    are moment_skew_square's.
+    are moment_skew_square's, and so are their leading-minor passes when
+    that kind ran on b at the same N and bits; pfaffian runs once per N.
     """
     Ns = _n_list(N_values)
     bits = _bits(bits)

@@ -14,6 +14,15 @@ symmetric matrix, an odd one a skewsymmetric one.  Storage is dense;
 determinants.leading_minors reads only the first row and column of an hp
 Toeplitz matrix and eliminates a copy of the others.
 
+A matrix is read-only: its rows (and a rational matrix's ints) are tuples,
+and tolist() gives a mutable copy.  So a matrix can be shared: called with
+a symbol, toeplitz, hankel, toeplitz_plus_hankel and hankel_moment build
+the matrix once per (family, N, field) and keep it on the symbol, with
+symbols' other derived values, and determinants.leading_minors keeps the
+passes it ran on the matrix.  Both go when the symbol goes; nothing is kept
+process-wide.  A plain dict or ScalarSeq has no such store and gets a new
+matrix per call.
+
 The leading k x k block of a size-N Toeplitz, Hankel, Toeplitz+Hankel or
 Hankel moment matrix is the size-k matrix of the same source, so a walk over
 N builds once at the largest size and reads the rest with
@@ -84,10 +93,11 @@ class StructuredMatrix:
     positive common denominator den: entry (j, k) is ints[j][k] / den.  rows
     is a read-only view of the entries, as Fractions over the rationals
     (made on first read and kept) and as mp values over hp fields, where
-    ints and den are None.
+    ints and den are None.  rows and ints are tuples of tuples; _minors
+    holds the leading-minor passes that determinants.leading_minors ran.
     """
 
-    __slots__ = ("order", "field", "structure", "ints", "den", "_rows")
+    __slots__ = ("order", "field", "structure", "ints", "den", "_rows", "_minors")
 
     def __init__(self, rows, field: Field, structure: str = "general", check: bool = True):
         if structure not in _TAGS:
@@ -98,40 +108,42 @@ class StructuredMatrix:
         self.order = order
         self.field = field
         self.structure = structure
+        self._minors = {}
         if field.is_exact:
             if not all(scalars.is_exact_scalar(v) for r in rows for v in r):
                 raise TypeError("a rational matrix needs int or Fraction entries")
-            self.den = math.lcm(*[v.denominator for r in rows for v in r])
-            self.ints = [[v.numerator * (self.den // v.denominator) for v in r] for r in rows]
+            den = self.den = math.lcm(*[v.denominator for r in rows for v in r])
+            self.ints = tuple(tuple(v.numerator * (den // v.denominator) for v in r) for r in rows)
             self._rows = None
         else:
             self.ints = self.den = None
-            self._rows = [list(r) for r in rows]
+            self._rows = tuple(map(tuple, rows))
         if check:
             self._check_structure()
 
     @classmethod
     def _exact(cls, ints, den: int, structure: str, check: bool = False) -> "StructuredMatrix":
-        """The rational matrix ints / den, taking ownership of ints."""
+        """The rational matrix ints / den."""
         m = cls.__new__(cls)
         m.order = len(ints)
         m.field = rational()
         m.structure = structure
-        m.ints = ints
+        m.ints = tuple(map(tuple, ints))
         m.den = den
         m._rows = None
+        m._minors = {}
         if check:
             m._check_structure()
         return m
 
     @property
-    def rows(self) -> list:
+    def rows(self) -> tuple:
         if self._rows is None:
             den = self.den
-            self._rows = [[Fraction(x, den) for x in r] for r in self.ints]
+            self._rows = tuple(tuple(Fraction(x, den) for x in r) for r in self.ints)
         return self._rows
 
-    def _grid(self) -> list:
+    def _grid(self) -> tuple:
         """The entries as held: ints over the rationals, rows otherwise."""
         return self.rows if self.ints is None else self.ints
 
@@ -162,7 +174,7 @@ class StructuredMatrix:
         if not 1 <= n <= self.order:
             raise ValueError("leading block order must be in 1..%d" % self.order)
         structure = "general" if self.structure == "flip" else self.structure
-        rows = [row[:n] for row in self._grid()[:n]]
+        rows = tuple(row[:n] for row in self._grid()[:n])
         if self.ints is not None:
             return StructuredMatrix._exact(rows, self.den, structure)
         return StructuredMatrix(rows, self.field, structure, check=False)
@@ -254,24 +266,34 @@ def _coeff_table(a, lo: int, hi: int, field: Field) -> dict:
     return table
 
 
-def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, entry, default_bits=256):
-    """The N x N matrix (entry(c, j, k)) and c, the table of a over [lo, hi]:
-    over the rationals, the table's numerators over the matrix's den."""
+def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, entry, default_bits=256, check=None):
+    """The N x N matrix (entry(c, j, k)) of c, the table of a over [lo, hi]
+    (over the rationals, the table's numerators over the matrix's den),
+    once check(c, field), if given, has passed.  A symbol keeps the matrix,
+    one per structure, N and field (symbols._once)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     field = field or infer_field(a, bits or default_bits, exact=bits is None)
-    c = _coeff_table(a, lo, hi, field)
-    # constant along (anti-)diagonals by construction, so unchecked
-    if field.is_exact:
-        # the table over one denominator: entry sums are int sums
-        den = math.lcm(*[v.denominator for v in c.values()])
-        c = {n: v.numerator * (den // v.denominator) for n, v in c.items()}
-        ints = [[entry(c, j, k) for k in range(N)] for j in range(N)]
-        return StructuredMatrix._exact(ints, den, structure), c
-    # sums of entries (T+H) must not round at ambient precision
-    with mp.workprec(field.bits + 32):
-        rows = [[entry(c, j, k) for k in range(N)] for j in range(N)]
-    return StructuredMatrix(rows, field, structure, check=False), c
+
+    def build():
+        c = _coeff_table(a, lo, hi, field)
+        if field.is_exact:
+            # the table over one denominator: entry sums are int sums
+            den = math.lcm(*[v.denominator for v in c.values()])
+            c = {n: v.numerator * (den // v.denominator) for n, v in c.items()}
+        if check:
+            check(c, field)
+        # constant along (anti-)diagonals by construction, so unchecked
+        if field.is_exact:
+            return StructuredMatrix._exact([[entry(c, j, k) for k in range(N)] for j in range(N)], den, structure)
+        # sums of entries (T+H) must not round at ambient precision
+        with mp.workprec(field.bits + 32):
+            rows = [[entry(c, j, k) for k in range(N)] for j in range(N)]
+        return StructuredMatrix(rows, field, structure, check=False)
+
+    if isinstance(a, (symbols.FourierSymbol, symbols.MomentSymbol)):
+        return symbols._once(a, (structure, N, field), build)
+    return build()
 
 
 def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
@@ -281,19 +303,21 @@ def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> 
     otherwise the field comes from scalars.infer_field at bits (default 256).
     hankel, toeplitz_plus_hankel and hankel_moment use the same rule.
     """
-    m, c = _build(a, N, field, bits, -(N - 1), N - 1, "toeplitz", lambda c, j, k: c[j - k])
     sym = getattr(a, "symmetry", None)
-    bound = _bound_for(m.field, c.values())
-    if sym == "even" and any(abs(c[-n] - c[n]) > bound for n in range(1, N)):
-        raise StructureError("even symbol must give a symmetric Toeplitz matrix")
-    if sym == "odd" and any(abs(c[-n] + c[n]) > bound for n in range(N)):
-        raise StructureError("odd symbol must give a skewsymmetric Toeplitz matrix")
-    return m
+
+    def check(c, field):
+        bound = _bound_for(field, c.values())
+        if sym == "even" and any(abs(c[-n] - c[n]) > bound for n in range(1, N)):
+            raise StructureError("even symbol must give a symmetric Toeplitz matrix")
+        if sym == "odd" and any(abs(c[-n] + c[n]) > bound for n in range(N)):
+            raise StructureError("odd symbol must give a skewsymmetric Toeplitz matrix")
+
+    return _build(a, N, field, bits, -(N - 1), N - 1, "toeplitz", lambda c, j, k: c[j - k], check=check)
 
 
 def hankel(a, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
     """H_N(a) = (a_{j+k+1}), using coefficient indices 1..2N-1."""
-    return _build(a, N, field, bits, 1, 2 * N - 1, "hankel", lambda c, j, k: c[j + k + 1])[0]
+    return _build(a, N, field, bits, 1, 2 * N - 1, "hankel", lambda c, j, k: c[j + k + 1])
 
 
 def toeplitz_plus_hankel(
@@ -311,7 +335,7 @@ def toeplitz_plus_hankel(
     return _build(
         a, N, field, bits, -(N - 1), 2 * N - 1, "toeplitz_plus_hankel",
         lambda c, j, k: c[j - k] + c[j + k + 1],
-    )[0]
+    )
 
 
 def hankel_moment(b, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
@@ -320,7 +344,7 @@ def hankel_moment(b, N: int, field: Field | None = None, bits: int | None = None
     return _build(
         b, N, field, bits, 1, 2 * N - 1, "hankel_moment", lambda c, j, k: c[1 + j + k],
         default_bits,
-    )[0]
+    )
 
 
 def flip(N: int, field: Field | None = None) -> StructuredMatrix:

@@ -30,8 +30,10 @@ the two sides of an identity stay independent.
 
 Symbols are immutable after construction.  Each one memoizes what is
 derived from it under its own lock: its coefficient or moment tables, its
-images (moment twin, skew symbol, half-angle lift) and its sampled symmetry
-certificates.  So each image is built once per symbol, and table builds
+images (moment twin, skew symbol, half-angle lift, argument halving), its
+sampled symmetry certificates and the matrices that matrices' builders lay
+out of it, one per family, N and field.  So each image and each matrix is
+built once per symbol, and all of it goes with the symbol; table builds
 take turns (_table).  That does not make hp work safe in threads: mpmath
 keeps one working precision per process, which every mp.workprec block
 saves and restores, so two threads that verify or build hp matrices at once
@@ -140,7 +142,8 @@ def _cached_table(owner, bits: int, limit: int) -> dict:
 
 
 def _once(owner, key, build):
-    """owner's derived value under key, from build() on the first call.
+    """owner's derived value under key (an image, a certificate or a
+    matrix), from build() on the first call.
 
     Held in owner._derived under owner._lock; build runs outside the lock,
     and when two threads race the first stored value wins.  A build that
@@ -936,7 +939,7 @@ def evaluate(a, theta, bits: int = 128):
 
 
 def halve_argument(a: FourierSymbol) -> FourierSymbol:
-    """d with d_n = a_{2n}, valid when a(-t) = a(t)."""
+    """d with d_n = a_{2n}, valid when a(-t) = a(t); built once per a."""
     if isinstance(a, ArgDoubled):
         return a.base
     if isinstance(a, CoeffSeq):
@@ -946,10 +949,10 @@ def halve_argument(a: FourierSymbol) -> FourierSymbol:
                 "halve_argument needs vanishing odd coefficients, found a_%d" % odd[0]
             )
         halved = {n // 2: v for n, v in a.entries.items()}
-        return CoeffSeq(halved, symmetry=a.symmetry)
+        return _once(a, "halved", lambda: CoeffSeq(halved, symmetry=a.symmetry))
     if not a.even_support():
         raise SpeciesError("halve_argument needs a(-t) = a(t)")
-    return HalvedArg(a)
+    return _once(a, "halved", lambda: HalvedArg(a))
 
 
 def double_argument(a: FourierSymbol) -> FourierSymbol:

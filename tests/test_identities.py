@@ -281,7 +281,7 @@ class TestHighPrecisionKinds:
 class TestQuadratureBackedEvenInputs:
     # hp, 128 bits, N = 6: halve_argument of an FH symbol is a HalvedArg whose
     # coefficients come from the base's table, and an even FH symbol reaches
-    # _even_input_seq as a quadrature-backed table rather than a sequence
+    # _even_view as a quadrature-backed table rather than a sequence
     @pytest.mark.parametrize("kind", [IdentityKind.QuarterWave, IdentityKind.ParitySplitEven])
     def test_halved_argument_coefficients(self, kind):
         a = FHProduct(FHDescriptor({2: 0.1, -2: 0.1}))

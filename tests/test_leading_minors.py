@@ -286,13 +286,15 @@ def test_exact_minors_equal_bareiss(family, n, coeffs):
 
 def mpf_minors(M, orders, bits):
     """leading_minors with the fixed-point kernels of real matrices replaced
-    by the mpf engines, which complex matrices run."""
+    by the mpf engines, which complex matrices run, on a copy of M, so that
+    no pass M keeps is read."""
     def plain(method, data, prec, tiny):
         return determinants._one_pass(method, data, truediv, tiny, mp.mpf(0))
 
+    copy = StructuredMatrix(M.rows, M.field, M.structure, check=False)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(determinants, "_fixed_pass", plain)
-        return leading_minors(M, orders, bits)
+        return leading_minors(copy, orders, bits)
 
 
 @pytest.fixture

@@ -203,8 +203,9 @@ class TestLeadingBlocks:
     def test_block_is_a_copy(self):
         m = toeplitz(GEOM, 3)
         block = m.leading(2)
-        block.rows[0][0] = 7
-        assert m.rows[0][0] == 1
+        rows = block.tolist()
+        rows[0][0] = 7
+        assert block.rows[0][0] == m.rows[0][0] == 1
 
 
 class TestFlip:
@@ -353,19 +354,19 @@ class TestExactRepresentation:
         for builder, want in built:
             m = builder(a, n)
             assert m.field.is_exact
-            assert m.rows == [[want(j, k) for k in range(n)] for j in range(n)]
+            assert m.tolist() == [[want(j, k) for k in range(n)] for j in range(n)]
             assert all(type(v) is Fraction for row in m.rows for v in row)
-            assert m.ints == [[v * m.den for v in row] for row in m.rows]
+            assert m.ints == tuple(tuple(v * m.den for v in row) for row in m.rows)
             block = m.leading(2)
-            assert block.den == m.den and block.rows == [row[:2] for row in m.rows[:2]]
+            assert block.den == m.den and block.rows == tuple(row[:2] for row in m.rows[:2])
 
     def test_caller_rows_with_mixed_denominators(self):
         rows = [list(r) for r in MIXED]
         m = StructuredMatrix(rows, rational())
         rows[0][0] = 5
         assert m.den == math.lcm(3, 4, 6, 10, 9, 8, 7)
-        assert m.rows == MIXED
-        assert m.ints == [[v * m.den for v in row] for row in MIXED]
+        assert m.tolist() == MIXED
+        assert m.ints == tuple(tuple(v * m.den for v in row) for row in MIXED)
         for n, got in zip(range(1, 4), leading_minors(m, range(1, 4))):
             assert got.value == det_bareiss(m.leading(n)).value
         with pytest.raises(TypeError):
