@@ -2,12 +2,15 @@
 
 The growth model throughout is det ~ F^N * N^Omega * E.  Constants come
 from closed forms evaluated at working precision; nothing here calls a
-special-function library for them.
+special-function library for them.  barnes_constants keeps its constants
+per bits for the process, as quadrature keeps its Gauss-Legendre rules, so
+a study at bits already seen reuses them.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,14 +142,25 @@ class BarnesConstants:
     bits: int
 
 
+_barnes: dict = {}
+_barnes_lock = threading.Lock()
+
+
 def barnes_constants(bits: int) -> BarnesConstants:
     """G at 1/2 and 3/2 by the closed product 2^{1/24} e^{1/8} pi^{-1/4} A^{-3/2}.
 
     G(3/2) follows from the recurrence G(z+1) = Gamma(z) G(z), which at
-    z = 1/2 reads G(3/2) = sqrt(pi) * G(1/2).
+    z = 1/2 reads G(3/2) = sqrt(pi) * G(1/2).  Kept per bits for the
+    process, as quadrature keeps its Gauss-Legendre rules, so the check of
+    the Glaisher constant against _GLAISHER_REF runs on the first call at
+    each bits.
     """
     if bits < 64:
         raise ValueError("bits must be >= 64")
+    with _barnes_lock:
+        hit = _barnes.get(bits)
+    if hit is not None:
+        return hit
     wp = bits + 32
     a = glaisher_constant(wp)
     with mp.workprec(wp):
@@ -160,7 +174,9 @@ def barnes_constants(bits: int) -> BarnesConstants:
         pair = g_half * g_three
         pair_sq = pair * pair
     with mp.workprec(bits):
-        return BarnesConstants(+g_half, +g_three, +pair, +pair_sq, bits)
+        consts = BarnesConstants(+g_half, +g_three, +pair, +pair_sq, bits)
+    with _barnes_lock:
+        return _barnes.setdefault(bits, consts)
 
 
 def g_half_series(bits: int):

@@ -49,16 +49,26 @@ any mpc entry keeps the mpf engines, the reference the kernels are tested
 against: complex ints would double every vector for a path that no study
 runs at size.
 
+Levinson-Trench never updates its entries, so it holds them at the scale of
+their lowest set bit when that is coarser than W's: a 2*bits pass on
+entries rounded to bits multiplies ints about bits wide into W-bit ones,
+and every sum is the one at W times a power of two.
+
 A rational matrix is eliminated on its integer rows ints, held over one
 common denominator den (see matrices), so its minors are exact: the k-th is
 the integer minor of ints over den^k.  The Bareiss pass steps over a zero
 pivot with Bareiss's multistep look-ahead (see _integer_minors), and a skew
 pass that meets a zero Pfaffian pivot hands the later orders to it.  Over hp
 fields every engine keeps det_lu's contract: it runs at bits and at 2*bits
-on the same entries, each value is the 2*bits result rounded to bits, and
-digits_guaranteed comes from the drift between the two.  An engine breaks
-down on a pivot ratio at or below 2^(-bits/2) times the largest entry, or on
-a drift above 2^(-bits/4); that order and every later one then take det_lu.
+on the same entries (an mpf entry that already fits a pass's precision goes
+in as it is; wider ones, such as T+H sums, round), each value is the 2*bits
+result rounded to bits, and digits_guaranteed is int(-log10(drift)) for the
+drift between the two, capped at the digits that bits carry.  The logarithm
+is taken in floats from the drift's mantissa and exponent; mp.log10 at
+2*bits decides only when the float lies within 1e-9 of an integer, so the
+digits are those of mp.log10.  An engine breaks down on a pivot ratio at or
+below 2^(-bits/2) times the largest entry, or on a drift above 2^(-bits/4);
+that order and every later one then take det_lu.
 
 det_bareiss, the exact reference, is pivoted fraction-free elimination.
 det_lu runs partial-pivoted elimination at bits and at 2*bits.  When the two
@@ -185,14 +195,27 @@ def _drift(d1, d2, bits):
         return abs(d1 - d2) / abs(d2) if d1 != d2 else mp.mpf(0)
 
 
+_LOG10_2 = math.log10(2)
+
+
+def _drift_digits(drift, bits):
+    """int(-log10(drift)) for a nonzero mpf drift, as mp.log10 at 2*bits gives
+    it.  The float form errs by under 1e-12 for any exponent an hp pass
+    reaches, so it decides the integer part unless it lies within 1e-9 of an
+    integer, where mp.log10 decides."""
+    _, man, exp, _ = drift._mpf_
+    x = -(math.log10(man) + exp * _LOG10_2)
+    if abs(x - round(x)) < 1e-9:
+        with mp.workprec(2 * bits):
+            return int(-mp.log10(drift))
+    return int(x)
+
+
 def _hp_result(d2, drift, bits, method):
     """d2 rounded to bits, with the digits that the drift guarantees."""
     cap = int(bits * 0.30103)
-    with mp.workprec(2 * bits):
-        digits = cap if drift == 0 else max(1, min(cap, int(-mp.log10(drift))))
-    with mp.workprec(bits):
-        value = +d2
-    return DetResult(value, method, digits)
+    digits = cap if drift == 0 else max(1, min(cap, _drift_digits(drift, bits)))
+    return DetResult(to_mp(d2, bits), method, digits)
 
 
 def det_lu(M: StructuredMatrix, bits: int | None = None) -> DetResult:
@@ -425,7 +448,9 @@ def _fixed_levinson(data, prec, tiny):
     if tiny(eps, 1):
         return []
     W = prec + GUARD
-    E = W - _top(col + row)
+    # the entries are never updated, so each int needs no bits below its
+    # entry's last one: at most the scale that holds every entry exactly
+    E = min(W - _top(col + row), -min(v._mpf_[2] for v in col + row if v))
     tc = [to_fixed(v._mpf_, E) for v in col]
     tr = [to_fixed(v._mpf_, E) for v in row]
     ratios = [eps]
@@ -567,6 +592,12 @@ def _exact_minors(a, den):
     return found
 
 
+def _at_prec(v, prec):
+    """to_mp(v, prec), except that an mpf whose mantissa fits prec is kept
+    as it is: rounding it would rebuild an equal value."""
+    return v if isinstance(v, mp.mpf) and v._mpf_[3] <= prec else to_mp(v, prec)
+
+
 def _hp_minors(rows, method, bits):
     """Leading minors of orders 1..m (m <= len(rows)) at bits, checked at 2*bits."""
     passes = []
@@ -574,10 +605,10 @@ def _hp_minors(rows, method, bits):
     for prec in (bits, 2 * bits):
         with mp.workprec(prec):
             if method == "levinson":
-                data = ([to_mp(r[0], prec) for r in rows], [to_mp(v, prec) for v in rows[0]])
+                data = ([_at_prec(r[0], prec) for r in rows], [_at_prec(v, prec) for v in rows[0]])
                 entries = data[0] + data[1]
             else:
-                data = [[to_mp(v, prec) for v in r] for r in rows]
+                data = [[_at_prec(v, prec) for v in r] for r in rows]
                 entries = [v for r in data for v in r]
             if bar is None:
                 bar = mp.mpf(2) ** (-(bits // 2)) * max(abs(v) for v in entries)

@@ -217,6 +217,12 @@ class FourierSymbol:
 
     def closed_coeff(self, n: int, bits: int | None = None):
         """Closed-form coefficient, or None when quadrature is required."""
+        table = self.closed_table((n,), bits)
+        return None if table is None else table[n]
+
+    def closed_table(self, ns, bits: int | None = None):
+        """{n: closed-form coefficient} for every n in ns, or None when
+        quadrature is required; closed_coeff is its one-index case."""
         return None
 
     def real_profile(self):
@@ -266,8 +272,9 @@ class FourierSymbol:
         """Coefficients for every n in [n_lo, n_hi]; batched and cached."""
         if n_lo > n_hi:
             raise ValueError("empty coefficient range")
-        if self.closed_coeff(0, bits) is not None:
-            return {n: self.closed_coeff(n, bits) for n in range(n_lo, n_hi + 1)}
+        closed = self.closed_table(range(n_lo, n_hi + 1), bits)
+        if closed is not None:
+            return closed
         table = _cached_table(self, bits, max(abs(n_lo), abs(n_hi)))
         return {n: table[n] for n in range(n_lo, n_hi + 1)}
 
@@ -375,13 +382,11 @@ class CoeffSeq(FourierSymbol):
     def even_support(self) -> bool:
         return all(n % 2 == 0 for n in self.entries)
 
-    def closed_coeff(self, n, bits=None):
-        v = self.entries.get(n)
-        if v is None:
-            v = Fraction(0) if self.is_exact else 0
+    def closed_table(self, ns, bits=None):
+        zero = Fraction(0) if self.is_exact else 0
         if bits is None:
-            return v
-        return to_mp(v, bits)
+            return {n: self.entries.get(n, zero) for n in ns}
+        return {n: to_mp(self.entries.get(n, zero), bits) for n in ns}
 
     def eval_at(self, theta):
         return _expj_series(_mp_values(self._mp, self.entries), theta)
@@ -416,12 +421,11 @@ class Chi(FourierSymbol):
             raise JumpError("chi is not defined at theta = %s" % mp.nstr(r, 8))
         return mp.mpc(0, 1) if r < mp.pi else mp.mpc(0, -1)
 
-    def closed_coeff(self, n, bits=None):
-        if n % 2 == 0:
-            return mp.mpf(0) if bits else 0
-        wp = bits or 128
-        with mp.workprec(wp):
-            return 2 / (mp.pi * n)
+    def closed_table(self, ns, bits=None):
+        zero = mp.mpf(0) if bits else 0
+        with mp.workprec(bits or 128):
+            pi = +mp.pi
+            return {n: 2 / (pi * n) if n % 2 else zero for n in ns}
 
     def real_profile(self):
         return ("odd_i", lambda theta: mp.mpf(1) if theta < mp.pi else mp.mpf(-1))
@@ -450,13 +454,12 @@ class JumpT(FourierSymbol):
         b = to_mp(self.beta, mp.mp.prec)
         return mp.exp(mp.mpc(0, 1) * b * (r - mp.pi))
 
-    def closed_coeff(self, n, bits=None):
+    def closed_table(self, ns, bits=None):
         wp = bits or 128
         with mp.workprec(wp):
             b = to_mp(self.beta, wp)
-            if b == n:
-                return mp.mpf((-1) ** n)
-            return mp.sinpi(b) / (mp.pi * (b - n))
+            sin_b, pi = mp.sinpi(b), +mp.pi
+            return {n: mp.mpf((-1) ** n) if b == n else sin_b / (pi * (b - n)) for n in ns}
 
     def even_support(self):
         return False

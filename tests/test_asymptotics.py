@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import sdet.asymptotics as asymptotics
 from sdet.asymptotics import (
     STUDY_KINDS,
     barnes_constants,
@@ -88,6 +89,37 @@ class TestBarnesValues:
         with pytest.raises(ValueError):
             g_half_series(32)
 
+
+
+class TestBarnesMemo:
+    """barnes_constants is computed once per bits in a process."""
+
+    def test_second_call_returns_the_same_object(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_barnes", {})
+        assert barnes_constants(160) is barnes_constants(160)
+
+    def test_new_bits_computes_afresh(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_barnes", {})
+        calls = []
+        real = asymptotics.glaisher_constant
+
+        def counted(bits):
+            calls.append(bits)
+            return real(bits)
+
+        monkeypatch.setattr(asymptotics, "glaisher_constant", counted)
+        lo = barnes_constants(160)
+        barnes_constants(160)
+        hi = barnes_constants(192)
+        assert len(calls) == 2
+        assert (lo.bits, hi.bits) == (160, 192)
+
+    def test_reference_check_runs_on_a_fresh_computation(self, monkeypatch):
+        barnes_constants(160)  # possibly kept from an earlier call
+        monkeypatch.setattr(asymptotics, "_barnes", {})
+        monkeypatch.setattr(asymptotics, "_GLAISHER_REF", "1.2824271291006226368853425688697917277676889273250")
+        with pytest.raises(AccuracyError):
+            barnes_constants(160)
 
 class TestWienerHopfFactors:
     def test_trivial_descriptor(self):

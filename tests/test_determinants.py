@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int, mpf_div
+from mpmath.libmp import from_int, from_man_exp, mpf_div
 
 import sdet.determinants as determinants
 import sdet.matrices as matrices
@@ -217,6 +217,47 @@ def test_quotient_rounds_as_mpf_div():
         den *= rng.choice([1, -1])
         want = mpf_div(from_int(num), from_int(den), prec, "n")
         assert determinants._quotient(num, den, prec) == want, (num, den, prec)
+
+
+def log10_digits(drift, bits):
+    with mp.workprec(2 * bits):
+        return int(-mp.log10(drift))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.integers(64, 1024),
+    man=st.integers(1, 2**2048),
+    exp=st.integers(-4500, 50),
+)
+def test_drift_digits_equal_log10(bits, man, exp):
+    drift = mp.make_mpf(from_man_exp(man, exp - man.bit_length(), 2 * bits, "n"))
+    assert determinants._drift_digits(drift, bits) == log10_digits(drift, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.integers(64, 1024),
+    k=st.integers(1, 600),
+    rel=st.sampled_from([1e-12, -1e-12, 3e-9, -3e-9, 1e-6, -1e-6]),
+)
+def test_drift_digits_near_powers_of_ten(bits, k, rel):
+    # 10^-k (1 + rel): the float form lies within 1e-9 of k for |rel| 1e-12
+    # and just outside it for |rel| 3e-9
+    with mp.workprec(2 * bits):
+        drift = mp.mpf(10) ** -k * (1 + mp.mpf(rel))
+    assert determinants._drift_digits(drift, bits) == log10_digits(drift, bits)
+
+
+def test_drift_digits_use_floats_away_from_integers(monkeypatch):
+    calls = []
+    log10 = mp.log10
+    monkeypatch.setattr(mp, "log10", lambda x: calls.append(x) or log10(x))
+    drift = mp.make_mpf(from_man_exp(3, -500, 512, "n"))
+    assert determinants._drift_digits(drift, 256) == 150  # -log10(3 * 2^-500) = 150.03
+    assert calls == []
+    determinants._drift_digits(mp.make_mpf(from_int(1)), 256)  # -log10(1) = 0
+    assert len(calls) == 1
 
 
 class TestPfaffian:

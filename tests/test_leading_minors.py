@@ -18,7 +18,7 @@ from sdet.matrices import (
     toeplitz,
     toeplitz_plus_hankel,
 )
-from sdet.scalars import hp_complex, hp_real, rational
+from sdet.scalars import hp_complex, hp_real, rational, to_mp
 from sdet.symbols import FHDescriptor, FHProduct, JumpT, MomentSymbol, multiply_by_chi
 from sdet.transforms import ScalarSeq
 
@@ -340,6 +340,54 @@ class TestFixedPointKernels:
             assert res.method == old.method == method
             with mp.workprec(2 * bits):
                 assert abs(res.value - old.value) <= tol * abs(old.value)
+
+    @pytest.mark.parametrize("low", [0, 40])
+    def test_levinson_on_entries_of_mixed_width(self, low, monkeypatch):
+        # t_1 = 2^-low / 7 carries a full 2*bits mantissa, the other entries
+        # 24 bits, and the bits pass rounds t_1.  At low = 0 each pass holds
+        # the entries down to t_1's last bit; at low = 40 t_1 reaches below
+        # the kernel's W-bit scale in both passes, which then cut it there
+        bits, n = 256, 24
+        t = {k: to_mp(Fraction(3, 4 + abs(k)) * (-1) ** k, 24) for k in range(-n + 1, n)}
+        t[0] = mp.mpf(4)
+        t[1] = to_mp(Fraction(1, 7 * 2**low), 2 * bits)
+        assert t[1]._mpf_[3] > bits
+        M = StructuredMatrix([[t[j - k] for k in range(n)] for j in range(n)], hp_real(bits), "toeplitz")
+        passes = {}
+        fixed = determinants._fixed_pass
+
+        def recorded(method, data, prec, tiny):
+            passes[prec] = fixed(method, data, prec, tiny), [determinants._one_pass(method, data, truediv, tiny, mp.mpf(0))]
+            return passes[prec][0]
+
+        monkeypatch.setattr(determinants, "_fixed_pass", recorded)
+        got = leading_minors(M, range(1, n + 1))
+        assert [r.method for r in got] == ["levinson"] * n
+        for prec, (ints, (plain,)) in passes.items():
+            assert len(ints) == len(plain) == n
+            for a, b in zip(ints, plain):
+                with mp.workprec(2 * prec):
+                    assert abs(a - b) <= mp.mpf(2) ** -(prec - 12) * abs(b)
+        assert sorted(passes) == [bits, 2 * bits]
+
+    def test_wide_entries_round_in_the_bits_pass(self, monkeypatch):
+        # T+H entries are sums held at bits + 32, wider than the bits pass
+        bits = 128
+        M = toeplitz_plus_hankel(ScalarSeq({k: Fraction(1, 3 + 4 * k) for k in range(12)}, "even"), 6, bits=bits)
+        assert max(v._mpf_[3] for r in M.rows for v in r) > bits
+        seen = {}
+        fixed = determinants._fixed_pass
+
+        def recorded(method, data, prec, tiny):
+            seen[prec] = data
+            return fixed(method, data, prec, tiny)
+
+        monkeypatch.setattr(determinants, "_fixed_pass", recorded)
+        leading_minors(M, [6], bits)
+        for prec, data in seen.items():
+            for row, held in zip(M.rows, data):
+                assert [v._mpf_ for v in held] == [to_mp(v, prec)._mpf_ for v in row]
+        assert sorted(seen) == [bits, 2 * bits]
 
     def test_complex_entries_keep_the_mpf_engine(self, rng, engine_calls):
         cases = {name: (M, method) for name, M, method in hp_cases(rng)}

@@ -8,6 +8,7 @@ import pytest
 
 from sdet import asymptotics, quadrature, symbols
 from sdet.identities import pfaffian_link, verify, verify_all
+from sdet.scalars import to_mp
 from sdet.symbols import (
     Chi,
     ClosedFormSymbol,
@@ -166,6 +167,57 @@ class TestJumpT:
             evaluate(JumpT(0.3), 0)
         pts = JumpT(0.3).jump_points()
         assert len(pts) == 1 and pts[0].approx() == 0.0
+
+
+def per_index_jump(beta, n, bits):
+    """JumpT's coefficient computed on its own, one precision block per n."""
+    with mp.workprec(bits):
+        b = to_mp(beta, bits)
+        if b == n:
+            return mp.mpf((-1) ** n)
+        return mp.sinpi(b) / (mp.pi * (b - n))
+
+
+def per_index_chi(n, bits):
+    if n % 2 == 0:
+        return mp.mpf(0)
+    with mp.workprec(bits):
+        return 2 / (mp.pi * n)
+
+
+def raw_tuple(v):
+    return v._mpc_ if isinstance(v, mp.mpc) else v._mpf_
+
+
+class TestClosedTables:
+    """A closed-form table is computed in one precision block, and each
+    coefficient keeps the per-index formula bit for bit."""
+
+    @pytest.mark.parametrize("bits", [64, 256, 544])
+    @pytest.mark.parametrize("beta", [Fraction(-1, 2), Fraction(1, 2), Fraction(1, 3), 2, 0.25 + 0.5j])
+    def test_jump_table(self, beta, bits):
+        t = JumpT(beta)
+        table = t.coeff_table(-9, 9, bits)
+        for n in range(-9, 10):
+            want = per_index_jump(beta, n, bits)
+            assert type(table[n]) is type(want) and raw_tuple(table[n]) == raw_tuple(want)
+            assert raw_tuple(t.closed_coeff(n, bits)) == raw_tuple(want)
+        if beta == 2:
+            assert table[2] == 1  # the b == n branch
+
+    @pytest.mark.parametrize("bits", [64, 256, 544])
+    def test_chi_table(self, bits):
+        table = Chi().coeff_table(-9, 9, bits)
+        for n in range(-9, 10):
+            want = per_index_chi(n, bits)
+            assert raw_tuple(table[n]) == raw_tuple(want)
+            assert raw_tuple(Chi().closed_coeff(n, bits)) == raw_tuple(want)
+        assert table[4] == 0 and table[3] != 0
+
+    def test_no_closed_form_is_none(self):
+        a = FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))
+        assert a.closed_table(range(-3, 4), 128) is None
+        assert a.closed_coeff(0, 128) is None
 
 
 class TestFHData:
