@@ -5,13 +5,19 @@ from closed forms evaluated at working precision; nothing here calls a
 special-function library for them.  barnes_constants keeps its constants
 per bits for the process, as quadrature keeps its Gauss-Legendre rules, so
 a study at bits already seen reuses them.
+
+Each study kind is one _Study row of _STUDIES, and study() runs any row
+the same way: determinants, ratios, compensation, extrapolation, fits,
+report.  Row builders call predict_* and barnes_constants by their module
+names, so rebinding a name (as perfbench's tracer does) sees every call.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -24,8 +30,6 @@ from .symbols import ArgDoubled, FHDescriptor, FHProduct, JumpT, MomentSymbol, S
 
 
 REPORT_DIGITS = 30
-
-STUDY_KINDS = ("prop52_ratio", "cor53", "cor54", "cor56", "conjecture_sym")
 
 
 # -- integer zeta values via Euler-Maclaurin ------------------------------
@@ -485,58 +489,6 @@ def _real_dets(M, orders, bits):
     return out
 
 
-def _report(kind, Ns, values, comp, limit, prediction, fitted, ok, flags, bits):
-    """The study's AsymptoticsReport; a CONJECTURE study is only informational."""
-    if "CONJECTURE" in flags:
-        verdict = "informational"
-    else:
-        verdict = "pass" if ok else "fail"
-    return AsymptoticsReport(
-        kind=kind,
-        N_list=list(Ns),
-        det_values=[format_scalar(v, REPORT_DIGITS) for v in values],
-        compensated_values=[format_scalar(c, REPORT_DIGITS) for c in comp],
-        prediction=prediction.to_json(),
-        fitted=fitted,
-        extrapolated_limit=format_scalar(limit, REPORT_DIGITS),
-        verdict=verdict,
-        flags=list(flags),
-        bits=bits,
-    )
-
-
-def _ratio_study(kind, num_sym, den_sym, Ns, bits, prediction, flags):
-    """Common driver: ratios det(num)/det(den) at order N or 2N, compensated
-    by N^(-exponent_of_N) and extrapolated to the ratio coefficient."""
-    tol = mp.mpf("0.01")
-    scale = 2 if kind in ("cor53", "conjecture_sym") else 1
-    top = scale * max(Ns)
-    orders = [scale * N for N in Ns]
-    T_num = matrices.toeplitz(num_sym, top, infer_field(num_sym, bits))
-    nums = _real_dets(T_num, orders, bits)
-    if den_sym is None:
-        dens = [mp.mpf(1)] * len(Ns)
-    else:
-        T_den = matrices.toeplitz(den_sym, top, infer_field(den_sym, bits))
-        dens = _real_dets(T_den, orders, bits)
-    ratios = []
-    for N, num, den in zip(Ns, nums, dens):
-        with mp.workprec(bits + 32):
-            if den == 0:
-                raise AccuracyError("denominator determinant vanished at N=%d" % N)
-            ratios.append(+(num / den))
-    with mp.workprec(bits + 32):
-        power = to_mp(prediction.exponent_of_N, bits + 32)
-        comp = [mp.mpf(N) ** (-power) * r for N, r in zip(Ns, ratios)]
-    limit, err = extrapolate_limit(list(zip(Ns, comp)), bits)
-    pred_val = prediction.ratio_coefficient
-    with mp.workprec(bits + 32):
-        rel_gap = abs(limit - pred_val) / abs(pred_val)
-        ok = rel_gap < tol
-    fitted = _double_fit(list(zip(Ns, ratios)), bits)
-    return _report(kind, Ns, ratios, comp, limit, prediction, fitted, ok, flags, bits)
-
-
 def _double_fit(data, bits):
     """Whole-range and tail fits; the tail suppresses pre-asymptotic bias."""
     out = {}
@@ -552,33 +504,51 @@ def _double_fit(data, bits):
     return out
 
 
-def _moment_det_study(kind, b, Ns, bits, prediction):
-    """Exponent-only check on det H_N[b]: fitted Omega and compensated trend."""
-    tol = mp.mpf("0.05")
-    H = matrices.hankel_moment(b, max(Ns), infer_field(b, bits))
-    dets = _real_dets(H, Ns, bits)
-    data = list(zip(Ns, dets))
-    fitted = _double_fit(data, bits)
-    with mp.workprec(bits + 32):
-        Fv = to_mp(prediction.F, bits + 32)
-        expv = to_mp(prediction.exponent_of_N, bits + 32)
-        comp = [
-            v / (Fv ** N * mp.mpf(N) ** expv) for N, v in data
-        ]
-        # the constant in front is not predicted, so judge the trend:
-        # compensated values must settle (successive ratios -> 1) and the
-        # fitted exponent must land on the predicted one
-        ratios = [comp[i + 1] / comp[i] for i in range(len(comp) - 1)]
-        trend_ok = abs(ratios[-1] - 1) < tol and abs(ratios[-1] - 1) <= abs(
-            ratios[0] - 1
-        ) + mp.mpf("1e-30")
-        tail = fitted.get("tail", {})
-        exp_ok = False
-        if "Omega" in tail:
-            fitted_omega = mp.mpf(tail["Omega"])
-            exp_ok = abs(fitted_omega - expv) < mp.mpf("0.02") * max(1, abs(expv))
-    limit, _ = extrapolate_limit(list(zip(Ns, comp)), bits)
-    return _report(kind, Ns, dets, comp, limit, prediction, fitted, trend_ok and exp_ok, [], bits)
+_RATIO_TOL = mp.mpf("0.01")
+_TREND_TOL = mp.mpf("0.05")
+
+
+@dataclass(frozen=True)
+class _Study:
+    """One row of _STUDIES: what study() needs to run one kind."""
+
+    subject: type  # what the kind studies: FHDescriptor or MomentSymbol
+    build: Callable  # (subject, bits, sign, desc) -> (prediction, num, den or None)
+    matrix: str  # the matrices builder, looked up by name at call time
+    scale: int  # matrix order per N
+    trend: bool  # judge det/(F^N N^e) by trend and exponent, else N^-e ratio by limit
+    flags: tuple = ()  # CONJECTURE makes the verdict informational
+
+
+def _descriptor(subject) -> FHDescriptor:
+    if not isinstance(subject, FHDescriptor):
+        raise SpeciesError("an FHDescriptor is required")
+    return subject
+
+
+def _half_jump(subject, bits, sign, desc):
+    """det T_N(t_s d) / det T_N(d): one added half-jump t_s, s = sign."""
+    dsc = _descriptor(subject if subject is not None else FHDescriptor())
+    pred = predict_half_jump_ratio(dsc, sign, bits)
+    jump = JumpT(Fraction(sign))
+    if dsc.is_trivial:
+        return pred, jump, None
+    base = FHProduct(dsc)
+    return pred, symbols.SymbolProduct((jump, base)), base
+
+
+def _skew_over_plain(subject, bits, sign, desc):
+    """det T_2N(chi a) / det T_2N(a) at the doubled argument a = d(t^2)."""
+    a = symbols.double_argument(FHProduct(_descriptor(subject)))
+    return predict_cor53(bits), symbols.multiply_by_chi(a), a
+
+
+def _skew_over_plain_palindromic(subject, bits, sign, desc):
+    """The same ratio for a = d itself, which must satisfy a(1/t) = a(t)."""
+    a = FHProduct(_descriptor(subject))
+    if not symbols.certify_even(a):
+        raise SpeciesError("a(1/t) = a(t) is required")
+    return predict_cor53(bits), symbols.multiply_by_chi(a), a
 
 
 def _halfangle_pullback(desc: FHDescriptor) -> MomentSymbol:
@@ -589,17 +559,49 @@ def _halfangle_pullback(desc: FHDescriptor) -> MomentSymbol:
     return symbols._pullback(ArgDoubled(d), "one")
 
 
-def study(kind: str, subject, N_list, bits: int = 256, sign=Fraction(-1, 2), desc=None):
-    """Run one named determinant study and package an AsymptoticsReport.
+def _pullback_growth(subject, bits, sign, desc):
+    """det H_N of d's half-angle pullback: d's growth, exponent Omega - 1/4."""
+    dsc = _descriptor(subject)
+    b = _halfangle_pullback(dsc)
+    growth = predict_szego_fh(dsc, bits)
+    bc = barnes_constants(bits)
+    with mp.workprec(bits + 32):
+        expo = to_mp(growth.Omega, bits + 32) - mp.mpf(1) / 4
+    with mp.workprec(bits):
+        return replace(growth, ratio_coefficient=bc.pair_product, exponent_of_N=+expo), b, None
 
-    kind selects the preset: "prop52_ratio" (single added half-jump,
-    ratio against the smooth base), "cor53" (skewsymmetrized over plain at
-    doubled argument), "cor54" / "cor56" (moment-matrix growth, exponent
-    checks), "conjecture_sym" (the cor53 ratio for palindromic symbols;
-    informational).  subject is an FHDescriptor for the symbol kinds and a
-    MomentSymbol for cor56.
+
+def _sqrt_ratio_growth(subject, bits, sign, desc):
+    """det H_N of the moment symbol; desc, if given, carries the growth data
+    of the argument-halved smooth factor."""
+    if not isinstance(subject, MomentSymbol):
+        raise SpeciesError("a MomentSymbol is required")
+    if subject.weight != "sqrt_ratio":
+        raise SpeciesError("the sqrt((1+x)/(1-x)) weight is required")
+    return predict_szego_fh(desc if desc is not None else FHDescriptor(), bits), subject, None
+
+
+_STUDIES = {
+    "prop52_ratio": _Study(FHDescriptor, _half_jump, "toeplitz", 1, False),
+    "cor53": _Study(FHDescriptor, _skew_over_plain, "toeplitz", 2, False),
+    "cor54": _Study(FHDescriptor, _pullback_growth, "hankel_moment", 1, True),
+    "cor56": _Study(MomentSymbol, _sqrt_ratio_growth, "hankel_moment", 1, True),
+    "conjecture_sym": _Study(
+        FHDescriptor, _skew_over_plain_palindromic, "toeplitz", 2, False, ("CONJECTURE",)
+    ),
+}
+
+STUDY_KINDS = tuple(_STUDIES)
+
+
+def study(kind: str, subject, N_list, bits: int = 256, sign=Fraction(-1, 2), desc=None):
+    """Run the study of kind, one of STUDY_KINDS, as its row in _STUDIES says.
+
+    subject is the row's subject type (None for prop52_ratio means the
+    pure jump).  Only prop52_ratio reads sign, the added jump's exponent,
+    and only cor56 reads desc, the growth data it is judged against.
     """
-    if kind not in STUDY_KINDS:
+    if kind not in _STUDIES:
         raise ValueError("unknown study kind %r" % (kind,))
     if bits < 64:
         raise ValueError("bits must be >= 64")
@@ -608,61 +610,54 @@ def study(kind: str, subject, N_list, bits: int = 256, sign=Fraction(-1, 2), des
         raise ValueError("N values must be >= 1")
     if len(Ns) < 4:
         raise ValueError("at least 4 sizes are required")
-    if kind == "prop52_ratio":
-        dsc = subject if subject is not None else FHDescriptor()
-        if not isinstance(dsc, FHDescriptor):
-            raise SpeciesError("an FHDescriptor is required")
-        pred = predict_half_jump_ratio(dsc, sign, bits)
-        jump = JumpT(Fraction(sign))
-        if dsc.is_trivial:
-            num, den = jump, None
-        else:
-            base = FHProduct(dsc)
-            num, den = symbols.SymbolProduct((jump, base)), base
-        return _ratio_study(kind, num, den, Ns, bits, pred, [])
+    row = _STUDIES[kind]
+    prediction, num, den = row.build(subject, bits, sign, desc)
+    orders = [row.scale * N for N in Ns]
 
-    if kind in ("cor53", "conjecture_sym"):
-        if not isinstance(subject, FHDescriptor):
-            raise SpeciesError("an FHDescriptor is required")
-        base = FHProduct(subject)
-        if kind == "cor53":
-            a = symbols.double_argument(base)
-        else:
-            a = base
-            if not symbols.certify_even(a):
-                raise SpeciesError("a(1/t) = a(t) is required")
-        pred = predict_cor53(bits)
-        flags = ["CONJECTURE"] if kind == "conjecture_sym" else []
-        return _ratio_study(kind, symbols.multiply_by_chi(a), a, Ns, bits, pred, flags)
+    def dets(sym):
+        M = getattr(matrices, row.matrix)(sym, max(orders), infer_field(sym, bits))
+        return _real_dets(M, orders, bits)
 
-    if kind == "cor54":
-        if not isinstance(subject, FHDescriptor):
-            raise SpeciesError("an FHDescriptor is required")
-        b = _halfangle_pullback(subject)
-        growth = predict_szego_fh(subject, bits)
-        bc = barnes_constants(bits)
-        with mp.workprec(bits + 32):
-            expo = to_mp(growth.Omega, bits + 32) - mp.mpf(1) / 4
-        with mp.workprec(bits):
-            pred = FHPrediction(
-                F=growth.F,
-                Omega=growth.Omega,
-                ratio_coefficient=bc.pair_product,
-                exponent_of_N=+expo,
+    wp = bits + 32
+    values = dets(num)
+    if den is not None:
+        dens = dets(den)
+        if 0 in dens:
+            raise AccuracyError("denominator determinant vanished at N=%d" % Ns[dens.index(0)])
+        with mp.workprec(wp):
+            values = [+(v / d) for v, d in zip(values, dens)]
+    with mp.workprec(wp):
+        expv = to_mp(prediction.exponent_of_N, wp)
+        if row.trend:
+            Fv = to_mp(prediction.F, wp)
+            comp = [v / (Fv ** N * mp.mpf(N) ** expv) for N, v in zip(Ns, values)]
+        else:
+            comp = [mp.mpf(N) ** (-expv) * r for N, r in zip(Ns, values)]
+    limit, _ = extrapolate_limit(list(zip(Ns, comp)), bits)
+    fitted = _double_fit(list(zip(Ns, values)), bits)
+    with mp.workprec(wp):
+        if row.trend:
+            # the constant in front is not predicted: the compensated values must
+            # settle (successive ratios -> 1) and the tail fit's exponent match
+            steps = [abs(comp[i + 1] / comp[i] - 1) for i in range(len(comp) - 1)]
+            tail = fitted.get("tail", {})
+            settled = steps[-1] < _TREND_TOL and steps[-1] <= steps[0] + mp.mpf("1e-30")
+            ok = settled and "Omega" in tail and (
+                abs(mp.mpf(tail["Omega"]) - expv) < mp.mpf("0.02") * max(1, abs(expv))
             )
-        return _moment_det_study(kind, b, Ns, bits, pred)
-
-    # cor56: subject is the moment symbol itself; desc (optional) carries
-    # the growth data of the argument-halved smooth factor
-    if not isinstance(subject, MomentSymbol):
-        raise SpeciesError("a MomentSymbol is required")
-    if subject.weight != "sqrt_ratio":
-        raise SpeciesError("the sqrt((1+x)/(1-x)) weight is required")
-    growth = predict_szego_fh(desc if desc is not None else FHDescriptor(), bits)
-    pred = FHPrediction(
-        F=growth.F,
-        Omega=growth.Omega,
-        ratio_coefficient=None,
-        exponent_of_N=growth.Omega,
+        else:
+            coeff = prediction.ratio_coefficient
+            ok = abs(limit - coeff) / abs(coeff) < _RATIO_TOL
+    verdict = "informational" if "CONJECTURE" in row.flags else "pass" if ok else "fail"
+    return AsymptoticsReport(
+        kind=kind,
+        N_list=list(Ns),
+        det_values=[format_scalar(v, REPORT_DIGITS) for v in values],
+        compensated_values=[format_scalar(c, REPORT_DIGITS) for c in comp],
+        prediction=prediction.to_json(),
+        fitted=fitted,
+        extrapolated_limit=format_scalar(limit, REPORT_DIGITS),
+        verdict=verdict,
+        flags=list(row.flags),
+        bits=bits,
     )
-    return _moment_det_study(kind, subject, Ns, bits, pred)

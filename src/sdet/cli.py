@@ -154,11 +154,9 @@ def _cmd_study(args) -> int:
     obj = _load_json(args.desc)
     if not isinstance(obj, dict):
         raise UsageError("%s: config must be a JSON object" % (args.desc,))
+    moment = asymptotics._STUDIES[args.kind].subject is symbols.MomentSymbol
     try:
-        if args.kind == "cor56":
-            subject = symbols.moment_from_json(obj)
-        else:
-            subject = symbols.descriptor_from_json(obj)
+        subject = symbols.moment_from_json(obj) if moment else symbols.descriptor_from_json(obj)
     except (ValueError, TypeError) as exc:
         raise UsageError("%s: %s" % (args.desc, exc))
     try:
@@ -257,10 +255,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("study", help="run a determinant growth study")
     s.add_argument("--kind", required=True, choices=asymptotics.STUDY_KINDS)
-    s.add_argument("--desc", required=True, help="descriptor or moment JSON path")
+    s.add_argument(
+        "--desc",
+        required=True,
+        help="descriptor JSON path, or moment JSON for a moment-symbol kind, judged"
+        " against the trivial descriptor's growth (F = 1, Omega = 0)",
+    )
     s.add_argument("--N", required=True, help="sizes, e.g. 8,16,32,64 or 4..12")
     s.add_argument("--bits", type=int, default=None)
-    s.add_argument("--sign", default="-1/2", help="added jump sign (prop52_ratio)")
+    s.add_argument("--sign", default="-1/2", help="added half-jump sign (half-jump ratio only)")
     s.add_argument("--out", default=None)
     s.add_argument("--format", choices=("json", "csv"), default="json")
 

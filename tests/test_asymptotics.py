@@ -377,6 +377,50 @@ class TestStudies:
             for v in rep.det_values:
                 assert abs(mp.mpf(v) - 1) < mp.mpf("1e-40")
 
+    def test_cor56_growth_comes_from_desc(self):
+        # the constant 2 grows like 2^N: without desc the study assumes
+        # F = 1 and fails, with desc carrying log 2 it passes
+        b = MomentSymbol.from_poly({0: 2}, weight="sqrt_ratio")
+        plain = study("cor56", b, [4, 8, 12, 16], bits=128)
+        assert plain.verdict == "fail"
+        assert plain.prediction["F"] == "1.0"
+        told = study("cor56", b, [4, 8, 12, 16], bits=128, desc=FHDescriptor({0: math.log(2)}))
+        assert told.verdict == "pass"
+
+    # each kind's subject and the public functions its study reaches; the
+    # benchmark's tracer wraps module globals, so a study must call them by
+    # name for its trace to show them
+    REACHED = {
+        "prop52_ratio": (SMOOTH_DESC, {"predict_half_jump_ratio", "barnes_constants"}),
+        "cor53": (SMOOTH_DESC, {"predict_cor53", "barnes_constants"}),
+        "conjecture_sym": (SMOOTH_DESC, {"predict_cor53", "barnes_constants"}),
+        "cor54": (FHDescriptor(), {"predict_szego_fh", "barnes_constants"}),
+        "cor56": (MomentSymbol.from_poly({0: 1}, weight="sqrt_ratio"), {"predict_szego_fh"}),
+    }
+    WRAPPED = (
+        "predict_half_jump_ratio",
+        "predict_cor53",
+        "predict_szego_fh",
+        "barnes_constants",
+        "fit_asymptote",
+        "extrapolate_limit",
+    )
+
+    @pytest.mark.parametrize("kind", STUDY_KINDS)
+    def test_public_functions_are_reached_by_name(self, kind, monkeypatch):
+        called = set()
+        for name in self.WRAPPED:
+            real = getattr(asymptotics, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                called.add(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(asymptotics, name, counted)
+        subject, reached = self.REACHED[kind]
+        study(kind, subject, [4, 8, 12, 16], bits=128)
+        assert called == reached | {"fit_asymptote", "extrapolate_limit"}
+
     def test_study_kind_listing(self):
         assert STUDY_KINDS == ("prop52_ratio", "cor53", "cor54", "cor56", "conjecture_sym")
 
