@@ -58,17 +58,22 @@ A rational matrix is eliminated on its integer rows ints, held over one
 common denominator den (see matrices), so its minors are exact: the k-th is
 the integer minor of ints over den^k.  The Bareiss pass steps over a zero
 pivot with Bareiss's multistep look-ahead (see _integer_minors), and a skew
-pass that meets a zero Pfaffian pivot hands the later orders to it.  Over hp
-fields every engine keeps det_lu's contract: it runs at bits and at 2*bits
-on the same entries (an mpf entry that already fits a pass's precision goes
-in as it is; wider ones, such as T+H sums, round), each value is the 2*bits
-result rounded to bits, and digits_guaranteed is int(-log10(drift)) for the
-drift between the two, capped at the digits that bits carry.  The logarithm
-is taken in floats from the drift's mantissa and exponent; mp.log10 at
-2*bits decides only when the float lies within 1e-9 of an integer, so the
-digits are those of mp.log10.  An engine breaks down on a pivot ratio at or
-below 2^(-bits/2) times the largest entry, or on a drift above 2^(-bits/4);
-that order and every later one then take det_lu.
+pass that meets a zero Pfaffian pivot hands the later orders to it.  On a
+symmetric matrix (a Hankel, Toeplitz+Hankel or even Toeplitz one) the pass
+updates one triangle up to its first zero pivot, and the look-ahead takes
+over from there on the whole block; both kinds of step name the method
+"bareiss".
+
+Over hp fields every engine keeps det_lu's contract: it runs at bits and at
+2*bits on the same entries (an mpf entry that already fits a pass's
+precision goes in as it is; wider ones, such as T+H sums, round), each value
+is the 2*bits result rounded to bits, and digits_guaranteed is
+int(-log10(drift)) for the drift between the two, capped at the digits that
+bits carry.  The logarithm is taken in floats from the drift's mantissa and
+exponent; mp.log10 at 2*bits decides only when the float lies within 1e-9
+of an integer, so the digits are those of mp.log10.  An engine breaks down
+on a pivot ratio at or below 2^(-bits/2) times the largest entry, or on a
+drift above 2^(-bits/4); that order and every later one then take det_lu.
 
 det_bareiss, the exact reference, is pivoted fraction-free elimination.
 det_lu runs partial-pivoted elimination at bits and at 2*bits.  When the two
@@ -274,7 +279,7 @@ def _bareiss_pivots(a, div, tiny):
     return pivots
 
 
-def _integer_minors(a):
+def _integer_minors(a, symmetric=False):
     """Leading minors of orders 1..n of the integer matrix a, in place.
 
     Bareiss elimination without pivoting, with his multistep look-ahead
@@ -288,12 +293,35 @@ def _integer_minors(a):
     elimination divides the trailing entries exactly by prev^s, which leaves
     the entries of a plain Bareiss pass at step k+s.  With s = 1 this is the
     plain Bareiss step.  If no C_s is nonsingular, every later minor is 0.
+
+    A plain step keeps a symmetric trailing block symmetric, so for a
+    symmetric a (symmetric=True) the steps update only its upper triangle,
+    reading the multiplier a_ik from the pivot row as a_ki, until the first
+    zero pivot.  There the upper triangle is copied into the lower one once,
+    and the look-ahead goes on from that step with the same prev.
     """
     n = len(a)
     minors = []
     prev = 1
     k = 0
     while k < n:
+        if symmetric:
+            p = a[k][k]
+            if p:
+                rowk = a[k]
+                for i in range(k + 1, n):
+                    rowi = a[i]
+                    aki = rowk[i]
+                    for j in range(i, n):
+                        rowi[j] = (p * rowi[j] - aki * rowk[j]) // prev
+                minors.append(p)
+                prev = p
+                k += 1
+                continue
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    a[j][i] = a[i][j]
+            symmetric = False
         t, end, sign, div = k, k + 1, 1, 1
         while t < end:
             r = next((r for r in range(t, end) if a[r][t]), None)
@@ -585,8 +613,9 @@ def _exact_minors(a, den):
         minors = _one_pass("pfaffian", [r[:] for r in a], floordiv, lambda p, prev: p == 0, 0)
         found = [DetResult(Fraction(m, den ** k), "pfaffian") for k, m in enumerate(minors, 1)]
     if len(found) < n:
-        # a zero Pfaffian pivot: the general pass serves the later orders
-        minors = _integer_minors(a)
+        # a zero Pfaffian pivot, or no skew matrix: the general pass serves
+        # the later orders, on one triangle while a symmetric a allows
+        minors = _integer_minors(a, a == [list(col) for col in zip(*a)])
         for k in range(len(found), n):
             found.append(DetResult(Fraction(minors[k], den ** (k + 1)), "bareiss"))
     return found

@@ -225,13 +225,17 @@ def _even_view(inp, max_index: int, mode: str, bits: int):
     return build()
 
 
+_ZERO = Fraction(0)
+
+
 def _residuals(lhs, rhs, bits):
+    """(|lhs - rhs|, |lhs - rhs| / max(|lhs|, |rhs|)): Fractions for rational
+    sides, mpf at 2*bits + 32 otherwise."""
     if isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction)):
-        d = lhs - rhs
-        a = abs(d)
-        scale = max(abs(lhs), abs(rhs))
-        rel = a / scale if scale else Fraction(0)
-        return a, rel
+        if lhs == rhs:
+            return _ZERO, _ZERO
+        a = abs(Fraction(lhs) - rhs)
+        return a, a / max(abs(lhs), abs(rhs))
     with mp.workprec(2 * bits + 32):
         dl = to_mp(lhs, 2 * bits + 32)
         dr = to_mp(rhs, 2 * bits + 32)

@@ -3,10 +3,11 @@
 Builders produce dense StructuredMatrix values over an explicit field (exact
 rationals or high-precision reals/complexes), laid out of one coefficient
 table per matrix, with each index coerced once, so their diagonals (or
-anti-diagonals) are constant by construction.  A rational matrix is held as
-integer rows over one positive common denominator: a builder clears its
-table once (den is the lcm of the table's denominators) and lays out the
-numerators, so a Toeplitz+Hankel entry is an int sum.  Fractions appear
+anti-diagonals) are constant by construction: each row of a Toeplitz or
+Hankel matrix is a slice of one line of the table.  A rational matrix is
+held as integer rows over one positive common denominator: a builder clears
+its table once (den is the lcm of the table's denominators) and lays out
+the numerators, so a Toeplitz+Hankel entry is an int sum.  Fractions appear
 only when a caller reads rows.  The constructor checks the claimed
 structure of a matrix built from a caller's own rows, and toeplitz checks
 the symmetry that the source promises on the table: an even symbol gives a
@@ -266,11 +267,11 @@ def _coeff_table(a, lo: int, hi: int, field: Field) -> dict:
     return table
 
 
-def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, entry, default_bits=256, check=None):
-    """The N x N matrix (entry(c, j, k)) of c, the table of a over [lo, hi]
-    (over the rationals, the table's numerators over the matrix's den),
-    once check(c, field), if given, has passed.  A symbol keeps the matrix,
-    one per structure, N and field (symbols._once)."""
+def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, layout, default_bits=256, check=None):
+    """The N x N matrix with rows layout(c, N) of c, the table of a over
+    [lo, hi] (over the rationals, the table's numerators over the matrix's
+    den), once check(c, field), if given, has passed.  A symbol keeps the
+    matrix, one per structure, N and field (symbols._once)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     field = field or infer_field(a, bits or default_bits, exact=bits is None)
@@ -285,15 +286,27 @@ def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, entry, defa
             check(c, field)
         # constant along (anti-)diagonals by construction, so unchecked
         if field.is_exact:
-            return StructuredMatrix._exact([[entry(c, j, k) for k in range(N)] for j in range(N)], den, structure)
+            return StructuredMatrix._exact(layout(c, N), den, structure)
         # sums of entries (T+H) must not round at ambient precision
         with mp.workprec(field.bits + 32):
-            rows = [[entry(c, j, k) for k in range(N)] for j in range(N)]
+            rows = layout(c, N)
         return StructuredMatrix(rows, field, structure, check=False)
 
     if isinstance(a, (symbols.FourierSymbol, symbols.MomentSymbol)):
         return symbols._once(a, (structure, N, field), build)
     return build()
+
+
+def _toeplitz_rows(c, N: int):
+    """(c_{j-k}): row j is a slice of the line c_{N-1}, ..., c_{-(N-1)}."""
+    line = tuple(c[n] for n in range(N - 1, -N, -1))
+    return [line[N - 1 - j : 2 * N - 1 - j] for j in range(N)]
+
+
+def _hankel_rows(c, N: int):
+    """(c_{j+k+1}): row j is a slice of the line c_1, ..., c_{2N-1}."""
+    line = tuple(c[n] for n in range(1, 2 * N))
+    return [line[j : j + N] for j in range(N)]
 
 
 def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
@@ -312,12 +325,12 @@ def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> 
         if sym == "odd" and any(abs(c[-n] + c[n]) > bound for n in range(N)):
             raise StructureError("odd symbol must give a skewsymmetric Toeplitz matrix")
 
-    return _build(a, N, field, bits, -(N - 1), N - 1, "toeplitz", lambda c, j, k: c[j - k], check=check)
+    return _build(a, N, field, bits, -(N - 1), N - 1, "toeplitz", _toeplitz_rows, check=check)
 
 
 def hankel(a, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
     """H_N(a) = (a_{j+k+1}), using coefficient indices 1..2N-1."""
-    return _build(a, N, field, bits, 1, 2 * N - 1, "hankel", lambda c, j, k: c[j + k + 1])
+    return _build(a, N, field, bits, 1, 2 * N - 1, "hankel", _hankel_rows)
 
 
 def toeplitz_plus_hankel(
@@ -334,17 +347,14 @@ def toeplitz_plus_hankel(
             raise symbols.SpeciesError("toeplitz_plus_hankel needs an even symbol")
     return _build(
         a, N, field, bits, -(N - 1), 2 * N - 1, "toeplitz_plus_hankel",
-        lambda c, j, k: c[j - k] + c[j + k + 1],
+        lambda c, N: [[c[j - k] + c[j + k + 1] for k in range(N)] for j in range(N)],
     )
 
 
 def hankel_moment(b, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
     """H_N[b] = (b_{1+j+k}) from a MomentSymbol or explicit moments."""
     default_bits = max(128, 12 * N) if isinstance(b, symbols.MomentSymbol) else 256
-    return _build(
-        b, N, field, bits, 1, 2 * N - 1, "hankel_moment", lambda c, j, k: c[1 + j + k],
-        default_bits,
-    )
+    return _build(b, N, field, bits, 1, 2 * N - 1, "hankel_moment", _hankel_rows, default_bits)
 
 
 def flip(N: int, field: Field | None = None) -> StructuredMatrix:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sdet.determinants import det_bareiss
 from sdet.identities import (
     IdentityKind,
+    _residuals,
     pfaffian_link,
     reports_to_csv,
     verify,
@@ -542,3 +543,26 @@ def test_exact_identities_hold_with_zero_residuals(family, values, n_max):
         assert all(isinstance(r.abs_resid, (int, Fraction)) and r.abs_resid == 0 for r in rep.records)
         ran += 1
     assert ran
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [
+        (1, 2),
+        (3, 3),
+        (0, 0),
+        (-4, 0),
+        (Fraction(1, 2), Fraction(-1, 3)),
+        (Fraction(2, 3), Fraction(2, 3)),
+        (2, Fraction(1, 2)),
+        (Fraction(4, 2), 2),
+        (Fraction(0), Fraction(-5, 7)),
+    ],
+)
+def test_exact_residuals_stay_fractions(lhs, rhs):
+    a, rel = _residuals(lhs, rhs, 64)
+    assert type(a) is Fraction and type(rel) is Fraction
+    diff = abs(Fraction(lhs) - Fraction(rhs))
+    scale = max(abs(lhs), abs(rhs))
+    assert a == diff
+    assert rel == (diff / scale if scale else 0)

@@ -202,6 +202,20 @@ def tail(t, top):
     return {k: t.get(k, Fraction(1, k * k + 1)) for k in range(-top, top + 1)}
 
 
+@pytest.fixture
+def symmetric_flags(monkeypatch):
+    """The symmetric flag of every general exact pass, in call order."""
+    flags = []
+    integer_minors = determinants._integer_minors
+
+    def spied(a, symmetric=False):
+        flags.append(symmetric)
+        return integer_minors(a, symmetric)
+
+    monkeypatch.setattr(determinants, "_integer_minors", spied)
+    return flags
+
+
 def assert_exact_minors(M):
     """Every leading minor equals det_bareiss on its block; the values."""
     got = leading_minors(M, range(1, M.order + 1))
@@ -239,6 +253,25 @@ class TestExactLookAhead:
         assert all(values[5:])
         assert reference_calls == []
 
+    def test_hankel_zero_at_order_two(self, reference_calls, symmetric_flags):
+        # h_1 = h_2 = h_3 = 1: det H_2 = h_1 h_3 - h_2^2 = 0, after one
+        # step of the symmetric pass
+        values = assert_exact_minors(hankel(tail({1: 1, 2: 1, 3: 1}, 23), 12))
+        assert values[1] == 0 and values[0] and all(values[2:])
+        assert symmetric_flags == [True]
+        assert reference_calls == []
+
+    def test_t_plus_h_zeros_at_orders_three_and_four(self, reference_calls, symmetric_flags):
+        # a_0 = a_4 = -1, a_7 = 1 and a_1, a_2, a_3, a_5, a_6 = 0: two
+        # symmetric steps, then one look-ahead step of size 3
+        t = {0: -1, 1: 0, 2: 0, 3: 0, 4: -1, 5: 0, 6: 0, 7: 1}
+        a = {k: v for k, v in tail(t, 23).items() if k >= 0}
+        values = assert_exact_minors(toeplitz_plus_hankel(ScalarSeq(a, "even"), 12))
+        assert values[:5] == [-1, 1, 0, 0, -1]
+        assert all(values[4:])
+        assert symmetric_flags == [True]
+        assert reference_calls == []
+
     @pytest.mark.parametrize("odd", [{1: 0, 2: 1, 3: 2}, {1: 1, 2: 2, 3: 3}])
     def test_skew_zero_pfaffian_pivot(self, odd, reference_calls):
         # Pf_2 = a_1 = 0, and Pf_4 = a_1^2 - a_2^2 + a_1 a_3 = 0
@@ -255,6 +288,23 @@ class TestExactLookAhead:
         assert reference_calls == []
 
 
+def test_symmetric_pass_reads_one_triangle():
+    # every pivot is nonzero, so the pass never hands off to the look-ahead
+    # and never reads the strict lower triangle, poisoned here
+    M = toeplitz_plus_hankel(ScalarSeq({0: 4, 1: 1, 3: Fraction(1, 2)}, "even"), 12)
+    poisoned = [list(r) for r in M.ints]
+    for i in range(1, 12):
+        for j in range(i):
+            poisoned[i][j] = 1000 + 7 * i - 5 * j
+    minors = determinants._integer_minors([r[:] for r in poisoned], symmetric=True)
+    assert all(minors)
+    assert [Fraction(m, M.den**k) for k, m in enumerate(minors, 1)] == [
+        det_bareiss(M.leading(k)).value for k in range(1, 13)
+    ]
+    # the general steps read the poison
+    assert determinants._integer_minors(poisoned) != minors
+
+
 # zero-rich, so that singular leading blocks of size >= 2 and skewsymmetric
 # matrices with a zero Pfaffian pivot occur
 fractions = st.builds(
@@ -264,13 +314,15 @@ fractions = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(
-    family=st.sampled_from(["toeplitz", "skew", "hankel", "t_plus_h"]),
+    family=st.sampled_from(["toeplitz", "even_toeplitz", "skew", "hankel", "t_plus_h"]),
     n=st.integers(1, 12),
     coeffs=st.lists(fractions, min_size=25, max_size=25),
 )
 def test_exact_minors_equal_bareiss(family, n, coeffs):
     if family == "toeplitz":
         M = toeplitz({k - 12: v for k, v in enumerate(coeffs)}, n)
+    elif family == "even_toeplitz":
+        M = toeplitz({k: coeffs[abs(k)] for k in range(-12, 13)}, n)
     elif family == "skew":
         M = toeplitz(ScalarSeq({k: v for k, v in enumerate(coeffs[:13]) if k}, "odd"), n)
     elif family == "hankel":

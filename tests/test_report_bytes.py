@@ -20,6 +20,7 @@ from sdet.symbols import FHDescriptor, FHProduct, MomentSymbol, SpeciesError, th
 
 STUDY_JUMP_SHA = "5333bc394e871e3dafd8637df7da95a2a44e2fa4ac5f4e27fc2c5e259e412421"
 VERIFY_HP_SHA = "0b8ef36bd4b2821a93af53dfd0d24855e81536f2eb945d3f6b1e4f1f3585e066"
+EXACT_SHA = "2a70ee529971053b49345d45f8948208dd82763e315d8b1f0cfa2c0e516b5f24"
 
 
 def sha(text):
@@ -43,6 +44,29 @@ def test_hp_identity_reports():
     reports.append(identities.pfaffian_link(th_to_moment_symbol(a), 10, bits=256))
     assert [r.verdict for r in reports].count("pass") == 4
     assert sha(json.dumps([r.to_json() for r in reports], indent=2)) == VERIFY_HP_SHA
+
+
+# one rational config of each family of the exact benchmark: even with support
+# 0..6, odd with support 1..6, and even indices only.  Symmetric passes meet
+# zero pivots: the odd one's moment Hankel matrix has b_1 = 0, and in the last
+# one T+H_12 and H[b]_12 have a zero minor at order 2, and T_24 at orders 3..5.
+EXACT_CONFIGS = [
+    ("even", [[0, "-4/5"], [1, "6"], [2, "-2"], [3, "1/4"], [4, "1/6"], [5, "0"], [6, "-5/4"]]),
+    ("odd", [[1, "0"], [2, "-4/3"], [3, "-1"], [4, "3/4"], [5, "-1"], [6, "1"]]),
+    ("even", [[0, "1"], [2, "1"], [4, "-2"], [6, "-4/5"]]),
+]
+
+
+def test_exact_verify_stdout(tmp_path):
+    out = io.StringIO()
+    for i, (symmetry, entries) in enumerate(EXACT_CONFIGS):
+        path = tmp_path / ("exact-%d.json" % i)
+        config = {"kind": "coeffs", "symmetry": symmetry, "entries": [[n, v, 0] for n, v in entries]}
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(out):
+            code = cli.run(["verify", "--identity", "all", "--mode", "exact", "--nmax", "12", "--symbol", str(path)])
+        assert code == 0
+    assert sha(out.getvalue()) == EXACT_SHA
 
 
 SMOOTH = FHDescriptor({1: 0.15, -1: 0.15})  # exp(0.15 (t + 1/t))
