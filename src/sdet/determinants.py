@@ -123,23 +123,13 @@ class DetResult:
         )
 
 
-def _integer_rows(rows):
-    """Each row times the lcm of its denominators: (integer rows, the lcms)."""
-    out = []
-    scales = []
-    for row in rows:
-        l = math.lcm(*[v.denominator for v in row])
-        scales.append(l)
-        out.append([v.numerator * (l // v.denominator) for v in row])
-    return out, scales
-
-
 def det_bareiss(M: StructuredMatrix) -> DetResult:
-    """Exact determinant of a rational-field matrix."""
+    """Exact determinant of a rational-field matrix: pivoted Bareiss on its
+    integer rows M.ints, over M.den^n."""
     if not M.field.is_exact:
         raise TypeError("det_bareiss needs a rational-field matrix")
     n = M.order
-    a, scales = _integer_rows(M.rows)
+    a = [list(row) for row in M.ints]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -160,7 +150,7 @@ def det_bareiss(M: StructuredMatrix) -> DetResult:
                 rowi[j] = (akk * rowi[j] - aik * rowk[j]) // prev
             rowi[k] = 0
         prev = a[k][k]
-    return DetResult(Fraction(sign * a[n - 1][n - 1], math.prod(scales)), "bareiss")
+    return DetResult(Fraction(sign * a[n - 1][n - 1], M.den**n), "bareiss")
 
 
 def _lu_pass(rows, n, prec):

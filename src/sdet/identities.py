@@ -22,16 +22,18 @@ transcendental); requesting exact there silently upgrades to hp and says so
 in the report notes.  Sequence-level inputs are accepted even when no L1
 symbol is known to back them; the identities are finite-matrix statements.
 
-Kinds that need the same matrix of one input build it from one owner: the
-matrix builders keep it on that symbol, and leading_minors keeps its pass
-on the matrix, so verify_all and pfaffian_link run one pass per distinct
-matrix.  The moment kinds and pfaffian_link share the moment twin's H_N[b]
-and its skew symbol's T_2N(c); hankel_congruence, quarter_wave and
-skew_square share a coefficient sequence's one even view, and with it
-T+H_N(a); quarter_wave and parity_split_even share one halve_argument, and
-with it T_N(d).  A plain dict or ScalarSeq input has no owner and shares
-nothing.  The two sides of one identity are always distinct matrices with
-passes of their own.
+One rule gives each kind on an even input the symbol its matrices are laid
+out of, the owner (_owner): a FourierSymbol is its own owner, and a plain
+dict or ScalarSeq gets a fresh even CoeffSeq, which shares nothing.  Every
+even kind lays out T+H_N(a), T_2N(a) and T_N(d) of the owner, and takes
+halve_argument and th_to_moment_symbol of it; the matrix builders keep each
+matrix on its symbol, and leading_minors keeps its pass on the matrix, so
+verify_all and pfaffian_link run one pass per distinct matrix.  The moment
+kinds and pfaffian_link share the moment twin's H_N[b] and its skew
+symbol's T_2N(c).  The transforms read the owner's exact values: a
+CoeffSeq's entries, or a quadrature-backed symbol's table at bits.  The two
+sides of one identity are always distinct matrices with passes of their
+own.
 """
 
 import enum
@@ -202,27 +204,34 @@ def _exact_value(v):
     return v
 
 
-def _even_view(inp, max_index: int, mode: str, bits: int):
-    """The even coefficients of the input, wide enough for |n| <= max_index.
+def _owner(inp, mode: str):
+    """The even symbol that an even kind lays its matrices out of.
 
-    A quadrature-backed symbol gives a ScalarSeq of its table at bits.  A
-    sequence-level input gives a CoeffSeq, one per mode for a CoeffSeq
-    input, so the kinds on one input build from one owner and share its
-    matrices (see matrices).
+    A FourierSymbol is its own owner: a CoeffSeq (flagged even, or with
+    a_{-n} = a_n) or a quadrature-backed symbol, which has no exact mode.  A
+    plain dict or ScalarSeq gets a fresh even CoeffSeq.  An input that is not
+    an even sequence or symbol raises SpeciesError.
     """
     if isinstance(inp, symbols.FourierSymbol) and not isinstance(inp, CoeffSeq):
         if not symbols.certify_even(inp):
             raise SpeciesError("an even symbol is required")
         if mode == "exact":
             raise SpeciesError("exact mode needs finite rational coefficients")
-        return ScalarSeq(inp.coeff_table(0, max_index, bits), "even")
+        return inp
+    try:
+        seq = _input_seq(inp, "even", mode)
+    except ValueError as exc:  # entries that contradict evenness
+        raise SpeciesError(str(exc)) from exc
+    return inp if isinstance(inp, CoeffSeq) else CoeffSeq(seq.entries, symmetry="even")
 
-    def build():
-        return CoeffSeq(_input_seq(inp, "even", mode).entries, symmetry="even")
 
-    if isinstance(inp, CoeffSeq):
-        return symbols._once(inp, ("even_view", mode), build)
-    return build()
+def _even_values(a, max_index: int, mode: str, bits: int) -> ScalarSeq:
+    """The exact values of owner a's coefficients that the transforms read,
+    for |n| <= max_index: a CoeffSeq's entries, or a quadrature-backed
+    symbol's table at bits."""
+    if isinstance(a, CoeffSeq):
+        return _input_seq(a, "even", mode)
+    return ScalarSeq(a.coeff_table(0, max_index, bits), "even")
 
 
 _ZERO = Fraction(0)
@@ -361,49 +370,28 @@ def _has_even_support(inp):
 
 @_identity(IdentityKind.HankelCongruence, _is_even)
 def _hankel_congruence(inp, n, mode, bits, notes):
-    seq = _even_view(inp, 2 * n + 2, mode, bits)
-    field = infer_field(seq, bits, exact=mode == "exact")
+    a = _owner(inp, mode)
+    seq = _even_values(a, 2 * n + 2, mode, bits)
+    field = infer_field(a, bits, exact=mode == "exact")
     with mp.workprec(2 * bits + 32):
         b = a_to_b(seq, 2 * n)
-    return toeplitz_plus_hankel(seq, n, field), hankel_moment(b, n, field)
+    return toeplitz_plus_hankel(a, n, field), hankel_moment(b, n, field)
 
 
 @_identity(IdentityKind.THvsMoment, _is_even, exact=False)
 def _th_vs_moment(inp, n, mode, bits, notes):
-    if isinstance(inp, (ScalarSeq, dict)):
-        try:
-            inp = CoeffSeq(dict(getattr(inp, "entries", inp)), symmetry="even")
-        except ValueError as exc:
-            raise SpeciesError(str(exc)) from exc
-    if not isinstance(inp, symbols.FourierSymbol) or not symbols.certify_even(inp):
-        raise SpeciesError("an even symbol is required")
-    b = th_to_moment_symbol(inp)
+    a = _owner(inp, mode)
+    b = th_to_moment_symbol(a)
     field = infer_field(b, bits)
-    return toeplitz_plus_hankel(inp, n, field), hankel_moment(b, n, field)
-
-
-def _require_even_support(inp, mode, bits, max_index):
-    """The input as an even symbol whose odd coefficients vanish."""
-    if isinstance(inp, (ScalarSeq, dict, CoeffSeq)):
-        seq = _even_view(inp, max_index, mode, bits)
-        odd = [n for n in seq.entries if n % 2 and seq.entries[n] != 0]
-        if odd:
-            raise SpeciesError(
-                "vanishing odd coefficients are required, found index %d" % odd[0]
-            )
-        return seq
-    if isinstance(inp, symbols.FourierSymbol):
-        if not inp.even_support():
-            raise SpeciesError("vanishing odd coefficients are required")
-        return inp
-    raise SpeciesError("unsupported input %r" % (type(inp),))
+    return toeplitz_plus_hankel(a, n, field), hankel_moment(b, n, field)
 
 
 @_identity(IdentityKind.QuarterWave, _has_even_support)
 def _quarter_wave(inp, n, mode, bits, notes):
-    src = _require_even_support(inp, mode, bits, 4 * n)
-    field = infer_field(src, bits, exact=mode == "exact")
-    return toeplitz_plus_hankel(src, n, field), toeplitz(halve_argument(src), n, field)
+    a = _owner(inp, mode)
+    d = halve_argument(a)
+    field = infer_field(a, bits, exact=mode == "exact")
+    return toeplitz_plus_hankel(a, n, field), toeplitz(d, n, field)
 
 
 @_identity(
@@ -423,11 +411,12 @@ def _moment_to_toeplitz(inp, n, mode, bits, notes):
 
 @_identity(IdentityKind.SkewSquare, _is_even, squared=True)
 def _skew_square(inp, n, mode, bits, notes):
-    seq = _even_view(inp, 2 * n, mode, bits)
-    field = infer_field(seq, bits, exact=mode == "exact")
+    a = _owner(inp, mode)
+    seq = _even_values(a, 2 * n, mode, bits)
+    field = infer_field(a, bits, exact=mode == "exact")
     with mp.workprec(2 * bits + 32):
         c = a_to_c(seq, 2 * n - 1)
-    return toeplitz(c, 2 * n, field), toeplitz_plus_hankel(seq, n, field)
+    return toeplitz(c, 2 * n, field), toeplitz_plus_hankel(a, n, field)
 
 
 @_identity(IdentityKind.CSeqSquare, _is_odd, squared=True)
@@ -455,18 +444,19 @@ def _moment_skew_square(inp, n, mode, bits, notes):
 
 @_identity(IdentityKind.ParitySplitEven, _has_even_support, squared=True)
 def _parity_split_even(inp, n, mode, bits, notes):
-    src = _require_even_support(inp, mode, bits, 4 * n)
-    field = infer_field(src, bits, exact=mode == "exact")
-    return toeplitz(src, 2 * n, field), toeplitz(halve_argument(src), n, field)
+    a = _owner(inp, mode)
+    d = halve_argument(a)
+    field = infer_field(a, bits, exact=mode == "exact")
+    return toeplitz(a, 2 * n, field), toeplitz(d, n, field)
 
 
 @_identity(IdentityKind.ParitySplitChi, _has_even_support, exact=False)
 def _parity_split_chi(inp, n, mode, bits, notes):
-    src = _require_even_support(inp, mode, bits, 4 * n)
-    d = halve_argument(src)
+    a = _owner(inp, mode)
+    d = halve_argument(a)
     d1 = SymbolProduct((JumpT(-0.5), d))
     d2 = SymbolProduct((JumpT(0.5), d))
-    chi_a = multiply_by_chi(src)
+    chi_a = multiply_by_chi(a)
     T2 = toeplitz(chi_a, 2 * n, infer_field(chi_a, bits))
     return T2, (toeplitz(d1, n, infer_field(d1, bits)), toeplitz(d2, n, infer_field(d2, bits)))
 

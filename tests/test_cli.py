@@ -46,6 +46,17 @@ class TestVerifyCommand:
         assert sum("verdict=skipped" in l for l in lines) == 5
         assert "identity=hankel_congruence mode=exact nmax=4 verdict=pass" in out
 
+    def test_quadrature_backed_symbol_skips_exact_mode(self, write_config, capsys):
+        # exact mode runs only on exact rational inputs: on an FH symbol with
+        # even support every kind is skipped, and the run exits 0
+        config = {"kind": "fh", "log_smooth": [[2, 0.1, 0], [-2, 0.1, 0]], "jumps": []}
+        path = write_config("fh.json", config)
+        code = cli.run(["verify", "--identity", "all", "--symbol", path, "--nmax", "4"])
+        assert code == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("check ")]
+        assert len(lines) == 9
+        assert all("mode=exact" in l and "verdict=skipped" in l for l in lines)
+
     def test_single_identity_json_report(self, delta_path, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code = cli.run(

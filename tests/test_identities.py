@@ -281,8 +281,8 @@ class TestHighPrecisionKinds:
 
 class TestQuadratureBackedEvenInputs:
     # hp, 128 bits, N = 6: halve_argument of an FH symbol is a HalvedArg whose
-    # coefficients come from the base's table, and an even FH symbol reaches
-    # _even_view as a quadrature-backed table rather than a sequence
+    # coefficients come from the base's table, and the transforms read an
+    # even FH symbol's quadrature-backed table rather than a sequence
     @pytest.mark.parametrize("kind", [IdentityKind.QuarterWave, IdentityKind.ParitySplitEven])
     def test_halved_argument_coefficients(self, kind):
         a = FHProduct(FHDescriptor({2: 0.1, -2: 0.1}))
@@ -416,6 +416,8 @@ SEQ_NOTE = (
     "does not require the sequence to come from an L1 symbol"
 )
 PASS = ("pass", [])
+NOT_FINITE = "exact mode needs finite rational coefficients"
+NOT_EVEN = "even sequence needs s_{-n} = s_n"
 
 
 def _pinned(**ran):
@@ -503,6 +505,29 @@ VERIFY_ALL_CASES = {
         MomentSymbol.from_poly({0: 1, 1: Fraction(1, 2)}),
         "hp",
         _pinned(moment_skew_square=PASS),
+    ),
+    # a quadrature-backed symbol has no exact mode, even support or not
+    "fh_even_support_exact": (
+        FHProduct(FHDescriptor({2: 0.1, -2: 0.1})),
+        "exact",
+        _pinned(
+            hankel_congruence=_skip(NOT_FINITE),
+            th_vs_moment=_skip(NO_EXACT),
+            quarter_wave=_skip(NOT_FINITE),
+            skew_square=_skip(NOT_FINITE),
+            parity_split_even=_skip(NOT_FINITE),
+            parity_split_chi=_skip(NO_EXACT),
+        ),
+    ),
+    # a dict that contradicts evenness: one note from every even kind
+    "non_even_dict_hp": (
+        {0: 1, 1: 2, -1: 3},
+        "hp",
+        _pinned(
+            hankel_congruence=_skip(NOT_EVEN),
+            th_vs_moment=_skip(NOT_EVEN),
+            skew_square=_skip(NOT_EVEN),
+        ),
     ),
 }
 

@@ -19,7 +19,7 @@ from sdet.asymptotics import study
 from sdet.symbols import FHDescriptor, FHProduct, MomentSymbol, SpeciesError, th_to_moment_symbol
 
 STUDY_JUMP_SHA = "5333bc394e871e3dafd8637df7da95a2a44e2fa4ac5f4e27fc2c5e259e412421"
-VERIFY_HP_SHA = "0b8ef36bd4b2821a93af53dfd0d24855e81536f2eb945d3f6b1e4f1f3585e066"
+VERIFY_HP_SHA = "bc9ff3276e3b7dda56639e2a48fc9bf6619504eb35c01e6f92a3d14d65ce9e0b"
 EXACT_SHA = "2a70ee529971053b49345d45f8948208dd82763e315d8b1f0cfa2c0e516b5f24"
 
 

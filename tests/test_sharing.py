@@ -219,6 +219,32 @@ def _cos_twin():
     return th_to_moment_symbol(CoeffSeq({-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}, symmetry="even"))
 
 
+def _fh_even_support():
+    return FHProduct(FHDescriptor({2: 0.1, -2: 0.1}))
+
+
+class TestOneOwner:
+    """Every even kind lays its matrices out of the input itself, so the
+    kinds on one input share each matrix and its pass."""
+
+    @pytest.mark.parametrize("make", [_fh_even_support, _even_support], ids=["fh", "coeffs"])
+    def test_verify_all_hp_runs_one_pass_per_distinct_matrix(self, make, passes):
+        # T+H_8(a), H_8[b] of a_to_b, the twin's H_8[b], T_8(d) and the two
+        # T_8(t_{-+1/2} d); T_16(c), T_16(a) and T_16(chi a)
+        reports = verify_all(make(), 8, "hp", BITS)
+        assert {rep.verdict for rep in reports} == {"pass", "skipped"}
+        assert sorted(passes) == [8] * 6 + [16] * 3
+
+    @pytest.mark.parametrize("make", [_fh_even_support, _even_support], ids=["fh", "coeffs"])
+    def test_even_kinds_build_one_t_plus_h(self, make):
+        inp = make()
+        kinds = [IdentityKind.HankelCongruence, IdentityKind.THvsMoment, IdentityKind.QuarterWave]
+        built = [identities._IDENTITIES[kind].build(inp, N, "hp", BITS, [])[0] for kind in kinds]
+        built.append(identities._IDENTITIES[IdentityKind.SkewSquare].build(inp, N, "hp", BITS, [])[1])
+        assert built[0].structure == "toeplitz_plus_hankel"
+        assert all(M is built[0] for M in built)
+
+
 # every kind on an input it takes, as a fresh symbol per call
 GUARD_INPUTS = {
     IdentityKind.HankelCongruence: _even,
