@@ -178,17 +178,17 @@ def _cmd_study(args) -> int:
 
 
 _TRANSFORM_OPS = {
-    "a_to_b": (transforms.a_to_b, "even"),
-    "a_to_c": (transforms.a_to_c, "even"),
-    "c_to_b": (transforms.c_to_b, "odd"),
-    "recover_even_from_c": (transforms.recover_even_from_c, "odd"),
+    "a_to_b": transforms.a_to_b,
+    "a_to_c": transforms.a_to_c,
+    "c_to_b": transforms.c_to_b,
+    "recover_even_from_c": transforms.recover_even_from_c,
 }
 
 
 def _cmd_transform(args) -> int:
     if args.nmax < 1:
         raise UsageError("--nmax must be >= 1")
-    fn, need = _TRANSFORM_OPS[args.op]
+    fn = _TRANSFORM_OPS[args.op]
     obj = _load_json(args.seq)
     try:
         sym = symbols.symbol_from_json(obj)
@@ -197,8 +197,7 @@ def _cmd_transform(args) -> int:
     if not isinstance(sym, symbols.CoeffSeq):
         raise UsageError("%s: transform input must be a coeffs config" % (args.seq,))
     try:
-        seq = transforms.ScalarSeq(dict(sym.entries), need)
-        out = fn(seq, args.nmax)
+        out = fn(sym, args.nmax)
     except ValueError as exc:
         raise UsageError("%s: %s" % (args.seq, exc))
     if out.symmetry == "even":
@@ -223,9 +222,7 @@ def _cmd_dump(args) -> int:
     else:
         if isinstance(subject, symbols.CoeffSeq) and subject.is_exact:
             # exact entries print exactly, never as decimal approximations
-            table = {
-                n: subject.closed_coeff(n) for n in range(-args.nmax, args.nmax + 1)
-            }
+            table = subject.closed_table(range(-args.nmax, args.nmax + 1))
         else:
             table = subject.coeff_table(-args.nmax, args.nmax, bits)
         rows = [

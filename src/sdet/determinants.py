@@ -286,9 +286,11 @@ def _integer_minors(a, symmetric=False):
 
     A plain step keeps a symmetric trailing block symmetric, so for a
     symmetric a (symmetric=True) the steps update only its upper triangle,
-    reading the multiplier a_ik from the pivot row as a_ki, until the first
-    zero pivot.  There the upper triangle is copied into the lower one once,
-    and the look-ahead goes on from that step with the same prev.
+    reading the multiplier a_ik from the pivot row as a_ki.  At each zero
+    pivot the upper triangle is copied into the lower one, and the
+    look-ahead goes on from that step with the same prev; it leaves a plain
+    Bareiss pass's entries, which are symmetric again, so the steps after it
+    update one triangle too.
     """
     n = len(a)
     minors = []
@@ -311,7 +313,6 @@ def _integer_minors(a, symmetric=False):
             for i in range(k, n):
                 for j in range(i + 1, n):
                     a[j][i] = a[i][j]
-            symmetric = False
         t, end, sign, div = k, k + 1, 1, 1
         while t < end:
             r = next((r for r in range(t, end) if a[r][t]), None)

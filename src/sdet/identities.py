@@ -22,18 +22,20 @@ transcendental); requesting exact there silently upgrades to hp and says so
 in the report notes.  Sequence-level inputs are accepted even when no L1
 symbol is known to back them; the identities are finite-matrix statements.
 
-One rule gives each kind on an even input the symbol its matrices are laid
-out of, the owner (_owner): a FourierSymbol is its own owner, and a plain
-dict or ScalarSeq gets a fresh even CoeffSeq, which shares nothing.  Every
-even kind lays out T+H_N(a), T_2N(a) and T_N(d) of the owner, and takes
-halve_argument and th_to_moment_symbol of it; the matrix builders keep each
-matrix on its symbol, and leading_minors keeps its pass on the matrix, so
-verify_all and pfaffian_link run one pass per distinct matrix.  The moment
-kinds and pfaffian_link share the moment twin's H_N[b] and its skew
-symbol's T_2N(c).  The transforms read the owner's exact values: a
-CoeffSeq's entries, or a quadrature-backed symbol's table at bits.  The two
-sides of one identity are always distinct matrices with passes of their
-own.
+Every kind reads its input through one owner (_owner), which gives the
+symbol its matrices are laid out of and their field.  A symbol is its own
+owner: a CoeffSeq of the kind's species (even or odd), a quadrature-backed
+even symbol, or a MomentSymbol; a plain dict or ScalarSeq gets a fresh
+CoeffSeq, which shares nothing.  The even kinds lay out T+H_N(a), T_2N(a)
+and T_N(d) of the owner and take halve_argument and th_to_moment_symbol of
+it, and cseq_square lays out T_2N(c) of its owner; the matrix builders keep
+each matrix on its symbol, and leading_minors keeps its pass on the matrix,
+so verify_all, pfaffian_link and repeated checks run one pass per distinct
+matrix.  The moment kinds and pfaffian_link share the moment twin's H_N[b]
+and its skew symbol's T_2N(c).  The transforms read the owner's exact
+values: a CoeffSeq's entries, or a quadrature-backed symbol's table at
+bits.  The two sides of one identity are always distinct matrices with
+passes of their own.
 """
 
 import enum
@@ -46,7 +48,7 @@ import mpmath as mp
 from . import symbols, transforms
 from .determinants import DetResult, leading_minors, pfaffian
 from .matrices import hankel_moment, toeplitz, toeplitz_plus_hankel
-from .scalars import format_scalar, infer_field, is_exact_scalar, to_mp
+from .scalars import format_scalar, infer_field, to_mp
 from .symbols import (
     CoeffSeq,
     JumpT,
@@ -170,68 +172,62 @@ def _n_list(N_values):
     return out
 
 
-def _input_seq(inp, symmetry: str, mode: str) -> ScalarSeq:
-    """ScalarSeq view of a sequence-level input: a ScalarSeq, CoeffSeq or dict."""
-    if (
-        symmetry == "even"
-        and isinstance(inp, CoeffSeq)
-        and inp.symmetry is None
-        and all(inp.entries.get(-n, 0) == v for n, v in inp.entries.items())
-    ):
-        inp = inp.entries  # an unflagged CoeffSeq with a_{-n} = a_n passes as even
-    if isinstance(inp, (ScalarSeq, CoeffSeq)) and inp.symmetry != symmetry:
-        raise SpeciesError("an %s sequence is required" % symmetry)
-    if not isinstance(inp, (ScalarSeq, CoeffSeq, dict)):
-        raise SpeciesError(
-            "cannot interpret %r as an %s sequence" % (type(inp), symmetry)
-        )
-    seq = transforms._as_seq(inp, symmetry)
-    if all(is_exact_scalar(v) for v in seq.entries.values()):
-        return seq
-    if mode == "exact":
-        raise SpeciesError("exact mode needs rational coefficients")
-    # float sums round at 53 bits whatever mp.workprec says, while the matrix
-    # side reads the same floats exactly: give the transforms exact values
-    return ScalarSeq({n: _exact_value(v) for n, v in seq.entries.items()}, symmetry)
+def _owner(inp, species: str, mode: str, bits: int):
+    """(owner, field): the symbol that a kind on an input of species "even",
+    "odd" or "moment" lays its matrices out of, and the field they take.
 
-
-def _exact_value(v):
-    """v unchanged, with a float as its exact Fraction and a complex as an mpc."""
-    if isinstance(v, float):
-        return Fraction(v)
-    if isinstance(v, complex):
-        return mp.mpc(v)
-    return v
-
-
-def _owner(inp, mode: str):
-    """The even symbol that an even kind lays its matrices out of.
-
-    A FourierSymbol is its own owner: a CoeffSeq (flagged even, or with
-    a_{-n} = a_n) or a quadrature-backed symbol, which has no exact mode.  A
-    plain dict or ScalarSeq gets a fresh even CoeffSeq.  An input that is not
-    an even sequence or symbol raises SpeciesError.
+    A MomentSymbol is its own owner.  A CoeffSeq of the species is its own
+    owner (an unflagged one with a_{-n} = a_n passes as even), and a plain
+    dict or ScalarSeq gets a fresh CoeffSeq of the species, which shares
+    nothing.  An even kind also takes a quadrature-backed even symbol as
+    its own owner; it has no exact mode.  The field is rational in exact
+    mode, which needs rational coefficients, and hp at bits otherwise.  An
+    input that the species does not take raises SpeciesError.
     """
-    if isinstance(inp, symbols.FourierSymbol) and not isinstance(inp, CoeffSeq):
+    exact = mode == "exact"
+    if species == "moment":
+        if not isinstance(inp, MomentSymbol):
+            raise SpeciesError("a moment symbol is required")
+    elif species == "even" and isinstance(inp, symbols.FourierSymbol) and not isinstance(inp, CoeffSeq):
         if not symbols.certify_even(inp):
             raise SpeciesError("an even symbol is required")
-        if mode == "exact":
+        if exact:
             raise SpeciesError("exact mode needs finite rational coefficients")
-        return inp
-    try:
-        seq = _input_seq(inp, "even", mode)
-    except ValueError as exc:  # entries that contradict evenness
-        raise SpeciesError(str(exc)) from exc
-    return inp if isinstance(inp, CoeffSeq) else CoeffSeq(seq.entries, symmetry="even")
+    else:
+        if isinstance(inp, CoeffSeq) and inp.symmetry is None and all(
+            inp.entries.get(-n, 0) == v for n, v in inp.entries.items()
+        ):
+            symmetry = "even"  # an unflagged CoeffSeq with a_{-n} = a_n passes as even
+        elif isinstance(inp, (ScalarSeq, CoeffSeq, dict)):
+            symmetry = getattr(inp, "symmetry", species)
+        else:
+            raise SpeciesError("cannot interpret %r as an %s sequence" % (type(inp), species))
+        if symmetry != species:
+            raise SpeciesError("an %s sequence is required" % species)
+        if not isinstance(inp, CoeffSeq):
+            try:
+                inp = CoeffSeq(transforms._as_seq(inp, species).entries, symmetry=species)
+            except ValueError as exc:  # entries that contradict the symmetry
+                raise SpeciesError(str(exc)) from exc
+        if exact and not inp.is_exact:
+            raise SpeciesError("exact mode needs rational coefficients")
+    return inp, infer_field(inp, bits, exact)
 
 
-def _even_values(a, max_index: int, mode: str, bits: int) -> ScalarSeq:
-    """The exact values of owner a's coefficients that the transforms read,
-    for |n| <= max_index: a CoeffSeq's entries, or a quadrature-backed
-    symbol's table at bits."""
-    if isinstance(a, CoeffSeq):
-        return _input_seq(a, "even", mode)
-    return ScalarSeq(a.coeff_table(0, max_index, bits), "even")
+def _transform_table(a, top: int, bits: int) -> dict:
+    """Owner a's coefficients as the transforms read them: a CoeffSeq's
+    entries, with a float as its exact Fraction and a complex as an mpc, or
+    a quadrature-backed symbol's table over 0..top at bits.
+
+    Float sums round at 53 bits whatever mp.workprec says, while the
+    matrices read the same floats exactly.
+    """
+    if not isinstance(a, CoeffSeq):
+        return a.coeff_table(0, top, bits)
+    return {
+        n: Fraction(v) if isinstance(v, float) else mp.mpc(v) if isinstance(v, complex) else v
+        for n, v in a.entries.items()
+    }
 
 
 _ZERO = Fraction(0)
@@ -370,9 +366,8 @@ def _has_even_support(inp):
 
 @_identity(IdentityKind.HankelCongruence, _is_even)
 def _hankel_congruence(inp, n, mode, bits, notes):
-    a = _owner(inp, mode)
-    seq = _even_values(a, 2 * n + 2, mode, bits)
-    field = infer_field(a, bits, exact=mode == "exact")
+    a, field = _owner(inp, "even", mode, bits)
+    seq = _transform_table(a, 2 * n + 2, bits)
     with mp.workprec(2 * bits + 32):
         b = a_to_b(seq, 2 * n)
     return toeplitz_plus_hankel(a, n, field), hankel_moment(b, n, field)
@@ -380,7 +375,7 @@ def _hankel_congruence(inp, n, mode, bits, notes):
 
 @_identity(IdentityKind.THvsMoment, _is_even, exact=False)
 def _th_vs_moment(inp, n, mode, bits, notes):
-    a = _owner(inp, mode)
+    a, _ = _owner(inp, "even", mode, bits)
     b = th_to_moment_symbol(a)
     field = infer_field(b, bits)
     return toeplitz_plus_hankel(a, n, field), hankel_moment(b, n, field)
@@ -388,9 +383,8 @@ def _th_vs_moment(inp, n, mode, bits, notes):
 
 @_identity(IdentityKind.QuarterWave, _has_even_support)
 def _quarter_wave(inp, n, mode, bits, notes):
-    a = _owner(inp, mode)
+    a, field = _owner(inp, "even", mode, bits)
     d = halve_argument(a)
-    field = infer_field(a, bits, exact=mode == "exact")
     return toeplitz_plus_hankel(a, n, field), toeplitz(d, n, field)
 
 
@@ -400,20 +394,16 @@ def _quarter_wave(inp, n, mode, bits, notes):
     exact=False,
 )
 def _moment_to_toeplitz(inp, n, mode, bits, notes):
-    if not isinstance(inp, MomentSymbol):
-        raise SpeciesError("a moment symbol is required")
-    if inp.weight != "sqrt_ratio":
+    b, field = _owner(inp, "moment", mode, bits)
+    if b.weight != "sqrt_ratio":
         raise SpeciesError("the sqrt((1+x)/(1-x)) weight is required")
-    d = symbols._halfangle(inp)
-    field = infer_field(inp, bits)
-    return hankel_moment(inp, n, field), toeplitz(d, n, field)
+    return hankel_moment(b, n, field), toeplitz(symbols._halfangle(b), n, field)
 
 
 @_identity(IdentityKind.SkewSquare, _is_even, squared=True)
 def _skew_square(inp, n, mode, bits, notes):
-    a = _owner(inp, mode)
-    seq = _even_values(a, 2 * n, mode, bits)
-    field = infer_field(a, bits, exact=mode == "exact")
+    a, field = _owner(inp, "even", mode, bits)
+    seq = _transform_table(a, 2 * n, bits)
     with mp.workprec(2 * bits + 32):
         c = a_to_c(seq, 2 * n - 1)
     return toeplitz(c, 2 * n, field), toeplitz_plus_hankel(a, n, field)
@@ -421,38 +411,35 @@ def _skew_square(inp, n, mode, bits, notes):
 
 @_identity(IdentityKind.CSeqSquare, _is_odd, squared=True)
 def _cseq_square(inp, n, mode, bits, notes):
-    seq = _input_seq(inp, "odd", mode)
+    c, field = _owner(inp, "odd", mode, bits)
     note = (
         "sequence-level input: the identity is a finite-matrix statement and "
         "does not require the sequence to come from an L1 symbol"
     )
     if note not in notes:
         notes.append(note)
-    field = infer_field(seq, bits, exact=mode == "exact")
+    seq = _transform_table(c, 2 * n - 1, bits)
     with mp.workprec(2 * bits + 32):
         b = c_to_b(seq, 2 * n - 1)
-    return toeplitz(seq, 2 * n, field), hankel_moment(b, n, field)
+    return toeplitz(c, 2 * n, field), hankel_moment(b, n, field)
 
 
 @_identity(IdentityKind.MomentSkewSquare, _is_moment, exact=False, squared=True)
 def _moment_skew_square(inp, n, mode, bits, notes):
-    if not isinstance(inp, MomentSymbol):
-        raise SpeciesError("a moment symbol is required")
-    field = infer_field(inp, bits)
-    return toeplitz(moment_to_skew_symbol(inp), 2 * n, field), hankel_moment(inp, n, field)
+    b, field = _owner(inp, "moment", mode, bits)
+    return toeplitz(moment_to_skew_symbol(b), 2 * n, field), hankel_moment(b, n, field)
 
 
 @_identity(IdentityKind.ParitySplitEven, _has_even_support, squared=True)
 def _parity_split_even(inp, n, mode, bits, notes):
-    a = _owner(inp, mode)
+    a, field = _owner(inp, "even", mode, bits)
     d = halve_argument(a)
-    field = infer_field(a, bits, exact=mode == "exact")
     return toeplitz(a, 2 * n, field), toeplitz(d, n, field)
 
 
 @_identity(IdentityKind.ParitySplitChi, _has_even_support, exact=False)
 def _parity_split_chi(inp, n, mode, bits, notes):
-    a = _owner(inp, mode)
+    a, _ = _owner(inp, "even", mode, bits)
     d = halve_argument(a)
     d1 = SymbolProduct((JumpT(-0.5), d))
     d2 = SymbolProduct((JumpT(0.5), d))

@@ -202,6 +202,8 @@ class StructuredMatrix:
         return _is_skew(self._grid(), self.field.bits)
 
     def to_json(self) -> dict:
+        """Each entry as [real, imaginary] text, by scalars.format_scalar:
+        rationals exactly, hp values to the field's decimal digits."""
         if self.field.is_exact:
             digits = 0
             tag = "rational"
@@ -211,14 +213,8 @@ class StructuredMatrix:
         entries = []
         for row in self.rows:
             for v in row:
-                if isinstance(v, (int, Fraction)):
-                    entries.append([scalars.format_scalar(v), "0"])
-                elif isinstance(v, mp.mpc):
-                    entries.append(
-                        [mp.nstr(v.real, digits), mp.nstr(v.imag, digits)]
-                    )
-                else:
-                    entries.append([mp.nstr(v, digits), "0"])
+                parts = (v.real, v.imag) if isinstance(v, (complex, mp.mpc)) else (v, 0)
+                entries.append([scalars.format_scalar(p, digits) for p in parts])
         return {"order": self.order, "field": tag, "entries": entries}
 
     def __repr__(self):

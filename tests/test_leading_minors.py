@@ -305,6 +305,30 @@ def test_symmetric_pass_reads_one_triangle():
     assert determinants._integer_minors(poisoned) != minors
 
 
+def test_steps_after_a_look_ahead_update_one_triangle():
+    # a_00 = 0: a look-ahead step of size 2, then nonzero pivots.  The steps
+    # after the look-ahead update the upper triangle only, so the strict
+    # lower triangle of the trailing rows keeps what the look-ahead left
+    # there: the order-3 bordered minors det A[{0, 1, i}; {0, 1, j}]
+    A = [
+        [0, 1, 2, -1, 3, 1],
+        [1, 2, 0, 1, -2, 1],
+        [2, 0, 1, 3, 1, -1],
+        [-1, 1, 3, 0, 2, 2],
+        [3, -2, 1, 2, 1, 0],
+        [1, 1, -1, 2, 0, 3],
+    ]
+    a = [r[:] for r in A]
+    minors = determinants._integer_minors(a, symmetric=True)
+    assert minors == determinants._integer_minors([r[:] for r in A]) == [0, -1, -9, -27, 130, 698]
+
+    def bordered(i, j):
+        rows = [[Fraction(A[r][c]) for c in (0, 1, j)] for r in (0, 1, i)]
+        return det_bareiss(StructuredMatrix(rows, rational())).value
+
+    assert all(a[i][j] == bordered(i, j) for i in range(3, 6) for j in range(2, i))
+
+
 # zero-rich, so that singular leading blocks of size >= 2 and skewsymmetric
 # matrices with a zero Pfaffian pivot occur
 fractions = st.builds(

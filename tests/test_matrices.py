@@ -16,7 +16,7 @@ from sdet.matrices import (
     toeplitz,
     toeplitz_plus_hankel,
 )
-from sdet.scalars import hp_real, rational
+from sdet.scalars import hp_complex, hp_real, rational
 from sdet.symbols import Chi, ClosedFormSymbol, CoeffSeq, JumpT, MomentSymbol, SpeciesError
 from sdet.transforms import ScalarSeq
 
@@ -326,6 +326,16 @@ class TestStructureChecks:
         with mp.workprec(128):
             third = mp.nstr(mp.mpf(1) / 3, 41)
         assert m.to_json()["entries"][0] == [third, "0"]
+
+    def test_json_keeps_hp_complex_digits(self):
+        # each part at the field's digits; a real entry's imaginary part is 0.0
+        with mp.workprec(128):
+            z = mp.mpc(1, -2) / 3
+            re, im, third = mp.nstr(z.real, 41), mp.nstr(z.imag, 41), mp.nstr(mp.mpf(1) / 3, 41)
+        m = toeplitz(CoeffSeq({0: z, 1: Fraction(1, 3)}), 2, field=hp_complex(128))
+        doc = m.to_json()
+        assert doc["field"] == {"bits": 128, "tag": "hp_complex"}
+        assert doc["entries"] == [[re, im], ["0.0", "0.0"], [third, "0.0"], [re, im]]
 
     def test_hp_field_tolerance_accepts_rounded_structure(self):
         a = ScalarSeq({0: Fraction(1, 3), 1: Fraction(1, 7)}, "even")

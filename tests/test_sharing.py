@@ -223,9 +223,14 @@ def _fh_even_support():
     return FHProduct(FHDescriptor({2: 0.1, -2: 0.1}))
 
 
+def _odd():
+    return CoeffSeq({1: 1, 2: Fraction(1, 3)}, symmetry="odd")
+
+
 class TestOneOwner:
-    """Every even kind lays its matrices out of the input itself, so the
-    kinds on one input share each matrix and its pass."""
+    """Every kind lays its matrices out of the input itself when it is a
+    symbol, so the kinds and repeated checks on one input share each matrix
+    and its pass."""
 
     @pytest.mark.parametrize("make", [_fh_even_support, _even_support], ids=["fh", "coeffs"])
     def test_verify_all_hp_runs_one_pass_per_distinct_matrix(self, make, passes):
@@ -244,6 +249,15 @@ class TestOneOwner:
         assert built[0].structure == "toeplitz_plus_hankel"
         assert all(M is built[0] for M in built)
 
+    @pytest.mark.parametrize("mode", ["exact", "hp"])
+    def test_odd_sequence_keeps_its_t_2n(self, mode, passes):
+        # T_2N(c) stays on c with its pass; H_N[b] of c_to_b is built afresh
+        c = _odd()
+        first = verify(IdentityKind.CSeqSquare, c, N, mode, BITS)
+        second = verify(IdentityKind.CSeqSquare, c, N, mode, BITS)
+        assert first.passed and second.to_json() == first.to_json()
+        assert passes == [2 * N, N, N]
+
 
 # every kind on an input it takes, as a fresh symbol per call
 GUARD_INPUTS = {
@@ -252,7 +266,7 @@ GUARD_INPUTS = {
     IdentityKind.QuarterWave: _even_support,
     IdentityKind.MomentToToeplitz: lambda: MomentSymbol.from_poly({2: 2}, weight="sqrt_ratio"),
     IdentityKind.SkewSquare: _even,
-    IdentityKind.CSeqSquare: lambda: CoeffSeq({1: 1, 2: Fraction(1, 3)}, symmetry="odd"),
+    IdentityKind.CSeqSquare: _odd,
     IdentityKind.MomentSkewSquare: _cos_twin,
     IdentityKind.ParitySplitEven: _even_support,
     IdentityKind.ParitySplitChi: _even_support,
