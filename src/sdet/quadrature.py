@@ -8,11 +8,15 @@ Two engines cover every symbol this package meets:
   [0, 2pi) or, for an even integrand, [0, pi]: spectral on smooth periodic
   integrands, and each doubling reuses every node.  Nested grids alias alike
   at every level (a multiple of 2n looks constant on n nodes and on 2n), so
-  the first grid must also resolve f's own frequency, passed as band; an f
-  of unknown band belongs on panels.  Past the nodes the panel rule's first
-  two levels would take it goes on only while its levels converge
-  spectrally, so a kink (algebraic convergence) or a raising f falls back
-  to that rule, while a high-band exponential stays on the trapezoid.
+  the first grid must also resolve f's own frequency, passed as band.  An f
+  of unknown band (band None) starts from the kernel's frequency, and the
+  sums two levels agree on must also agree with one Gauss-Legendre level
+  on one panel, whose error on an aliased frequency does not vanish; when
+  they do not, the panel rule doubles on from that level.  Past the nodes
+  the panel rule's first two levels would take the trapezoid goes on only
+  while its levels converge spectrally, so a kink (algebraic convergence)
+  or a raising f falls back to that rule, while a high-band exponential
+  stays on the trapezoid.
 
 Both double their node count until two consecutive estimates agree within
 the target; the panel rule raises AccuracyError (carrying the achieved
@@ -71,7 +75,7 @@ SLACK = 12
 
 _MAX_SUBPANELS = 1 << 16
 
-# the moment-backed hp identities at nmax 10 and 256 bits read ~650
+# the moment-backed hp identities at nmax 10 and 256 bits read ~300
 # distinct (node, precision) pairs; an entry at 288 bits takes ~0.75 KB
 _NODE_TRIG_CAP = 4096
 
@@ -274,13 +278,16 @@ def _recur(acc, start: int, count: int, y0: int, y1: int, tc: int, W: int):
         y0, y1 = y1, ((tc * y1) >> W) - y0
 
 
-def _first_agreement(levels, bits: int, what: str):
+def _first_agreement(levels, bits: int, what: str, reference=None):
     """The first of the levels' sums that agrees with the one before it to
-    2^-(bits-SLACK); AccuracyError when the levels run out."""
+    2^-(bits-SLACK), or reference once a level agrees with it to that;
+    AccuracyError when the levels run out."""
     tol = mp.mpf(2) ** (-(bits - SLACK))
     prev = None
     best = None
     for tot in levels:
+        if reference is not None and _agreement(tot, reference) <= tol:
+            return reference
         if prev is not None:
             best = _agreement(tot, prev)
             if best <= tol:
@@ -289,9 +296,15 @@ def _first_agreement(levels, bits: int, what: str):
     raise AccuracyError("%s did not converge at %d bits" % (what, bits), achieved=best)
 
 
-def _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, cplx=False):
+def _panel_quadrature(
+    f, panels, size, oscillation, growth, bits, kernel, what, cplx=False, reference=None
+):
     """Composite Gauss-Legendre sums over panels, doubling subpanels until
     two levels agree.
+
+    With reference (the trapezoid's sums on one panel) the levels start from
+    one subpanel and also stop, returning reference, at the first level that
+    agrees with it.
 
     kernel(t, fv, acc, W) adds the node value fv = f(t) * weight, times each
     kernel function at t, into acc: 2 * size ints scaled by 2^W, real parts
@@ -302,8 +315,10 @@ def _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, 
     wp = bits + GUARD
     with mp.workprec(wp):
         nodes, weights = gauss_legendre_rule(order, wp)
-        longest = max(float(hi - lo) for lo, hi in panels)
-        start = _start_subpanels(oscillation, longest, order, mp.mpf(2) ** (-(bits + SLACK)))
+        start = 1
+        if reference is None:
+            longest = max(float(hi - lo) for lo, hi in panels)
+            start = _start_subpanels(oscillation, longest, order, mp.mpf(2) ** (-(bits + SLACK)))
 
         def levels(m=start, cplx=cplx):
             while m <= _MAX_SUBPANELS:
@@ -324,7 +339,7 @@ def _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, 
                 yield _level_sums(acc, W, cplx)
                 m *= 2
 
-        return _first_agreement(levels(), bits, what)
+        return _first_agreement(levels(), bits, what, reference)
 
 
 def _spectral(sums) -> bool:
@@ -338,7 +353,9 @@ def _spectral(sums) -> bool:
     return newer < older < 1 and mp.log(newer) <= mp.mpf(1.5) * mp.log(older)
 
 
-def _trapezoid_quadrature(f, full, size, oscillation, growth, bits, kernel, what, cplx=False):
+def _trapezoid_quadrature(
+    f, full, size, oscillation, growth, bits, kernel, what, cplx=False, checked=False
+):
     """_panel_quadrature's sums by the trapezoid rule over [0, 2pi) when full,
     else over [0, pi] with the endpoint nodes at weight 1/2.
 
@@ -349,7 +366,10 @@ def _trapezoid_quadrature(f, full, size, oscillation, growth, bits, kernel, what
     smooth periodic integrand the panel rule needs more nodes than the
     trapezoid for the same resolution), up to the panel rule's own cap.
     Otherwise, or when f raises, _panel_quadrature redoes the sums on one
-    panel.
+    panel.  When checked (f of unknown band, which nested grids may alias),
+    the sums two levels agree on are returned only once the panel rule's
+    level of one subpanel agrees with them too; otherwise that rule doubles
+    on from there, to a level that agrees with them or with its own last.
     """
     order = _gl_order(bits)
     wp = bits + GUARD
@@ -358,6 +378,7 @@ def _trapezoid_quadrature(f, full, size, oscillation, growth, bits, kernel, what
     with mp.workprec(wp):
         twopi = 2 * mp.pi
         end = twopi if full else +mp.pi
+        panels = [(mp.mpf(0), end)]
         tol = mp.mpf(2) ** (-(bits + SLACK))
         budget = 3 * order * _start_subpanels(oscillation, float(end), order, tol)
         n = max(16, 1 << (2 * oscillation + 1).bit_length())
@@ -380,21 +401,28 @@ def _trapezoid_quadrature(f, full, size, oscillation, growth, bits, kernel, what
                 n, step = 2 * n, 2
 
         try:
-            return _first_agreement(levels(), bits, what)
+            sums = _first_agreement(levels(), bits, what)
         except (AccuracyError, ArithmeticError, ValueError):
-            panels = [(mp.mpf(0), end)]
-            return _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, cplx)
+            sums = None
+        if sums is None or checked:
+            return _panel_quadrature(
+                f, panels, size, oscillation, growth, bits, kernel, what, cplx, sums
+            )
+        return sums
 
 
-def _quadrature(f, panels, full, size, oscillation, growth, bits, kernel, what, cplx=False):
+def _quadrature(f, panels, full, size, oscillation, band, growth, bits, kernel, what, cplx=False):
     """_panel_quadrature on the panels; when they are None, _trapezoid_quadrature
-    over [0, 2pi) if full, else over [0, pi]."""
+    over [0, 2pi) if full, else over [0, pi].  oscillation is the kernel's,
+    band f's own: None when unknown, and then the trapezoid's sums are checked."""
+    osc = oscillation + (band or 0)
     if panels is None:
-        return _trapezoid_quadrature(f, full, size, oscillation, growth, bits, kernel, what, cplx)
-    return _panel_quadrature(f, panels, size, oscillation, growth, bits, kernel, what, cplx)
+        checked = band is None
+        return _trapezoid_quadrature(f, full, size, osc, growth, bits, kernel, what, cplx, checked)
+    return _panel_quadrature(f, panels, size, osc, growth, bits, kernel, what, cplx)
 
 
-def trig_transform(f, panels, n_max: int, bits: int, kind: str, band: int = 0):
+def trig_transform(f, panels, n_max: int, bits: int, kind: str, band: int | None = 0):
     """integral over the panels of f(t) * cos(n t) (or sin, or U_{n-1}(cos t))
     for n = 0..n_max.
 
@@ -405,7 +433,8 @@ def trig_transform(f, panels, n_max: int, bits: int, kind: str, band: int = 0):
     panels None means [0, pi] for an f(t) times the kernel that is smooth,
     even and 2pi-periodic, also evaluated at 0 and pi; band is then f's own
     frequency (the degree of the trigonometric polynomial that f is, or is
-    the exponential of).
+    the exponential of), or None when unknown, which costs one Gauss-Legendre
+    level to check the trapezoid's sums.
     """
     if kind not in ("cos", "sin", "u"):
         raise ValueError("kind must be cos, sin or u")
@@ -419,11 +448,11 @@ def trig_transform(f, panels, n_max: int, bits: int, kind: str, band: int = 0):
             _recur(acc, start, n_max + 1, v if kind == "cos" else 0, (v * first) >> W, 2 * c, W)
 
     growth = 2 * (n_max + 1).bit_length()
-    osc = n_max + band
-    return _quadrature(f, panels, False, n_max + 1, osc, growth, bits, kernel, "trig transform")
+    what = "trig transform"
+    return _quadrature(f, panels, False, n_max + 1, n_max, band, growth, bits, kernel, what)
 
 
-def cospower_transform(f, panels, n_max: int, bits: int, band: int = 0):
+def cospower_transform(f, panels, n_max: int, bits: int, band: int | None = 0):
     """integral of f(t) * (2 cos t)^(n-1) for n = 1..n_max (raw, unnormalized).
 
     Returns a list indexed 1..n_max (slot 0 is None).  panels None and band
@@ -437,8 +466,8 @@ def cospower_transform(f, panels, n_max: int, bits: int, band: int = 0):
                 acc[i] += p
                 p = (tc * p) >> W
 
-    osc = n_max + band
-    tot = _quadrature(f, panels, False, n_max + 1, osc, n_max, bits, kernel, "moment transform")
+    what = "moment transform"
+    tot = _quadrature(f, panels, False, n_max + 1, n_max, band, n_max, bits, kernel, what)
     tot[0] = None
     return tot
 
@@ -457,7 +486,7 @@ def _rotation_kernel(n_min: int, count: int):
     return kernel
 
 
-def circle_coeffs(f, panels, n_min: int, n_max: int, bits: int, band: int = 0) -> dict:
+def circle_coeffs(f, panels, n_min: int, n_max: int, bits: int, band: int | None = 0) -> dict:
     """Fourier coefficients (1/2pi) integral f(t) e^{-int} dt on given panels.
 
     The generic complex path; panels must cover (0, 2pi) split at every jump
@@ -465,9 +494,9 @@ def circle_coeffs(f, panels, n_min: int, n_max: int, bits: int, band: int = 0) -
     band as for trig_transform.  Returns {n: mpc} for n_min <= n <= n_max.
     """
     count = n_max - n_min + 1
-    osc = max(abs(n_min), abs(n_max)) + band
+    osc = max(abs(n_min), abs(n_max))
     tot = _quadrature(
-        f, panels, True, count, osc, 2 * count.bit_length(), bits,
+        f, panels, True, count, osc, band, 2 * count.bit_length(), bits,
         _rotation_kernel(n_min, count), "coefficient quadrature", cplx=True,
     )
     with mp.workprec(bits + GUARD):
@@ -475,7 +504,7 @@ def circle_coeffs(f, panels, n_min: int, n_max: int, bits: int, band: int = 0) -
         return {n_min + i: tot[i] / twopi for i in range(count)}
 
 
-def circle_coeffs_periodic(f, n_min: int, n_max: int, bits: int, band: int = 0) -> dict:
+def circle_coeffs_periodic(f, n_min: int, n_max: int, bits: int, band: int | None = 0) -> dict:
     """circle_coeffs of a jump-free smooth symbol, by the trapezoid rule on
     the full circle."""
     return circle_coeffs(f, None, n_min, n_max, bits, band)

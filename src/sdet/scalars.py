@@ -148,6 +148,8 @@ def format_scalar(x, digits: int = 20) -> str:
         if x.denominator == 1:
             return str(x.numerator)
         return "%d/%d" % (x.numerator, x.denominator)
+    if isinstance(x, complex):
+        x = mp.mpc(x)
     if isinstance(x, mp.mpc):
         if x.imag == 0:
             return mp.nstr(x.real, digits)

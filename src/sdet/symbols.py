@@ -24,9 +24,9 @@ One rule, _route, picks how every table without a closed form is built
 runs it on a cache miss.  Real even and i * (real odd) symbols run cosine
 and sine transforms over (0, pi) in real arithmetic, which keeps the large
 asymptotic studies fast.  The skew symbol of a real, uncut sqrt_ratio
-moment symbol b of known band reads b's own moment integrand against
-U_{n-1}(cos t), never b's moments: no table is computed from another, so
-the two sides of an identity stay independent.
+moment symbol b reads b's own moment integrand against U_{n-1}(cos t),
+never b's moments: no table is computed from another, so the two sides of
+an identity stay independent.
 
 Symbols are immutable after construction.  Each one memoizes what is
 derived from it under its own lock: its coefficient or moment tables, its
@@ -229,13 +229,14 @@ class FourierSymbol:
         """("even", f) for real even symbols, ("odd_i", g) when the symbol
         is i*g with g real odd, else None.  Evaluators are valid on (0, 2pi)
         off the jump set at ambient precision; a jump-free symbol's are also
-        called at theta = 0 and theta = pi."""
+        called at theta = 0 and theta = pi, whether its band is known or not."""
         return None
 
     def band(self) -> int | None:
         """K when the symbol off its jumps is a trigonometric polynomial of
         degree K or the exponential of one, None when unknown (an opaque
-        evaluator).  A jump-free symbol of known band takes the trapezoid."""
+        evaluator).  A jump-free symbol takes the trapezoid, from a grid that
+        resolves its band when it is known."""
         return None
 
     def even_support(self) -> bool:
@@ -788,11 +789,13 @@ class MomentSymbol:
     sqrt((1+x)/(1-x)).  smooth_theta, when given, evaluates the smooth factor
     directly at x = cos(theta) and is what the quadrature uses; it must agree
     with smooth_factor(cos(theta)).  Each jump is a float x in (-1, 1) or a
-    JumpPoint theta in (0, pi) with x = cos(theta); cuts holds each as the
+    JumpPoint theta in [0, pi] with x = cos(theta); cuts holds each as the
     exact angle that the panels cut at (JumpPoint.arccos(x) for a float x),
-    jumps holds each x.  band is the degree of the polynomial in x that the
+    jumps holds each x.  A jump at theta 0 or pi, where the smooth factor
+    is not smooth at x = 1 or -1, cuts no panel but keeps every table off
+    the trapezoid.  band is the degree of the polynomial in x that the
     smooth factor is, or is the exponential of (None: unknown); an uncut
-    sqrt_ratio symbol of known band also has smooth_theta called at 0, pi.
+    sqrt_ratio symbol also has smooth_theta called at 0 and pi.
     """
 
     def __init__(
@@ -814,7 +817,7 @@ class MomentSymbol:
         self.weight = weight
         given = sorted(((_jump_x(j), j) for j in jumps), key=lambda p: p[0])
         self.jumps = tuple(x for x, _ in given)
-        if any(not -1 < x < 1 for x in self.jumps):
+        if any(not -1 < x < 1 for x, j in given if not isinstance(j, JumpPoint)):
             raise ValueError("moment jumps must lie in (-1, 1)")
         self.cuts = tuple(j if isinstance(j, JumpPoint) else JumpPoint.arccos(x) for x, j in given)
         self.parity = None if parity == "none" else parity
@@ -971,9 +974,10 @@ def multiply_by_chi(a: FourierSymbol) -> FourierSymbol:
 def _pullback(a: FourierSymbol, weight: str) -> MomentSymbol:
     """The moment symbol with smooth factor b(cos t) = a(e^{it}) and weight.
 
-    a must be even on the circle; its jumps t in (0, pi) become jumps at
-    cos t, kept as the exact angles t, and its real even profile, if any, is
-    what the quadrature uses.  Built once per a and weight.
+    a must be even on the circle; its jumps t in [0, pi] become jumps at
+    cos t, kept as the exact angles t (a jump at 0 or pi cuts no panel, but
+    keeps b's tables off the trapezoid), and its real even profile, if any,
+    is what the quadrature uses.  Built once per a and weight.
     """
 
     def build():
@@ -982,11 +986,11 @@ def _pullback(a: FourierSymbol, weight: str) -> MomentSymbol:
         return MomentSymbol(
             smooth=lambda x: a.eval_at(mp.acos(x)),
             weight=weight,
-            jumps=[p for p in a.jump_points() if 1e-12 < p.approx() < math.pi - 1e-12],
+            jumps=[p for p in a.jump_points() if p.approx() < math.pi + 1e-12],
             parity="even" if a.even_support() else None,
             smooth_theta=profile[1] if real else a.eval_at,
             real=real,
-            band=None if a.jump_points() else a.band(),  # a jump at 0 or pi makes no cut
+            band=None if a.jump_points() else a.band(),  # a band describes a jump-free a
         )
 
     return _once(a, ("_pullback", weight), build)
@@ -1025,9 +1029,10 @@ def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
     """The odd symbol c(e^{i theta}) = i sign(theta) b(cos theta), with
     c_n = (1/pi) integral_0^pi b(cos t) sin(nt) dt.
 
-    _route gives a real b with a periodic moment integrand its table from
-    that integrand against U_{n-1}(cos t) on the nested trapezoid; every
-    other b takes the panels.  Built once per b.
+    _route gives a real, uncut sqrt_ratio b, whose moment integrand is
+    periodic, its table from that integrand against U_{n-1}(cos t) on the
+    nested trapezoid, checked by one Gauss-Legendre level when b's band is
+    unknown; every other b takes the panels.  Built once per b.
     """
 
     def half(theta):
@@ -1076,32 +1081,35 @@ def _route(sym, bits: int):
 
     sym is a MomentSymbol or a FourierSymbol without a closed form.  The
     transform is "cos", "sin" or "u" (trig_transform's kinds), "cospower"
-    or "circle" (circle_coeffs).  panels None means the nested trapezoid
-    from a grid that resolves band; otherwise band is 0 and the panels
-    cover (0, pi), or (0, 2pi) for "circle", split at the jumps.
+    or "circle" (circle_coeffs).  panels None means the nested trapezoid,
+    for an integrand that is smooth and periodic: from a grid that resolves
+    band, or for band None (unknown) from the transform's own frequency,
+    its sums checked by one Gauss-Legendre level.  Otherwise band is 0 and
+    the panels cover (0, pi), or (0, 2pi) for "circle", split at the jumps.
 
     A moment symbol b runs its integrand m(t) = b(cos t) sin t against
     (2 cos t)^(n-1).  So does b's skew symbol, against U_{n-1}(cos t) as
     b(cos t) sin nt = m(t) U_{n-1}(cos t), when b is real and m periodic,
-    of band b.band + 1: b uncut, sqrt_ratio and of known band, so that sin t
-    cancels the weight's 1/sin t, which Chi * b(cos t) meets at t = 0.
+    of band b.band + 1: b uncut (its source jumps nowhere, not even at 0
+    or pi) and sqrt_ratio, so that sin t cancels the weight's 1/sin t, which
+    Chi * b(cos t) meets at t = 0; weight one leaves m a kink at 0 and pi.
     Every other symbol runs its real profile, or else its values; it is
-    periodic when it has no jumps and a known band.
+    periodic when it has no jumps.
     """
     b = sym if isinstance(sym, MomentSymbol) else sym._skew_of
-    periodic = b is not None and b.band is not None and not b.cuts and b.weight == "sqrt_ratio"
+    periodic = b is not None and not b.cuts and b.weight == "sqrt_ratio"
     if b is sym or periodic and b.real:
         kind = "cospower" if b is sym else "u"
-        f, jumps, band = b._integrand(), b.cuts, b.band + 1 if periodic else None
+        f, jumps, band = b._integrand(), b.cuts, None if b.band is None else b.band + 1
     else:
         profile = sym.real_profile()
         jumps = sym.jump_points()
-        band = None if jumps else sym.band()
+        periodic, band = not jumps, sym.band()
         if profile is None:
             kind, f = "circle", sym.eval_at
         else:
             kind, f = ("cos" if profile[0] == "even" else "sin"), profile[1]
-    if band is not None:
+    if periodic:
         return kind, f, None, band
     full = kind == "circle"
     wp = bits + quadrature.GUARD

@@ -458,6 +458,17 @@ class TestTransformCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "3/2,3/2,1/2"
 
+    def test_complex_coefficients_print_as_complex(self, write_config, capsys):
+        seq = write_config(
+            "z.json", {"kind": "coeffs", "entries": [[0, 0.5, 0], [1, 0.1, 0.2]]}
+        )
+        code = cli.run(["transform", "--op", "a_to_b", "--seq", seq, "--nmax", "4"])
+        assert code == 0
+        values = capsys.readouterr().out.strip().split(",")
+        assert all(v.startswith("(") and v.endswith("j)") for v in values)
+        want = [0.6 + 0.2j, 0.7 + 0.4j, 1.3 + 0.6j, 2.1 + 1.2j]
+        assert [complex(v) for v in values] == pytest.approx(want)
+
     def test_symmetry_mismatch(self, delta_path, capsys):
         code = cli.run(
             ["transform", "--op", "c_to_b", "--seq", delta_path, "--nmax", "3"]

@@ -51,7 +51,7 @@ CASES = {
         "cos",
     ),
     "sin_chi": (lambda: multiply_by_chi(FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))), "sin"),
-    "skew_lambda": (lambda: moment_to_skew_symbol(_sqrt_ratio_exp()), "sin"),
+    "skew_lambda": (lambda: moment_to_skew_symbol(_sqrt_ratio_exp()), "u"),
     "circle": (lambda: FHProduct(FHDescriptor({1: 0.2, -1: 0.1})), "circle"),
     "circle_cut": (lambda: FHProduct(FHDescriptor({1: 0.15, -1: 0.15}, [(1.0, 0.25)])), "circle"),
 }

@@ -1,15 +1,18 @@
-"""Jump-free tables of known band take the nested trapezoid; tables with
-cuts, and opaque evaluators, keep the panels.
+"""Jump-free tables take the nested trapezoid; tables with cuts, or whose
+source jumps at all, and weight-one moments keep the panels.  A table of
+unknown band (an opaque evaluator) is returned from the trapezoid only once
+one Gauss-Legendre level of the panel rule agrees with it.
 
 Each routed table is checked against the same table forced onto the
 Gauss-Legendre panel rule, to 2^-(bits-SLACK) relative to max(sup, 1), the
 accuracy the transforms promise.  The aliasing cases have all their
 frequencies at multiples of 32, which nested grids of 16 and 32 nodes both
-see as constants; the fallback case hides a kink at an endpoint, where the
-trapezoid converges only algebraically.  Both must still match the panel
-rule, at a bounded cost.  The skew tables of uncut real sqrt_ratio moment
-symbols take the U_{n-1}(cos t) kernel on the trapezoid and are checked
-against the Chi-times-lift product on the panels.
+see as constants: a declared band must reach the first grid, and an opaque
+one must fail the check.  The fallback cases hide a kink at an endpoint,
+where the trapezoid converges only algebraically.  All must still match the
+panel rule, at a bounded cost.  The skew tables of uncut real sqrt_ratio
+moment symbols take the U_{n-1}(cos t) kernel on the trapezoid and are
+checked against the Chi-times-lift product on the panels.
 """
 
 from fractions import Fraction
@@ -43,9 +46,14 @@ def _exp_cos(jumps=()):
     return FHProduct(FHDescriptor({1: 0.15, -1: 0.15}, jumps=jumps))
 
 
-def _exp_x2(weight):
+def _exp_x2(weight, band=None):
+    """e^{0.6 x^2 - 0.3}, the exponential of a degree-2 polynomial: opaque
+    unless band=2 is declared."""
     return MomentSymbol(
-        lambda x: mp.exp((mp.mpf(3) / 5) * x * x - mp.mpf(3) / 10), weight=weight, parity="even"
+        lambda x: mp.exp((mp.mpf(3) / 5) * x * x - mp.mpf(3) / 10),
+        weight=weight,
+        parity="even",
+        band=band,
     )
 
 
@@ -106,7 +114,8 @@ ALIASED = {
     "fh_cos32_pullback": lambda bits: th_to_moment_symbol(_exp_cos32()).moment_table(5, bits),
 }
 
-# opaque evaluators: nothing bounds their frequency, so they keep the panels
+# opaque evaluators: nothing bounds their frequency, so one Gauss-Legendre
+# level checks the trapezoid's sums; the last two alias on every nested grid
 OPAQUE = {
     "exp_sqrt_ratio": _moments(lambda: _exp_x2("sqrt_ratio")),
     "exp_halfangle_lift": _coeffs(lambda: moment_to_halfangle(_exp_x2("one"))),
@@ -123,18 +132,19 @@ def _cos_sym():
     return CoeffSeq({-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}, symmetry="even")
 
 
-# uncut real sqrt_ratio symbols of known band: their skew tables take the U kernel
+# uncut real sqrt_ratio symbols: their skew tables take the U kernel, checked
+# by one Gauss-Legendre level when the band is unknown (lambda)
 SKEW_ROUTED = {
     "image_exp_cos": lambda: th_to_moment_symbol(_exp_cos()),
     "image_cos_sym": lambda: th_to_moment_symbol(_cos_sym()),
     "poly_sqrt_ratio": lambda: _poly("sqrt_ratio"),
+    "lambda": lambda: _exp_x2("sqrt_ratio"),
 }
 
 # their skew tables keep the panels
 SKEW_PANELS = {
     "weight_one": lambda: _poly("one"),
     "cut": lambda: MomentSymbol.from_poly({0: 1, 2: Fraction(1, 2)}, "sqrt_ratio", jumps=(0.25,)),
-    "lambda": lambda: _exp_x2("sqrt_ratio"),
     "complex": lambda: MomentSymbol.from_poly({0: 1, 2: complex(0, 0.5)}, "sqrt_ratio"),
 }
 
@@ -149,11 +159,11 @@ def _force_panels(monkeypatch):
     """Send every trapezoid request to the panel rule on its one panel."""
     panel = quadrature._panel_quadrature
 
-    def forced(f, full, size, oscillation, growth, bits, *rest, **kwargs):
+    def forced(f, full, size, oscillation, growth, bits, kernel, what, cplx=False, checked=False):
         with mp.workprec(bits + quadrature.GUARD):
             end = 2 * mp.pi if full else +mp.pi
             panels = [(mp.mpf(0), end)]
-        return panel(f, panels, size, oscillation, growth, bits, *rest, **kwargs)
+        return panel(f, panels, size, oscillation, growth, bits, kernel, what, cplx)
 
     monkeypatch.setattr(quadrature, "_trapezoid_quadrature", forced)
 
@@ -203,17 +213,113 @@ def test_first_grid_resolves_the_symbols_band(monkeypatch, count_calls, case, bi
 
 
 @pytest.mark.parametrize("case", sorted(OPAQUE))
-def test_opaque_evaluators_keep_the_panels(monkeypatch, count_calls, case):
+def test_opaque_evaluators_are_checked_by_one_panel_level(monkeypatch, count_calls, case):
     trapezoid_calls, _ = count_calls(monkeypatch, "_trapezoid_quadrature")
-    panel_calls, _ = count_calls(monkeypatch, "_panel_quadrature")
+    panel_calls, panel_evaluations = count_calls(monkeypatch, "_panel_quadrature")
     got = OPAQUE[case](128)
-    assert trapezoid_calls == [] and len(panel_calls) == 1
-    if "32" in case or "complex" in case:
+    # the panel rule runs once, given the trapezoid's sums to check
+    assert len(trapezoid_calls) == len(panel_calls) == 1 and panel_calls[0][9] is not None
+    check_level = quadrature._gl_order(128)  # one subpanel
+    if "32" not in case and "complex" not in case:
+        assert panel_evaluations[0] == check_level
+    else:
+        # the aliased sums fail the check, and the panel rule doubles on
+        assert panel_evaluations[0] > check_level
         with mp.workprec(160):
             first = got[0] if "complex" in case else got[1]
             # e^{0.1 e^{32 i theta}} has c_0 = 1; e^{0.2 T_32(cos t)} = e^{0.2 cos 32t}
             want = 1 if "complex" in case else mp.besseli(0, mp.mpf(0.2))
             assert abs(first - want) <= mp.mpf(2) ** -116, mp.nstr(first - want, 5)
+
+
+# the exp profile's tables, with band=2 declared or with the band unknown
+EXP_TABLES = {
+    "moments": lambda band, bits: _exp_x2("sqrt_ratio", band).moment_table(NMAX, bits),
+    "halfangle": lambda band, bits: moment_to_halfangle(_exp_x2("one", band)).coeff_table(
+        -NMAX, NMAX, bits
+    ),
+    "skew": lambda band, bits: moment_to_skew_symbol(_exp_x2("sqrt_ratio", band)).coeff_table(
+        -NMAX, NMAX, bits
+    ),
+}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("table", sorted(EXP_TABLES))
+def test_checked_table_matches_the_known_band_route(monkeypatch, count_calls, table, bits):
+    with monkeypatch.context() as m:
+        panel_calls, _ = count_calls(m, "_panel_quadrature")
+        known = EXP_TABLES[table](2, bits)
+        assert panel_calls == [], "a known band runs no check level"
+    with monkeypatch.context() as m:
+        panel_calls, _ = count_calls(m, "_panel_quadrature")
+        got = EXP_TABLES[table](None, bits)
+        assert len(panel_calls) == 1 and panel_calls[0][9] is not None
+    _assert_agree(got, known, bits)
+
+
+def _kinked_moments():
+    """sqrt(1 - x^2) with the sqrt_ratio weight: its moment integrand is
+    _sqrt_ratio_of_kink, and nothing declares the kink."""
+    return MomentSymbol(lambda x: mp.sqrt(1 - x * x), weight="sqrt_ratio")
+
+
+def test_opaque_endpoint_kink_falls_back_to_panels(monkeypatch, count_calls):
+    # the same cost bound as for a caller that declares the kink smooth
+    bits, n_max = 128, 10
+    with monkeypatch.context() as m:
+        panel_calls, _ = count_calls(m, "_panel_quadrature")
+        _, trapezoid_evaluations = count_calls(m, "_trapezoid_quadrature")
+        got = _kinked_moments().moment_table(n_max, bits)
+        # a fallback, not a check: the panel rule got no trapezoid sums
+        assert [args[9] for args in panel_calls] == [None], "the trapezoid should have given up"
+    _, panel_evaluations = count_calls(monkeypatch, "_panel_quadrature")
+    _force_panels(monkeypatch)
+    want = _kinked_moments().moment_table(n_max, bits)
+    _assert_agree(got, want, bits)
+    assert trapezoid_evaluations[0] <= _budget(n_max, float(mp.pi), bits) + panel_evaluations[0]
+
+
+def _edge_kink(at_pi):
+    """An even symbol that is smooth off one declared jump point, at 0
+    (2 + sin(theta/2) on [0, 2pi)) or at pi (2 + |cos(theta/2)|)."""
+
+    def value(th):
+        return 2 + (abs(mp.cos(th / 2)) if at_pi else mp.sin(th / 2))
+
+    jump = JumpPoint(1) if at_pi else JumpPoint(0)
+    return ClosedFormSymbol(value, jumps=(jump,), symmetry="even", profile=("even", value))
+
+
+# tables that make no trapezoid evaluation, whatever their band
+PANELS_ONLY = {
+    "edge_jump_at_0_moments": lambda: th_to_moment_symbol(_edge_kink(False)).moment_table(6, 128),
+    "edge_jump_at_pi_moments": lambda: th_to_moment_symbol(_edge_kink(True)).moment_table(6, 128),
+    "edge_jump_at_0_skew": lambda: moment_to_skew_symbol(
+        th_to_moment_symbol(_edge_kink(False))
+    ).coeff_table(-6, 6, 128),
+    "weight_one_lambda": lambda: _exp_x2("one").moment_table(6, 128),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PANELS_ONLY))
+def test_jumps_at_0_or_pi_and_weight_one_keep_the_panels(monkeypatch, count_calls, case):
+    _, trapezoid_evaluations = count_calls(monkeypatch, "_trapezoid_quadrature")
+    panel_calls, _ = count_calls(monkeypatch, "_panel_quadrature")
+    PANELS_ONLY[case]()
+    assert trapezoid_evaluations[0] == 0 and len(panel_calls) == 1
+
+
+def test_exp_profile_evaluations_at_acceptance_2(monkeypatch, count_calls):
+    # moment_to_toeplitz on the exp profile at nmax 10 and 256 bits: the
+    # trapezoid's nodes plus one check level of 85 nodes per table, where
+    # the panel rule alone took 510 and 255
+    _, moment_evaluations = count_calls(monkeypatch, "cospower_transform")
+    _, halfangle_evaluations = count_calls(monkeypatch, "trig_transform")
+    hp = {"mode": "hp", "bits": 256}
+    rep = identities.verify(IdentityKind.MomentToToeplitz, _exp_x2("sqrt_ratio"), 10, **hp)
+    assert rep.passed
+    assert moment_evaluations[0] <= 214 and halfangle_evaluations[0] <= 150
 
 
 def test_endpoint_kink_falls_back_to_panels(monkeypatch, count_calls):
@@ -244,17 +350,18 @@ def test_trapezoid_alone_does_not_converge_on_the_kink(monkeypatch):
         quadrature.cospower_transform(_sqrt_ratio_of_kink, None, 10, 128)
 
 
-def test_acceptance_2_set_keeps_panels_only_for_the_exp_profile(monkeypatch, count_calls):
-    # the moment-backed hp identities at nmax 10 on fresh symbols: only the
-    # two tables of the lambda-built exp profile (its moments and its
-    # half-angle lift) stay on panels.  Each twin is built once, so it has
+def test_acceptance_2_set_checks_only_the_exp_profile(monkeypatch, count_calls):
+    # the moment-backed hp identities at nmax 10 on fresh symbols: every
+    # table takes the trapezoid, and only the two tables of the lambda-built
+    # exp profile (its moments and its half-angle lift) run the panel rule,
+    # one level each, as their check.  Each twin is built once, so it has
     # one moment table and one skew table, which moment_skew_square and
     # pfaffian_link share; the skew table takes the U kernel on the
     # trapezoid, from the twin's own integrand
     exp_cos = _exp_cos()
     cos_sym = _cos_sym()
     image = th_to_moment_symbol
-    panel_calls, _ = count_calls(monkeypatch, "_panel_quadrature")
+    panel_calls, panel_evaluations = count_calls(monkeypatch, "_panel_quadrature")
     trig_calls, _ = count_calls(monkeypatch, "trig_transform")
     moment_calls, _ = count_calls(monkeypatch, "cospower_transform")
     hp = {"mode": "hp", "bits": 256}
@@ -270,7 +377,9 @@ def test_acceptance_2_set_keeps_panels_only_for_the_exp_profile(monkeypatch, cou
     ]
     assert all(rep.passed for rep in reports)
     assert sorted(args[7] for args in panel_calls) == ["moment transform", "trig transform"]
-    assert [args[4] for args in trig_calls if args[1] is not None] == ["cos"]
+    assert all(args[9] is not None for args in panel_calls)
+    assert panel_evaluations[0] == 2 * quadrature._gl_order(256)
+    assert [args[4] for args in trig_calls if args[1] is not None] == []
     assert [args[4] for args in trig_calls if args[4] == "u" and args[1] is None] == ["u"] * 2
     # the two twins, the exp profile and the polynomial profile
     assert len(moment_calls) == 4
@@ -305,7 +414,9 @@ def test_skew_table_takes_the_u_kernel(monkeypatch, count_calls, case, bits, n_m
         m.setattr(transforms, "c_to_b", _forbidden)
         m.setattr(transforms, "a_to_b", _forbidden)
         got = skew.coeff_table(-n_max, n_max, bits)
-        assert panel_calls == []
+        # an unknown band costs one panel run: the check of the trapezoid's sums
+        checks = [args[9] is not None for args in panel_calls]
+        assert checks == ([True] if case == "lambda" else [])
     assert got[0] == 0 and all(got[-n] + got[n] == 0 for n in range(1, n_max + 1))
     # today's route: the same Chi times lift product, on the panels
     _assert_agree(got, SymbolProduct(skew.factors).coeff_table(-n_max, n_max, bits), bits)
@@ -340,7 +451,8 @@ def test_u_kernel_shifted_to_u_n_fails_moment_skew_square(monkeypatch):
 
 
 # family -> (table, the transform it runs, the driver it runs on); None for
-# a closed form, which runs no quadrature at all
+# a closed form, which runs no quadrature at all, and "checked" for the
+# trapezoid whose sums the panel rule checks
 ROUTES = {
     "coeff_seq": (_coeffs(_cos_sym), None, None),
     "chi": (_coeffs(Chi), None, None),
@@ -358,14 +470,14 @@ ROUTES = {
         "cos",
         "panels",
     ),
-    "halfangle_exp": (_coeffs(lambda: moment_to_halfangle(_exp_x2("one"))), "cos", "panels"),
+    "halfangle_exp": (_coeffs(lambda: moment_to_halfangle(_exp_x2("one"))), "cos", "checked"),
     "closed_form_odd_i": (_coeffs(_odd_closed_form), "sin", "trapezoid"),
     "chi_fh": (_coeffs(lambda: SymbolProduct((Chi(), _exp_cos()))), "sin", "panels"),
     "skew_poly_one": (_coeffs(lambda: moment_to_skew_symbol(_poly("one"))), "sin", "panels"),
     "skew_exp_sqrt_ratio": (
         _coeffs(lambda: moment_to_skew_symbol(_exp_x2("sqrt_ratio"))),
-        "sin",
-        "panels",
+        "u",
+        "checked",
     ),
     "skew_poly_sqrt_ratio": (
         _coeffs(lambda: moment_to_skew_symbol(_poly("sqrt_ratio"))),
@@ -392,7 +504,7 @@ ROUTES = {
     "closed_form_opaque": (
         _coeffs(lambda: ClosedFormSymbol(lambda th: mp.exp(mp.mpf(0.1) * mp.expj(th)))),
         "circle",
-        "panels",
+        "checked",
     ),
     "skew_complex_poly": (
         _coeffs(
@@ -417,14 +529,15 @@ ROUTES = {
         "cospower",
         "panels",
     ),
-    "exp_sqrt_ratio_moments": (_moments(lambda: _exp_x2("sqrt_ratio")), "cospower", "panels"),
+    "exp_sqrt_ratio_moments": (_moments(lambda: _exp_x2("sqrt_ratio")), "cospower", "checked"),
 }
 
 
 @pytest.mark.parametrize("family", sorted(ROUTES))
 def test_each_family_takes_its_route(monkeypatch, count_calls, family):
     # the route contract: which transform builds each family's table, and
-    # on which driver; a trapezoid that fell back would show both drivers
+    # on which driver; a trapezoid that fell back would show both drivers,
+    # and so does a checked one, whose panel rule gets the trapezoid's sums
     table, transform, driver = ROUTES[family]
     trig_calls, _ = count_calls(monkeypatch, "trig_transform")
     cospower_calls, _ = count_calls(monkeypatch, "cospower_transform")
@@ -439,4 +552,7 @@ def test_each_family_takes_its_route(monkeypatch, count_calls, family):
     )
     drivers = ["trapezoid"] * len(trapezoid_calls) + ["panels"] * len(panel_calls)
     assert transforms_run == ([transform] if transform else [])
-    assert drivers == ([driver] if driver else [])
+    if driver == "checked":
+        assert drivers == ["trapezoid", "panels"] and panel_calls[0][9] is not None
+    else:
+        assert drivers == ([driver] if driver else [])
