@@ -40,17 +40,17 @@ with e_i the exponent of row i's largest entry, its upper triangle at
 per-row scales between which pfaffian's swaps move entries.  Products are
 shifted down with floor rounding, so an update errs by at most a unit in its
 row's last place: a normwise error, as Levinson's own is (Cybenko, SIAM J.
-Sci. Stat. Comput. 1, 1980), which the bits/2*bits drift sees like any
-rounding.  Multipliers are int quotients rounded to nearest at W bits, as
-mpf_div rounds them; Levinson's eps, g and d stay mpf at prec.  The engines
-return ratios of consecutive minors (Pfaffians, for the skew ones),
+Sci. Stat. Comput. 1, 1980), which the drift between the two passes sees
+like any rounding.  Multipliers are int quotients rounded to nearest at W
+bits, as mpf_div rounds them; Levinson's eps, g and d stay mpf at prec.  The
+engines return ratios of consecutive minors (Pfaffians, for the skew ones),
 multiplied up at prec + GUARD and each rounded once to prec.  A matrix with
 any mpc entry keeps the mpf engines, the reference the kernels are tested
 against: complex ints would double every vector for a path that no study
 runs at size.
 
 Levinson-Trench never updates its entries, so it holds them at the scale of
-their lowest set bit when that is coarser than W's: a 2*bits pass on
+their lowest set bit when that is coarser than W's: the check pass on
 entries rounded to bits multiplies ints about bits wide into W-bit ones,
 and every sum is the one at W times a power of two.
 
@@ -64,27 +64,34 @@ updates one triangle up to its first zero pivot, and the look-ahead takes
 over from there on the whole block; both kinds of step name the method
 "bareiss".
 
-Over hp fields every engine keeps det_lu's contract: it runs at bits and at
-2*bits on the same entries (an mpf entry that already fits a pass's
-precision goes in as it is; wider ones, such as T+H sums, round), each value
-is the 2*bits result rounded to bits, and digits_guaranteed is
-int(-log10(drift)) for the drift between the two, capped at the digits that
-bits carry.  The logarithm is taken in floats from the drift's mantissa and
-exponent; mp.log10 at 2*bits decides only when the float lies within 1e-9
-of an integer, so the digits are those of mp.log10.  An engine breaks down
-on a pivot ratio at or below 2^(-bits/2) times the largest entry, or on a
-drift above 2^(-bits/4); that order and every later one then take det_lu.
+Over hp fields every engine runs at bits and again, as a check, at
+bits + ceil(bits/2) on the same entries (an mpf entry that already fits a
+pass's precision goes in as it is; wider ones, such as T+H sums, round).
+Each value is the check pass's result rounded to bits, and
+digits_guaranteed is int(-log10(drift)) for the drift between the two,
+capped at the digits that bits carry.  The drift measures the error of the
+bits pass, and so the claim.  The check pass's own error is about drift
+times 2^(-bits/2), and an engine gives up on a drift above 2^(-bits/4), so
+that error stays below 2^(-3*bits/4), far under any claimed digit: a check
+at 2*bits would buy nothing the claim can use.  The logarithm is taken in
+floats from the drift's mantissa and exponent; mp.log10 at 2*bits decides
+only when the float lies within 1e-9 of an integer, so the digits are those
+of mp.log10.  An engine breaks down on a pivot ratio at or below
+2^(-bits/2) times the largest entry, or on a drift above 2^(-bits/4); that
+order and every later one then take det_lu.
 
 det_bareiss, the exact reference, is pivoted fraction-free elimination.
-det_lu runs partial-pivoted elimination at bits and at 2*bits.  When the two
-drift apart by more than 2^(-bits/4) and a pivot of the 2*bits pass fell
-below 2^(-3*bits/2) times the largest entry, a size the bits pass cannot
-resolve, it runs a third pass at 4*bits: if that agrees with the 2*bits pass
-within 2^(-bits/4), it returns that value with the digits of their drift,
-and otherwise it calls the matrix singular (value 0, no digits).  Any other
-drift raises PrecisionError.  A tiny pivot that both passes agree on belongs
-to a small, nonsingular determinant: singularity is never read off the
-determinant's size.  pfaffian uses the convention Pf([[0, m], [-m, 0]]) = m.
+det_lu, the hp reference, runs partial-pivoted elimination at bits and at
+2*bits, not at the engines' check precision, since its singular rule reads
+the 2*bits pivots.  When the two drift apart by more than 2^(-bits/4) and a
+pivot of the 2*bits pass fell below 2^(-3*bits/2) times the largest entry,
+a size the bits pass cannot resolve, it runs a third pass at 4*bits: if
+that agrees with the 2*bits pass within 2^(-bits/4), it returns that value
+with the digits of their drift, and otherwise it calls the matrix singular
+(value 0, no digits).  Any other drift raises PrecisionError.  A tiny
+pivot that both passes agree on belongs to a small, nonsingular
+determinant: singularity is never read off the determinant's size.
+pfaffian uses the convention Pf([[0, m], [-m, 0]]) = m.
 """
 
 import math
@@ -185,7 +192,9 @@ def _lu_pass(rows, n, prec):
 
 
 def _drift(d1, d2, bits):
-    """Relative distance of the bits value d1 from the 2*bits value d2."""
+    """Relative distance of the bits value d1 from the check value d2 (an
+    engine's at bits + ceil(bits/2), det_lu's at 2*bits), worked out at
+    2*bits."""
     with mp.workprec(2 * bits):
         return abs(d1 - d2) / abs(d2) if d1 != d2 else mp.mpf(0)
 
@@ -619,10 +628,12 @@ def _at_prec(v, prec):
 
 
 def _hp_minors(rows, method, bits):
-    """Leading minors of orders 1..m (m <= len(rows)) at bits, checked at 2*bits."""
+    """Leading minors of orders 1..m (m <= len(rows)) at bits, checked at
+    bits + ceil(bits/2): enough, as the module docstring shows, to defend
+    every digit the drift allows."""
     passes = []
     bar = None
-    for prec in (bits, 2 * bits):
+    for prec in (bits, bits + (bits + 1) // 2):
         with mp.workprec(prec):
             if method == "levinson":
                 data = ([_at_prec(r[0], prec) for r in rows], [_at_prec(v, prec) for v in rows[0]])
@@ -676,9 +687,10 @@ def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list
     orders may come unsorted and may repeat; the results follow them.  A
     rational matrix gives exact values and ignores bits: orders past a zero
     minor come from look-ahead steps of the same pass.  An hp matrix runs at
-    bits (default: its field's) and at 2*bits, as det_lu does; an order that
-    the engine cannot serve, and every later one, comes from det_lu on the
-    leading block, so its errors propagate unchanged.
+    bits (default: its field's) and is checked at bits + ceil(bits/2); an
+    order that the engine cannot serve, and every later one, comes from
+    det_lu on the leading block (checked at 2*bits), so its errors
+    propagate unchanged.
 
     M keeps what a call ran: the pass per bits and largest order (the
     engine reads the whole leading block of that order), and each det_lu

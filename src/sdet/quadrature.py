@@ -41,8 +41,10 @@ precision), never a symbol's values; past _NODE_TRIG_CAP entries the oldest
 goes first.
 
 Node values f(t) * weight are evaluated in mpf at wp = bits + GUARD and
-turned once into ints scaled by 2^W; the kernels then run on ints, and each
-level's sums become mpf once:
+turned once into ints scaled by 2^W (an infinite or nan value raises
+AccuracyError, so the trapezoid hands such an f to the panels, whose nodes
+are interior, and the panel rule passes it on); the kernels then run on
+ints, and each level's sums become mpf once:
 
 * cos nt, sin nt, U_{n-1}(cos t) = sin nt / sin t and e^{-int} by the
   recurrence y_{n+1} = 2 cos t y_n - y_{n-1} (trig_transform, circle_coeffs);
@@ -250,16 +252,22 @@ def _agreement(new, old):
     return diff / scale
 
 
-def _fixed(x, W: int) -> int:
-    """floor(x * 2^W) for an mpf x."""
+def _fixed(x, W: int, t=None) -> int:
+    """floor(x * 2^W) for a finite mpf x, the value of an integrand at the
+    node t.  AccuracyError for +-inf or nan, which to_fixed reads as 0."""
+    _, man, exp, _ = x._mpf_
+    if not man and exp:
+        at = "" if t is None else " at node t = %s" % mp.nstr(t, 15)
+        raise AccuracyError("integrand value %s%s" % (x, at))
     return to_fixed(x._mpf_, W)
 
 
-def _parts(fv, W: int, size: int):
-    """(offset, fixed-point value) of fv's real part, and of an mpc's imaginary part."""
+def _parts(t, fv, W: int, size: int):
+    """(offset, fixed-point value) of fv's real part, and of an mpc's
+    imaginary part, for the node value fv at t."""
     if isinstance(fv, mp.mpc):
-        return ((0, _fixed(fv.real, W)), (size, _fixed(fv.imag, W)))
-    return ((0, _fixed(fv, W)),)
+        return ((0, _fixed(fv.real, W, t)), (size, _fixed(fv.imag, W, t)))
+    return ((0, _fixed(fv, W, t)),)
 
 
 def _level_sums(acc, scale: int, cplx: bool):
@@ -444,7 +452,7 @@ def trig_transform(f, panels, n_max: int, bits: int, kind: str, band: int | None
         c = _fixed(ct, W)
         # the value at n = 1: cos t, sin t, or U_0 = 1; sin and U start from 0
         first = c if kind == "cos" else _fixed(st, W) if kind == "sin" else 1 << W
-        for start, v in _parts(fv, W, n_max + 1):
+        for start, v in _parts(t, fv, W, n_max + 1):
             _recur(acc, start, n_max + 1, v if kind == "cos" else 0, (v * first) >> W, 2 * c, W)
 
     growth = 2 * (n_max + 1).bit_length()
@@ -461,7 +469,7 @@ def cospower_transform(f, panels, n_max: int, bits: int, band: int | None = 0):
 
     def kernel(t, fv, acc, W):
         tc = _fixed(2 * _cos_sin(t)[0], W)
-        for start, p in _parts(fv, W, n_max + 1):
+        for start, p in _parts(t, fv, W, n_max + 1):
             for i in range(start + 1, start + n_max + 1):
                 acc[i] += p
                 p = (tc * p) >> W
@@ -480,8 +488,8 @@ def _rotation_kernel(n_min: int, count: int):
         z0 = mp.mpc(fv) * _expj(-n_min * t)
         z1 = z0 * mp.mpc(ct, -st)
         tc = 2 * _fixed(ct, W)
-        _recur(acc, 0, count, _fixed(z0.real, W), _fixed(z1.real, W), tc, W)
-        _recur(acc, count, count, _fixed(z0.imag, W), _fixed(z1.imag, W), tc, W)
+        _recur(acc, 0, count, _fixed(z0.real, W, t), _fixed(z1.real, W, t), tc, W)
+        _recur(acc, count, count, _fixed(z0.imag, W, t), _fixed(z1.imag, W, t), tc, W)
 
     return kernel
 

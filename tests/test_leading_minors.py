@@ -19,7 +19,15 @@ from sdet.matrices import (
     toeplitz_plus_hankel,
 )
 from sdet.scalars import hp_complex, hp_real, rational, to_mp
-from sdet.symbols import FHDescriptor, FHProduct, JumpT, MomentSymbol, multiply_by_chi
+from sdet.symbols import (
+    ArgDoubled,
+    FHDescriptor,
+    FHProduct,
+    JumpT,
+    MomentSymbol,
+    multiply_by_chi,
+    th_to_moment_symbol,
+)
 from sdet.transforms import ScalarSeq
 
 from conftest import rand_fraction, random_even_seq
@@ -148,6 +156,24 @@ class TestForcedFallback:
             assert [r.value for r in got] == [1, 0, -2]
         assert [r.method for r in got] == ["levinson", "lu", "lu"]
         assert sorted(reference_calls) == [("lu", 2), ("lu", 3)]
+
+    def test_lu_fallback_keeps_its_twice_the_bits_check(self, monkeypatch):
+        # t_0 = 0 stops Levinson at once, so every order takes det_lu, which
+        # checks at 2*bits whatever the engines' check precision, and whose
+        # singular order 1 confirms its zero at 4*bits
+        precs = []
+        lu_pass = determinants._lu_pass
+
+        def recorded(rows, n, prec):
+            precs.append(prec)
+            return lu_pass(rows, n, prec)
+
+        monkeypatch.setattr(determinants, "_lu_pass", recorded)
+        t = {0: 0, 1: 1, -1: 2, 2: Fraction(1, 3), -2: Fraction(1, 5)}
+        got = leading_minors(toeplitz(t, 3, bits=BITS), [1, 2, 3], BITS)
+        assert [r.method for r in got] == ["lu"] * 3
+        assert [r.value for r in got[:2]] == [0, -2]
+        assert precs == [BITS, 2 * BITS, 4 * BITS] + [BITS, 2 * BITS] * 2
 
     def test_drift_over_the_bound(self, reference_calls):
         # det T_2 = 2^-30 is above the pivot bar at 64 bits, but the recursion
@@ -419,8 +445,8 @@ class TestFixedPointKernels:
 
     @pytest.mark.parametrize("low", [0, 40])
     def test_levinson_on_entries_of_mixed_width(self, low, monkeypatch):
-        # t_1 = 2^-low / 7 carries a full 2*bits mantissa, the other entries
-        # 24 bits, and the bits pass rounds t_1.  At low = 0 each pass holds
+        # t_1 = 2^-low / 7 carries a 2*bits mantissa, the other entries
+        # 24 bits, and both passes round t_1.  At low = 0 each pass holds
         # the entries down to t_1's last bit; at low = 40 t_1 reaches below
         # the kernel's W-bit scale in both passes, which then cut it there
         bits, n = 256, 24
@@ -444,7 +470,7 @@ class TestFixedPointKernels:
             for a, b in zip(ints, plain):
                 with mp.workprec(2 * prec):
                     assert abs(a - b) <= mp.mpf(2) ** -(prec - 12) * abs(b)
-        assert sorted(passes) == [bits, 2 * bits]
+        assert sorted(passes) == [bits, bits + bits // 2]
 
     def test_wide_entries_round_in_the_bits_pass(self, monkeypatch):
         # T+H entries are sums held at bits + 32, wider than the bits pass
@@ -463,7 +489,7 @@ class TestFixedPointKernels:
         for prec, data in seen.items():
             for row, held in zip(M.rows, data):
                 assert [v._mpf_ for v in held] == [to_mp(v, prec)._mpf_ for v in row]
-        assert sorted(seen) == [bits, 2 * bits]
+        assert sorted(seen) == [bits, bits + bits // 2]
 
     def test_complex_entries_keep_the_mpf_engine(self, rng, engine_calls):
         cases = {name: (M, method) for name, M, method in hp_cases(rng)}
@@ -501,6 +527,54 @@ class TestFixedPointKernels:
                 assert abs(res.value - exact) <= mp.mpf(10) ** -res.digits_guaranteed * abs(exact)
             assert res.digits_guaranteed >= old.digits_guaranteed - 1
         assert got[-1].digits_guaranteed < 60
+
+
+def _exp_cos():
+    """exp(0.3 cos theta)."""
+    return FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))
+
+
+def exact_value(v):
+    """An mpf as the Fraction it is."""
+    sign, man, exp, _ = v._mpf_
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+# (builder of the hp matrix at N and bits, N, the engine that must serve it)
+ORACLE_CASES = {
+    "levinson_jump": (lambda n, bits: toeplitz(JumpT(Fraction(-1, 2)), n, bits=bits), 24, "levinson"),
+    "levinson_symmetric": (
+        lambda n, bits: toeplitz(FHProduct(FHDescriptor({1: 0.2, -1: 0.2, 2: 0.1, -2: 0.1})), n, bits=bits),
+        24,
+        "levinson",
+    ),
+    "elimination_moment": (lambda n, bits: hankel_moment(th_to_moment_symbol(_exp_cos()), n, bits=bits), 24, "elimination"),
+    "elimination_t_plus_h": (lambda n, bits: toeplitz_plus_hankel(_exp_cos(), n, bits=bits), 24, "elimination"),
+    "pfaffian_chi": (lambda n, bits: toeplitz(multiply_by_chi(ArgDoubled(_exp_cos())), n, bits=bits), 32, "pfaffian"),
+}
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_claimed_digits_hold_against_exact_minors(case, bits):
+    # the matrix's own entries, read as the rationals they are, have exact
+    # minors; every hp minor must be within its claimed digits of them.  This
+    # measures the engine's own error, checked at bits + ceil(bits/2), and
+    # not the error of the rounded entries against the symbol's true ones
+    build, n, method = ORACLE_CASES[case]
+    M = build(n, bits)
+    got = leading_minors(M, range(1, n + 1), bits)
+    assert [r.method for r in got] == [method] * n
+    Q = StructuredMatrix([[exact_value(v) for v in r] for r in M.rows], rational(), M.structure)
+    exact = leading_minors(Q, range(1, n + 1))
+    for res, ref in zip(got, exact):
+        if ref.value == 0:  # an odd order of a skewsymmetric matrix
+            assert res.value == 0
+            continue
+        with mp.workprec(4 * bits):
+            want = mp.mpf(ref.value.numerator) / ref.value.denominator
+            assert abs(res.value - want) <= mp.mpf(10) ** -res.digits_guaranteed * abs(want)
 
 
 # zero-rich, with entries below the 2^-64 pivot bar of 128 bits, so that

@@ -10,7 +10,8 @@ frequencies at multiples of 32, which nested grids of 16 and 32 nodes both
 see as constants: a declared band must reach the first grid, and an opaque
 one must fail the check.  The fallback cases hide a kink at an endpoint,
 where the trapezoid converges only algebraically.  All must still match the
-panel rule, at a bounded cost.  The skew tables of uncut real sqrt_ratio
+panel rule, at a bounded cost.  An infinite or nan node value sends the
+table to the panels at once, and raises there.  The skew tables of uncut real sqrt_ratio
 moment symbols take the U_{n-1}(cos t) kernel on the trapezoid and are
 checked against the Chi-times-lift product on the panels.
 """
@@ -348,6 +349,39 @@ def test_trapezoid_alone_does_not_converge_on_the_kink(monkeypatch):
     monkeypatch.setattr(quadrature, "_panel_quadrature", no_fallback)
     with pytest.raises(quadrature.AccuracyError):
         quadrature.cospower_transform(_sqrt_ratio_of_kink, None, 10, 128)
+
+
+def _infinite_at_0(t):
+    """e^{cos t}, except that it reads +inf at the trapezoid's first node."""
+    return mp.inf if t == 0 else mp.exp(mp.cos(t))
+
+
+def test_infinite_node_value_goes_straight_to_the_panels(monkeypatch, count_calls):
+    # the trapezoid meets t = 0 first and sums no level: its only evaluation
+    # is that node, and the panel rule starts afresh, on interior nodes only
+    bits, n_max = 128, 6
+    panel_calls, panel_evaluations = count_calls(monkeypatch, "_panel_quadrature")
+    _, evaluations = count_calls(monkeypatch, "_trapezoid_quadrature")
+    got = quadrature.trig_transform(_infinite_at_0, None, n_max, bits, "cos", band=None)
+    assert [args[9] for args in panel_calls] == [None]
+    assert evaluations[0] == 1 + panel_evaluations[0]
+    # integral over [0, pi] of e^{cos t} cos nt is pi I_n(1)
+    with mp.workprec(bits + 64):
+        want = {n: mp.pi * mp.besseli(n, 1) for n in range(n_max + 1)}
+    _assert_agree(dict(enumerate(got)), want, bits)
+
+
+def test_non_finite_node_values_raise():
+    W = 128 + quadrature.GUARD
+    for value in (mp.inf, -mp.inf, mp.nan):
+        with pytest.raises(quadrature.AccuracyError) as err:
+            quadrature._fixed(value, W)
+        assert err.value.achieved is None
+    # on the panels nothing catches it, so the CLI exits with code 3
+    with mp.workprec(160):
+        panels = [(mp.mpf(0), +mp.pi)]
+    with pytest.raises(quadrature.AccuracyError, match="nan at node t = "):
+        quadrature.trig_transform(lambda t: mp.nan, panels, 3, 128, "cos")
 
 
 def test_acceptance_2_set_checks_only_the_exp_profile(monkeypatch, count_calls):
