@@ -5,9 +5,15 @@ over the largest requested block gives det of every requested leading block,
 and det_auto is its one-order case.  DetResult.method names the engine that
 served each order:
 
-- "pfaffian", a skewsymmetric block: elimination in pairs, without
-  pfaffian's partner search.  After k steps the pivot is Pf of the leading
-  2k block, so det = Pf^2, and odd orders are exactly 0;
+- "pfaffian", a skewsymmetric block (over the rationals, or one not
+  tagged Toeplitz): elimination in pairs, without pfaffian's partner
+  search.  After k steps the pivot is Pf of the leading 2k block, so
+  det = Pf^2, and odd orders are exactly 0;
+- "skew_levinson", an hp skewsymmetric Toeplitz block: the 2 x 2 block
+  Levinson recursion in O(N^2) (Whittle, Biometrika 50, 1963; Akaike, SIAM
+  J. Appl. Math. 24, 1973), whose k-th step ratio is Pf T_2k / Pf T_{2k-2},
+  the skew elimination's k-th pivot ratio (below), so it stops at the
+  orders where that one would;
 - "levinson", an hp Toeplitz block: the nonsymmetric Levinson-Trench
   recursion in O(N^2) (Trench, J. SIAM 12, 1964; Bareiss, Numer. Math. 13,
   1969), whose k-th step ratio is det T_k / det T_{k-1};
@@ -33,11 +39,12 @@ A real hp matrix runs these engines, and pfaffian its elimination with
 partner search, on Python ints, as quadrature's kernels do: a vector or row
 is held as ints x with value x / 2^s, its largest entry within GUARD/2 bits
 of W = prec + GUARD bits.  Levinson-Trench holds the entries at one scale
-and f and b at another.  Elimination scales each column once by the power
-of two that brings its largest entry to [1/2, 1), then holds each row at
-its own scale.  The skew engine and pfaffian hold D A D, D = diag(2^-e_i)
-with e_i the exponent of row i's largest entry, its upper triangle at
-per-row scales between which pfaffian's swaps move entries.  Products are
+and f and b at another, and the block Levinson its entries and F so too.
+Elimination scales each column once by the power of two that brings its
+largest entry to [1/2, 1), then holds each row at its own scale.  The skew
+elimination and pfaffian hold D A D, D = diag(2^-e_i) with e_i the exponent
+of row i's largest entry, its upper triangle at per-row scales between
+which pfaffian's swaps move entries.  Products are
 shifted down with floor rounding, so an update errs by at most a unit in its
 row's last place: a normwise error, as Levinson's own is (Cybenko, SIAM J.
 Sci. Stat. Comput. 1, 1980), which the drift between the two passes sees
@@ -52,7 +59,24 @@ runs at size.
 Levinson-Trench never updates its entries, so it holds them at the scale of
 their lowest set bit when that is coarser than W's: the check pass on
 entries rounded to bits multiplies ints about bits wide into W-bit ones,
-and every sum is the one at W times a power of two.
+and every sum is the one at W times a power of two.  The block Levinson
+holds its entries the same way.
+
+The block Levinson reads T = (t_{i-j}), t_{-m} = -t_m, from its first
+column, as 2 x 2 blocks A_{I-J}, A_m = [[t_2m, t_{2m-1}], [t_{2m+1}, t_2m]].
+The forward vector F = (F_0, ..., F_{k-1}), F_0 = I, solves
+T_2k F = (E_k, 0, ..., 0).  J T_2k J = -T_2k for the reversal J, so the
+backward vector, which solves T_2k B = (0, ..., 0, E_k) with B_{k-1} = I, is
+F reversed, B_i = J_2 F_{k-1-i} J_2 with J_2 = [[0, 1], [1, 0]], and only F
+is updated.  E_k is the inverse of the leading 2 x 2 block of T_2k^-1,
+which is skewsymmetric: E_k = [[0, p], [-p, 0]], and p = Pf T_2k / Pf
+T_{2k-2} (Pf of the Schur complement of the trailing T_{2k-2}), so
+det T_2k / det T_{2k-2} = p^2.  One step takes Gamma = sum_j A_{k-j} F_j,
+X = E_k^-1 Gamma and F_i <- F_i - J_2 F_{k-i} J_2 X (F_k = 0), and
+p <- p + (Gamma_01 Gamma_10 - Gamma_00^2) / p: about 16k int products,
+where the skew elimination updates ~n^3/6 entries in all.  Gamma, X and p
+are mpf at W, not at prec as Levinson-Trench's eps, g and d are: worked at
+prec, they cost the claims a digit or two.
 
 A rational matrix is eliminated on its integer rows ints, held over one
 common denominator den (see matrices), so its minors are exact: the k-th is
@@ -408,6 +432,55 @@ def _levinson_ratios(col, row, tiny):
     return ratios
 
 
+def _gamma(F, alpha, beta, gamma, dot):
+    """Entries 00, 01, 10 and 11 of Gamma = sum_j A_(k-j) F_j, A_m =
+    [[t_2m, t_(2m-1)], [t_(2m+1), t_2m]], from the lists of t_2m, t_(2m-1)
+    and t_(2m+1) for m = k, ..., 1."""
+    P, Q, R, U = F
+    return (
+        dot(alpha, P) + dot(beta, R),
+        dot(alpha, Q) + dot(beta, U),
+        dot(gamma, P) + dot(alpha, R),
+        dot(gamma, Q) + dot(alpha, U),
+    )
+
+
+def _flip_update(F, X, down):
+    """F_i - J F_(k-i) J X for i = 0..k, with F_k = 0 and J = [[0, 1], [1, 0]]:
+    the block Levinson update, on F's entry lists (P, Q, R, U) of
+    F_i = [[P_i, Q_i], [R_i, U_i]] and X = (x00, x01, x10, x11), each
+    product sum taken through down (a shift for ints)."""
+    P, Q, R, U = (v + [0] for v in F)
+    x00, x01, x10, x11 = X
+    # J F_r J = [[U_r, R_r], [Q_r, P_r]], r = k - i
+    Pr, Qr, Rr, Ur = P[::-1], Q[::-1], R[::-1], U[::-1]
+    rows = ((P, Ur, Rr, x00, x10), (Q, Ur, Rr, x01, x11), (R, Qr, Pr, x00, x10), (U, Qr, Pr, x01, x11))
+    return [[f - down(a * x0 + b * x1) for f, a, b in zip(old, A, B)] for old, A, B, x0, x1 in rows]
+
+
+def _skew_levinson_ratios(col, tiny):
+    """Pf T_2k / Pf T_(2k-2), k = 1, 2, ..., for the skewsymmetric Toeplitz
+    T = (t_(i-j)), col = (t_0, ..., t_(n-1)), by the 2 x 2 block Levinson
+    recursion of the module docstring, GUARD bits above the ambient
+    precision, as _fixed_skew_levinson works.  Stops before the first ratio
+    p with tiny(p, 1)."""
+    ev, od = col[0::2], col[1::2]
+    p = -od[0] if od else 0
+    if tiny(p, 1):
+        return []
+    ratios = [p]
+    F = [[mp.mpf(1)], [mp.mpf(0)], [mp.mpf(0)], [mp.mpf(1)]]
+    with mp.workprec(mp.mp.prec + GUARD):
+        for k in range(1, len(od)):
+            g00, g01, g10, g11 = _gamma(F, ev[k:0:-1], od[k - 1 :: -1], od[k:0:-1], mp.fdot)
+            F = _flip_update(F, (-g10 / p, -g11 / p, g00 / p, g01 / p), lambda v: v)
+            p += (g01 * g10 - g00 * g00) / p
+            if tiny(p, 1):
+                break
+            ratios.append(p)
+    return ratios
+
+
 # Fixed-point kernels for real hp matrices (see the module docstring)
 
 GUARD = 32
@@ -500,6 +573,38 @@ def _fixed_levinson(data, prec, tiny):
     return ratios
 
 
+def _int_dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def _fixed_skew_levinson(col, prec, tiny):
+    """_skew_levinson_ratios on ints: the entries share one scale, as in
+    _fixed_levinson, and the entries of F share another; Gamma, X and the
+    ratios are mpf at W."""
+    ev, od = col[0::2], col[1::2]
+    p = -od[0] if od else 0
+    if tiny(p, 1):
+        return []
+    W = prec + GUARD
+    E = min(W - _top(col), -min(v._mpf_[2] for v in col if v))
+    te = [to_fixed(v._mpf_, E) for v in ev]
+    to = [to_fixed(v._mpf_, E) for v in od]
+    with mp.workprec(W):
+        ratios = [p]
+        F, S = [[1 << W], [0], [0], [1 << W]], W
+        for k in range(1, len(od)):
+            sums = _gamma(F, te[k:0:-1], to[k - 1 :: -1], to[k:0:-1], _int_dot)
+            g00, g01, g10, g11 = (_mpf(g, -(E + S), W) for g in sums)
+            X, sh = _mantissas(((-g10 / p)._mpf_, (-g11 / p)._mpf_, (g00 / p)._mpf_, (g01 / p)._mpf_), 0)
+            F = _flip_update(F, X, lambda v: v >> sh)
+            p += (g01 * g10 - g00 * g00) / p
+            if tiny(p, 1):
+                break
+            ratios.append(p)
+            F, S = _renorm(F, S, W)
+    return ratios
+
+
 def _fixed_row(values, shifts, W):
     """values[j] * 2^shifts[j] as ints whose largest has W bits: (ints, scale)."""
     top = max((e + t for e, t in zip(map(_exponent, values), shifts) if e is not None), default=0)
@@ -572,6 +677,8 @@ def _one_pass(method, a, div, tiny, zero):
     """
     if method == "levinson":
         return list(accumulate(_levinson_ratios(*a, tiny), mul))
+    if method == "skew_levinson":
+        return _skew_minors(list(accumulate(_skew_levinson_ratios(a, tiny), mul)), len(a), zero)
     if method != "pfaffian":
         return _bareiss_pivots(a, div, tiny)
     return _skew_minors(_skew_pivots(a, div, tiny), len(a), zero)
@@ -588,7 +695,12 @@ def _skew_minors(pfs, n, zero):
     return out
 
 
-_FIXED = {"levinson": _fixed_levinson, "elimination": _fixed_elimination, "pfaffian": _fixed_skew}
+_FIXED = {
+    "levinson": _fixed_levinson,
+    "skew_levinson": _fixed_skew_levinson,
+    "elimination": _fixed_elimination,
+    "pfaffian": _fixed_skew,
+}
 
 
 def _fixed_pass(method, data, prec, tiny):
@@ -598,7 +710,7 @@ def _fixed_pass(method, data, prec, tiny):
     ratios = _FIXED[method](data, prec, tiny)
     with mp.workprec(prec + GUARD):
         minors = list(accumulate(ratios, mul))
-        if method == "pfaffian":
+        if method in ("skew_levinson", "pfaffian"):
             minors = _skew_minors(minors, len(data), mp.mpf(0))
     return [+m for m in minors]
 
@@ -638,6 +750,8 @@ def _hp_minors(rows, method, bits):
             if method == "levinson":
                 data = ([_at_prec(r[0], prec) for r in rows], [_at_prec(v, prec) for v in rows[0]])
                 entries = data[0] + data[1]
+            elif method == "skew_levinson":
+                data = entries = [_at_prec(r[0], prec) for r in rows]
             else:
                 data = [[_at_prec(v, prec) for v in r] for r in rows]
                 entries = [v for r in data for v in r]
@@ -672,12 +786,11 @@ def _engine_minors(M: StructuredMatrix, top: int, bits):
     if bits is None:
         return _exact_minors([list(row[:top]) for row in M.ints[:top]], M.den)
     rows = [row[:top] for row in M.rows[:top]]
+    toeplitz = M.structure == "toeplitz" and _is_toeplitz(rows)
     if _is_skew(rows, bits):
-        method = "pfaffian"
-    elif M.structure == "toeplitz" and _is_toeplitz(rows):
-        method = "levinson"
+        method = "skew_levinson" if toeplitz else "pfaffian"
     else:
-        method = "elimination"
+        method = "levinson" if toeplitz else "elimination"
     return _hp_minors(rows, method, bits)
 
 

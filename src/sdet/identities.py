@@ -35,7 +35,10 @@ matrix.  The moment kinds and pfaffian_link share the moment twin's H_N[b]
 and its skew symbol's T_2N(c).  The transforms read the owner's exact
 values: a CoeffSeq's entries, or a quadrature-backed symbol's table at
 bits.  The two sides of one identity are always distinct matrices with
-passes of their own.
+passes of their own.  parity_split_chi's T_2N(chi a) is tagged general, so
+it keeps the skew elimination: the skew block Levinson, which serves every
+other hp skew Toeplitz side, would on that checkerboard matrix run the two
+recursions of its right side.
 """
 
 import enum
@@ -47,7 +50,7 @@ import mpmath as mp
 
 from . import symbols, transforms
 from .determinants import DetResult, leading_minors, pfaffian
-from .matrices import hankel_moment, toeplitz, toeplitz_plus_hankel
+from .matrices import StructuredMatrix, hankel_moment, toeplitz, toeplitz_plus_hankel
 from .scalars import format_scalar, infer_field, to_mp
 from .symbols import (
     CoeffSeq,
@@ -445,6 +448,8 @@ def _parity_split_chi(inp, n, mode, bits, notes):
     d2 = SymbolProduct((JumpT(0.5), d))
     chi_a = multiply_by_chi(a)
     T2 = toeplitz(chi_a, 2 * n, infer_field(chi_a, bits))
+    # tagged general, the left side keeps the skew elimination (docstring)
+    T2 = StructuredMatrix(T2.rows, T2.field, check=False)
     return T2, (toeplitz(d1, n, infer_field(d1, bits)), toeplitz(d2, n, infer_field(d2, bits)))
 
 

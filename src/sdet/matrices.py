@@ -198,7 +198,7 @@ class StructuredMatrix:
 
     def is_skew(self) -> bool:
         """_is_skew at the field's bits: the rule by which leading_minors picks
-        its skew engine and pfaffian accepts a matrix."""
+        its skew engines and pfaffian accepts a matrix."""
         return _is_skew(self._grid(), self.field.bits)
 
     def to_json(self) -> dict:

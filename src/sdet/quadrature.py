@@ -20,10 +20,14 @@ Two engines cover every symbol this package meets:
 
 Both double their node count until two consecutive estimates agree within
 the target; the panel rule raises AccuracyError (carrying the achieved
-estimate) when it cannot.  The Gauss-Legendre order scales with the working
-precision: pushing spectral error below 2^-512 at oscillation ~100 with a fixed small
-order would need thousands of subpanels, while order ~bits/3 converges
-after a single doubling.
+estimate) when it cannot, and as soon as its levels stall: when, at a
+margin over the gain of each one's last doubling, three levels in a row
+show that the doublings left cannot reach the target (an integrand with a
+log or root singularity gains a few bits per doubling).  The
+Gauss-Legendre order scales with the working precision: pushing spectral
+error below 2^-512 at oscillation ~100 with a fixed small order would need
+thousands of subpanels, while order ~bits/3 converges after a single
+doubling.
 
 The rules are built on ints too (gauss_legendre_rule): Newton's method on
 the three-term recurrence, from float seeds, runs on ints scaled by 2^W with
@@ -76,6 +80,13 @@ GUARD = 32
 SLACK = 12
 
 _MAX_SUBPANELS = 1 << 16
+
+# The panel rule gives up once this many levels in a row show that, at
+# STALL_MARGIN times the gain of their last doubling, the doublings left
+# under _MAX_SUBPANELS cannot reach the target: algebraic convergence gains
+# a steady few bits per doubling, while spectral convergence speeds up.
+STALL_LEVELS = 3
+STALL_MARGIN = 4
 
 # the moment-backed hp identities at nmax 10 and 256 bits read ~300
 # distinct (node, precision) pairs; an entry at 288 bits takes ~0.75 KB
@@ -286,20 +297,49 @@ def _recur(acc, start: int, count: int, y0: int, y1: int, tc: int, W: int):
         y0, y1 = y1, ((tc * y1) >> W) - y0
 
 
-def _first_agreement(levels, bits: int, what: str, reference=None):
+def _stalls(older, newer, left: int, bits: int) -> bool:
+    """Whether agreements that went from older to newer in one doubling
+    cannot reach 2^-(bits-SLACK) in the left doublings, even at STALL_MARGIN
+    times that doubling's gain in bits."""
+    gain = max(0.0, _log2(older) - _log2(newer))
+    return _log2(newer) - STALL_MARGIN * gain * left > -(bits - SLACK)
+
+
+def _log2(x) -> float:
+    """log2 of a positive mpf, in floats from its mantissa and exponent."""
+    _, man, exp, _ = x._mpf_
+    return math.log2(man) + exp if man else -math.inf
+
+
+def _first_agreement(levels, bits: int, what: str, reference=None, count=None):
     """The first of the levels' sums that agrees with the one before it to
     2^-(bits-SLACK), or reference once a level agrees with it to that;
-    AccuracyError when the levels run out."""
+    AccuracyError when the levels run out.
+
+    With count, the number of levels there are, AccuracyError comes as soon
+    as STALL_LEVELS levels in a row stall (_stalls): at the gain of the
+    doubling that led to each, the levels left cannot reach the target.
+    """
     tol = mp.mpf(2) ** (-(bits - SLACK))
-    prev = None
-    best = None
-    for tot in levels:
+    prev = last = best = None
+    stalled = 0
+    for i, tot in enumerate(levels, 1):
         if reference is not None and _agreement(tot, reference) <= tol:
             return reference
         if prev is not None:
-            best = _agreement(tot, prev)
-            if best <= tol:
+            agree = _agreement(tot, prev)
+            if agree <= tol:
                 return tot
+            best = agree if best is None else min(best, agree)
+            if count is not None and last is not None:
+                stalled = stalled + 1 if _stalls(last, agree, count - i, bits) else 0
+                if stalled == STALL_LEVELS:
+                    raise AccuracyError(
+                        "%s stalled at %d bits: %d subpanel doublings left cannot reach the target"
+                        % (what, bits, count - i),
+                        achieved=best,
+                    )
+            last = agree
         prev = tot
     raise AccuracyError("%s did not converge at %d bits" % (what, bits), achieved=best)
 
@@ -347,7 +387,7 @@ def _panel_quadrature(
                 yield _level_sums(acc, W, cplx)
                 m *= 2
 
-        return _first_agreement(levels(), bits, what, reference)
+        return _first_agreement(levels(), bits, what, reference, (_MAX_SUBPANELS // start).bit_length())
 
 
 def _spectral(sums) -> bool:

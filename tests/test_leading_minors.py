@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdet.determinants as determinants
+import sdet.identities as identities
 from sdet.determinants import PrecisionError, det_auto, det_bareiss, det_lu, leading_minors
 from sdet.matrices import (
     StructuredMatrix,
@@ -74,16 +75,24 @@ def assert_matches_lu(M, orders, bits):
     return got
 
 
+def untagged(M):
+    """M's entries as a general-tagged matrix, as a caller's own rows are:
+    a skewsymmetric one takes the skew elimination, Toeplitz or not."""
+    return StructuredMatrix(M.rows, M.field)
+
+
 def hp_cases(rng):
     complex_seq = {
         n: complex(rand_fraction(rng), rand_fraction(rng)) for n in range(-12, 13)
     }
     complex_seq[0] = 4 + 1j
+    skew = toeplitz(ScalarSeq({1: 1, 2: Fraction(1, 3), 3: Fraction(-1, 5)}, "odd"), 12, bits=BITS)
     return [
         ("nonsymmetric", toeplitz(JumpT(Fraction(-1, 2)), 12, bits=BITS), "levinson"),
         ("symmetric", toeplitz(FHProduct(FHDescriptor({1: 0.15, -1: 0.15})), 12, bits=BITS), "levinson"),
         ("complex", toeplitz(complex_seq, 12, bits=BITS), "levinson"),
-        ("skew", toeplitz(ScalarSeq({1: 1, 2: Fraction(1, 3), 3: Fraction(-1, 5)}, "odd"), 12, bits=BITS), "pfaffian"),
+        ("skew", skew, "skew_levinson"),
+        ("skew_general", untagged(skew), "pfaffian"),
         ("moment", hankel_moment(MomentSymbol.from_poly({2: 2}, weight="sqrt_ratio"), 12, bits=BITS), "elimination"),
         ("t_plus_h", toeplitz_plus_hankel(ScalarSeq({0: 3, 1: 1, 2: Fraction(1, 2)}, "even"), 12, bits=BITS), "elimination"),
     ]
@@ -94,6 +103,15 @@ class TestEnginesAgainstReference:
         for name, M, method in hp_cases(rng):
             got = assert_matches_lu(M, ORDERS, BITS)
             assert {r.method for r in got} == {method}, name
+        assert reference_calls == []
+
+    def test_complex_skew_toeplitz(self, reference_calls, engine_calls):
+        seq = ScalarSeq({1: 1 + 2j, 2: Fraction(1, 3) + 0.5j, 3: -0.25, 4: 0.125j, 5: Fraction(3, 10)}, "odd")
+        T = toeplitz(seq, 11, bits=BITS)
+        assert T.field == hp_complex(BITS)
+        got = assert_matches_lu(T, range(1, 12), BITS)
+        assert {r.method for r in got} == {"skew_levinson"}
+        assert engine_calls == [("mpf", "skew_levinson")] * 2
         assert reference_calls == []
 
     def test_skew_odd_orders_are_zero(self):
@@ -174,6 +192,20 @@ class TestForcedFallback:
         assert [r.method for r in got] == ["lu"] * 3
         assert [r.value for r in got[:2]] == [0, -2]
         assert precs == [BITS, 2 * BITS, 4 * BITS] + [BITS, 2 * BITS] * 2
+
+    def test_tiny_pfaffian_ratio(self, reference_calls):
+        # Pf T_4 / Pf T_2 = -(t_1^2 - t_2^2 + t_1 t_3) / t_1 = -2^-70 lies below
+        # the 2^-64 bar: order 4 and every later one take det_lu
+        t = {1: 1, 2: 1, 3: Fraction(1, 2**70), 4: Fraction(1, 3), 5: Fraction(-1, 5), 6: Fraction(1, 7), 7: Fraction(2, 9)}
+        T = toeplitz(ScalarSeq(t, "odd"), 8, bits=BITS)
+        got = leading_minors(T, range(1, 9), BITS)
+        assert [r.method for r in got] == ["skew_levinson"] * 3 + ["lu"] * 5
+        assert sorted(reference_calls) == [("lu", n) for n in range(4, 9)]
+        assert [r.value for r in got[:3]] == [0, 1, 0]
+        assert got[3].value == mp.mpf(2) ** -140
+        for n, res in zip(range(4, 9), got[3:]):
+            ref = det_lu(T.leading(n), BITS)
+            assert (res.value, res.digits_guaranteed) == (ref.value, ref.digits_guaranteed)
 
     def test_drift_over_the_bound(self, reference_calls):
         # det T_2 = 2^-30 is above the pivot bar at 64 bits, but the recursion
@@ -418,9 +450,14 @@ def engine_calls(monkeypatch):
     return calls
 
 
+def _chi_toeplitz():
+    return toeplitz(multiply_by_chi(FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))), 64, bits=512)
+
+
 KERNEL_CASES = {
     "levinson": lambda: toeplitz(JumpT(Fraction(-1, 2)), 64, bits=512),
-    "pfaffian": lambda: toeplitz(multiply_by_chi(FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))), 64, bits=512),
+    "skew_levinson": _chi_toeplitz,
+    "pfaffian": lambda: untagged(_chi_toeplitz()),
     "elimination": lambda: hankel_moment(MomentSymbol.from_poly({0: 1, 2: 2}, weight="sqrt_ratio"), 32, bits=256),
 }
 
@@ -491,6 +528,18 @@ class TestFixedPointKernels:
                 assert [v._mpf_ for v in held] == [to_mp(v, prec)._mpf_ for v in row]
         assert sorted(seen) == [bits, bits + bits // 2]
 
+    def test_skew_levinson_keeps_the_elimination_digits(self):
+        # skew_square's T_128(c) on exp(0.3 cos theta) at 256 bits, whose
+        # entries tend to a constant: the block recursion's drift stays at
+        # the elimination's on every order, where an X that took Gamma_00
+        # for its equal Gamma_11 lost a digit every ~6 orders
+        row = identities._IDENTITIES[identities.IdentityKind.SkewSquare]
+        T, _ = row.build(_exp_cos(), 64, "hp", 256, [])
+        got = leading_minors(T, range(1, 129))
+        ref = leading_minors(untagged(T), range(1, 129))
+        assert {r.method for r in got} == {"skew_levinson"} and {r.method for r in ref} == {"pfaffian"}
+        assert all(r.digits_guaranteed >= old.digits_guaranteed - 1 for r, old in zip(got, ref))
+
     def test_complex_entries_keep_the_mpf_engine(self, rng, engine_calls):
         cases = {name: (M, method) for name, M, method in hp_cases(rng)}
         M, _ = cases.pop("complex")
@@ -551,7 +600,12 @@ ORACLE_CASES = {
     ),
     "elimination_moment": (lambda n, bits: hankel_moment(th_to_moment_symbol(_exp_cos()), n, bits=bits), 24, "elimination"),
     "elimination_t_plus_h": (lambda n, bits: toeplitz_plus_hankel(_exp_cos(), n, bits=bits), 24, "elimination"),
-    "pfaffian_chi": (lambda n, bits: toeplitz(multiply_by_chi(ArgDoubled(_exp_cos())), n, bits=bits), 32, "pfaffian"),
+    "skew_levinson_chi": (lambda n, bits: toeplitz(multiply_by_chi(ArgDoubled(_exp_cos())), n, bits=bits), 32, "skew_levinson"),
+    "pfaffian_chi": (
+        lambda n, bits: untagged(toeplitz(multiply_by_chi(ArgDoubled(_exp_cos())), n, bits=bits)),
+        32,
+        "pfaffian",
+    ),
 }
 
 
@@ -601,6 +655,16 @@ def test_hp_minors_agree_with_lu(family, n, coeffs):
             refs.append(det_lu(M.leading(k), BITS))
         except PrecisionError:
             refs.append(None)
+    # a skew Toeplitz block takes the block Levinson; the same entries,
+    # tagged general, take the skew elimination
+    for matrix in [M, untagged(M)] if family == "skew" else [M]:
+        assert_agree_with_lu(matrix, refs)
+
+
+def assert_agree_with_lu(M, refs):
+    """Every leading minor of M equals its det_lu in refs (None where det_lu
+    raised), to the digits both claim, or is det_lu's own result."""
+    n = M.order
     with pytest.MonkeyPatch.context() as patch:
         calls = count_reference_calls(patch)
         try:

@@ -259,3 +259,53 @@ def test_unsplit_jump_raises_accuracy_error(monkeypatch):
     achieved = err.value.achieved
     assert isinstance(achieved, mp.mpf)
     assert achieved > mp.mpf(2) ** (-(bits - SLACK))
+
+
+def test_stalled_panel_levels_raise_early(monkeypatch):
+    # log(1 - x) on the sqrt_ratio weight has a log singularity at t = 0, so
+    # each doubling of the panel rule gains one bit: 2^16 subpanels cannot
+    # reach 2^-(bits-SLACK), and the rule gives up after STALL_LEVELS levels
+    # that show it, rather than doubling on for minutes
+    from sdet.symbols import MomentSymbol
+
+    levels = []
+    level_sums = quadrature._level_sums
+
+    def counted(acc, scale, cplx):
+        levels.append(len(acc))
+        return level_sums(acc, scale, cplx)
+
+    monkeypatch.setattr(quadrature, "_level_sums", counted)
+    sym = MomentSymbol(lambda x: mp.log(1 - x) + 3, weight="sqrt_ratio")
+    with pytest.raises(AccuracyError, match="stalled at 128 bits") as err:
+        sym.moment_table(6, 128)
+    # two levels give the first agreement, one more the first gain
+    assert len(levels) == 2 + quadrature.STALL_LEVELS
+    assert mp.mpf(2) ** -16 < err.value.achieved < mp.mpf(2) ** -8
+
+
+def _levels(exponents):
+    """Level sums [1 + 2^-e] for each e: level k agrees with level k - 1 to
+    about 2^-min(e)."""
+    return ([mp.mpf(1) + mp.mpf(2) ** -e] for e in exponents)
+
+
+@pytest.mark.parametrize(
+    "exponents, stalls",
+    [
+        # algebraic: one bit per doubling
+        ([4 + k for k in range(17)], True),
+        # a slow start that speeds up, as near a singularity off the panel
+        ([10, 17, 24, 33, 45, 59, 78, 100, 123, 150, 180], False),
+    ],
+)
+def test_stall_rule(exponents, stalls):
+    bits = 128
+    seen = []
+    levels = (seen.append(s) or s for s in _levels(exponents))
+    if stalls:
+        with pytest.raises(AccuracyError, match="stalled"):
+            quadrature._first_agreement(levels, bits, "test", count=17)
+        assert len(seen) == 2 + quadrature.STALL_LEVELS
+    else:
+        assert quadrature._first_agreement(levels, bits, "test", count=17) == seen[-1]

@@ -321,6 +321,68 @@ class TestGuardRail:
         assert calls == [2, 4, 6, 8] and sorted(passes) == [4, 8]
 
 
+@pytest.fixture
+def hp_engines(monkeypatch):
+    """(order, method) of every hp leading-minor pass, and the skew block
+    Levinson kernels run, fixed-point or mpf."""
+    calls, kernels = [], []
+    hp_minors = determinants._hp_minors
+
+    def counted(rows, method, bits):
+        calls.append((len(rows), method))
+        return hp_minors(rows, method, bits)
+
+    def kernel(name, original):
+        def run(*args):
+            kernels.append(name)
+            return original(*args)
+
+        return run
+
+    monkeypatch.setattr(determinants, "_hp_minors", counted)
+    monkeypatch.setitem(determinants._FIXED, "skew_levinson", kernel("fixed", determinants._fixed_skew_levinson))
+    monkeypatch.setattr(determinants, "_skew_levinson_ratios", kernel("mpf", determinants._skew_levinson_ratios))
+    return calls, kernels
+
+
+class TestSkewBlockLevinsonGuardRail:
+    """The skew block Levinson serves the hp skew Toeplitz sides, except
+    parity_split_chi's T_2N(chi a): on that checkerboard matrix it would
+    decouple into the right side's two recursions."""
+
+    @pytest.mark.parametrize("make", [_fh_even_support, _even_support], ids=["fh", "coeffs"])
+    def test_parity_split_chi_never_reaches_it(self, make, hp_engines):
+        calls, kernels = hp_engines
+        inp = make()
+        # the other kinds first, so that every matrix they share with the
+        # input carries its passes
+        reports = verify_all(inp, N, "hp", BITS)
+        assert (2 * N, "skew_levinson") in calls  # skew_square's T_2N(c)
+        del calls[:], kernels[:]
+        lhs, rhs = identities._IDENTITIES[IdentityKind.ParitySplitChi].build(inp, N, "hp", BITS, [])
+        assert lhs.is_skew() and lhs._minors == {}
+        assert verify(IdentityKind.ParitySplitChi, inp, N, "hp", BITS).passed
+        assert [r for r in reports if r.kind == "parity_split_chi"][0].passed
+        assert (2 * N, "pfaffian") in calls
+        assert all(method != "skew_levinson" for _, method in calls)
+        assert kernels == []
+
+    @pytest.mark.parametrize(
+        "kind", [IdentityKind.SkewSquare, IdentityKind.CSeqSquare, IdentityKind.MomentSkewSquare], ids=lambda k: k.value
+    )
+    def test_skew_square_sides_reach_it(self, kind, hp_engines):
+        calls, kernels = hp_engines
+        assert verify(kind, GUARD_INPUTS[kind](), N, "hp", BITS).passed
+        assert (2 * N, "skew_levinson") in calls
+        assert kernels == ["fixed"] * 2
+
+    def test_pfaffian_link_det_reaches_it(self, hp_engines):
+        calls, kernels = hp_engines
+        assert pfaffian_link(_cos_twin(), N, bits=BITS).passed
+        assert sorted(calls) == [(N, "elimination"), (2 * N, "skew_levinson")]
+        assert kernels == ["fixed"] * 2
+
+
 class TestReadOnlyRows:
     def test_rows_cannot_be_written(self):
         # the exact T_3 of {0: 2, +-1: 1/3}: det 68/9
