@@ -5,21 +5,31 @@ over the largest requested block gives det of every requested leading block,
 and det_auto is its one-order case.  DetResult.method names the engine that
 served each order:
 
-- "pfaffian", a skewsymmetric block (over the rationals, or one not
-  tagged Toeplitz): elimination in pairs, without pfaffian's partner
-  search.  After k steps the pivot is Pf of the leading 2k block, so
-  det = Pf^2, and odd orders are exactly 0;
+- "pfaffian", a skewsymmetric block not tagged Toeplitz: elimination in
+  pairs, without pfaffian's partner search.  After k steps the pivot is Pf
+  of the leading 2k block, so det = Pf^2, and odd orders are exactly 0;
 - "skew_levinson", an hp skewsymmetric Toeplitz block: the 2 x 2 block
   Levinson recursion in O(N^2) (Whittle, Biometrika 50, 1963; Akaike, SIAM
   J. Appl. Math. 24, 1973), whose k-th step ratio is Pf T_2k / Pf T_{2k-2},
   the skew elimination's k-th pivot ratio (below), so it stops at the
   orders where that one would;
+- "ff_skew_levinson", a rational skewsymmetric Toeplitz block: the same
+  recursion made fraction-free (below), whose k-th value is Pf T_2k;
 - "levinson", an hp Toeplitz block: the nonsymmetric Levinson-Trench
   recursion in O(N^2) (Trench, J. SIAM 12, 1964; Bareiss, Numer. Math. 13,
   1969), whose k-th step ratio is det T_k / det T_{k-1};
+- "ff_levinson", a rational Toeplitz block: Levinson-Trench made
+  fraction-free (Bareiss, 1969; Beckermann & Labahn, SIAM J. Matrix Anal.
+  Appl. 22, 2000), whose k-th value is det T_k;
 - "elimination" over hp fields and "bareiss" over the rationals, any other
-  block: one pass without pivoting, whose k-th pivot is the k-th minor;
+  block: one pass without pivoting, whose k-th pivot is the k-th minor.
+  "bareiss" also serves a rational Toeplitz block from the first order at
+  which its engine stops;
 - "lu": the reference path, det_lu on the leading block.
+
+A Toeplitz block is one tagged Toeplitz (StructuredMatrix.structure) whose
+entries are Toeplitz too; it is skewsymmetric when its first row is its
+first column negated.
 
 leading_minors keeps what it ran on the matrix (StructuredMatrix._minors):
 the pass per bits and largest order, and each det_lu fallback per bits and
@@ -78,11 +88,27 @@ where the skew elimination updates ~n^3/6 entries in all.  Gamma, X and p
 are mpf at W, not at prec as Levinson-Trench's eps, g and d are: worked at
 prec, they cost the claims a digit or two.
 
-A rational matrix is eliminated on its integer rows ints, held over one
-common denominator den (see matrices), so its minors are exact: the k-th is
-the integer minor of ints over den^k.  The Bareiss pass steps over a zero
-pivot with Bareiss's multistep look-ahead (see _integer_minors), and a skew
-pass that meets a zero Pfaffian pivot hands the later orders to it.  On a
+A rational matrix runs on its integer rows ints, held over one common
+denominator den (see matrices), so its minors are exact: the k-th is the
+integer minor of ints over den^k.  The fraction-free Levinson engines hold
+their vectors scaled to integers, so that every division is exact.  With
+D_k = det T_k (D_0 = 1), Levinson-Trench holds f~ = D_(k-1) f and
+b~ = D_(k-1) b, which are columns of the adjugate of T_k (Cramer's rule).
+With gamma~ and delta~ the sums gamma and delta taken on f~ and b~, a step
+is f~' = (D_k (f~, 0) - gamma~ (0, b~)) / D_(k-1), b~' = (D_k (0, b~) -
+delta~ (f~, 0)) / D_(k-1) and D_(k+1) = (D_k^2 - gamma~ delta~) / D_(k-1).
+With Pf_k = Pf T_2k (Pf_0 = 1), the block Levinson holds F~ = Pf_(k-1) F,
+whose entries are, up to sign, entries of Pf_k T_2k^-1 (Pfaffians of
+submatrices).  With Gamma~ taken on F~ and X~ = (-Gamma~_10,
+-Gamma~_11, Gamma~_00, Gamma~_01), a step is F~'_i = (Pf_k F~_i -
+J_2 F~_(k-i) J_2 X~) / Pf_(k-1) and Pf_(k+1) = (Pf_k^2 + Gamma~_01
+Gamma~_10 - Gamma~_00^2) / Pf_(k-1); its flip term reads F~ as it was
+before the step, not scaled by Pf_k.  Each step divides by the last minor
+(Pfaffian), so an engine stops at the first zero one, and the general
+pass serves that order and every later one, rerun on the whole block from
+order 1.  The general pass steps over a zero pivot with Bareiss's
+multistep look-ahead (see _integer_minors), and a skew elimination that
+meets a zero Pfaffian pivot hands the later orders to it too.  On a
 symmetric matrix (a Hankel, Toeplitz+Hankel or even Toeplitz one) the pass
 updates one triangle up to its first zero pivot, and the look-ahead takes
 over from there on the whole block; both kinds of step name the method
@@ -420,16 +446,20 @@ def _levinson_ratios(col, row, tiny):
         gamma = mp.fdot(col[k:0:-1], f)  # row k of T_{k+1} against (f, 0)
         delta = mp.fdot(row[1 : k + 1], b)  # row 0 of T_{k+1} against (0, b)
         g = gamma / eps
-        d = delta / eps
-        f, b = (
-            [x - g * y for x, y in zip(f + [0], [0] + b)],
-            [y - d * x for x, y in zip(f + [0], [0] + b)],
-        )
+        f, b = _trench_update(f, b, g, delta / eps, lambda x, y, c: [u - c * v for u, v in zip(x, y)])
         eps -= g * delta
         if tiny(eps, 1):
             break
         ratios.append(eps)
     return ratios
+
+
+def _trench_update(f, b, g, d, comb):
+    """The Levinson-Trench update of f and b from x = (f, 0) and y = (0, b):
+    f' = comb(x, y, g) and b' = comb(y, x, d), comb a whole-list
+    combination (x - g y in the mpf engine)."""
+    x, y = f + [0], [0] + b
+    return comb(x, y, g), comb(y, x, d)
 
 
 def _gamma(F, alpha, beta, gamma, dot):
@@ -445,17 +475,20 @@ def _gamma(F, alpha, beta, gamma, dot):
     )
 
 
-def _flip_update(F, X, down):
-    """F_i - J F_(k-i) J X for i = 0..k, with F_k = 0 and J = [[0, 1], [1, 0]]:
-    the block Levinson update, on F's entry lists (P, Q, R, U) of
-    F_i = [[P_i, Q_i], [R_i, U_i]] and X = (x00, x01, x10, x11), each
-    product sum taken through down (a shift for ints)."""
+def _flip_update(F, X, comb):
+    """The block Levinson update F_i - J F_(k-i) J X for i = 0..k, with
+    F_k = 0 and J = [[0, 1], [1, 0]], on F's entry lists (P, Q, R, U) of
+    F_i = [[P_i, Q_i], [R_i, U_i]] and X = (x00, x01, x10, x11).  Each
+    entry list of J F_(k-i) J X is A x0 + B x1 for two lists A and B of F's
+    entries, and the new list is comb(old, A, B, x0, x1), a whole-list
+    combination (old - (A x0 + B x1), entry by entry, in the mpf engine).
+    old, A and B all read F as given."""
     P, Q, R, U = (v + [0] for v in F)
     x00, x01, x10, x11 = X
     # J F_r J = [[U_r, R_r], [Q_r, P_r]], r = k - i
     Pr, Qr, Rr, Ur = P[::-1], Q[::-1], R[::-1], U[::-1]
     rows = ((P, Ur, Rr, x00, x10), (Q, Ur, Rr, x01, x11), (R, Qr, Pr, x00, x10), (U, Qr, Pr, x01, x11))
-    return [[f - down(a * x0 + b * x1) for f, a, b in zip(old, A, B)] for old, A, B, x0, x1 in rows]
+    return [comb(old, A, B, x0, x1) for old, A, B, x0, x1 in rows]
 
 
 def _skew_levinson_ratios(col, tiny):
@@ -473,7 +506,10 @@ def _skew_levinson_ratios(col, tiny):
     with mp.workprec(mp.mp.prec + GUARD):
         for k in range(1, len(od)):
             g00, g01, g10, g11 = _gamma(F, ev[k:0:-1], od[k - 1 :: -1], od[k:0:-1], mp.fdot)
-            F = _flip_update(F, (-g10 / p, -g11 / p, g00 / p, g01 / p), lambda v: v)
+            X = (-g10 / p, -g11 / p, g00 / p, g01 / p)
+            F = _flip_update(
+                F, X, lambda old, A, B, x0, x1: [f - (a * x0 + b * x1) for f, a, b in zip(old, A, B)]
+            )
             p += (g01 * g10 - g00 * g00) / p
             if tiny(p, 1):
                 break
@@ -561,10 +597,7 @@ def _fixed_levinson(data, prec, tiny):
         delta = _mpf(sum(map(mul, tr[1 : k + 1], b)), -(E + S), prec)
         g = gamma / eps
         (gi, di), sh = _mantissas((g._mpf_, (delta / eps)._mpf_), 0)
-        f, b = (
-            [x - ((gi * y) >> sh) for x, y in zip(f + [0], [0] + b)],
-            [y - ((di * x) >> sh) for x, y in zip(f + [0], [0] + b)],
-        )
+        f, b = _trench_update(f, b, gi, di, lambda x, y, c: [u - ((c * v) >> sh) for u, v in zip(x, y)])
         eps -= g * delta
         if tiny(eps, 1):
             break
@@ -596,7 +629,9 @@ def _fixed_skew_levinson(col, prec, tiny):
             sums = _gamma(F, te[k:0:-1], to[k - 1 :: -1], to[k:0:-1], _int_dot)
             g00, g01, g10, g11 = (_mpf(g, -(E + S), W) for g in sums)
             X, sh = _mantissas(((-g10 / p)._mpf_, (-g11 / p)._mpf_, (g00 / p)._mpf_, (g01 / p)._mpf_), 0)
-            F = _flip_update(F, X, lambda v: v >> sh)
+            F = _flip_update(
+                F, X, lambda old, A, B, x0, x1: [f - ((a * x0 + b * x1) >> sh) for f, a, b in zip(old, A, B)]
+            )
             p += (g01 * g10 - g00 * g00) / p
             if tiny(p, 1):
                 break
@@ -695,11 +730,12 @@ def _skew_minors(pfs, n, zero):
     return out
 
 
+# each method's fixed-point kernel by name, looked up when a pass runs
 _FIXED = {
-    "levinson": _fixed_levinson,
-    "skew_levinson": _fixed_skew_levinson,
-    "elimination": _fixed_elimination,
-    "pfaffian": _fixed_skew,
+    "levinson": "_fixed_levinson",
+    "skew_levinson": "_fixed_skew_levinson",
+    "elimination": "_fixed_elimination",
+    "pfaffian": "_fixed_skew",
 }
 
 
@@ -707,7 +743,7 @@ def _fixed_pass(method, data, prec, tiny):
     """_one_pass of a real hp matrix on the fixed-point kernels: their ratios
     multiply up to the minors (for pfaffian to Pf) with GUARD bits to spare,
     and each minor is rounded to prec once."""
-    ratios = _FIXED[method](data, prec, tiny)
+    ratios = globals()[_FIXED[method]](data, prec, tiny)
     with mp.workprec(prec + GUARD):
         minors = list(accumulate(ratios, mul))
         if method in ("skew_levinson", "pfaffian"):
@@ -715,21 +751,75 @@ def _fixed_pass(method, data, prec, tiny):
     return [+m for m in minors]
 
 
-def _exact_minors(a, den):
-    """Exact leading minors of orders 1..len(a) of the matrix a / den, for
-    integer rows a that the passes may overwrite: minor k is m_k / den^k."""
-    n = len(a)
-    found = []
-    # matrices._is_skew's rule on the ints, which one common den keeps
-    if all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n)):
-        minors = _one_pass("pfaffian", [r[:] for r in a], floordiv, lambda p, prev: p == 0, 0)
-        found = [DetResult(Fraction(m, den ** k), "pfaffian") for k, m in enumerate(minors, 1)]
+def _ff_levinson(col, row):
+    """det T_k, k = 1, 2, ..., of the integer Toeplitz T = (t_(i-j)), col and
+    row as in _levinson_ratios, up to the first zero one: the fraction-free
+    Levinson-Trench recursion of the module docstring."""
+    d, prev = col[0], 1
+    f, b = [1], [1]
+    minors = []
+    for k in range(1, len(col)):
+        if not d:
+            return minors
+        minors.append(d)
+        gamma = _int_dot(col[k:0:-1], f)
+        delta = _int_dot(row[1 : k + 1], b)
+        f, b = _trench_update(
+            f, b, gamma, delta, lambda x, y, c: [(d * u - c * v) // prev for u, v in zip(x, y)]
+        )
+        d, prev = (d * d - gamma * delta) // prev, d
+    return minors + [d] if d else minors
+
+
+def _ff_skew_levinson(col):
+    """Pf T_2k, k = 1, 2, ..., of the integer skewsymmetric Toeplitz
+    T = (t_(i-j)), col = (t_0, ..., t_(n-1)), up to the first zero one: the
+    fraction-free block Levinson recursion of the module docstring."""
+    ev, od = col[0::2], col[1::2]
+    p, prev = -od[0] if od else 0, 1
+    F = [[1], [0], [0], [1]]
+    pfs = []
+    for k in range(1, len(od)):
+        if not p:
+            return pfs
+        pfs.append(p)
+        g00, g01, g10, g11 = _gamma(F, ev[k:0:-1], od[k - 1 :: -1], od[k:0:-1], _int_dot)
+        # (Pf_k F - J F J X) / Pf_(k-1), X = (-g10, -g11, g00, g01)
+        F = _flip_update(
+            F,
+            (-g10, -g11, g00, g01),
+            lambda old, A, B, x0, x1: [(p * f - a * x0 - b * x1) // prev for f, a, b in zip(old, A, B)],
+        )
+        p, prev = (p * p + g01 * g10 - g00 * g00) // prev, p
+    return pfs + [p] if p else pfs
+
+
+def _exact_minors(rows, den, method):
+    """Exact leading minors of orders 1..len(rows) of the matrix rows / den,
+    for integer rows, which stay as they are: minor k is m_k / den^k.
+
+    The fraction-free Levinson engines run on a Toeplitz block's first
+    column and row, and "pfaffian" is the skew elimination.  The orders past
+    their first zero minor or Pfaffian, and every order for "bareiss", come
+    from _integer_minors."""
+    n = len(rows)
+    col, row = [r[0] for r in rows], rows[0]
+    if method == "ff_skew_levinson":
+        minors = _skew_minors(_ff_skew_levinson(col), n, 0)
+    elif method == "ff_levinson":
+        minors = _ff_levinson(col, row)
+    elif method == "pfaffian":
+        minors = _one_pass("pfaffian", [list(r) for r in rows], floordiv, lambda p, prev: p == 0, 0)
+    else:
+        minors = []
+    found = [DetResult(Fraction(m, den**k), method) for k, m in enumerate(minors, 1)]
     if len(found) < n:
-        # a zero Pfaffian pivot, or no skew matrix: the general pass serves
-        # the later orders, on one triangle while a symmetric a allows
-        minors = _integer_minors(a, a == [list(col) for col in zip(*a)])
-        for k in range(len(found), n):
-            found.append(DetResult(Fraction(minors[k], den ** (k + 1)), "bareiss"))
+        # a zero minor or Pfaffian, or no engine above: the general pass
+        # serves the later orders, on one triangle while the block is
+        # symmetric
+        a = [list(r) for r in rows]
+        minors = _integer_minors(a, a == [list(c) for c in zip(*a)])
+        found += [DetResult(Fraction(minors[k - 1], den**k), "bareiss") for k in range(len(found) + 1, n + 1)]
     return found
 
 
@@ -779,19 +869,26 @@ def _hp_minors(rows, method, bits):
     return out
 
 
+# the engines of a block by (skew, Toeplitz): hp, then exact
+_METHODS = {
+    (True, True): ("skew_levinson", "ff_skew_levinson"),
+    (True, False): ("pfaffian", "pfaffian"),
+    (False, True): ("levinson", "ff_levinson"),
+    (False, False): ("elimination", "bareiss"),
+}
+
+
 def _engine_minors(M: StructuredMatrix, top: int, bits):
     """The engine's minors of orders 1..m (m <= top) of M's leading top x top
     block: all of them over the rationals (bits None), up to the first order
     the engine cannot serve over hp fields."""
-    if bits is None:
-        return _exact_minors([list(row[:top]) for row in M.ints[:top]], M.den)
-    rows = [row[:top] for row in M.rows[:top]]
+    rows = [row[:top] for row in (M.rows if bits else M.ints)[:top]]
     toeplitz = M.structure == "toeplitz" and _is_toeplitz(rows)
-    if _is_skew(rows, bits):
-        method = "skew_levinson" if toeplitz else "pfaffian"
-    else:
-        method = "levinson" if toeplitz else "elimination"
-    return _hp_minors(rows, method, bits)
+    # one common den keeps the rule on the ints
+    hp, exact = _METHODS[_is_skew(rows, bits, toeplitz), toeplitz]
+    if bits is None:
+        return _exact_minors(rows, M.den, exact)
+    return _hp_minors(rows, hp, bits)
 
 
 def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list[DetResult]:

@@ -71,19 +71,26 @@ def _negated(x, y):
     (real, imaginary) tuples, since mp negation rounds."""
     if isinstance(x, mp.mpf) and isinstance(y, mp.mpf):
         return x._mpf_ == mpf_neg(y._mpf_)
+    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+        return x == -y
     x, y = [(v._mpf_, fzero) if isinstance(v, mp.mpf) else getattr(v, "_mpc_", v) for v in (x, y)]
     return x == (tuple(map(mpf_neg, y)) if isinstance(y, tuple) else -y)
 
 
-def _is_skew(rows, bits=None):
+def _is_skew(rows, bits=None, toeplitz=False):
     """a_ji = -a_ij for every i <= j: the one skewsymmetry rule.
 
     Rationals (bits None) compare exactly; hp values compare after both are
     rounded to bits, as scalars.to_mp rounds, so guard bits do not count.
     Equal values stay equal at any precision, so each pair is compared
-    exactly first, and only a mismatch is rounded.
+    exactly first, and only a mismatch is rounded.  On a Toeplitz matrix
+    (toeplitz true) every pair is one of its first row and column, so only
+    those are compared.
     """
-    pairs = ((row[j], rows[j][i]) for i, row in enumerate(rows) for j in range(i, len(rows)))
+    if toeplitz:
+        pairs = zip(rows[0], (row[0] for row in rows))
+    else:
+        pairs = ((row[j], rows[j][i]) for i, row in enumerate(rows) for j in range(i, len(rows)))
     return all(_negated(x, y) or bits and _negated(to_mp(x, bits), to_mp(y, bits)) for x, y in pairs)
 
 

@@ -3,6 +3,11 @@
 All three transforms are finite sums with binomial weights, evaluated
 exactly when the input entries are rational.  Indices out of a sequence's
 finite support read as zero.
+
+On rational input, a_to_b and c_to_b clear the input's denominators once:
+they sum integer numerators over the lcm of its denominators and build one
+Fraction per output.  Any other input (mpf, say) is summed as it is, term
+by term in the order of the formula.
 """
 
 from fractions import Fraction
@@ -88,21 +93,25 @@ def _as_seq(a, symmetry: str) -> ScalarSeq:
     return ScalarSeq(dict(getattr(a, "entries", a)), symmetry)
 
 
-def a_to_b(a, n_max: int) -> ScalarSeq:
-    """b_n = sum_{k=0}^{n-1} C(n-1,k) (a_{1-n+2k} + a_{2-n+2k}), n >= 1.
+def _over_one_den(values):
+    """(ints, den) with values[i] = ints[i] / den, den the lcm of the
+    denominators, when every value is an int or Fraction; (values, 1) as
+    they are otherwise."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return values, 1
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    Rational entries are summed as integer numerators over one common
-    denominator, one Fraction per b_n.
-    """
+
+def a_to_b(a, n_max: int) -> ScalarSeq:
+    """b_n = sum_{k=0}^{n-1} C(n-1,k) (a_{1-n+2k} + a_{2-n+2k}), n >= 1."""
     a = _as_seq(a, "even")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    # v[i + n_max - 1] = a_i for 1 - n_max <= i <= n_max
+    v, den = _over_one_den([a[i] for i in range(1 - n_max, n_max + 1)])
     # s[i + n_max - 1] = a_i + a_{i+1} for 1 - n_max <= i < n_max
-    s = [a[i] + a[i + 1] for i in range(1 - n_max, n_max)]
-    den = 1
-    if all(isinstance(v, (int, Fraction)) for v in s):
-        den = lcm(*(Fraction(v).denominator for v in s))
-        s = [int(v * den) for v in s]
+    s = [x + y for x, y in zip(v, v[1:])]
     out = {}
     for n in range(1, n_max + 1):
         total = sum(comb(n - 1, k) * s[n_max - n + 2 * k] for k in range(n))
@@ -125,13 +134,16 @@ def a_to_c(a, n_max: int) -> ScalarSeq:
 def c_to_b(c, n_max: int) -> ScalarSeq:
     """b_n = sum_{k=0}^{floor(n/2)} (C(n-1,k) - C(n-1,k-1)) c_{n-2k}."""
     c = _as_seq(c, "odd")
+    # v[m] = c_m for 1 <= m <= n_max, and c_0 = 0
+    v, den = _over_one_den(c.values(n_max))
+    v = [0] + v
     out = {}
     for n in range(1, n_max + 1):
         total = 0
         for k in range(n // 2 + 1):
             w = comb(n - 1, k) - (comb(n - 1, k - 1) if k >= 1 else 0)
-            total += w * c[n - 2 * k]
-        out[n] = total
+            total += w * v[n - 2 * k]
+        out[n] = Fraction(total, den) if den > 1 else total
     return ScalarSeq(out, "one_sided")
 
 

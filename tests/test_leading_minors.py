@@ -1,8 +1,9 @@
 """leading_minors against the reference path (det_bareiss / det_lu on each
 leading block), engine by engine, plus its forced fallbacks."""
 
+import random
 from fractions import Fraction
-from operator import truediv
+from operator import floordiv, truediv
 
 import mpmath as mp
 import pytest
@@ -127,9 +128,11 @@ class TestEnginesAgainstReference:
         general[0] = 2
         even = ScalarSeq({0: 4, 1: 1, 3: Fraction(1, 2)}, "even")
         cases = [
-            (toeplitz(general, 12), "bareiss"),
-            (toeplitz(even, 12), "bareiss"),
-            (toeplitz(ScalarSeq({1: 1, 2: 3}, "odd"), 12), "pfaffian"),
+            (toeplitz(general, 12), "ff_levinson"),
+            (toeplitz(even, 12), "ff_levinson"),
+            (toeplitz(ScalarSeq({1: 1, 2: 3}, "odd"), 12), "ff_skew_levinson"),
+            (untagged(toeplitz(general, 12)), "bareiss"),
+            (untagged(toeplitz(ScalarSeq({1: 1, 2: 3}, "odd"), 12)), "pfaffian"),
             (hankel({n: Fraction(1, n) for n in range(1, 24)}, 12), "bareiss"),
             (hankel_moment({n: Fraction(1, n + 1) for n in range(1, 24)}, 12), "bareiss"),
             (toeplitz_plus_hankel(even, 12), "bareiss"),
@@ -416,6 +419,155 @@ def test_exact_minors_equal_bareiss(family, n, coeffs):
         got = [r.value for r in leading_minors(M, range(1, n + 1))]
     assert calls == []
     assert got == [det_bareiss(M.leading(k)).value for k in range(1, n + 1)]
+
+
+# the fraction-free Levinson engines of exact Toeplitz blocks
+
+ENGINE = {"general": "ff_levinson", "symmetric": "ff_levinson", "skew": "ff_skew_levinson"}
+
+nonzero_rich = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+# cos(k theta) for theta = 0, pi, pi/2, pi/3 (doubled) and 2 pi/3 (doubled),
+# k >= 0: the symmetric Toeplitz matrix of each has rank 1, 1, 2, 2 and 2
+COS_PATTERNS = ([1], [1, -1], [1, 0, -1, 0], [2, 1, -1, -2, -1, 1], [2, -1, -1])
+RANKS = (1, 1, 2, 2, 2)
+
+
+def _zero_at(value_at):
+    """The root of an affine map of Fractions, or None when it is constant."""
+    v0 = value_at(Fraction(0))
+    slope = value_at(Fraction(1)) - v0
+    return -v0 / slope if slope else None
+
+
+def _with(t, k, x, sign):
+    return {**t, k: x, -k: sign * x}
+
+
+@st.composite
+def toeplitz_cases(draw):
+    """(kind, t, n): entries t_k, |k| < n, of a general, symmetric or skew
+    Toeplitz matrix, from one of five families."""
+    kind = draw(st.sampled_from(sorted(ENGINE)))
+    family = draw(st.sampled_from(["random", "banded", "t0_zero", "t1_zero", "zero_midway"]))
+    n = draw(st.integers(1, 48))
+    values = draw(st.lists(nonzero_rich, min_size=2 * n + 1, max_size=2 * n + 1))
+    t = {k: values[k + n] for k in range(-n, n + 1)}
+    if family == "banded":
+        width = draw(st.integers(1, 3))
+        t = {k: v if abs(k) <= width else Fraction(0) for k, v in t.items()}
+    if kind != "general":
+        sign = -1 if kind == "skew" else 1
+        t.update({-k: sign * t[k] for k in range(1, n + 1)})
+        t[0] *= kind == "symmetric"
+    if family == "t0_zero":
+        t[0] = Fraction(0)
+    elif family == "t1_zero":
+        t[1] = Fraction(0)
+        if kind != "general":
+            t[-1] = Fraction(0)
+    elif family == "zero_midway" and kind == "general" and n >= 2:
+        # det T_m is affine in t_(m-1), which sits only at (m-1, 0)
+        m = draw(st.integers(2, n))
+        x = _zero_at(lambda x: det_bareiss(toeplitz({**t, m - 1: x}, m)).value)
+        t[m - 1] = t[m - 1] if x is None else x
+    elif family == "zero_midway" and kind == "skew" and n >= 2:
+        # Pf T_2m is affine in t_(2m-1) = -t_(1-2m)
+        m = draw(st.integers(1, n // 2))
+        x = _zero_at(lambda x: determinants.pfaffian(toeplitz(_with(t, 2 * m - 1, x, -1), 2 * m)))
+        t = t if x is None else _with(t, 2 * m - 1, x, -1)
+    elif family == "zero_midway" and kind == "symmetric":
+        # sum_l c_l cos(k theta_l) with c_l > 0 for |k| <= r = sum of ranks:
+        # T_k is positive definite up to order r, and T_(r+1) is singular
+        chosen = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+        coeffs = draw(st.lists(st.integers(1, 5), min_size=len(chosen), max_size=len(chosen)))
+        r = sum(RANKS[i] for i in chosen)
+        for k in range(-min(r, n), min(r, n) + 1):
+            t[k] = Fraction(sum(c * COS_PATTERNS[i][abs(k) % len(COS_PATTERNS[i])] for i, c in zip(chosen, coeffs)))
+    return kind, t, n
+
+
+def expected_methods(kind, values):
+    """The engine up to its first zero minor (the odd order after its first
+    zero Pfaffian for a skew block), and "bareiss" for the later orders."""
+    n = len(values)
+    zeros = [k for k in range(2 if kind == "skew" else 1, n + 1, 2 if kind == "skew" else 1) if values[k - 1] == 0]
+    served = min(zeros) - 1 if zeros else n
+    return [ENGINE[kind]] * served + ["bareiss"] * (n - served)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=toeplitz_cases())
+def test_fraction_free_levinson_equals_bareiss(case):
+    kind, t, n = case
+    M = toeplitz(t, n)
+    kind = "skew" if M.is_skew() else kind  # a zero-rich block may be skew
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_reference_calls(patch)
+        got = leading_minors(M, range(1, n + 1))
+    assert calls == []
+    values = [det_bareiss(M.leading(k)).value for k in range(1, n + 1)]
+    assert [r.value for r in got] == values
+    assert [r.method for r in got] == expected_methods(kind, values)
+    if kind == "skew":
+        # the same Pfaffians as the skew elimination, up to the first zero
+        pfs = determinants._skew_pivots([list(r) for r in M.ints], floordiv, lambda p, prev: p == 0)
+        assert determinants._ff_skew_levinson([r[0] for r in M.ints]) == pfs
+
+
+@pytest.mark.parametrize("kind", ["general", "skew"])
+def test_fraction_free_levinson_on_a_dense_block(kind):
+    # n = 128, every entry nonzero: every order against the elimination
+    # pass that served it before, and orders 64 and 128 against det_bareiss
+    rng = random.Random(128)
+    n = 128
+    t = {k: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3)) for k in range(1, n)}
+    if kind == "skew":
+        M = toeplitz(ScalarSeq(t, "odd"), n)
+        ints = [list(r) for r in M.ints]
+        ref = determinants._skew_minors(determinants._skew_pivots(ints, floordiv, lambda p, prev: p == 0), n, 0)
+    else:
+        t.update({-k: Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for k in range(1, n)})
+        t[0] = Fraction(5)
+        M = toeplitz(t, n)
+        ref = determinants._integer_minors([list(r) for r in M.ints])
+    got = leading_minors(M, range(1, n + 1))
+    assert {r.method for r in got} == {ENGINE[kind]}
+    assert [r.value for r in got] == [Fraction(m, M.den**k) for k, m in enumerate(ref, 1)]
+    assert all(ref[1::2])
+    for k in (64, n):
+        assert got[k - 1].value == det_bareiss(M.leading(k)).value
+
+
+@pytest.mark.parametrize("kind", ["general", "symmetric", "skew"])
+def test_fraction_free_levinson_hands_a_zero_minor_on(kind, reference_calls):
+    # a zero minor or Pfaffian at order 5 or 6: the engine serves the orders
+    # before it, the look-ahead pass every later one, each equal to
+    # det_bareiss
+    n = 12
+    t = {k: Fraction((-1) ** abs(k), k * k + 2) for k in range(-n, n + 1)}
+    if kind == "general":
+        # det T_5 = 0 by the choice of t_4
+        t[4] = _zero_at(lambda x: det_bareiss(toeplitz({**t, 4: x}, 5)).value)
+        served = 4
+    elif kind == "skew":
+        # Pf T_6 = 0 by the choice of t_5 = -t_(-5)
+        t = {k: v if k > 0 else -t[-k] if k else Fraction(0) for k, v in t.items()}
+        t = _with(t, 5, _zero_at(lambda x: determinants.pfaffian(toeplitz(_with(t, 5, x, -1), 6))), -1)
+        served = 5
+    else:
+        # t_k = 1 + cos(k pi/2) + 2 cos(k pi/3) for |k| <= 5: T_6 has rank 5
+        patterns = (COS_PATTERNS[0], *COS_PATTERNS[2:4])
+        t.update({k: Fraction(sum(c[abs(k) % len(c)] for c in patterns)) for k in range(-5, 6)})
+        t.update({-k: t[k] for k in range(6, n + 1)})
+        served = 5
+    M = toeplitz(t, n)
+    got = leading_minors(M, range(1, n + 1))
+    values = [det_bareiss(M.leading(k)).value for k in range(1, n + 1)]
+    assert [r.value for r in got] == values
+    assert values[4 if kind == "general" else 5] == 0
+    assert [r.method for r in got] == [ENGINE[kind]] * served + ["bareiss"] * (n - served)
+    assert reference_calls == []
 
 
 def mpf_minors(M, orders, bits):

@@ -340,7 +340,7 @@ def hp_engines(monkeypatch):
         return run
 
     monkeypatch.setattr(determinants, "_hp_minors", counted)
-    monkeypatch.setitem(determinants._FIXED, "skew_levinson", kernel("fixed", determinants._fixed_skew_levinson))
+    monkeypatch.setattr(determinants, "_fixed_skew_levinson", kernel("fixed", determinants._fixed_skew_levinson))
     monkeypatch.setattr(determinants, "_skew_levinson_ratios", kernel("mpf", determinants._skew_levinson_ratios))
     return calls, kernels
 

@@ -154,6 +154,42 @@ class TestCToB:
         with pytest.raises(ValueError):
             c_to_b(ScalarSeq({0: 1}, "even"), 3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.dictionaries(
+            st.integers(1, 10),
+            st.integers(-9, 9) | st.fractions(min_value=-5, max_value=5, max_denominator=24),
+            max_size=6,
+        ),
+        n_max=st.integers(1, 24),
+    )
+    def test_common_denominator_matches_per_term_fraction_sum(self, entries, n_max):
+        c = ScalarSeq(entries, "odd")
+        want = [
+            sum(
+                ((comb(n - 1, k) - (comb(n - 1, k - 1) if k else 0)) * Fraction(c[n - 2 * k]) for k in range(n // 2 + 1)),
+                Fraction(0),
+            )
+            for n in range(1, n_max + 1)
+        ]
+        got = c_to_b(c, n_max).values(n_max)
+        assert got == want
+        assert all(isinstance(v, (int, Fraction)) for v in got)
+
+    def test_hp_input_keeps_its_arithmetic(self):
+        # the same roundings as the per-term sum, in the caller's precision
+        with mp.workprec(200):
+            c = ScalarSeq({1: mp.mpf(1) / 3, 2: Fraction(1, 7), 5: mp.mpf(-2) / 9}, "odd")
+            got = c_to_b(c, 9).values(9)
+            want = []
+            for n in range(1, 10):
+                total = 0
+                for k in range(n // 2 + 1):
+                    total += (comb(n - 1, k) - (comb(n - 1, k - 1) if k else 0)) * c[n - 2 * k]
+                want.append(total)
+        assert any(isinstance(v, mp.mpf) for v in got)
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+
 
 class TestRecovery:
     def test_roundtrip_through_even_sequence(self, rng):
