@@ -6,8 +6,9 @@ and det_auto is its one-order case.  DetResult.method names the engine that
 served each order:
 
 - "pfaffian", a skewsymmetric block not tagged Toeplitz: elimination in
-  pairs, without pfaffian's partner search.  After k steps the pivot is Pf
-  of the leading 2k block, so det = Pf^2, and odd orders are exactly 0;
+  pairs, without pfaffian's partner search, whose k-th pivot is Pf of the
+  leading 2k block (over hp fields, its ratio to the one before); det =
+  Pf^2, and odd orders are exactly 0;
 - "skew_levinson", an hp skewsymmetric Toeplitz block: the 2 x 2 block
   Levinson recursion in O(N^2) (Whittle, Biometrika 50, 1963; Akaike, SIAM
   J. Appl. Math. 24, 1973), whose k-th step ratio is Pf T_2k / Pf T_{2k-2},
@@ -22,14 +23,22 @@ served each order:
   fraction-free (Bareiss, 1969; Beckermann & Labahn, SIAM J. Matrix Anal.
   Appl. 22, 2000), whose k-th value is det T_k;
 - "elimination" over hp fields and "bareiss" over the rationals, any other
-  block: one pass without pivoting, whose k-th pivot is the k-th minor.
-  "bareiss" also serves a rational Toeplitz block from the first order at
-  which its engine stops;
+  block: one pass without pivoting, whose k-th pivot is the k-th minor
+  (over hp fields, its ratio to the one before).  "bareiss" also serves a
+  rational Toeplitz block from the first order at which its engine stops;
 - "lu": the reference path, det_lu on the leading block.
 
 A Toeplitz block is one tagged Toeplitz (StructuredMatrix.structure) whose
 entries are Toeplitz too; it is skewsymmetric when its first row is its
 first column negated.
+
+One table, _ENGINES, names the engines of a block by (skew, Toeplitz): the
+hp method, the fixed-point kernel of a real block, the mpf engine of a
+complex one, the exact method and the exact engine, looked up by name when
+a pass runs.  One reader, _read, gives each what it reads.  The hp kernels
+return ratios of consecutive minors (Pfaffians, for the skew ones), which
+one pass multiplies up at prec + GUARD, squaring Pfaffians, and rounds
+once each to prec.
 
 leading_minors keeps what it ran on the matrix (StructuredMatrix._minors):
 the pass per bits and largest order, and each det_lu fallback per bits and
@@ -59,12 +68,11 @@ shifted down with floor rounding, so an update errs by at most a unit in its
 row's last place: a normwise error, as Levinson's own is (Cybenko, SIAM J.
 Sci. Stat. Comput. 1, 1980), which the drift between the two passes sees
 like any rounding.  Multipliers are int quotients rounded to nearest at W
-bits, as mpf_div rounds them; Levinson's eps, g and d stay mpf at prec.  The
-engines return ratios of consecutive minors (Pfaffians, for the skew ones),
-multiplied up at prec + GUARD and each rounded once to prec.  A matrix with
-any mpc entry keeps the mpf engines, the reference the kernels are tested
-against: complex ints would double every vector for a path that no study
-runs at size.
+bits, as mpf_div rounds them; Levinson's eps, g and d stay mpf at prec.  A
+matrix with any mpc entry runs the mpf engines, the reference the kernels
+are tested against, at W too, so that it claims the digits of the same
+real matrix: complex ints would double every vector for a path that no
+study runs at size.
 
 Levinson-Trench never updates its entries, so it holds them at the scale of
 their lowest set bit when that is coarser than W's: the check pass on
@@ -145,9 +153,10 @@ pfaffian uses the convention Pf([[0, m], [-m, 0]]) = m.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
-from operator import floordiv, mul, truediv
+from itertools import accumulate, chain
+from operator import mul
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, fzero, to_fixed
@@ -304,30 +313,6 @@ def det_lu(M: StructuredMatrix, bits: int | None = None) -> DetResult:
     return _hp_result(d2, rel, bits, "lu")
 
 
-def _bareiss_pivots(a, div, tiny):
-    """Fraction-free elimination of a without pivoting, in place.
-
-    The k-th pivot is the leading (k+1) x (k+1) minor of a.  The pass stops
-    before the first pivot p with tiny(p, previous pivot).
-    """
-    n = len(a)
-    pivots = []
-    prev = 1
-    for k in range(n):
-        p = a[k][k]
-        if tiny(p, prev):
-            break
-        pivots.append(p)
-        rowk = a[k]
-        for i in range(k + 1, n):
-            rowi = a[i]
-            aik = rowi[k]
-            for j in range(k + 1, n):
-                rowi[j] = div(p * rowi[j] - aik * rowk[j], prev)
-        prev = p
-    return pivots
-
-
 def _integer_minors(a, symmetric=False):
     """Leading minors of orders 1..n of the integer matrix a, in place.
 
@@ -400,21 +385,26 @@ def _integer_minors(a, symmetric=False):
     return minors
 
 
-def _skew_pivots(a, div, tiny):
-    """Fraction-free skewsymmetric elimination of a in pairs, in place.
+def _general_minors(a):
+    """_integer_minors of the integer matrix a, in place, on one triangle
+    while a is symmetric."""
+    return _integer_minors(a, a == [list(c) for c in zip(*a)])
+
+
+def _skew_pivots(a):
+    """Pf of the leading even blocks of the integer skewsymmetric a, up to
+    the first zero one: fraction-free elimination in pairs, in place.
 
     Only the upper triangle is read.  The k-th pivot is Pf of the leading
     2(k+1) block of a; every updated entry is a Pfaffian of a bordered
-    leading block, so the division by the previous pivot is exact over the
-    integers.  The pass stops before the first pivot p with
-    tiny(p, previous pivot).
+    leading block, so the division by the previous pivot is exact.
     """
     n = len(a)
     pivots = []
     prev = 1
     for k in range(0, n - 1, 2):
         p = a[k][k + 1]
-        if tiny(p, prev):
+        if not p:
             break
         pivots.append(p)
         rowk, rowk1 = a[k], a[k + 1]
@@ -422,35 +412,83 @@ def _skew_pivots(a, div, tiny):
             rowi = a[i]
             u, v = rowk1[i], rowk[i]
             for j in range(i + 1, n):
-                rowi[j] = div(p * rowi[j] + u * rowk[j] - v * rowk1[j], prev)
+                rowi[j] = (p * rowi[j] + u * rowk[j] - v * rowk1[j]) // prev
         prev = p
     return pivots
 
 
-def _levinson_ratios(col, row, tiny):
+# the hp kernels, mpf ones for complex matrices and then fixed-point ones for
+# real matrices, all work at W = prec + GUARD bits (see the module docstring)
+GUARD = 32
+
+
+def _elimination_ratios(a, prec, tiny):
+    """Pivot ratios det A_k / det A_(k-1) of elimination without pivoting,
+    in place.  Stops before the first ratio p with tiny(p)."""
+    n = len(a)
+    ratios = []
+    with mp.workprec(prec + GUARD):
+        for k in range(n):
+            p = a[k][k]
+            if tiny(p):
+                break
+            ratios.append(p)
+            rowk = a[k]
+            for i in range(k + 1, n):
+                rowi = a[i]
+                f = rowi[k] / p
+                for j in range(k + 1, n):
+                    rowi[j] -= f * rowk[j]
+    return ratios
+
+
+def _skew_ratios(a, prec, tiny):
+    """Pfaffian ratios Pf A_2(k+1) / Pf A_2k of skewsymmetric elimination in
+    pairs, in place; only the upper triangle is read.  Stops before the
+    first ratio p with tiny(p)."""
+    n = len(a)
+    ratios = []
+    with mp.workprec(prec + GUARD):
+        for k in range(0, n - 1, 2):
+            p = a[k][k + 1]
+            if tiny(p):
+                break
+            ratios.append(p)
+            rowk, rowk1 = a[k], a[k + 1]
+            for i in range(k + 2, n):
+                # a_ij += (a_(k+1)i a_kj - a_ki a_(k+1)j) / a_k(k+1), j > i
+                rowi = a[i]
+                u, v = rowk1[i] / p, rowk[i] / p
+                for j in range(i + 1, n):
+                    rowi[j] += u * rowk[j] - v * rowk1[j]
+    return ratios
+
+
+def _levinson_ratios(col, row, prec, tiny):
     """det T_k / det T_{k-1}, k = 1, 2, ..., for T = (t_{i-j}).
 
     col = (t_0, ..., t_{n-1}) and row = (t_0, t_{-1}, ..., t_{-(n-1)}).  The
     forward vector f and backward vector b solve T_k f = eps_k e_1 and
     T_k b = eps_k e_k with f_0 = b_{k-1} = 1; by Cramer's rule eps_k is the
     ratio of consecutive leading minors.  Stops before the first eps with
-    tiny(eps, 1).
+    tiny(eps).
     """
-    eps = col[0]
-    if tiny(eps, 1):
-        return []
-    ratios = [eps]
-    f = [mp.mpf(1)]
-    b = list(f)
-    for k in range(1, len(col)):
-        gamma = mp.fdot(col[k:0:-1], f)  # row k of T_{k+1} against (f, 0)
-        delta = mp.fdot(row[1 : k + 1], b)  # row 0 of T_{k+1} against (0, b)
-        g = gamma / eps
-        f, b = _trench_update(f, b, g, delta / eps, lambda x, y, c: [u - c * v for u, v in zip(x, y)])
-        eps -= g * delta
-        if tiny(eps, 1):
-            break
-        ratios.append(eps)
+    with mp.workprec(prec + GUARD):
+        eps = col[0]
+        if tiny(eps):
+            return []
+        ratios = [eps]
+        f = [mp.mpf(1)]
+        b = list(f)
+        for k in range(1, len(col)):
+            gamma = mp.fdot(col[k:0:-1], f)  # row k of T_{k+1} against (f, 0)
+            delta = mp.fdot(row[1 : k + 1], b)  # row 0 of T_{k+1} against (0, b)
+            g = gamma / eps
+            f, b = _trench_update(f, b, g, delta / eps, lambda x, y, c: [u - c * v for u, v in zip(x, y)])
+            eps -= g * delta
+            if tiny(eps):
+                break
+            ratios.append(eps)
     return ratios
 
 
@@ -491,19 +529,18 @@ def _flip_update(F, X, comb):
     return [comb(old, A, B, x0, x1) for old, A, B, x0, x1 in rows]
 
 
-def _skew_levinson_ratios(col, tiny):
+def _skew_levinson_ratios(col, prec, tiny):
     """Pf T_2k / Pf T_(2k-2), k = 1, 2, ..., for the skewsymmetric Toeplitz
     T = (t_(i-j)), col = (t_0, ..., t_(n-1)), by the 2 x 2 block Levinson
-    recursion of the module docstring, GUARD bits above the ambient
-    precision, as _fixed_skew_levinson works.  Stops before the first ratio
-    p with tiny(p, 1)."""
+    recursion of the module docstring.  Stops before the first ratio p with
+    tiny(p)."""
     ev, od = col[0::2], col[1::2]
-    p = -od[0] if od else 0
-    if tiny(p, 1):
-        return []
-    ratios = [p]
-    F = [[mp.mpf(1)], [mp.mpf(0)], [mp.mpf(0)], [mp.mpf(1)]]
-    with mp.workprec(mp.mp.prec + GUARD):
+    with mp.workprec(prec + GUARD):
+        p = -od[0] if od else 0
+        if tiny(p):
+            return []
+        ratios = [p]
+        F = [[mp.mpf(1)], [mp.mpf(0)], [mp.mpf(0)], [mp.mpf(1)]]
         for k in range(1, len(od)):
             g00, g01, g10, g11 = _gamma(F, ev[k:0:-1], od[k - 1 :: -1], od[k:0:-1], mp.fdot)
             X = (-g10 / p, -g11 / p, g00 / p, g01 / p)
@@ -511,15 +548,10 @@ def _skew_levinson_ratios(col, tiny):
                 F, X, lambda old, A, B, x0, x1: [f - (a * x0 + b * x1) for f, a, b in zip(old, A, B)]
             )
             p += (g01 * g10 - g00 * g00) / p
-            if tiny(p, 1):
+            if tiny(p):
                 break
             ratios.append(p)
     return ratios
-
-
-# Fixed-point kernels for real hp matrices (see the module docstring)
-
-GUARD = 32
 
 
 def _exponent(x):
@@ -577,12 +609,11 @@ def _renorm(vecs, scale, width):
     return [[x << -sh for x in v] for v in vecs], scale - sh
 
 
-def _fixed_levinson(data, prec, tiny):
+def _fixed_levinson(col, row, prec, tiny):
     """_levinson_ratios on ints: the entries share one scale, and f and b
     share another, which follows them as they grow or shrink."""
-    col, row = data
     eps = col[0]
-    if tiny(eps, 1):
+    if tiny(eps):
         return []
     W = prec + GUARD
     # the entries are never updated, so each int needs no bits below its
@@ -599,7 +630,7 @@ def _fixed_levinson(data, prec, tiny):
         (gi, di), sh = _mantissas((g._mpf_, (delta / eps)._mpf_), 0)
         f, b = _trench_update(f, b, gi, di, lambda x, y, c: [u - ((c * v) >> sh) for u, v in zip(x, y)])
         eps -= g * delta
-        if tiny(eps, 1):
+        if tiny(eps):
             break
         ratios.append(eps)
         (f, b), S = _renorm((f, b), S, W)
@@ -616,7 +647,7 @@ def _fixed_skew_levinson(col, prec, tiny):
     ratios are mpf at W."""
     ev, od = col[0::2], col[1::2]
     p = -od[0] if od else 0
-    if tiny(p, 1):
+    if tiny(p):
         return []
     W = prec + GUARD
     E = min(W - _top(col), -min(v._mpf_[2] for v in col if v))
@@ -633,7 +664,7 @@ def _fixed_skew_levinson(col, prec, tiny):
                 F, X, lambda old, A, B, x0, x1: [f - ((a * x0 + b * x1) >> sh) for f, a, b in zip(old, A, B)]
             )
             p += (g01 * g10 - g00 * g00) / p
-            if tiny(p, 1):
+            if tiny(p):
                 break
             ratios.append(p)
             F, S = _renorm(F, S, W)
@@ -659,7 +690,7 @@ def _fixed_elimination(a, prec, tiny):
     for k in range(n):
         rowk = held[k]
         ratio = _mpf(rowk[0], -(s[k] + c[k]), W)
-        if tiny(ratio, 1):
+        if tiny(ratio):
             break
         ratios.append(ratio)
         tail = rowk[1:]
@@ -686,7 +717,7 @@ def _fixed_skew(a, prec, tiny):
     for k in range(0, n - 1, 2):
         rowk, rowk1 = held[k], held[k + 1]
         ratio = _mpf(rowk[0], -(s[k] + d[k] + d[k + 1]), W)
-        if tiny(ratio, 1):
+        if tiny(ratio):
             break
         ratios.append(ratio)
         for i in range(k + 2, n):
@@ -704,21 +735,6 @@ def _is_toeplitz(rows):
     return all(rows[i][1:] == rows[i - 1][:-1] for i in range(1, len(rows)))
 
 
-def _one_pass(method, a, div, tiny, zero):
-    """Leading minors of orders 1..m (m <= len(a)) from one pass over a.
-
-    a is the matrix, or for levinson its first column and row.  A skew pass
-    gives Pf^2 for even orders and zero for odd ones.
-    """
-    if method == "levinson":
-        return list(accumulate(_levinson_ratios(*a, tiny), mul))
-    if method == "skew_levinson":
-        return _skew_minors(list(accumulate(_skew_levinson_ratios(a, tiny), mul)), len(a), zero)
-    if method != "pfaffian":
-        return _bareiss_pivots(a, div, tiny)
-    return _skew_minors(_skew_pivots(a, div, tiny), len(a), zero)
-
-
 def _skew_minors(pfs, n, zero):
     """Minors of orders 1..m of a skewsymmetric matrix from Pf of its leading
     even blocks: zero for odd orders, Pf^2 for even ones."""
@@ -728,27 +744,6 @@ def _skew_minors(pfs, n, zero):
     if len(out) < n:
         out.append(zero)  # the next order is odd
     return out
-
-
-# each method's fixed-point kernel by name, looked up when a pass runs
-_FIXED = {
-    "levinson": "_fixed_levinson",
-    "skew_levinson": "_fixed_skew_levinson",
-    "elimination": "_fixed_elimination",
-    "pfaffian": "_fixed_skew",
-}
-
-
-def _fixed_pass(method, data, prec, tiny):
-    """_one_pass of a real hp matrix on the fixed-point kernels: their ratios
-    multiply up to the minors (for pfaffian to Pf) with GUARD bits to spare,
-    and each minor is rounded to prec once."""
-    ratios = globals()[_FIXED[method]](data, prec, tiny)
-    with mp.workprec(prec + GUARD):
-        minors = list(accumulate(ratios, mul))
-        if method in ("skew_levinson", "pfaffian"):
-            minors = _skew_minors(minors, len(data), mp.mpf(0))
-    return [+m for m in minors]
 
 
 def _ff_levinson(col, row):
@@ -794,32 +789,49 @@ def _ff_skew_levinson(col):
     return pfs + [p] if p else pfs
 
 
-def _exact_minors(rows, den, method):
+# the engines of a block by (skew, Toeplitz), as the module docstring says
+_Engines = namedtuple("_Engines", "hp fixed mpf exact exact_engine")
+_ENGINES = {
+    (True, True): _Engines(
+        "skew_levinson", "_fixed_skew_levinson", "_skew_levinson_ratios", "ff_skew_levinson", "_ff_skew_levinson"
+    ),
+    (True, False): _Engines("pfaffian", "_fixed_skew", "_skew_ratios", "pfaffian", "_skew_pivots"),
+    (False, True): _Engines("levinson", "_fixed_levinson", "_levinson_ratios", "ff_levinson", "_ff_levinson"),
+    (False, False): _Engines("elimination", "_fixed_elimination", "_elimination_ratios", "bareiss", "_general_minors"),
+}
+
+
+def _read(rows, skew, toeplitz, read):
+    """What the engines of a block read, each list of its entries passed
+    through read: the first column of a skew Toeplitz block, the first
+    column and row of another Toeplitz block, or a copy of any other block.
+    Returns the engines' arguments and an iterator over the entries read."""
+    if not toeplitz:
+        a = [read(r) for r in rows]
+        return (a,), chain.from_iterable(a)
+    col = read([r[0] for r in rows])
+    data = (col,) if skew else (col, read(rows[0]))
+    return data, chain(*data)
+
+
+def _exact_minors(rows, den, kind):
     """Exact leading minors of orders 1..len(rows) of the matrix rows / den,
     for integer rows, which stay as they are: minor k is m_k / den^k.
 
-    The fraction-free Levinson engines run on a Toeplitz block's first
-    column and row, and "pfaffian" is the skew elimination.  The orders past
-    their first zero minor or Pfaffian, and every order for "bareiss", come
-    from _integer_minors."""
+    The exact engine of the block's kind (skew, Toeplitz) serves the orders
+    up to its first zero minor or Pfaffian; that order and every later one
+    come from the general engine, rerun on the whole block."""
     n = len(rows)
-    col, row = [r[0] for r in rows], rows[0]
-    if method == "ff_skew_levinson":
-        minors = _skew_minors(_ff_skew_levinson(col), n, 0)
-    elif method == "ff_levinson":
-        minors = _ff_levinson(col, row)
-    elif method == "pfaffian":
-        minors = _one_pass("pfaffian", [list(r) for r in rows], floordiv, lambda p, prev: p == 0, 0)
-    else:
-        minors = []
-    found = [DetResult(Fraction(m, den**k), method) for k, m in enumerate(minors, 1)]
-    if len(found) < n:
-        # a zero minor or Pfaffian, or no engine above: the general pass
-        # serves the later orders, on one triangle while the block is
-        # symmetric
-        a = [list(r) for r in rows]
-        minors = _integer_minors(a, a == [list(c) for c in zip(*a)])
-        found += [DetResult(Fraction(minors[k - 1], den**k), "bareiss") for k in range(len(found) + 1, n + 1)]
+    found = []
+    for skew, toeplitz in (kind, (False, False)):
+        if len(found) < n:
+            engine = _ENGINES[skew, toeplitz]
+            data, _ = _read(rows, skew, toeplitz, list)
+            minors = globals()[engine.exact_engine](*data)
+            if skew:
+                minors = _skew_minors(minors, n, 0)
+            k0 = len(found)
+            found += [DetResult(Fraction(m, den**k), engine.exact) for k, m in enumerate(minors[k0:], k0 + 1)]
     return found
 
 
@@ -829,33 +841,25 @@ def _at_prec(v, prec):
     return v if isinstance(v, mp.mpf) and v._mpf_[3] <= prec else to_mp(v, prec)
 
 
-def _hp_minors(rows, method, bits):
-    """Leading minors of orders 1..m (m <= len(rows)) at bits, checked at
-    bits + ceil(bits/2): enough, as the module docstring shows, to defend
-    every digit the drift allows."""
+def _hp_minors(rows, kind, bits):
+    """Leading minors of orders 1..m (m <= len(rows)) at bits of a block of
+    kind (skew, Toeplitz), checked at bits + ceil(bits/2): enough, as the
+    module docstring shows, to defend every digit the drift allows."""
+    engine = _ENGINES[kind]
     passes = []
-    bar = None
     for prec in (bits, bits + (bits + 1) // 2):
         with mp.workprec(prec):
-            if method == "levinson":
-                data = ([_at_prec(r[0], prec) for r in rows], [_at_prec(v, prec) for v in rows[0]])
-                entries = data[0] + data[1]
-            elif method == "skew_levinson":
-                data = entries = [_at_prec(r[0], prec) for r in rows]
-            else:
-                data = [[_at_prec(v, prec) for v in r] for r in rows]
-                entries = [v for r in data for v in r]
-            if bar is None:
+            data, entries = _read(rows, *kind, lambda r: [_at_prec(v, prec) for v in r])
+            if not passes:
+                entries = list(entries)
                 bar = mp.mpf(2) ** (-(bits // 2)) * max(abs(v) for v in entries)
-                real = all(isinstance(v, mp.mpf) for v in entries)
-
-            def tiny(p, prev):
-                return abs(p) <= bar * abs(prev)
-
-            if real:
-                minors = _fixed_pass(method, data, prec, tiny)
-            else:
-                minors = _one_pass(method, data, truediv, tiny, mp.mpf(0))
+                kernel = engine.fixed if all(isinstance(v, mp.mpf) for v in entries) else engine.mpf
+            ratios = globals()[kernel](*data, prec, lambda p: abs(p) <= bar)
+            with mp.workprec(prec + GUARD):
+                minors = list(accumulate(ratios, mul))
+                if kind[0]:
+                    minors = _skew_minors(minors, len(rows), mp.mpf(0))
+            minors = [+m for m in minors]
         passes.append(minors)
         if not minors:
             return []
@@ -865,17 +869,8 @@ def _hp_minors(rows, method, bits):
         rel = _drift(d1, d2, bits)
         if rel > mp.mpf(2) ** (-(bits // 4)):
             break
-        out.append(_hp_result(d2, rel, bits, method))
+        out.append(_hp_result(d2, rel, bits, engine.hp))
     return out
-
-
-# the engines of a block by (skew, Toeplitz): hp, then exact
-_METHODS = {
-    (True, True): ("skew_levinson", "ff_skew_levinson"),
-    (True, False): ("pfaffian", "pfaffian"),
-    (False, True): ("levinson", "ff_levinson"),
-    (False, False): ("elimination", "bareiss"),
-}
 
 
 def _engine_minors(M: StructuredMatrix, top: int, bits):
@@ -885,10 +880,8 @@ def _engine_minors(M: StructuredMatrix, top: int, bits):
     rows = [row[:top] for row in (M.rows if bits else M.ints)[:top]]
     toeplitz = M.structure == "toeplitz" and _is_toeplitz(rows)
     # one common den keeps the rule on the ints
-    hp, exact = _METHODS[_is_skew(rows, bits, toeplitz), toeplitz]
-    if bits is None:
-        return _exact_minors(rows, M.den, exact)
-    return _hp_minors(rows, hp, bits)
+    kind = _is_skew(rows, bits, toeplitz), toeplitz
+    return _hp_minors(rows, kind, bits) if bits else _exact_minors(rows, M.den, kind)
 
 
 def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list[DetResult]:

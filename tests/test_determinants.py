@@ -470,7 +470,8 @@ class TestFixedPointPfaffian:
         # Pf is the independent side of pfaffian_link; det T_2N there comes
         # from leading_minors, so the two must not share a kernel
         calls = []
-        engines = ("_fixed_skew", "_fixed_skew_levinson", "_skew_levinson_ratios", "_ff_skew_levinson")
+        engines = ("_fixed_skew", "_fixed_skew_levinson", "_skew_ratios", "_skew_levinson_ratios")
+        engines += ("_skew_pivots", "_ff_skew_levinson")
         for name in ("leading_minors", "_hp_minors", *engines):
             original = getattr(determinants, name)
 

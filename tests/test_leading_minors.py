@@ -3,7 +3,8 @@ leading block), engine by engine, plus its forced fallbacks."""
 
 import random
 from fractions import Fraction
-from operator import floordiv, truediv
+from itertools import accumulate
+from operator import mul
 
 import mpmath as mp
 import pytest
@@ -88,6 +89,8 @@ def hp_cases(rng):
     }
     complex_seq[0] = 4 + 1j
     skew = toeplitz(ScalarSeq({1: 1, 2: Fraction(1, 3), 3: Fraction(-1, 5)}, "odd"), 12, bits=BITS)
+    complex_skew = toeplitz(ScalarSeq({1: 1 + 0.5j, 2: Fraction(1, 3) - 0.25j, 3: -0.2 + 0.125j}, "odd"), 12, bits=BITS)
+    complex_even = ScalarSeq({0: 3 + 1j, 1: 1 - 0.5j, 2: Fraction(1, 2) + 0.25j}, "even")
     return [
         ("nonsymmetric", toeplitz(JumpT(Fraction(-1, 2)), 12, bits=BITS), "levinson"),
         ("symmetric", toeplitz(FHProduct(FHDescriptor({1: 0.15, -1: 0.15})), 12, bits=BITS), "levinson"),
@@ -96,6 +99,9 @@ def hp_cases(rng):
         ("skew_general", untagged(skew), "pfaffian"),
         ("moment", hankel_moment(MomentSymbol.from_poly({2: 2}, weight="sqrt_ratio"), 12, bits=BITS), "elimination"),
         ("t_plus_h", toeplitz_plus_hankel(ScalarSeq({0: 3, 1: 1, 2: Fraction(1, 2)}, "even"), 12, bits=BITS), "elimination"),
+        ("complex_skew", complex_skew, "skew_levinson"),
+        ("complex_skew_general", untagged(complex_skew), "pfaffian"),
+        ("complex_t_plus_h", toeplitz_plus_hankel(complex_even, 12, bits=BITS), "elimination"),
     ]
 
 
@@ -236,8 +242,8 @@ class TestForcedFallback:
         ratios = []
         levinson = determinants._levinson_ratios
 
-        def counted(col, row, tiny):
-            out = levinson(col, row, tiny)
+        def counted(col, row, prec, tiny):
+            out = levinson(col, row, prec, tiny)
             ratios.append(len(out))
             return out
 
@@ -511,7 +517,7 @@ def test_fraction_free_levinson_equals_bareiss(case):
     assert [r.method for r in got] == expected_methods(kind, values)
     if kind == "skew":
         # the same Pfaffians as the skew elimination, up to the first zero
-        pfs = determinants._skew_pivots([list(r) for r in M.ints], floordiv, lambda p, prev: p == 0)
+        pfs = determinants._skew_pivots([list(r) for r in M.ints])
         assert determinants._ff_skew_levinson([r[0] for r in M.ints]) == pfs
 
 
@@ -525,7 +531,7 @@ def test_fraction_free_levinson_on_a_dense_block(kind):
     if kind == "skew":
         M = toeplitz(ScalarSeq(t, "odd"), n)
         ints = [list(r) for r in M.ints]
-        ref = determinants._skew_minors(determinants._skew_pivots(ints, floordiv, lambda p, prev: p == 0), n, 0)
+        ref = determinants._skew_minors(determinants._skew_pivots(ints), n, 0)
     else:
         t.update({-k: Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for k in range(1, n)})
         t[0] = Fraction(5)
@@ -574,12 +580,10 @@ def mpf_minors(M, orders, bits):
     """leading_minors with the fixed-point kernels of real matrices replaced
     by the mpf engines, which complex matrices run, on a copy of M, so that
     no pass M keeps is read."""
-    def plain(method, data, prec, tiny):
-        return determinants._one_pass(method, data, truediv, tiny, mp.mpf(0))
-
     copy = StructuredMatrix(M.rows, M.field, M.structure, check=False)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(determinants, "_fixed_pass", plain)
+        for engine in determinants._ENGINES.values():
+            patch.setattr(determinants, engine.fixed, getattr(determinants, engine.mpf))
         return leading_minors(copy, orders, bits)
 
 
@@ -587,18 +591,14 @@ def mpf_minors(M, orders, bits):
 def engine_calls(monkeypatch):
     """hp passes by kind ("fixed" or "mpf") and method."""
     calls = []
-    fixed, plain = determinants._fixed_pass, determinants._one_pass
+    for engine in determinants._ENGINES.values():
+        for kind, name in (("fixed", engine.fixed), ("mpf", engine.mpf)):
 
-    def counted_fixed(method, data, prec, tiny):
-        calls.append(("fixed", method))
-        return fixed(method, data, prec, tiny)
+            def counted(*args, _kernel=getattr(determinants, name), _call=(kind, engine.hp)):
+                calls.append(_call)
+                return _kernel(*args)
 
-    def counted_plain(method, a, div, tiny, zero):
-        calls.append(("mpf", method))
-        return plain(method, a, div, tiny, zero)
-
-    monkeypatch.setattr(determinants, "_fixed_pass", counted_fixed)
-    monkeypatch.setattr(determinants, "_one_pass", counted_plain)
+            monkeypatch.setattr(determinants, name, counted)
     return calls
 
 
@@ -645,13 +645,17 @@ class TestFixedPointKernels:
         assert t[1]._mpf_[3] > bits
         M = StructuredMatrix([[t[j - k] for k in range(n)] for j in range(n)], hp_real(bits), "toeplitz")
         passes = {}
-        fixed = determinants._fixed_pass
+        fixed = determinants._fixed_levinson
 
-        def recorded(method, data, prec, tiny):
-            passes[prec] = fixed(method, data, prec, tiny), [determinants._one_pass(method, data, truediv, tiny, mp.mpf(0))]
-            return passes[prec][0]
+        def recorded(col, row, prec, tiny):
+            # both kernels on the same entries, multiplied up as the pass does
+            ratios = fixed(col, row, prec, tiny)
+            plain = determinants._levinson_ratios(col, row, prec, tiny)
+            with mp.workprec(prec + determinants.GUARD):
+                passes[prec] = list(accumulate(ratios, mul)), [list(accumulate(plain, mul))]
+            return ratios
 
-        monkeypatch.setattr(determinants, "_fixed_pass", recorded)
+        monkeypatch.setattr(determinants, "_fixed_levinson", recorded)
         got = leading_minors(M, range(1, n + 1))
         assert [r.method for r in got] == ["levinson"] * n
         for prec, (ints, (plain,)) in passes.items():
@@ -667,13 +671,13 @@ class TestFixedPointKernels:
         M = toeplitz_plus_hankel(ScalarSeq({k: Fraction(1, 3 + 4 * k) for k in range(12)}, "even"), 6, bits=bits)
         assert max(v._mpf_[3] for r in M.rows for v in r) > bits
         seen = {}
-        fixed = determinants._fixed_pass
+        fixed = determinants._fixed_elimination
 
-        def recorded(method, data, prec, tiny):
-            seen[prec] = data
-            return fixed(method, data, prec, tiny)
+        def recorded(a, prec, tiny):
+            seen[prec] = a
+            return fixed(a, prec, tiny)
 
-        monkeypatch.setattr(determinants, "_fixed_pass", recorded)
+        monkeypatch.setattr(determinants, "_fixed_elimination", recorded)
         leading_minors(M, [6], bits)
         for prec, data in seen.items():
             for row, held in zip(M.rows, data):
@@ -694,10 +698,12 @@ class TestFixedPointKernels:
 
     def test_complex_entries_keep_the_mpf_engine(self, rng, engine_calls):
         cases = {name: (M, method) for name, M, method in hp_cases(rng)}
-        M, _ = cases.pop("complex")
-        assert {r.method for r in leading_minors(M, ORDERS, BITS)} == {"levinson"}
-        assert engine_calls == [("mpf", "levinson")] * 2
-        engine_calls.clear()
+        for name in [name for name in cases if name.startswith("complex")]:
+            M, method = cases.pop(name)
+            assert M.field == hp_complex(BITS), name
+            assert {r.method for r in leading_minors(M, ORDERS, BITS)} == {method}
+            assert engine_calls == [("mpf", method)] * 2
+            engine_calls.clear()
         for M, method in cases.values():
             leading_minors(M, ORDERS, BITS)
         assert {kind for kind, _ in engine_calls} == {"fixed"}
@@ -779,6 +785,47 @@ def test_claimed_digits_hold_against_exact_minors(case, bits):
             assert res.value == 0
             continue
         with mp.workprec(4 * bits):
+            want = mp.mpf(ref.value.numerator) / ref.value.denominator
+            assert abs(res.value - want) <= mp.mpf(10) ** -res.digits_guaranteed * abs(want)
+
+
+def _skew_square_t(n, bits):
+    """skew_square's T_2n(c) on exp(0.3 cos theta)."""
+    row = identities._IDENTITIES[identities.IdentityKind.SkewSquare]
+    return row.build(_exp_cos(), n, "hp", bits, [])[0]
+
+
+# (the real block, the structure tag of its complex copy)
+COMPLEX_COPY_CASES = {
+    "skew_toeplitz": (lambda: _skew_square_t(32, 256), "toeplitz"),
+    "skew_general": (lambda: _skew_square_t(32, 256), "general"),
+    "t_plus_h": (lambda: toeplitz_plus_hankel(_exp_cos(), 32, bits=256), None),
+    "moment": (lambda: hankel_moment(th_to_moment_symbol(_exp_cos()), 24, bits=256), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEX_COPY_CASES))
+def test_complex_copies_claim_the_real_digits(case):
+    # the mpf engines of complex blocks work GUARD bits up and multiply
+    # their ratios up as the fixed-point kernels do, so a copy of a real
+    # block with mpc entries (imaginary parts 0) claims the real block's
+    # digits, less at most one; each claim holds against the exact minors
+    # of the entries read as the rationals they are
+    build, structure = COMPLEX_COPY_CASES[case]
+    M = build()
+    n = M.order
+    with mp.workprec(4 * 256):  # wide enough to take every entry as it is
+        rows = [[mp.mpc(v) for v in r] for r in M.rows]
+    C = StructuredMatrix(rows, hp_complex(256), structure or M.structure)
+    got = leading_minors(C, range(1, n + 1))
+    real = leading_minors(M, range(1, n + 1))
+    assert all(res.digits_guaranteed >= ref.digits_guaranteed - 1 for res, ref in zip(got, real))
+    Q = StructuredMatrix([[exact_value(v.real) for v in r] for r in rows], rational(), M.structure)
+    for res, ref in zip(got, leading_minors(Q, range(1, n + 1))):
+        if ref.value == 0:  # an odd order of a skewsymmetric matrix
+            assert res.value == 0
+            continue
+        with mp.workprec(4 * 256):
             want = mp.mpf(ref.value.numerator) / ref.value.denominator
             assert abs(res.value - want) <= mp.mpf(10) ** -res.digits_guaranteed * abs(want)
 

@@ -132,8 +132,8 @@ class TestMatrixMemo:
         M = toeplitz(make_symbol("toeplitz", "hp_real"), N, hp_real(BITS))
         engine = determinants._hp_minors
 
-        def broken(rows, method, bits):
-            engine(rows, method, bits)
+        def broken(rows, kind, bits):
+            engine(rows, kind, bits)
             raise PrecisionError("forced")
 
         with monkeypatch.context() as patch:
@@ -328,9 +328,9 @@ def hp_engines(monkeypatch):
     calls, kernels = [], []
     hp_minors = determinants._hp_minors
 
-    def counted(rows, method, bits):
-        calls.append((len(rows), method))
-        return hp_minors(rows, method, bits)
+    def counted(rows, kind, bits):
+        calls.append((len(rows), determinants._ENGINES[kind].hp))
+        return hp_minors(rows, kind, bits)
 
     def kernel(name, original):
         def run(*args):
