@@ -1,44 +1,52 @@
 """Executable determinant identities between structured matrices.
 
-Each IdentityKind names one equality between determinants of matrices built
-from a common input (an even symbol or sequence, an odd sequence, or a
-moment symbol).  verify() builds each side's matrix once, at the largest
-requested N, and reads every smaller size off its leading block (each
-family is closed under leading blocks); determinants.leading_minors gives
-the determinants of all those blocks from one pass.  Residuals are recorded
-per N: in exact mode a pass means the residual is literally zero, in hp mode
-the relative residual must stay below 10^(-digits_guaranteed/2) where
-digits_guaranteed comes from the determinant engine's two-precision
-agreement.  A record whose sides carry no guaranteed digits fails, since two
-values known to no digits agree by accident.  An hp_complex side whose
-imaginary part lies below its guaranteed digits is recorded as its real
-part, so quadrature noise never reaches the report.
+Each IdentityKind names one equality between products of determinants of
+matrices built from a common input (an even symbol or sequence, an odd
+sequence, or a moment symbol).  Its two sides are tuples of matrices whose
+determinants multiply; a squared determinant names its matrix twice, as
+(H, H).  verify() builds each matrix once, at the largest requested N, and
+reads every smaller size off its leading block (each family is closed under
+leading blocks); determinants.leading_minors gives the determinants of all
+those blocks from one pass, which the matrix keeps, so a matrix named twice
+still runs one pass.  Residuals are recorded per N between the two
+products, each taken at 2*bits + 32 when it has two or more factors: in
+exact mode a pass means the residual is literally zero, in hp mode the
+relative residual must stay below 10^(-digits_guaranteed/2), where
+digits_guaranteed is the fewest the determinant engine's two-precision
+agreement gives any factor.  A record whose factors carry no guaranteed
+digits fails, since two values known to no digits agree by accident.  An
+hp_complex side whose imaginary part lies below its guaranteed digits is
+recorded as its real part, so quadrature noise never reaches the report.
 
-Each kind is one row of a private table: the species gate verify_all
-applies, whether the kind has an exact mode, and the builder of its two
-matrices; verify, verify_all and pfaffian_link all read it.  Kinds backed
-by moment integrals have no exact mode (generic moments are
-transcendental); requesting exact there silently upgrades to hp and says so
-in the report notes.  Sequence-level inputs are accepted even when no L1
-symbol is known to back them; the identities are finite-matrix statements.
+Each kind is one row of a private table: its species (the input it takes:
+"even", "odd" or "moment"), the gate verify_all applies (the species' gate,
+which quarter_wave and the parity splits narrow to even support and
+moment_to_toeplitz to the sqrt_ratio weight and even parity), whether the
+kind has an exact mode, and the builder of its two sides; verify,
+verify_all and pfaffian_link all read it.  Kinds backed by moment
+integrals have no exact mode (generic moments are transcendental);
+requesting exact there silently upgrades to hp and says so in the report
+notes.  Sequence-level inputs are accepted even when no L1 symbol is known
+to back them; the identities are finite-matrix statements.
 
-Every kind reads its input through one owner (_owner), which gives the
-symbol its matrices are laid out of and their field.  A symbol is its own
-owner: a CoeffSeq of the kind's species (even or odd), a quadrature-backed
-even symbol, or a MomentSymbol; a plain dict or ScalarSeq gets a fresh
-CoeffSeq, which shares nothing.  The even kinds lay out T+H_N(a), T_2N(a)
-and T_N(d) of the owner and take halve_argument and th_to_moment_symbol of
-it, and cseq_square lays out T_2N(c) of its owner; the matrix builders keep
-each matrix on its symbol, and leading_minors keeps its pass on the matrix,
-so verify_all, pfaffian_link and repeated checks run one pass per distinct
-matrix.  The moment kinds and pfaffian_link share the moment twin's H_N[b]
-and its skew symbol's T_2N(c).  The transforms read the owner's exact
-values: a CoeffSeq's entries, or a quadrature-backed symbol's table at
-bits.  The two sides of one identity are always distinct matrices with
-passes of their own.  parity_split_chi's T_2N(chi a) is tagged general, so
-it keeps the skew elimination: the skew block Levinson, which serves every
-other hp skew Toeplitz side, would on that checkerboard matrix run the two
-recursions of its right side.
+Every kind reads its input through one owner (_owner, called with the row's
+species before its builder), which gives the symbol its matrices are laid
+out of and their field.  A symbol is its own owner: a CoeffSeq of the
+kind's species (even or odd), a quadrature-backed even symbol, or a
+MomentSymbol; a plain dict or ScalarSeq gets a fresh CoeffSeq, which shares
+nothing.  The even kinds lay out T+H_N(a), T_2N(a) and T_N(d) of the owner
+and take halve_argument and th_to_moment_symbol of it, and cseq_square lays
+out T_2N(c) of its owner; the matrix builders keep each matrix on its
+symbol, and leading_minors keeps its pass on the matrix, so verify_all,
+pfaffian_link and repeated checks run one pass per distinct matrix.  The
+moment kinds and pfaffian_link share the moment twin's H_N[b] and its skew
+symbol's T_2N(c); pfaffian_link records Pf(T_2N(c)) as a factor with no
+guaranteed digits.  The transforms read the owner's exact values: a
+CoeffSeq's entries, or a quadrature-backed symbol's table at bits.  The two
+sides of one identity never share a matrix.  parity_split_chi's T_2N(chi a)
+is tagged general, so it keeps the skew elimination: the skew block
+Levinson, which serves every other hp skew Toeplitz side, would on that
+checkerboard matrix run the two recursions of its right side.
 """
 
 import enum
@@ -217,20 +225,24 @@ def _owner(inp, species: str, mode: str, bits: int):
     return inp, infer_field(inp, bits, exact)
 
 
-def _transform_table(a, top: int, bits: int) -> dict:
-    """Owner a's coefficients as the transforms read them: a CoeffSeq's
-    entries, with a float as its exact Fraction and a complex as an mpc, or
-    a quadrature-backed symbol's table over 0..top at bits.
+def _transform(transform, a, top: int, n: int, bits: int):
+    """transform(seq, n) at 2*bits+32 on owner a's coefficients as the
+    transforms read them: a CoeffSeq's entries, with a float as its exact
+    Fraction and a complex as an mpc, or a quadrature-backed symbol's table
+    over 0..top at bits.
 
     Float sums round at 53 bits whatever mp.workprec says, while the
     matrices read the same floats exactly.
     """
-    if not isinstance(a, CoeffSeq):
-        return a.coeff_table(0, top, bits)
-    return {
-        n: Fraction(v) if isinstance(v, float) else mp.mpc(v) if isinstance(v, complex) else v
-        for n, v in a.entries.items()
-    }
+    if isinstance(a, CoeffSeq):
+        seq = {
+            k: Fraction(v) if isinstance(v, float) else mp.mpc(v) if isinstance(v, complex) else v
+            for k, v in a.entries.items()
+        }
+    else:
+        seq = a.coeff_table(0, top, bits)
+    with mp.workprec(2 * bits + 32):
+        return transform(seq, n)
 
 
 _ZERO = Fraction(0)
@@ -264,20 +276,26 @@ def _drop_noise(v, digits):
     return v
 
 
-def _make_record(N, lhs_res, rhs_res, mode, bits, extra_digits=()):
-    lhs = lhs_res.value if isinstance(lhs_res, DetResult) else lhs_res
-    rhs = rhs_res.value if isinstance(rhs_res, DetResult) else rhs_res
+def _record(N, left, right, mode, bits):
+    """The record of one N: the product of the DetResults left against that
+    of right, a side of one factor as its value and a product at
+    2*bits+32.  In hp mode it claims the fewest guaranteed digits among the
+    factors that have any, and fails when none has."""
+    lhs, rhs = left[0].value, right[0].value
+    if len(left) + len(right) > 2:
+        with mp.workprec(2 * bits + 32):
+            for f in left[1:]:
+                lhs *= f.value
+            for f in right[1:]:
+                rhs *= f.value
     if mode == "exact":
-        a, rel = _residuals(lhs, rhs, bits or 64)
+        a, rel = _residuals(lhs, rhs, bits)
         return IdentityRecord(N, lhs, rhs, a, rel, mode, None, None, a == 0)
-    digits = [extra for extra in extra_digits if extra]
-    for res in (lhs_res, rhs_res):
-        if isinstance(res, DetResult) and res.digits_guaranteed:
-            digits.append(res.digits_guaranteed)
+    digits = [f.digits_guaranteed for f in left + right if f.digits_guaranteed]
     # with no guaranteed digit on either side, agreement proves nothing
     dg = min(digits, default=0)
     lhs, rhs = _drop_noise(lhs, dg), _drop_noise(rhs, dg)
-    a, rel = _residuals(lhs, rhs, bits or 64)
+    a, rel = _residuals(lhs, rhs, bits)
     ok = bool(digits) and rel < mp.mpf(10) ** (-(dg / 2))
     return IdentityRecord(N, lhs, rhs, a, rel, mode, bits, dg, ok)
 
@@ -285,164 +303,145 @@ def _make_record(N, lhs_res, rhs_res, mode, bits, extra_digits=()):
 # -- one row per identity ----------------------------------------------------
 
 
-def _sweep(Ns, mode, bits, lhs, rhs, squared=False):
-    """One record per N: det lhs against det rhs, (det rhs)^2 when squared,
-    or the product of the determinants of a pair rhs.
+def _sweep(Ns, mode, bits, lhs, rhs):
+    """One record per N: the product of the determinants of lhs's matrices
+    against that of rhs's.
 
     Builders make each matrix once, at k * max(Ns) for k = 1 or 2; at N it
-    stands for its leading block of order k * N, and leading_minors gives
-    every block of one matrix from one pass.  Products are taken at
-    2*bits+32, and in hp mode they keep their factors' guaranteed digits.
+    stands for its leading block of order k * N.  leading_minors gives every
+    block of one matrix from one pass and keeps it on the matrix, so a
+    matrix named twice on a side still runs one pass.
     """
     top = max(Ns)
 
-    def dets(M):
-        return leading_minors(M, [M.order // top * N for N in Ns], bits)
+    def dets(side):
+        return zip(*(leading_minors(M, [M.order // top * N for N in Ns], bits) for M in side))
 
-    left = dets(lhs)
-    if isinstance(rhs, tuple):
-        factors = list(zip(*(dets(M) for M in rhs)))
-    else:
-        right = dets(rhs)
-        if not squared:
-            return [_make_record(*rec, mode, bits) for rec in zip(Ns, left, right)]
-        factors = [(r, r) for r in right]
-    records = []
-    for N, l, (f1, f2) in zip(Ns, left, factors):
-        with mp.workprec(2 * bits + 32):
-            product = f1.value * f2.value
-        extra = (f1.digits_guaranteed, f2.digits_guaranteed) if mode == "hp" else ()
-        records.append(_make_record(N, l, product, mode, bits, extra_digits=extra))
-    return records
+    return [_record(N, left, right, mode, bits) for N, left, right in zip(Ns, dets(lhs), dets(rhs))]
 
 
 @dataclass(frozen=True)
 class _Identity:
-    """One row of _IDENTITIES: applies(inp) is verify_all's species gate,
-    exact whether the kind has an exact mode, squared the _sweep flag, and
-    build(inp, n, mode, bits, notes) returns the two sides' matrices at
-    order n (a pair of matrices for a product side), raising SpeciesError
-    on an input it cannot take."""
+    """One row of _IDENTITIES: species is the input the kind takes ("even",
+    "odd" or "moment"), applies(inp) verify_all's gate, exact whether the
+    kind has an exact mode, and build(a, field, n, bits, notes) gives the
+    two sides at order n, laid out of the owner a in field: (lhs, rhs), each
+    a tuple of matrices whose determinants multiply."""
 
+    species: str
     applies: Callable
     exact: bool
-    squared: bool
     build: Callable
 
 
 _IDENTITIES = {}  # IdentityKind -> _Identity, filled by @_identity
 
 
-def _identity(kind, applies, exact=True, squared=False):
-    """Decorator: the builder below it, with its gate and flags, is kind's row."""
+def _is_odd(inp):
+    return isinstance(inp, (ScalarSeq, symbols.FourierSymbol)) and inp.symmetry == "odd"
+
+
+# species -> gate; an even input is neither a moment symbol nor odd
+_GATES = {
+    "even": lambda inp: not isinstance(inp, MomentSymbol) and not _is_odd(inp),
+    "odd": _is_odd,
+    "moment": lambda inp: isinstance(inp, MomentSymbol),
+}
+
+
+def _identity(kind, species, exact=True, requires=None):
+    """Decorator: the builder below it is kind's row, gated by its species'
+    gate and, when given, by requires(inp) on an input that passes it."""
+    gate = _GATES[species]
+    applies = gate if requires is None else lambda inp: gate(inp) and requires(inp)
 
     def register(build):
-        _IDENTITIES[kind] = _Identity(applies, exact, squared, build)
+        _IDENTITIES[kind] = _Identity(species, applies, exact, build)
         return build
 
     return register
 
 
-def _is_moment(inp):
-    return isinstance(inp, MomentSymbol)
+def _even_support(inp):
+    """Whether every odd-index coefficient of an even input vanishes; an
+    input that is neither a symbol nor a sequence passes, so that _owner
+    says what it cannot take."""
+    if isinstance(inp, symbols.FourierSymbol):
+        return inp.even_support()
+    entries = getattr(inp, "entries", inp)
+    return not isinstance(entries, dict) or all(n % 2 == 0 for n in entries)
 
 
-def _is_odd(inp):
-    return isinstance(inp, (ScalarSeq, symbols.FourierSymbol)) and inp.symmetry == "odd"
+@_identity(IdentityKind.HankelCongruence, "even")
+def _hankel_congruence(a, field, n, bits, notes):
+    b = _transform(a_to_b, a, 2 * n + 2, 2 * n, bits)
+    return (toeplitz_plus_hankel(a, n, field),), (hankel_moment(b, n, field),)
 
 
-def _is_even(inp):
-    """The gate of the kinds on an even input: neither a moment symbol nor odd."""
-    return not _is_moment(inp) and not _is_odd(inp)
-
-
-def _has_even_support(inp):
-    if not _is_even(inp):
-        return False
-    try:
-        if isinstance(inp, symbols.FourierSymbol):
-            return inp.even_support()
-        return all(n % 2 == 0 for n in getattr(inp, "entries", inp))
-    except Exception:
-        return False
-
-
-@_identity(IdentityKind.HankelCongruence, _is_even)
-def _hankel_congruence(inp, n, mode, bits, notes):
-    a, field = _owner(inp, "even", mode, bits)
-    seq = _transform_table(a, 2 * n + 2, bits)
-    with mp.workprec(2 * bits + 32):
-        b = a_to_b(seq, 2 * n)
-    return toeplitz_plus_hankel(a, n, field), hankel_moment(b, n, field)
-
-
-@_identity(IdentityKind.THvsMoment, _is_even, exact=False)
-def _th_vs_moment(inp, n, mode, bits, notes):
-    a, _ = _owner(inp, "even", mode, bits)
+@_identity(IdentityKind.THvsMoment, "even", exact=False)
+def _th_vs_moment(a, field, n, bits, notes):
     b = th_to_moment_symbol(a)
     field = infer_field(b, bits)
-    return toeplitz_plus_hankel(a, n, field), hankel_moment(b, n, field)
+    return (toeplitz_plus_hankel(a, n, field),), (hankel_moment(b, n, field),)
 
 
-@_identity(IdentityKind.QuarterWave, _has_even_support)
-def _quarter_wave(inp, n, mode, bits, notes):
-    a, field = _owner(inp, "even", mode, bits)
+@_identity(IdentityKind.QuarterWave, "even", requires=_even_support)
+def _quarter_wave(a, field, n, bits, notes):
     d = halve_argument(a)
-    return toeplitz_plus_hankel(a, n, field), toeplitz(d, n, field)
+    return (toeplitz_plus_hankel(a, n, field),), (toeplitz(d, n, field),)
 
 
 @_identity(
     IdentityKind.MomentToToeplitz,
-    lambda inp: _is_moment(inp) and inp.weight == "sqrt_ratio" and inp.parity == "even",
+    "moment",
     exact=False,
+    requires=lambda b: b.weight == "sqrt_ratio" and b.parity == "even",
 )
-def _moment_to_toeplitz(inp, n, mode, bits, notes):
-    b, field = _owner(inp, "moment", mode, bits)
+def _moment_to_toeplitz(b, field, n, bits, notes):
     if b.weight != "sqrt_ratio":
         raise SpeciesError("the sqrt((1+x)/(1-x)) weight is required")
-    return hankel_moment(b, n, field), toeplitz(symbols._halfangle(b), n, field)
+    return (hankel_moment(b, n, field),), (toeplitz(symbols._halfangle(b), n, field),)
 
 
-@_identity(IdentityKind.SkewSquare, _is_even, squared=True)
-def _skew_square(inp, n, mode, bits, notes):
-    a, field = _owner(inp, "even", mode, bits)
-    seq = _transform_table(a, 2 * n, bits)
-    with mp.workprec(2 * bits + 32):
-        c = a_to_c(seq, 2 * n - 1)
-    return toeplitz(c, 2 * n, field), toeplitz_plus_hankel(a, n, field)
+@_identity(IdentityKind.SkewSquare, "even")
+def _skew_square(a, field, n, bits, notes):
+    c = _transform(a_to_c, a, 2 * n, 2 * n - 1, bits)
+    T2 = toeplitz(c, 2 * n, field)
+    A = toeplitz_plus_hankel(a, n, field)
+    return (T2,), (A, A)
 
 
-@_identity(IdentityKind.CSeqSquare, _is_odd, squared=True)
-def _cseq_square(inp, n, mode, bits, notes):
-    c, field = _owner(inp, "odd", mode, bits)
+@_identity(IdentityKind.CSeqSquare, "odd")
+def _cseq_square(c, field, n, bits, notes):
     note = (
         "sequence-level input: the identity is a finite-matrix statement and "
         "does not require the sequence to come from an L1 symbol"
     )
     if note not in notes:
         notes.append(note)
-    seq = _transform_table(c, 2 * n - 1, bits)
-    with mp.workprec(2 * bits + 32):
-        b = c_to_b(seq, 2 * n - 1)
-    return toeplitz(c, 2 * n, field), hankel_moment(b, n, field)
+    b = _transform(c_to_b, c, 2 * n - 1, 2 * n - 1, bits)
+    T2 = toeplitz(c, 2 * n, field)
+    H = hankel_moment(b, n, field)
+    return (T2,), (H, H)
 
 
-@_identity(IdentityKind.MomentSkewSquare, _is_moment, exact=False, squared=True)
-def _moment_skew_square(inp, n, mode, bits, notes):
-    b, field = _owner(inp, "moment", mode, bits)
-    return toeplitz(moment_to_skew_symbol(b), 2 * n, field), hankel_moment(b, n, field)
+@_identity(IdentityKind.MomentSkewSquare, "moment", exact=False)
+def _moment_skew_square(b, field, n, bits, notes):
+    T2 = toeplitz(moment_to_skew_symbol(b), 2 * n, field)
+    H = hankel_moment(b, n, field)
+    return (T2,), (H, H)
 
 
-@_identity(IdentityKind.ParitySplitEven, _has_even_support, squared=True)
-def _parity_split_even(inp, n, mode, bits, notes):
-    a, field = _owner(inp, "even", mode, bits)
+@_identity(IdentityKind.ParitySplitEven, "even", requires=_even_support)
+def _parity_split_even(a, field, n, bits, notes):
     d = halve_argument(a)
-    return toeplitz(a, 2 * n, field), toeplitz(d, n, field)
+    T2 = toeplitz(a, 2 * n, field)
+    T = toeplitz(d, n, field)
+    return (T2,), (T, T)
 
 
-@_identity(IdentityKind.ParitySplitChi, _has_even_support, exact=False)
-def _parity_split_chi(inp, n, mode, bits, notes):
-    a, _ = _owner(inp, "even", mode, bits)
+@_identity(IdentityKind.ParitySplitChi, "even", exact=False, requires=_even_support)
+def _parity_split_chi(a, field, n, bits, notes):
     d = halve_argument(a)
     d1 = SymbolProduct((JumpT(-0.5), d))
     d2 = SymbolProduct((JumpT(0.5), d))
@@ -450,7 +449,15 @@ def _parity_split_chi(inp, n, mode, bits, notes):
     T2 = toeplitz(chi_a, 2 * n, infer_field(chi_a, bits))
     # tagged general, the left side keeps the skew elimination (docstring)
     T2 = StructuredMatrix(T2.rows, T2.field, check=False)
-    return T2, (toeplitz(d1, n, infer_field(d1, bits)), toeplitz(d2, n, infer_field(d2, bits)))
+    return (T2,), (toeplitz(d1, n, infer_field(d1, bits)), toeplitz(d2, n, infer_field(d2, bits)))
+
+
+def _sides(kind, inp, n, mode, bits, notes):
+    """kind's two sides at order n on inp, from its row's builder on the
+    owner of inp and its field; SpeciesError on an input it cannot take."""
+    row = _IDENTITIES[kind]
+    a, field = _owner(inp, row.species, mode, bits)
+    return row.build(a, field, n, bits, notes)
 
 
 def _report(kind, mode, bits, records, notes):
@@ -478,9 +485,13 @@ def verify(kind, inp, N_values, mode: str = "exact", bits: int | None = None) ->
             % bits
         )
         mode = "hp"
-    lhs, rhs = row.build(inp, max(Ns), mode, bits, notes)
-    records = _sweep(Ns, mode, bits, lhs, rhs, row.squared)
+    lhs, rhs = _sides(kind, inp, max(Ns), mode, bits, notes)
+    records = _sweep(Ns, mode, bits, lhs, rhs)
     return _report(kind.value, mode, bits if mode == "hp" else None, records, notes)
+
+
+def _abs(res):
+    return DetResult(abs(res.value), res.method, res.digits_guaranteed)
 
 
 def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> IdentityReport:
@@ -493,31 +504,17 @@ def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> Identit
     """
     Ns = _n_list(N_values)
     bits = _bits(bits)
-    build = _IDENTITIES[IdentityKind.MomentSkewSquare].build
-    T2n, Hn = build(b, max(Ns), "hp", bits, [])
+    (T2n,), (Hn, _) = _sides(IdentityKind.MomentSkewSquare, b, max(Ns), "hp", bits, [])
     records = []
     detTs = leading_minors(T2n, [2 * N for N in Ns], bits)
     detHs = leading_minors(Hn, Ns, bits)
     for N, detT, detH in zip(Ns, detTs, detHs):
-        pf = pfaffian(T2n.leading(2 * N))
+        # pfaffian gives a bare value: a factor with no guaranteed digits
+        pf = DetResult(pfaffian(T2n.leading(2 * N)), "pfaffian")
+        records.append(_record(N, (pf, pf), (detT,), "hp", bits))
+        # the magnitude record takes abs and 10^(-dg/2) at 2*bits+32
         with mp.workprec(2 * bits + 32):
-            pf_sq = pf * pf
-        records.append(
-            _make_record(
-                N, pf_sq, detT, "hp", bits, extra_digits=(detT.digits_guaranteed,)
-            )
-        )
-        with mp.workprec(2 * bits + 32):
-            records.append(
-                _make_record(
-                    N,
-                    abs(pf),
-                    abs(detH.value),
-                    "hp",
-                    bits,
-                    extra_digits=(detH.digits_guaranteed,),
-                )
-            )
+            records.append(_record(N, (_abs(pf),), (_abs(detH),), "hp", bits))
     return _report("pfaffian_link", "hp", bits, records, [])
 
 
@@ -528,18 +525,18 @@ def verify_all(inp, N_max, mode: str = "exact", bits: int | None = None):
     for kind in IdentityKind:
         row = _IDENTITIES[kind]
         skipped = None
-        if not row.applies(inp):
-            skipped = "species mismatch; skipped"
-        elif mode == "exact" and not row.exact:
-            skipped = "integral-backed kind has no exact mode; skipped"
-        else:
-            try:
+        try:
+            if not row.applies(inp):
+                skipped = "species mismatch; skipped"
+            elif mode == "exact" and not row.exact:
+                skipped = "integral-backed kind has no exact mode; skipped"
+            else:
                 rep = verify(kind, inp, N_max, mode, bits)
-            except SpeciesError as exc:
-                skipped = str(exc)
-            except Exception as exc:
-                note = "%s: %s" % (type(exc).__name__, exc)
-                rep = IdentityReport(kind.value, mode, bits, [], [note], "error")
+        except SpeciesError as exc:
+            skipped = str(exc)
+        except Exception as exc:
+            note = "%s: %s" % (type(exc).__name__, exc)
+            rep = IdentityReport(kind.value, mode, bits, [], [note], "error")
         if skipped is not None:
             rep = IdentityReport(kind.value, mode, None, [], [skipped], "skipped")
         reports.append(rep)

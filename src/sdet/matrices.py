@@ -317,7 +317,8 @@ def toeplitz(a, N: int, field: Field | None = None, bits: int | None = None) -> 
 
     Without field or bits the matrix is exact when the entries are rational;
     otherwise the field comes from scalars.infer_field at bits (default 256).
-    hankel, toeplitz_plus_hankel and hankel_moment use the same rule.
+    hankel, toeplitz_plus_hankel and hankel_moment use the same rule, except
+    that hankel_moment of a MomentSymbol defaults to max(128, 12N) bits.
     """
     sym = getattr(a, "symmetry", None)
 

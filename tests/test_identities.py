@@ -16,6 +16,7 @@ from sdet.identities import (
 )
 from sdet.symbols import (
     Chi,
+    ClosedFormSymbol,
     CoeffSeq,
     FHDescriptor,
     FHProduct,
@@ -93,6 +94,12 @@ class TestExactKinds:
             rep = verify(IdentityKind.CSeqSquare, c, rng.randint(1, 4))
             assert rep.passed
             assert all(r.abs_resid == 0 for r in rep.records)
+
+    def test_an_unflagged_symmetric_coeffseq_passes_as_even(self):
+        rep = verify(IdentityKind.HankelCongruence, CoeffSeq({-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}), 4)
+        assert rep.passed and rep.to_json() == verify(IdentityKind.HankelCongruence, COS_SYM, 4).to_json()
+        with pytest.raises(SpeciesError, match="an even sequence is required"):
+            verify(IdentityKind.HankelCongruence, CoeffSeq({-1: Fraction(1, 3), 0: 1, 1: Fraction(1, 2)}), 4)
 
     def test_exact_mode_needs_rational_entries(self):
         a = ScalarSeq({0: 0.25}, "even")
@@ -431,6 +438,8 @@ def _skip(note):
     return ("skipped", [note])
 
 
+EVEN_KINDS = ["hankel_congruence", "th_vs_moment", "quarter_wave", "skew_square", "parity_split_even", "parity_split_chi"]
+
 EVEN_SUPPORT = ScalarSeq({0: 2, 2: Fraction(1, 2)}, "even")
 
 VERIFY_ALL_CASES = {
@@ -519,6 +528,12 @@ VERIFY_ALL_CASES = {
             parity_split_chi=_skip(NO_EXACT),
         ),
     ),
+    # not a sequence: every even kind says so, even-support gate or not
+    "not_a_sequence_hp": (
+        5,
+        "hp",
+        _pinned(**dict.fromkeys(EVEN_KINDS, _skip("cannot interpret %r as an even sequence" % int))),
+    ),
     # a dict that contradicts evenness: one note from every even kind
     "non_even_dict_hp": (
         {0: 1, 1: 2, -1: 3},
@@ -546,6 +561,14 @@ class TestVerifyAllPinned:
         for rep in reports:
             ran_hp = mode == "hp" and rep.verdict == "pass"
             assert (rep.mode, rep.bits) == (mode, 128 if ran_hp else None)
+
+
+def test_a_symbol_whose_evaluator_raises_errors_in_every_even_kind():
+    # quarter_wave's and the parity splits' even-support gate samples the
+    # symbol inside verify_all's try, as the other even kinds' builders do
+    reports = verify_all(ClosedFormSymbol(lambda th: 1 / mp.mpf(0)), 3, "hp", 128)
+    error = ("error", ["ZeroDivisionError: "])
+    assert {rep.kind: (rep.verdict, rep.notes) for rep in reports} == _pinned(**dict.fromkeys(EVEN_KINDS, error))
 
 
 small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))

@@ -512,9 +512,16 @@ def test_fraction_free_levinson_equals_bareiss(case):
         calls = count_reference_calls(patch)
         got = leading_minors(M, range(1, n + 1))
     assert calls == []
-    values = [det_bareiss(M.leading(k)).value for k in range(1, n + 1)]
+    # every order against one pass of the general engine, and det_bareiss
+    # at order 1, n and where the engine under test handed on
+    ref = determinants._integer_minors([list(r) for r in M.ints])
+    values = [Fraction(m, M.den**k) for k, m in enumerate(ref, 1)]
     assert [r.value for r in got] == values
-    assert [r.method for r in got] == expected_methods(kind, values)
+    methods = expected_methods(kind, values)
+    assert [r.method for r in got] == methods
+    served = methods.count(ENGINE[kind])
+    for k in {1, served, served + 1, n} & set(range(1, n + 1)):
+        assert got[k - 1].value == det_bareiss(M.leading(k)).value
     if kind == "skew":
         # the same Pfaffians as the skew elimination, up to the first zero
         pfs = determinants._skew_pivots([list(r) for r in M.ints])
@@ -689,8 +696,7 @@ class TestFixedPointKernels:
         # entries tend to a constant: the block recursion's drift stays at
         # the elimination's on every order, where an X that took Gamma_00
         # for its equal Gamma_11 lost a digit every ~6 orders
-        row = identities._IDENTITIES[identities.IdentityKind.SkewSquare]
-        T, _ = row.build(_exp_cos(), 64, "hp", 256, [])
+        (T,), _ = identities._sides(identities.IdentityKind.SkewSquare, _exp_cos(), 64, "hp", 256, [])
         got = leading_minors(T, range(1, 129))
         ref = leading_minors(untagged(T), range(1, 129))
         assert {r.method for r in got} == {"skew_levinson"} and {r.method for r in ref} == {"pfaffian"}
@@ -791,8 +797,7 @@ def test_claimed_digits_hold_against_exact_minors(case, bits):
 
 def _skew_square_t(n, bits):
     """skew_square's T_2n(c) on exp(0.3 cos theta)."""
-    row = identities._IDENTITIES[identities.IdentityKind.SkewSquare]
-    return row.build(_exp_cos(), n, "hp", bits, [])[0]
+    return identities._sides(identities.IdentityKind.SkewSquare, _exp_cos(), n, "hp", bits, [])[0][0]
 
 
 # (the real block, the structure tag of its complex copy)

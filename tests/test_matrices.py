@@ -17,7 +17,7 @@ from sdet.matrices import (
     toeplitz_plus_hankel,
 )
 from sdet.scalars import hp_complex, hp_real, rational
-from sdet.symbols import Chi, ClosedFormSymbol, CoeffSeq, JumpT, MomentSymbol, SpeciesError
+from sdet.symbols import Chi, ClosedFormSymbol, CoeffSeq, FHDescriptor, FHProduct, JumpT, MomentSymbol, SpeciesError
 from sdet.transforms import ScalarSeq
 
 from conftest import rand_fraction, random_even_seq, random_odd_seq
@@ -336,6 +336,19 @@ class TestStructureChecks:
         doc = m.to_json()
         assert doc["field"] == {"bits": 128, "tag": "hp_complex"}
         assert doc["entries"] == [[re, im], ["0.0", "0.0"], [third, "0.0"], [re, im]]
+
+    def test_hp_real_field_drops_the_quadrature_imaginary_part(self):
+        # exp(0.2 e^{i theta}) has the real coefficients 0.2^n / n!, which its
+        # quadrature gives as mpc with an imaginary part far below 2^-64
+        M = toeplitz(FHProduct(FHDescriptor({1: 0.2})), 3, hp_real(128))
+        assert all(type(v) is mp.mpf for row in M.rows for v in row)
+        with mp.workprec(128):
+            x = mp.mpf(0.2)
+            want = [1, 0, 0, x**2 / 2, x, 1]
+            assert all(abs(v - w) < mp.mpf(10) ** -30 for v, w in zip(M.rows[0] + M.rows[2], want))
+        # an imaginary part above that bound is not noise
+        with pytest.raises(TypeError, match="is not real"):
+            toeplitz(FHProduct(FHDescriptor({1: 0.2j})), 3, hp_real(128))
 
     def test_hp_field_tolerance_accepts_rounded_structure(self):
         a = ScalarSeq({0: Fraction(1, 3), 1: Fraction(1, 7)}, "even")

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from sdet.matrices import hankel_moment, toeplitz
-from sdet.scalars import hp_complex, hp_real, infer_field, rational, to_mp
+from sdet.scalars import coerce, hp_complex, hp_real, infer_field, rational, to_mp
 from sdet.symbols import (
     Chi,
     CoeffSeq,
@@ -57,6 +57,13 @@ def test_matrices_follow_the_field_rule():
 def test_unreadable_source_is_rejected():
     with pytest.raises(TypeError):
         infer_field(object(), BITS)
+
+
+def test_coerce_takes_a_complex_into_hp_real_only_when_it_is_real():
+    v = coerce(2 + 0j, hp_real(64))
+    assert type(v) is mp.mpf and v == 2
+    with pytest.raises(TypeError, match="complex scalar cannot enter hp_real"):
+        coerce(1j, hp_real(64))
 
 
 def workprec_to_mp(x, bits):

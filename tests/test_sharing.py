@@ -244,8 +244,8 @@ class TestOneOwner:
     def test_even_kinds_build_one_t_plus_h(self, make):
         inp = make()
         kinds = [IdentityKind.HankelCongruence, IdentityKind.THvsMoment, IdentityKind.QuarterWave]
-        built = [identities._IDENTITIES[kind].build(inp, N, "hp", BITS, [])[0] for kind in kinds]
-        built.append(identities._IDENTITIES[IdentityKind.SkewSquare].build(inp, N, "hp", BITS, [])[1])
+        built = [identities._sides(kind, inp, N, "hp", BITS, [])[0][0] for kind in kinds]
+        built.append(identities._sides(IdentityKind.SkewSquare, inp, N, "hp", BITS, [])[1][0])
         assert built[0].structure == "toeplitz_plus_hankel"
         assert all(M is built[0] for M in built)
 
@@ -285,20 +285,24 @@ class TestGuardRail:
         n = 4
         inp = GUARD_INPUTS[kind]()
         assert row.applies(inp)
-        lhs, rhs = row.build(inp, n, mode, BITS, [])
-        sides = [lhs, *rhs] if isinstance(rhs, tuple) else [lhs, rhs]
-        assert len({id(M) for M in sides}) == len(sides)
-        assert all(M._minors == {} for M in sides)
-        records = identities._sweep(list(range(1, n + 1)), mode, BITS, lhs, rhs, row.squared)
+        lhs, rhs = identities._sides(kind, inp, n, mode, BITS, [])
+        # a squared side names its matrix twice; the two sides share none,
+        # and parity_split_chi's two right factors are distinct matrices
+        assert not {id(M) for M in lhs} & {id(M) for M in rhs}
+        if kind == IdentityKind.ParitySplitChi:
+            assert rhs[0] is not rhs[1]
+        distinct = list({id(M): M for M in lhs + rhs}.values())
+        assert all(M._minors == {} for M in distinct)
+        records = identities._sweep(list(range(1, n + 1)), mode, BITS, lhs, rhs)
         assert all(r.ok for r in records)
-        # one pass per side, each kept on its own matrix
-        assert sorted(passes) == sorted(M.order for M in sides)
+        # one pass per distinct matrix, each kept on its own matrix
+        assert sorted(passes) == sorted(M.order for M in distinct)
         bits = None if mode == "exact" else BITS
-        assert all(list(M._minors) == [(bits, M.order)] for M in sides)
-        # and verify on a fresh input runs one pass per side as well
+        assert all(list(M._minors) == [(bits, M.order)] for M in distinct)
+        # and verify on a fresh input runs one pass per distinct matrix as well
         del passes[:]
         assert verify(kind, GUARD_INPUTS[kind](), n, mode, BITS).passed
-        assert len(passes) == len(sides)
+        assert len(passes) == len(distinct)
 
     def test_pfaffian_link_runs_pfaffian_once_per_n(self, passes, monkeypatch):
         calls = []
@@ -359,7 +363,7 @@ class TestSkewBlockLevinsonGuardRail:
         reports = verify_all(inp, N, "hp", BITS)
         assert (2 * N, "skew_levinson") in calls  # skew_square's T_2N(c)
         del calls[:], kernels[:]
-        lhs, rhs = identities._IDENTITIES[IdentityKind.ParitySplitChi].build(inp, N, "hp", BITS, [])
+        (lhs,), _ = identities._sides(IdentityKind.ParitySplitChi, inp, N, "hp", BITS, [])
         assert lhs.is_skew() and lhs._minors == {}
         assert verify(IdentityKind.ParitySplitChi, inp, N, "hp", BITS).passed
         assert [r for r in reports if r.kind == "parity_split_chi"][0].passed
