@@ -6,14 +6,20 @@ table per matrix, with each index coerced once, so their diagonals (or
 anti-diagonals) are constant by construction: each row of a Toeplitz or
 Hankel matrix is a slice of one line of the table.  A rational matrix is
 held as integer rows over one positive common denominator: a builder clears
-its table once (den is the lcm of the table's denominators) and lays out
-the numerators, so a Toeplitz+Hankel entry is an int sum.  Fractions appear
-only when a caller reads rows.  The constructor checks the claimed
-structure of a matrix built from a caller's own rows, and toeplitz checks
-the symmetry that the source promises on the table: an even symbol gives a
-symmetric matrix, an odd one a skewsymmetric one.  Storage is dense;
-determinants.leading_minors reads only the first row and column of an hp
-Toeplitz matrix and eliminates a copy of the others.
+its table once by transforms._over_one_den (den is the lcm of the table's
+denominators) and lays out the numerators, so a Toeplitz+Hankel entry is an
+int sum.  Fractions appear only when a caller reads rows.  Every matrix goes
+through one private constructor over held entries (integer rows over den,
+or mp rows), StructuredMatrix._held: a builder's layout, a leading block, a
+checkerboard half, and the caller's rows once StructuredMatrix() has
+validated them and cleared their denominators the same way.  The
+constructor checks the claimed structure of a matrix built from a caller's
+own rows, and toeplitz checks the symmetry that the source promises on the
+table: an even symbol gives a symmetric matrix, an odd one a skewsymmetric
+one.  An hp matrix asked for with neither bits nor a field takes 256 bits;
+hankel_moment passes max(128, 12N) as the bits of a MomentSymbol.  Storage
+is dense; determinants.leading_minors reads only the first row and column
+of an hp Toeplitz matrix and eliminates a copy of the others.
 
 A matrix is read-only: its rows (and a rational matrix's ints) are tuples,
 and tolist() gives a mutable copy.  So a matrix can be shared: called with
@@ -30,7 +36,7 @@ N builds once at the largest size and reads the rest with
 StructuredMatrix.leading; tables are filled once.
 """
 
-import math
+from contextlib import nullcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -108,41 +114,38 @@ class StructuredMatrix:
     __slots__ = ("order", "field", "structure", "ints", "den", "_rows", "_minors")
 
     def __init__(self, rows, field: Field, structure: str = "general", check: bool = True):
+        """A matrix of the caller's rows, checked against structure when check
+        is true; rational rows are cleared to integer rows over one den."""
         if structure not in _TAGS:
             raise ValueError("unknown structure tag %r" % (structure,))
         order = len(rows)
         if order < 1 or any(len(r) != order for r in rows):
             raise ValueError("matrix must be square and nonempty")
-        self.order = order
-        self.field = field
-        self.structure = structure
-        self._minors = {}
+        den = None
         if field.is_exact:
             if not all(scalars.is_exact_scalar(v) for r in rows for v in r):
                 raise TypeError("a rational matrix needs int or Fraction entries")
-            den = self.den = math.lcm(*[v.denominator for r in rows for v in r])
-            self.ints = tuple(tuple(v.numerator * (den // v.denominator) for v in r) for r in rows)
-            self._rows = None
-        else:
-            self.ints = self.den = None
-            self._rows = tuple(map(tuple, rows))
-        if check:
-            self._check_structure()
+            ints, den = transforms._over_one_den([v for r in rows for v in r])
+            rows = [ints[j : j + order] for j in range(0, order * order, order)]
+        self._hold(rows, field, structure, den, check)
 
     @classmethod
-    def _exact(cls, ints, den: int, structure: str, check: bool = False) -> "StructuredMatrix":
-        """The rational matrix ints / den."""
+    def _held(cls, grid, field: Field, structure: str, den: int | None, check: bool = False):
+        """The matrix of entries already held: integer rows over den for a
+        rational field, mp rows otherwise; unchecked unless check."""
         m = cls.__new__(cls)
-        m.order = len(ints)
-        m.field = rational()
-        m.structure = structure
-        m.ints = tuple(map(tuple, ints))
-        m.den = den
-        m._rows = None
-        m._minors = {}
-        if check:
-            m._check_structure()
+        m._hold(grid, field, structure, den, check)
         return m
+
+    def _hold(self, grid, field, structure, den, check):
+        grid = tuple(map(tuple, grid))
+        self.order = len(grid)
+        self.field = field
+        self.structure = structure
+        self.ints, self.den, self._rows = (grid, den, None) if field.is_exact else (None, None, grid)
+        self._minors = {}
+        if check:
+            self._check_structure()
 
     @property
     def rows(self) -> tuple:
@@ -182,10 +185,7 @@ class StructuredMatrix:
         if not 1 <= n <= self.order:
             raise ValueError("leading block order must be in 1..%d" % self.order)
         structure = "general" if self.structure == "flip" else self.structure
-        rows = tuple(row[:n] for row in self._grid()[:n])
-        if self.ints is not None:
-            return StructuredMatrix._exact(rows, self.den, structure)
-        return StructuredMatrix(rows, self.field, structure, check=False)
+        return StructuredMatrix._held((row[:n] for row in self._grid()[:n]), self.field, structure, self.den)
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -270,30 +270,29 @@ def _coeff_table(a, lo: int, hi: int, field: Field) -> dict:
     return table
 
 
-def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, layout, default_bits=256, check=None):
+def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, layout, check=None):
     """The N x N matrix with rows layout(c, N) of c, the table of a over
     [lo, hi] (over the rationals, the table's numerators over the matrix's
     den), once check(c, field), if given, has passed.  A symbol keeps the
     matrix, one per structure, N and field (symbols._once)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    field = field or infer_field(a, bits or default_bits, exact=bits is None)
+    field = field or infer_field(a, bits or 256, exact=bits is None)
 
     def build():
         c = _coeff_table(a, lo, hi, field)
+        den = None
         if field.is_exact:
             # the table over one denominator: entry sums are int sums
-            den = math.lcm(*[v.denominator for v in c.values()])
-            c = {n: v.numerator * (den // v.denominator) for n, v in c.items()}
+            ints, den = transforms._over_one_den(list(c.values()))
+            c = dict(zip(c, ints))
         if check:
             check(c, field)
-        # constant along (anti-)diagonals by construction, so unchecked
-        if field.is_exact:
-            return StructuredMatrix._exact(layout(c, N), den, structure)
-        # sums of entries (T+H) must not round at ambient precision
-        with mp.workprec(field.bits + 32):
+        # constant along (anti-)diagonals by construction, so unchecked; sums
+        # of hp entries (T+H) must not round at ambient precision
+        with mp.workprec(field.bits + 32) if den is None else nullcontext():
             rows = layout(c, N)
-        return StructuredMatrix(rows, field, structure, check=False)
+        return StructuredMatrix._held(rows, field, structure, den)
 
     if isinstance(a, (symbols.FourierSymbol, symbols.MomentSymbol)):
         return symbols._once(a, (structure, N, field), build)
@@ -357,8 +356,9 @@ def toeplitz_plus_hankel(
 
 def hankel_moment(b, N: int, field: Field | None = None, bits: int | None = None) -> StructuredMatrix:
     """H_N[b] = (b_{1+j+k}) from a MomentSymbol or explicit moments."""
-    default_bits = max(128, 12 * N) if isinstance(b, symbols.MomentSymbol) else 256
-    return _build(b, N, field, bits, 1, 2 * N - 1, "hankel_moment", _hankel_rows, default_bits)
+    if isinstance(b, symbols.MomentSymbol) and field is None and bits is None:
+        bits = max(128, 12 * N)
+    return _build(b, N, field, bits, 1, 2 * N - 1, "hankel_moment", _hankel_rows)
 
 
 def flip(N: int, field: Field | None = None) -> StructuredMatrix:
@@ -405,6 +405,4 @@ def checkerboard_split(M: StructuredMatrix, parity: str):
     else:
         offsets = ((1, 0), (0, 1))
     blocks = ([[rows[2 * j + r][2 * k + q] for k in range(N)] for j in range(N)] for r, q in offsets)
-    if M.ints is not None:
-        return tuple(StructuredMatrix._exact(b, M.den, "toeplitz", check=True) for b in blocks)
-    return tuple(StructuredMatrix(b, M.field, "toeplitz") for b in blocks)
+    return tuple(StructuredMatrix._held(b, M.field, "toeplitz", M.den, check=True) for b in blocks)

@@ -19,6 +19,14 @@ the circle, the skew symbol i sign(theta) b(cos theta) and the half-angle
 symbol b(cos(theta/2)), go through one helper, _lift.  Every jump angle is a
 JumpPoint, exact in its pi and acos parts.
 
+The two argument maps on the circle, ArgDoubled (theta -> 2 theta) and
+HalvedArg (theta -> theta/2), are images of their base: each is an index map
+_source onto the base's coefficients (n // 2, or none for odd n; 2n), and
+both closed forms and tables are read off the base through it.  Every
+symmetry certificate (even support and evenness on the circle, the parity
+of a moment symbol's smooth factor) runs one sampler, _sampled_symmetry, on
+_CERT_SAMPLES points.
+
 One rule, _route, picks how every table without a closed form is built
 (transform, integrand, trapezoid or panels, band), and one builder, _table,
 runs it on a cache miss.  Real even and i * (real odd) symbols run cosine
@@ -40,6 +48,7 @@ saves and restores, so two threads that verify or build hp matrices at once
 can change each other's results.  Run concurrent hp work in processes.
 """
 
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -245,12 +254,10 @@ class FourierSymbol:
 
         def sample():
             bad = {p.approx() % math.pi for p in self.jump_points()}
-            return _sampled_symmetry(
-                self,
-                0.37,
-                lambda t: t + mp.pi,
-                lambda t: any(abs(t - b) < 1e-6 or abs(t - b - math.pi) < 1e-6 for b in bad),
+            walk = _golden_walk(
+                0.37, lambda t: any(abs(t - b) < 1e-6 or abs(t - b - math.pi) < 1e-6 for b in bad)
             )
+            return _sampled_symmetry(self.eval_at, walk, lambda t: t + mp.pi)
 
         return _once(self, "even_support", sample)
 
@@ -285,25 +292,28 @@ class FourierSymbol:
         )
 
 
-def _sampled_symmetry(a: FourierSymbol, start: float, partner, near_jump) -> bool:
-    """Check a(e^{it}) = a(e^{i partner(t)}) by sampling t in (0, pi).
+def _golden_walk(start: float, near_jump):
+    """Points t in (0, pi), walking from start in golden-ratio steps and
+    skipping those where near_jump(t) holds."""
+    t = start
+    while True:
+        t = (t + math.pi * (math.sqrt(5) - 1)) % math.pi
+        if not near_jump(t):
+            yield t
 
-    t walks from start in golden-ratio steps; points where near_jump(t) holds
-    are skipped, as are samples that hit a jump.
-    """
+
+def _sampled_symmetry(f, points, partner) -> bool:
+    """Whether f(p) = f(partner(p)) at the first _CERT_SAMPLES of points, to
+    _CERT_TOL relative to the larger of 1 and the largest |f| seen: the one
+    sampler of every symmetry certificate.  A sample that hits a jump is
+    skipped."""
     with mp.workprec(_CERT_BITS):
         scale = mp.mpf(0)
         worst = mp.mpf(0)
-        k = 0
-        t = start
-        while k < _CERT_SAMPLES:
-            t = (t + math.pi * (math.sqrt(5) - 1)) % math.pi
-            if near_jump(t):
-                continue
-            k += 1
+        for p in itertools.islice(points, _CERT_SAMPLES):
+            p = mp.mpf(p)
             try:
-                v1 = a.eval_at(mp.mpf(t))
-                v2 = a.eval_at(partner(mp.mpf(t)))
+                v1, v2 = f(p), f(partner(p))
             except JumpError:
                 continue
             worst = max(worst, abs(v1 - v2))
@@ -320,12 +330,10 @@ def certify_even(a: FourierSymbol) -> bool:
 
     def sample():
         bad = {p.approx() for p in a.jump_points()}
-        return _sampled_symmetry(
-            a,
-            0.29,
-            lambda t: 2 * mp.pi - t,
-            lambda t: any(min(abs(t - b), abs(2 * math.pi - t - b)) < 1e-6 for b in bad),
+        walk = _golden_walk(
+            0.29, lambda t: any(min(abs(t - b), abs(2 * math.pi - t - b)) < 1e-6 for b in bad)
         )
+        return _sampled_symmetry(a.eval_at, walk, lambda t: 2 * mp.pi - t)
 
     return _once(a, "certify_even", sample)
 
@@ -431,9 +439,6 @@ class Chi(FourierSymbol):
     def real_profile(self):
         return ("odd_i", lambda theta: mp.mpf(1) if theta < mp.pi else mp.mpf(-1))
 
-    def even_support(self):
-        return False
-
     def to_json(self):
         return {"kind": "chi"}
 
@@ -461,9 +466,6 @@ class JumpT(FourierSymbol):
             b = to_mp(self.beta, wp)
             sin_b, pi = mp.sinpi(b), +mp.pi
             return {n: mp.mpf((-1) ** n) if b == n else sin_b / (pi * (b - n)) for n in ns}
-
-    def even_support(self):
-        return False
 
     @property
     def real(self) -> bool:
@@ -684,17 +686,11 @@ class ClosedFormSymbol(FourierSymbol):
         return self._profile
 
 
-def _mapped_even_profile(base: FourierSymbol, arg):
-    """("even", f(arg(theta))) when base has the real even profile f, else None."""
-    p = base.real_profile()
-    if p is None or p[0] != "even":
-        return None
-    fn = p[1]
-    return ("even", lambda theta: fn(arg(to_mp(theta, mp.mp.prec))))
-
-
-class ArgDoubled(FourierSymbol):
-    """a(e^{i theta}) = base(e^{2 i theta}): a_{2n} = base_n, odd ones vanish."""
+class _Image(FourierSymbol):
+    """A symbol whose coefficients are its base's under the index map
+    _source: a_n = base_{_source(n)}, and a_n = 0 where _source(n) is None.
+    Its value at theta is the base's at _arg(theta), and it keeps its base's
+    symmetry and realness."""
 
     def __init__(self, base: FourierSymbol):
         super().__init__()
@@ -707,6 +703,48 @@ class ArgDoubled(FourierSymbol):
     @property
     def real(self) -> bool:
         return self.base.real
+
+    def _mapped(self, ns, read, bits):
+        """{n: base_{_source(n)}} for n in ns, from read(sorted sources), or
+        None when read gives None."""
+        src = {n: self._source(n) for n in ns}
+        inner = read(sorted({m for m in src.values() if m is not None}))
+        if inner is None:
+            return None
+        zero = Fraction(0) if bits is None else mp.mpf(0)
+        return {n: zero if m is None else inner[m] for n, m in src.items()}
+
+    def closed_table(self, ns, bits=None):
+        return self._mapped(ns, lambda ms: self.base.closed_table(ms, bits), bits)
+
+    def coeff_table(self, n_lo, n_hi, bits):
+        if n_lo > n_hi:
+            raise ValueError("empty coefficient range")
+        return self._mapped(
+            range(n_lo, n_hi + 1), lambda ms: self.base.coeff_table(ms[0], ms[-1], bits) if ms else {}, bits
+        )
+
+    def eval_at(self, theta):
+        return self.base.eval_at(self._arg(to_mp(theta, mp.mp.prec)))
+
+    def real_profile(self):
+        # an argument map keeps real-evenness but breaks oddness in theta
+        # (sin(2t) is not odd about pi), so only the even case maps
+        p = self.base.real_profile()
+        if p is None or p[0] != "even":
+            return None
+        fn = p[1]
+        return ("even", lambda theta: fn(self._arg(to_mp(theta, mp.mp.prec))))
+
+
+class ArgDoubled(_Image):
+    """a(e^{i theta}) = base(e^{2 i theta}): a_{2n} = base_n, odd ones vanish."""
+
+    def _source(self, n):
+        return None if n % 2 else n // 2
+
+    def _arg(self, theta):
+        return _reduce_mod_2pi(2 * theta)
 
     def jump_points(self):
         pts = []
@@ -718,65 +756,22 @@ class ArgDoubled(FourierSymbol):
     def even_support(self):
         return True
 
-    def eval_at(self, theta):
-        th = to_mp(theta, mp.mp.prec)
-        return self.base.eval_at(_reduce_mod_2pi(2 * th))
-
-    def closed_coeff(self, n, bits=None):
-        if n % 2:
-            return Fraction(0) if bits is None else mp.mpf(0)
-        return self.base.closed_coeff(n // 2, bits)
-
-    def coeff_table(self, n_lo, n_hi, bits):
-        lo = -(-n_lo // 2)  # ceil
-        hi = n_hi // 2
-        inner = self.base.coeff_table(lo, hi, bits) if lo <= hi else {}
-        out = {}
-        zero = mp.mpf(0)
-        for n in range(n_lo, n_hi + 1):
-            out[n] = inner[n // 2] if n % 2 == 0 else zero
-        return out
-
-    def real_profile(self):
-        # doubling the argument keeps real-evenness but breaks oddness in
-        # theta (sin(2t) is not odd about pi), so only the even case maps
-        return _mapped_even_profile(self.base, lambda th: _reduce_mod_2pi(2 * th))
-
     def band(self):
         return None if self.base.band() is None else 2 * self.base.band()
 
 
-class HalvedArg(FourierSymbol):
-    """d(e^{i theta}) = base(e^{i theta/2}) for a base with a(-t) = a(t)."""
+class HalvedArg(_Image):
+    """d(e^{i theta}) = base(e^{i theta/2}) for a base with a(-t) = a(t):
+    d_n = base_{2n}."""
 
-    def __init__(self, base: FourierSymbol):
-        super().__init__()
-        self.base = base
+    def _source(self, n):
+        return 2 * n
 
-    @property
-    def symmetry(self):
-        return self.base.symmetry
-
-    @property
-    def real(self) -> bool:
-        return self.base.real
+    def _arg(self, theta):
+        return _reduce_mod_2pi(theta) / 2
 
     def jump_points(self):
         return _dedup_jumps(p.scaled(Fraction(2)) for p in self.base.jump_points())
-
-    def eval_at(self, theta):
-        th = _reduce_mod_2pi(to_mp(theta, mp.mp.prec))
-        return self.base.eval_at(th / 2)
-
-    def closed_coeff(self, n, bits=None):
-        return self.base.closed_coeff(2 * n, bits)
-
-    def coeff_table(self, n_lo, n_hi, bits):
-        inner = self.base.coeff_table(2 * n_lo, 2 * n_hi, bits)
-        return {n: inner[2 * n] for n in range(n_lo, n_hi + 1)}
-
-    def real_profile(self):
-        return _mapped_even_profile(self.base, lambda th: _reduce_mod_2pi(th) / 2)
 
     def band(self):
         return None if self.base.band() is None else (self.base.band() + 1) // 2
@@ -865,18 +860,9 @@ class MomentSymbol:
         """parity=even must hold under sampling: smooth(x) = smooth(-x).
         Sampled once per symbol."""
 
-        def sample():
-            with mp.workprec(_CERT_BITS):
-                worst = mp.mpf(0)
-                scale = mp.mpf(1)
-                for k in range(_CERT_SAMPLES):
-                    x = (mp.mpf(2 * k + 1)) / (2 * _CERT_SAMPLES + 1)
-                    v1, v2 = self.smooth(x), self.smooth(-x)
-                    worst = max(worst, abs(v1 - v2))
-                    scale = max(scale, abs(v1))
-                return worst <= _CERT_TOL * scale
-
-        return _once(self, "certify_even", sample)
+        # the generator runs inside the sampler, so each x is made at _CERT_BITS
+        points = (mp.mpf(2 * k + 1) / (2 * _CERT_SAMPLES + 1) for k in range(_CERT_SAMPLES))
+        return _once(self, "certify_even", lambda: _sampled_symmetry(self.smooth, points, lambda x: -x))
 
     def eval_at(self, x):
         x = to_mp(x, mp.mp.prec)

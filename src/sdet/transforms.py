@@ -95,11 +95,12 @@ def _as_seq(a, symmetry: str) -> ScalarSeq:
 
 def _over_one_den(values):
     """(ints, den) with values[i] = ints[i] / den, den the lcm of the
-    denominators, when every value is an int or Fraction; (values, 1) as
-    they are otherwise."""
-    if not all(isinstance(v, (int, Fraction)) for v in values):
+    denominators, when every value is rational (an int or Fraction); (values,
+    1) as they are otherwise."""
+    try:
+        den = lcm(*[v.denominator for v in values])
+    except AttributeError:  # a float, complex or mp value has no denominator
         return values, 1
-    den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

@@ -297,6 +297,11 @@ class TestQuadratureBackedEvenInputs:
         assert rep.passed
         assert abs(max_rel(rep)) < mp.mpf(2) ** -100
 
+    def test_uncertified_even_symbol_is_rejected(self):
+        lopsided = ClosedFormSymbol(lambda t: 2 + mp.expj(t))
+        with pytest.raises(SpeciesError, match="an even symbol is required"):
+            verify("hankel_congruence", lopsided, 3, "hp", 128)
+
     @pytest.mark.parametrize("kind", [IdentityKind.HankelCongruence, IdentityKind.SkewSquare])
     def test_even_symbol_coefficient_table(self, kind):
         rep = verify(kind, EXP_COS, 6, mode="hp", bits=128)

@@ -63,6 +63,10 @@ class TestToeplitz:
         with pytest.raises(StructureError, match="odd symbol must give a skewsymmetric Toeplitz matrix"):
             toeplitz(liar, 4, bits=128)
 
+    def test_unreadable_source_is_rejected(self):
+        with pytest.raises(TypeError, match="cannot read coefficients"):
+            toeplitz(object(), 3, hp_real(64))
+
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
             toeplitz(DELTA, 0)
@@ -133,6 +137,14 @@ class TestHankelMoment:
         m = hankel_moment(b, 1, bits=192)
         with mp.workprec(224):
             assert abs(m.entry(0, 0) - 1) < mp.mpf(2) ** -180
+
+    def test_moment_symbol_default_precision(self):
+        # max(128, 12N) bits when neither bits nor a field is given
+        b = MomentSymbol.from_poly({0: 1, 2: 1}, weight="sqrt_ratio")
+        assert hankel_moment(b, 20).field == hp_real(240)
+        assert hankel_moment(b, 4).field == hp_real(128)
+        assert hankel_moment(b, 4, bits=192).field == hp_real(192)
+        assert hankel_moment(b, 20, field=hp_real(96)).field == hp_real(96)
 
     def test_moment_symbol_needs_inexact_field(self):
         b = MomentSymbol.from_poly({0: 1})

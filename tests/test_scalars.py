@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from sdet.matrices import hankel_moment, toeplitz
-from sdet.scalars import coerce, hp_complex, hp_real, infer_field, rational, to_mp
+from sdet.scalars import Field, coerce, hp_complex, hp_real, infer_field, rational, to_mp
 from sdet.symbols import (
     Chi,
     CoeffSeq,
@@ -52,6 +52,15 @@ def test_matrices_follow_the_field_rule():
     assert toeplitz(ScalarSeq({0: 1, 1: HALF}, "even"), 3).field == rational()
     b = MomentSymbol.from_poly({0: 1, 1: 1j})
     assert hankel_moment(b, 2, bits=BITS).field == hp_complex(BITS)
+
+
+@pytest.mark.parametrize(
+    "tag, bits, message",
+    [("rational", 64, "carries no precision"), ("hp_real", 32, "bits >= 64"), ("bogus", None, "unknown field tag")],
+)
+def test_field_validation(tag, bits, message):
+    with pytest.raises(ValueError, match=message):
+        Field(tag, bits)
 
 
 def test_unreadable_source_is_rejected():

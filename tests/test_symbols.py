@@ -10,6 +10,7 @@ from sdet import asymptotics, quadrature, symbols
 from sdet.identities import pfaffian_link, verify, verify_all
 from sdet.scalars import to_mp
 from sdet.symbols import (
+    ArgDoubled,
     Chi,
     ClosedFormSymbol,
     CoeffSeq,
@@ -58,7 +59,8 @@ def poly_moment_exact(coeffs: dict, n: int) -> Fraction:
 
 
 def count_samples(monkeypatch) -> list:
-    """One entry per sampled symmetry check of a circle symbol."""
+    """One entry per sampled symmetry check: of a circle symbol, or of a
+    moment symbol's smooth factor."""
     calls = []
     real = symbols._sampled_symmetry
 
@@ -298,6 +300,29 @@ class TestArgumentMaps:
         v2 = evaluate(base, 2 * mp.mpf(0.7), bits=160)
         with mp.workprec(192):
             assert abs(v1 - v2) < mp.mpf(2) ** -130
+
+    def test_even_integer_jump_has_even_support(self):
+        # e^{2i(theta - pi)} = t^2: its only nonzero coefficient is a_2
+        assert JumpT(2).even_support()
+        assert not JumpT(-0.5).even_support()
+        assert halve_argument(JumpT(2)).coeff_table(-2, 2, 128) == {-2: 0, -1: 0, 0: 0, 1: 1, 2: 0}
+
+    @pytest.mark.parametrize(
+        "make, ns, n, source",
+        [(lambda: ArgDoubled(Chi()), (1, 2, 3), 2, 1), (lambda: HalvedArg(JumpT(2)), (1,), 1, 2)],
+        ids=["doubled_chi", "halved_jump"],
+    )
+    def test_image_closed_table_agrees_with_closed_coeff(self, make, ns, n, source):
+        a = make()
+        table = a.closed_table(ns, 128)
+        assert table is not None
+        assert all(table[m] == a.closed_coeff(m, 128) for m in ns)
+        assert table[n] == a.base.closed_coeff(source, 128) != 0
+
+    @pytest.mark.parametrize("make", [lambda: ArgDoubled(Chi()), lambda: HalvedArg(JumpT(2))], ids=["doubled", "halved"])
+    def test_image_rejects_an_empty_range(self, make):
+        with pytest.raises(ValueError, match="empty coefficient range"):
+            make().coeff_table(2, 1, 128)
 
     def test_halved_closed_form(self):
         a = CoeffSeq({-2: Fraction(1, 2), 0: 1, 2: Fraction(1, 2)}, symmetry="even")
@@ -745,6 +770,22 @@ class TestJsonConfigs:
         back = descriptor_from_json(desc.to_json())
         assert back.log_smooth == desc.log_smooth
         assert back.jumps == desc.jumps
+
+    def test_fh_symbol_roundtrip_keeps_the_exact_mirror(self):
+        desc = FHDescriptor({2: 0.1, -2: 0.1}, jumps=[(1.0, 0.2j), (JumpPoint(2, -1.0), -0.2j)])
+        back = symbol_from_json(FHProduct(desc).to_json())
+        assert isinstance(back, FHProduct)
+        assert back.desc.log_smooth == desc.log_smooth
+        assert back.desc.jumps == desc.jumps
+        mirror = back.desc.points[1]
+        assert (mirror.coeff, mirror.offset, mirror.arc) == (2, -1.0, 0)
+        # the mirrored pair stays exact, so the product keeps its real profile
+        assert back.real_profile() is not None
+
+    def test_complex_coeffs_roundtrip(self):
+        back = symbol_from_json(CoeffSeq({1: 1 + 2j, 2: 0.5}).to_json())
+        assert back.entries == {1: 1 + 2j, 2: 0.5}
+        assert back.symmetry is None
 
     def test_fh_symbol_from_json(self):
         sym = symbol_from_json(
