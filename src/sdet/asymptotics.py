@@ -25,7 +25,7 @@ import mpmath as mp
 from . import matrices, symbols
 from .determinants import leading_minors
 from .quadrature import SLACK, AccuracyError
-from .scalars import format_scalar, infer_field, to_mp
+from .scalars import format_scalar, to_mp
 from .symbols import ArgDoubled, FHDescriptor, FHProduct, JumpT, MomentSymbol, SpeciesError
 
 
@@ -615,7 +615,7 @@ def study(kind: str, subject, N_list, bits: int = 256, sign=Fraction(-1, 2), des
     orders = [row.scale * N for N in Ns]
 
     def dets(sym):
-        M = getattr(matrices, row.matrix)(sym, max(orders), infer_field(sym, bits))
+        M = getattr(matrices, row.matrix)(sym, max(orders), bits=bits)
         return _real_dets(M, orders, bits)
 
     wp = bits + 32

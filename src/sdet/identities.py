@@ -8,12 +8,13 @@ determinants multiply; a squared determinant names its matrix twice, as
 reads every smaller size off its leading block (each family is closed under
 leading blocks); determinants.leading_minors gives the determinants of all
 those blocks from one pass, which the matrix keeps, so a matrix named twice
-still runs one pass.  Residuals are recorded per N between the two
-products, each taken at 2*bits + 32 when it has two or more factors: in
-exact mode a pass means the residual is literally zero, in hp mode the
-relative residual must stay below 10^(-digits_guaranteed/2), where
-digits_guaranteed is the fewest the determinant engine's two-precision
-agreement gives any factor.  A record whose factors carry no guaranteed
+still runs one pass.  verify turns its mode into bits once: exact mode is
+bits None, from there down to leading_minors.  Residuals are recorded per N
+between the two products, each taken at 2*bits + 32 in hp mode when it has
+two or more factors: in exact mode a pass means the residual is literally
+zero, in hp mode the relative residual must stay below
+10^(-digits_guaranteed/2), where digits_guaranteed is the fewest the
+determinant engine's two-precision agreement gives any factor.  A record whose factors carry no guaranteed
 digits fails, since two values known to no digits agree by accident.  An
 hp_complex side whose imaginary part lies below its guaranteed digits is
 recorded as its real part, so quadrature noise never reaches the report.
@@ -31,14 +32,17 @@ to back them; the identities are finite-matrix statements.
 
 Every kind reads its input through one owner (_owner, called with the row's
 species before its builder), which gives the symbol its matrices are laid
-out of and their field.  A symbol is its own owner: a CoeffSeq of the
-kind's species (even or odd), a quadrature-backed even symbol, or a
-MomentSymbol; a plain dict or ScalarSeq gets a fresh CoeffSeq, which shares
-nothing.  The even kinds lay out T+H_N(a), T_2N(a) and T_N(d) of the owner
-and take halve_argument and th_to_moment_symbol of it, and cseq_square lays
-out T_2N(c) of its owner; the matrix builders keep each matrix on its
-symbol, and leading_minors keeps its pass on the matrix, so verify_all,
-pfaffian_link and repeated checks run one pass per distinct matrix.  The
+out of.  A symbol is its own owner: a CoeffSeq of the kind's species (even
+or odd), a quadrature-backed even symbol, or a MomentSymbol; a plain dict or
+ScalarSeq gets a fresh CoeffSeq, which shares nothing.  A builder takes the
+owner, the order and bits, and passes bits to each matrix builder, which
+gives the matrix the field of its own source (matrices._build); the owner
+carries no field.  The even kinds lay out T+H_N(a), T_2N(a) and T_N(d) of
+the owner and take halve_argument and th_to_moment_symbol of it, and
+cseq_square lays out T_2N(c) of its owner; the matrix builders keep each
+matrix on its symbol, and leading_minors keeps its pass on the matrix, so
+verify_all, pfaffian_link and repeated checks run one pass per distinct
+matrix.  The
 moment kinds and pfaffian_link share the moment twin's H_N[b] and its skew
 symbol's T_2N(c); pfaffian_link records Pf(T_2N(c)) as a factor with no
 guaranteed digits.  The transforms read the owner's exact values: a
@@ -51,6 +55,7 @@ checkerboard matrix run the two recursions of its right side.
 
 import enum
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +64,7 @@ import mpmath as mp
 from . import symbols, transforms
 from .determinants import DetResult, leading_minors, pfaffian
 from .matrices import StructuredMatrix, hankel_moment, toeplitz, toeplitz_plus_hankel
-from .scalars import format_scalar, infer_field, to_mp
+from .scalars import format_scalar, to_mp
 from .symbols import (
     CoeffSeq,
     JumpT,
@@ -183,50 +188,49 @@ def _n_list(N_values):
     return out
 
 
-def _owner(inp, species: str, mode: str, bits: int):
-    """(owner, field): the symbol that a kind on an input of species "even",
-    "odd" or "moment" lays its matrices out of, and the field they take.
+def _owner(inp, species: str, bits: int | None):
+    """The symbol that a kind on an input of species "even", "odd" or
+    "moment" lays its matrices out of, at bits, or in exact mode when bits
+    is None.
 
     A MomentSymbol is its own owner.  A CoeffSeq of the species is its own
-    owner (an unflagged one with a_{-n} = a_n passes as even), and a plain
-    dict or ScalarSeq gets a fresh CoeffSeq of the species, which shares
-    nothing.  An even kind also takes a quadrature-backed even symbol as
-    its own owner; it has no exact mode.  The field is rational in exact
-    mode, which needs rational coefficients, and hp at bits otherwise.  An
-    input that the species does not take raises SpeciesError.
+    owner, and a plain dict or ScalarSeq gets a fresh CoeffSeq of the
+    species, which shares nothing.  An even kind also takes a
+    quadrature-backed even symbol as its own owner, but not in exact mode,
+    which needs rational coefficients.  An input that the species does not
+    take raises SpeciesError.
     """
-    exact = mode == "exact"
     if species == "moment":
         if not isinstance(inp, MomentSymbol):
             raise SpeciesError("a moment symbol is required")
     elif species == "even" and isinstance(inp, symbols.FourierSymbol) and not isinstance(inp, CoeffSeq):
         if not symbols.certify_even(inp):
             raise SpeciesError("an even symbol is required")
-        if exact:
+        if bits is None:
             raise SpeciesError("exact mode needs finite rational coefficients")
     else:
-        if isinstance(inp, CoeffSeq) and inp.symmetry is None and all(
-            inp.entries.get(-n, 0) == v for n, v in inp.entries.items()
-        ):
-            symmetry = "even"  # an unflagged CoeffSeq with a_{-n} = a_n passes as even
-        elif isinstance(inp, (ScalarSeq, CoeffSeq, dict)):
-            symmetry = getattr(inp, "symmetry", species)
-        else:
+        if not isinstance(inp, (ScalarSeq, CoeffSeq, dict)):
             raise SpeciesError("cannot interpret %r as an %s sequence" % (type(inp), species))
-        if symmetry != species:
+        if getattr(inp, "symmetry", species) != species:
             raise SpeciesError("an %s sequence is required" % species)
         if not isinstance(inp, CoeffSeq):
             try:
                 inp = CoeffSeq(transforms._as_seq(inp, species).entries, symmetry=species)
             except ValueError as exc:  # entries that contradict the symmetry
                 raise SpeciesError(str(exc)) from exc
-        if exact and not inp.is_exact:
+        if bits is None and not inp.is_exact:
             raise SpeciesError("exact mode needs rational coefficients")
-    return inp, infer_field(inp, bits, exact)
+    return inp
 
 
-def _transform(transform, a, top: int, n: int, bits: int):
-    """transform(seq, n) at 2*bits+32 on owner a's coefficients as the
+def _wide(bits):
+    """The context of a sum or product of hp values at bits: 2*bits+32; none
+    in exact mode (bits None), where the values are rationals."""
+    return nullcontext() if bits is None else mp.workprec(2 * bits + 32)
+
+
+def _transform(transform, a, top: int, n: int, bits: int | None):
+    """transform(seq, n) in _wide(bits) on owner a's coefficients as the
     transforms read them: a CoeffSeq's entries, with a float as its exact
     Fraction and a complex as an mpc, or a quadrature-backed symbol's table
     over 0..top at bits.
@@ -241,7 +245,7 @@ def _transform(transform, a, top: int, n: int, bits: int):
         }
     else:
         seq = a.coeff_table(0, top, bits)
-    with mp.workprec(2 * bits + 32):
+    with _wide(bits):
         return transform(seq, n)
 
 
@@ -276,34 +280,34 @@ def _drop_noise(v, digits):
     return v
 
 
-def _record(N, left, right, mode, bits):
+def _record(N, left, right, bits):
     """The record of one N: the product of the DetResults left against that
-    of right, a side of one factor as its value and a product at
-    2*bits+32.  In hp mode it claims the fewest guaranteed digits among the
-    factors that have any, and fails when none has."""
+    of right, a side of one factor as its value and a product in
+    _wide(bits).  In hp mode (bits not None) it claims the fewest guaranteed
+    digits among the factors that have any, and fails when none has."""
     lhs, rhs = left[0].value, right[0].value
     if len(left) + len(right) > 2:
-        with mp.workprec(2 * bits + 32):
+        with _wide(bits):
             for f in left[1:]:
                 lhs *= f.value
             for f in right[1:]:
                 rhs *= f.value
-    if mode == "exact":
+    if bits is None:
         a, rel = _residuals(lhs, rhs, bits)
-        return IdentityRecord(N, lhs, rhs, a, rel, mode, None, None, a == 0)
+        return IdentityRecord(N, lhs, rhs, a, rel, "exact", None, None, a == 0)
     digits = [f.digits_guaranteed for f in left + right if f.digits_guaranteed]
     # with no guaranteed digit on either side, agreement proves nothing
     dg = min(digits, default=0)
     lhs, rhs = _drop_noise(lhs, dg), _drop_noise(rhs, dg)
     a, rel = _residuals(lhs, rhs, bits)
     ok = bool(digits) and rel < mp.mpf(10) ** (-(dg / 2))
-    return IdentityRecord(N, lhs, rhs, a, rel, mode, bits, dg, ok)
+    return IdentityRecord(N, lhs, rhs, a, rel, "hp", bits, dg, ok)
 
 
 # -- one row per identity ----------------------------------------------------
 
 
-def _sweep(Ns, mode, bits, lhs, rhs):
+def _sweep(Ns, bits, lhs, rhs):
     """One record per N: the product of the determinants of lhs's matrices
     against that of rhs's.
 
@@ -317,16 +321,18 @@ def _sweep(Ns, mode, bits, lhs, rhs):
     def dets(side):
         return zip(*(leading_minors(M, [M.order // top * N for N in Ns], bits) for M in side))
 
-    return [_record(N, left, right, mode, bits) for N, left, right in zip(Ns, dets(lhs), dets(rhs))]
+    return [_record(N, left, right, bits) for N, left, right in zip(Ns, dets(lhs), dets(rhs))]
 
 
 @dataclass(frozen=True)
 class _Identity:
     """One row of _IDENTITIES: species is the input the kind takes ("even",
     "odd" or "moment"), applies(inp) verify_all's gate, exact whether the
-    kind has an exact mode, and build(a, field, n, bits, notes) gives the
-    two sides at order n, laid out of the owner a in field: (lhs, rhs), each
-    a tuple of matrices whose determinants multiply."""
+    kind has an exact mode, and build(a, n, bits, notes) gives the two sides
+    at order n, laid out of the owner a at bits, or exactly when bits is
+    None: (lhs, rhs), each a tuple of matrices whose determinants multiply.
+    Each matrix builder takes its field from its own source at those bits
+    (matrices._build)."""
 
     species: str
     applies: Callable
@@ -373,22 +379,21 @@ def _even_support(inp):
 
 
 @_identity(IdentityKind.HankelCongruence, "even")
-def _hankel_congruence(a, field, n, bits, notes):
+def _hankel_congruence(a, n, bits, notes):
     b = _transform(a_to_b, a, 2 * n + 2, 2 * n, bits)
-    return (toeplitz_plus_hankel(a, n, field),), (hankel_moment(b, n, field),)
+    return (toeplitz_plus_hankel(a, n, bits=bits),), (hankel_moment(b, n, bits=bits),)
 
 
 @_identity(IdentityKind.THvsMoment, "even", exact=False)
-def _th_vs_moment(a, field, n, bits, notes):
+def _th_vs_moment(a, n, bits, notes):
     b = th_to_moment_symbol(a)
-    field = infer_field(b, bits)
-    return (toeplitz_plus_hankel(a, n, field),), (hankel_moment(b, n, field),)
+    return (toeplitz_plus_hankel(a, n, bits=bits),), (hankel_moment(b, n, bits=bits),)
 
 
 @_identity(IdentityKind.QuarterWave, "even", requires=_even_support)
-def _quarter_wave(a, field, n, bits, notes):
+def _quarter_wave(a, n, bits, notes):
     d = halve_argument(a)
-    return (toeplitz_plus_hankel(a, n, field),), (toeplitz(d, n, field),)
+    return (toeplitz_plus_hankel(a, n, bits=bits),), (toeplitz(d, n, bits=bits),)
 
 
 @_identity(
@@ -397,22 +402,22 @@ def _quarter_wave(a, field, n, bits, notes):
     exact=False,
     requires=lambda b: b.weight == "sqrt_ratio" and b.parity == "even",
 )
-def _moment_to_toeplitz(b, field, n, bits, notes):
+def _moment_to_toeplitz(b, n, bits, notes):
     if b.weight != "sqrt_ratio":
         raise SpeciesError("the sqrt((1+x)/(1-x)) weight is required")
-    return (hankel_moment(b, n, field),), (toeplitz(symbols._halfangle(b), n, field),)
+    return (hankel_moment(b, n, bits=bits),), (toeplitz(symbols._halfangle(b), n, bits=bits),)
 
 
 @_identity(IdentityKind.SkewSquare, "even")
-def _skew_square(a, field, n, bits, notes):
+def _skew_square(a, n, bits, notes):
     c = _transform(a_to_c, a, 2 * n, 2 * n - 1, bits)
-    T2 = toeplitz(c, 2 * n, field)
-    A = toeplitz_plus_hankel(a, n, field)
+    T2 = toeplitz(c, 2 * n, bits=bits)
+    A = toeplitz_plus_hankel(a, n, bits=bits)
     return (T2,), (A, A)
 
 
 @_identity(IdentityKind.CSeqSquare, "odd")
-def _cseq_square(c, field, n, bits, notes):
+def _cseq_square(c, n, bits, notes):
     note = (
         "sequence-level input: the identity is a finite-matrix statement and "
         "does not require the sequence to come from an L1 symbol"
@@ -420,44 +425,43 @@ def _cseq_square(c, field, n, bits, notes):
     if note not in notes:
         notes.append(note)
     b = _transform(c_to_b, c, 2 * n - 1, 2 * n - 1, bits)
-    T2 = toeplitz(c, 2 * n, field)
-    H = hankel_moment(b, n, field)
+    T2 = toeplitz(c, 2 * n, bits=bits)
+    H = hankel_moment(b, n, bits=bits)
     return (T2,), (H, H)
 
 
 @_identity(IdentityKind.MomentSkewSquare, "moment", exact=False)
-def _moment_skew_square(b, field, n, bits, notes):
-    T2 = toeplitz(moment_to_skew_symbol(b), 2 * n, field)
-    H = hankel_moment(b, n, field)
+def _moment_skew_square(b, n, bits, notes):
+    T2 = toeplitz(moment_to_skew_symbol(b), 2 * n, bits=bits)
+    H = hankel_moment(b, n, bits=bits)
     return (T2,), (H, H)
 
 
 @_identity(IdentityKind.ParitySplitEven, "even", requires=_even_support)
-def _parity_split_even(a, field, n, bits, notes):
+def _parity_split_even(a, n, bits, notes):
     d = halve_argument(a)
-    T2 = toeplitz(a, 2 * n, field)
-    T = toeplitz(d, n, field)
+    T2 = toeplitz(a, 2 * n, bits=bits)
+    T = toeplitz(d, n, bits=bits)
     return (T2,), (T, T)
 
 
 @_identity(IdentityKind.ParitySplitChi, "even", exact=False, requires=_even_support)
-def _parity_split_chi(a, field, n, bits, notes):
+def _parity_split_chi(a, n, bits, notes):
     d = halve_argument(a)
     d1 = SymbolProduct((JumpT(-0.5), d))
     d2 = SymbolProduct((JumpT(0.5), d))
-    chi_a = multiply_by_chi(a)
-    T2 = toeplitz(chi_a, 2 * n, infer_field(chi_a, bits))
+    T2 = toeplitz(multiply_by_chi(a), 2 * n, bits=bits)
     # tagged general, the left side keeps the skew elimination (docstring)
     T2 = StructuredMatrix(T2.rows, T2.field, check=False)
-    return (T2,), (toeplitz(d1, n, infer_field(d1, bits)), toeplitz(d2, n, infer_field(d2, bits)))
+    return (T2,), (toeplitz(d1, n, bits=bits), toeplitz(d2, n, bits=bits))
 
 
-def _sides(kind, inp, n, mode, bits, notes):
+def _sides(kind, inp, n, bits, notes):
     """kind's two sides at order n on inp, from its row's builder on the
-    owner of inp and its field; SpeciesError on an input it cannot take."""
+    owner of inp at bits (None: exact); SpeciesError on an input it cannot
+    take."""
     row = _IDENTITIES[kind]
-    a, field = _owner(inp, row.species, mode, bits)
-    return row.build(a, field, n, bits, notes)
+    return row.build(_owner(inp, row.species, bits), n, bits, notes)
 
 
 def _report(kind, mode, bits, records, notes):
@@ -485,9 +489,9 @@ def verify(kind, inp, N_values, mode: str = "exact", bits: int | None = None) ->
             % bits
         )
         mode = "hp"
-    lhs, rhs = _sides(kind, inp, max(Ns), mode, bits, notes)
-    records = _sweep(Ns, mode, bits, lhs, rhs)
-    return _report(kind.value, mode, bits if mode == "hp" else None, records, notes)
+    bits = bits if mode == "hp" else None  # exact mode from here on is bits None
+    lhs, rhs = _sides(kind, inp, max(Ns), bits, notes)
+    return _report(kind.value, mode, bits, _sweep(Ns, bits, lhs, rhs), notes)
 
 
 def _abs(res):
@@ -504,17 +508,17 @@ def pfaffian_link(b: MomentSymbol, N_values, bits: int | None = None) -> Identit
     """
     Ns = _n_list(N_values)
     bits = _bits(bits)
-    (T2n,), (Hn, _) = _sides(IdentityKind.MomentSkewSquare, b, max(Ns), "hp", bits, [])
+    (T2n,), (Hn, _) = _sides(IdentityKind.MomentSkewSquare, b, max(Ns), bits, [])
     records = []
     detTs = leading_minors(T2n, [2 * N for N in Ns], bits)
     detHs = leading_minors(Hn, Ns, bits)
     for N, detT, detH in zip(Ns, detTs, detHs):
         # pfaffian gives a bare value: a factor with no guaranteed digits
         pf = DetResult(pfaffian(T2n.leading(2 * N)), "pfaffian")
-        records.append(_record(N, (pf, pf), (detT,), "hp", bits))
+        records.append(_record(N, (pf, pf), (detT,), bits))
         # the magnitude record takes abs and 10^(-dg/2) at 2*bits+32
         with mp.workprec(2 * bits + 32):
-            records.append(_record(N, (_abs(pf),), (_abs(detH),), "hp", bits))
+            records.append(_record(N, (_abs(pf),), (_abs(detH),), bits))
     return _report("pfaffian_link", "hp", bits, records, [])
 
 

@@ -2,9 +2,13 @@
 
 Builders produce dense StructuredMatrix values over an explicit field (exact
 rationals or high-precision reals/complexes), laid out of one coefficient
-table per matrix, with each index coerced once, so their diagonals (or
-anti-diagonals) are constant by construction: each row of a Toeplitz or
-Hankel matrix is a slice of one line of the table.  A rational matrix is
+table per matrix.  _build is where a matrix's field is decided, and the
+one caller of scalars.infer_field in the package: the caller's field when
+given, else the field of the matrix's own source at the caller's bits,
+rational when bits is None and every entry is.  Each index of the table is
+coerced once, so the diagonals (or anti-diagonals) are constant by
+construction: each row of a Toeplitz or Hankel matrix is a slice of one
+line of the table.  A rational matrix is
 held as integer rows over one positive common denominator: a builder clears
 its table once by transforms._over_one_den (den is the lcm of the table's
 denominators) and lays out the numerators, so a Toeplitz+Hankel entry is an

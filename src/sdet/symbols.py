@@ -25,7 +25,7 @@ _source onto the base's coefficients (n // 2, or none for odd n; 2n), and
 both closed forms and tables are read off the base through it.  Every
 symmetry certificate (even support and evenness on the circle, the parity
 of a moment symbol's smooth factor) runs one sampler, _sampled_symmetry, on
-_CERT_SAMPLES points.
+_CERT_SAMPLES points, except a CoeffSeq's, which are read off its entries.
 
 One rule, _route, picks how every table without a closed form is built
 (transform, integrand, trapezoid or panels, band), and one builder, _table,
@@ -306,27 +306,29 @@ def _sampled_symmetry(f, points, partner) -> bool:
     """Whether f(p) = f(partner(p)) at the first _CERT_SAMPLES of points, to
     _CERT_TOL relative to the larger of 1 and the largest |f| seen: the one
     sampler of every symmetry certificate.  A sample that hits a jump is
-    skipped."""
+    skipped, and a certificate with fewer than half its samples evaluated
+    fails."""
     with mp.workprec(_CERT_BITS):
         scale = mp.mpf(0)
         worst = mp.mpf(0)
+        used = 0
         for p in itertools.islice(points, _CERT_SAMPLES):
             p = mp.mpf(p)
             try:
                 v1, v2 = f(p), f(partner(p))
             except JumpError:
                 continue
+            used += 1
             worst = max(worst, abs(v1 - v2))
             scale = max(scale, abs(v1), abs(v2))
-        return worst <= _CERT_TOL * max(scale, mp.mpf(1))
+        return 2 * used >= _CERT_SAMPLES and worst <= _CERT_TOL * max(scale, mp.mpf(1))
 
 
 def certify_even(a: FourierSymbol) -> bool:
-    """Whether a(1/t) = a(t): its declared symmetry, else sampled once per symbol."""
-    if a.symmetry == "even":
-        return True
-    if a.symmetry == "odd":
-        return False
+    """Whether a(1/t) = a(t): its declared symmetry (a CoeffSeq's is its
+    entries'), else sampled once per symbol."""
+    if a.symmetry is not None or isinstance(a, CoeffSeq):
+        return a.symmetry == "even"
 
     def sample():
         bad = {p.approx() for p in a.jump_points()}
@@ -353,7 +355,12 @@ def _json_entries(table: dict) -> list:
 
 
 class CoeffSeq(FourierSymbol):
-    """Finite coefficient map n -> a_n; exact when entries are Fractions."""
+    """Finite coefficient map n -> a_n; exact when entries are Fractions.
+
+    A sequence built without a symmetry (None or "none") takes the one its
+    entries have exactly: even when a_{-n} = a_n for every n, odd when
+    a_{-n} = -a_n and a_0 = 0, otherwise none.
+    """
 
     def __init__(self, entries: dict, symmetry: str | None = None):
         super().__init__()
@@ -370,6 +377,11 @@ class CoeffSeq(FourierSymbol):
                 store[n] = v
             else:
                 raise TypeError("bad coefficient value %r" % (v,))
+        if symmetry is None:
+            if all(store.get(-n, 0) == v for n, v in store.items()):
+                symmetry = "even"
+            elif 0 not in store and all(store.get(-n, 0) == -v for n, v in store.items()):
+                symmetry = "odd"
         _complete_symmetric(store, symmetry, "a")
         self.entries = store
         self._mp: dict = {}

@@ -302,6 +302,18 @@ class TestFitting:
         doc = fit_asymptote(data, bits=192).to_json()
         assert set(doc) == {"F", "Omega", "E", "max_residual"}
 
+    def test_complex_data_on_the_real_axis_keeps_its_sign(self):
+        with mp.workprec(320):
+            data = [(N, mp.mpc(-3 * mp.mpf(2) ** N * mp.mpf(N) ** mp.mpf(-0.25), 0)) for N in (4, 8, 12, 16)]
+        fit = fit_asymptote(data, bits=256)
+        with mp.workprec(288):
+            assert abs(fit.E + 3) < mp.mpf("1e-30")
+
+    def test_double_fit_reports_a_zero_determinant(self):
+        data = [(4, mp.mpf(1)), (8, mp.mpf(0)), (12, mp.mpf(4)), (16, mp.mpf(8))]
+        error = {"error": "zero determinant in fit data"}
+        assert asymptotics._double_fit(data, 128) == {"whole": error, "tail": error}
+
 
 class TestExtrapolation:
     def test_polynomial_data_is_exactly_extrapolated(self):

@@ -558,6 +558,43 @@ def test_python_m_sdet_runs_the_cli(delta_path):
     assert json.loads(out.stdout) == {"coeffs": [[-1, "0"], [0, "1"], [1, "0"]]}
 
 
+
+COS_CONFIG = {"kind": "coeffs", "symmetry": "even", "entries": [[-1, "1/2", 0], [0, 1, 0], [1, "1/2", 0]]}
+FH_CONFIG = {"kind": "fh", "log_smooth": [[1, 0.1, 0], [-1, 0.1, 0]], "jumps": []}
+
+
+class TestUsageErrors:
+    """Each usage error exits 2 and prints its message on stderr."""
+
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            (COS_CONFIG, ["verify", "--identity", "all", "--symbol", "{}", "--nmax", "0"], "--nmax must be >= 1"),
+            (COS_CONFIG, ["transform", "--op", "a_to_b", "--seq", "{}", "--nmax", "0"], "--nmax must be >= 1"),
+            (COS_CONFIG, ["dump", "--symbol", "{}", "--nmax", "0"], "--nmax must be >= 1"),
+            (
+                FH_CONFIG,
+                ["study", "--kind", "prop52_ratio", "--desc", "{}", "--N", "4,8,12,16", "--sign", "x"],
+                "bad sign 'x' (use -1/2 or +1/2)",
+            ),
+            ({"entries": []}, ["verify", "--identity", "all", "--symbol", "{}", "--nmax", "2"], "config needs a 'kind' field"),
+            ([1, 2], ["study", "--kind", "cor53", "--desc", "{}", "--N", "4,8,12,16"], "config must be a JSON object"),
+            (
+                {"kind": "fh", "log_smooth": [], "jumps": [{"theta": 1.0, "beta": [0.5, 0]}]},
+                ["study", "--kind", "cor53", "--desc", "{}", "--N", "4,8,12,16"],
+                "|Re beta| < 1/2 is required",
+            ),
+            (FH_CONFIG, ["study", "--kind", "cor53", "--desc", "{}", "--N", "4,8,12"], "at least 4 sizes are required"),
+        ],
+        ids=["verify_nmax", "transform_nmax", "dump_nmax", "sign", "no_kind", "study_list", "study_beta", "three_sizes"],
+    )
+    def test_exits_two_with_its_message(self, write_config, capsys, config, argv, message):
+        path = write_config("config.json", config)
+        assert cli.run([path if a == "{}" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip("\n").endswith(message)
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self):
         assert cli.run([]) == 2

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import mpmath as mp
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdet import identities
 from sdet.determinants import det_bareiss
 from sdet.identities import (
     IdentityKind,
@@ -26,6 +28,7 @@ from sdet.symbols import (
     th_to_moment_symbol,
 )
 from sdet.matrices import hankel_moment, toeplitz, toeplitz_plus_hankel
+from sdet.scalars import hp_real, rational
 from sdet.transforms import ScalarSeq, a_to_b, a_to_c, c_to_b
 
 from conftest import random_even_seq, random_odd_seq
@@ -619,3 +622,58 @@ def test_exact_residuals_stay_fractions(lhs, rhs):
     scale = max(abs(lhs), abs(rhs))
     assert a == diff
     assert rel == (diff / scale if scale else 0)
+
+
+UNFLAGGED_COS = CoeffSeq({-1: 0.5, 0: 2, 1: 0.5})
+
+
+class TestFieldsFromBits:
+    """An unflagged CoeffSeq takes the symmetry of its entries, and each
+    matrix of a kind takes the field of its own source at the bits verify
+    passes down (None in exact mode)."""
+
+    def test_builders_take_the_owner_order_and_bits(self):
+        for kind, row in identities._IDENTITIES.items():
+            assert list(inspect.signature(row.build).parameters)[1:] == ["n", "bits", "notes"], kind
+
+    def test_unflagged_antisymmetric_sequence_is_odd(self):
+        reports = verify_all(CoeffSeq({-1: -0.5, 1: 0.5}), 3, "hp", 128)
+        assert {rep.kind: (rep.verdict, rep.notes) for rep in reports} == _pinned(cseq_square=("pass", [SEQ_NOTE]))
+
+    def test_unflagged_symmetric_twin_runs_in_real_arithmetic(self):
+        twin = th_to_moment_symbol(UNFLAGGED_COS)
+        assert twin.real
+        assert hankel_moment(twin, 4, bits=128).field == hp_real(128)
+        (th,), (moment,) = identities._sides(IdentityKind.THvsMoment, UNFLAGGED_COS, 4, 128, [])
+        assert th.field == moment.field == hp_real(128)
+        rep = verify(IdentityKind.THvsMoment, UNFLAGGED_COS, 4, "hp", 128)
+        assert rep.passed
+        assert [r.digits for r in rep.records] == [38] * 4
+
+    def test_th_vs_moment_sides_share_a_field_on_every_even_input(self):
+        # the T+H side and the moment twin's H_N[b] each infer their field;
+        # on an even input they agree without any override
+        complex_cos = CoeffSeq({-1: 0.5j, 0: 2, 1: 0.5j})
+        inputs = [inp for inp, _, _ in VERIFY_ALL_CASES.values()] + [EXP_COS, UNFLAGGED_COS, complex_cos]
+        row = identities._IDENTITIES[IdentityKind.THvsMoment]
+        fields = []
+        for inp in inputs:
+            if not row.applies(inp):
+                continue
+            try:
+                (th,), (moment,) = identities._sides(IdentityKind.THvsMoment, inp, 3, 128, [])
+            except SpeciesError:
+                continue
+            assert th.field == moment.field, inp
+            fields.append(th.field.tag)
+        # five even inputs of the table (one twice), two FH symbols and both
+        # unflagged sequences
+        assert fields == ["hp_real"] * 7 + ["hp_complex"]
+
+    def test_exact_mode_is_bits_none(self):
+        (th,), (moment,) = identities._sides(IdentityKind.HankelCongruence, DELTA, 3, None, [])
+        assert th.field == moment.field == rational()
+        with pytest.raises(SpeciesError, match="exact mode needs rational coefficients"):
+            identities._sides(IdentityKind.HankelCongruence, UNFLAGGED_COS, 3, None, [])
+        records = identities._sweep([1, 2, 3], None, (th,), (moment,))
+        assert [(r.mode, r.bits, r.ok) for r in records] == [("exact", None, True)] * 3

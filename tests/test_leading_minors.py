@@ -696,7 +696,7 @@ class TestFixedPointKernels:
         # entries tend to a constant: the block recursion's drift stays at
         # the elimination's on every order, where an X that took Gamma_00
         # for its equal Gamma_11 lost a digit every ~6 orders
-        (T,), _ = identities._sides(identities.IdentityKind.SkewSquare, _exp_cos(), 64, "hp", 256, [])
+        (T,), _ = identities._sides(identities.IdentityKind.SkewSquare, _exp_cos(), 64, 256, [])
         got = leading_minors(T, range(1, 129))
         ref = leading_minors(untagged(T), range(1, 129))
         assert {r.method for r in got} == {"skew_levinson"} and {r.method for r in ref} == {"pfaffian"}
@@ -797,7 +797,7 @@ def test_claimed_digits_hold_against_exact_minors(case, bits):
 
 def _skew_square_t(n, bits):
     """skew_square's T_2n(c) on exp(0.3 cos theta)."""
-    return identities._sides(identities.IdentityKind.SkewSquare, _exp_cos(), n, "hp", bits, [])[0][0]
+    return identities._sides(identities.IdentityKind.SkewSquare, _exp_cos(), n, bits, [])[0][0]
 
 
 # (the real block, the structure tag of its complex copy)

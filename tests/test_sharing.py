@@ -244,8 +244,8 @@ class TestOneOwner:
     def test_even_kinds_build_one_t_plus_h(self, make):
         inp = make()
         kinds = [IdentityKind.HankelCongruence, IdentityKind.THvsMoment, IdentityKind.QuarterWave]
-        built = [identities._sides(kind, inp, N, "hp", BITS, [])[0][0] for kind in kinds]
-        built.append(identities._sides(IdentityKind.SkewSquare, inp, N, "hp", BITS, [])[1][0])
+        built = [identities._sides(kind, inp, N, BITS, [])[0][0] for kind in kinds]
+        built.append(identities._sides(IdentityKind.SkewSquare, inp, N, BITS, [])[1][0])
         assert built[0].structure == "toeplitz_plus_hankel"
         assert all(M is built[0] for M in built)
 
@@ -285,7 +285,7 @@ class TestGuardRail:
         n = 4
         inp = GUARD_INPUTS[kind]()
         assert row.applies(inp)
-        lhs, rhs = identities._sides(kind, inp, n, mode, BITS, [])
+        lhs, rhs = identities._sides(kind, inp, n, None if mode == "exact" else BITS, [])
         # a squared side names its matrix twice; the two sides share none,
         # and parity_split_chi's two right factors are distinct matrices
         assert not {id(M) for M in lhs} & {id(M) for M in rhs}
@@ -293,7 +293,7 @@ class TestGuardRail:
             assert rhs[0] is not rhs[1]
         distinct = list({id(M): M for M in lhs + rhs}.values())
         assert all(M._minors == {} for M in distinct)
-        records = identities._sweep(list(range(1, n + 1)), mode, BITS, lhs, rhs)
+        records = identities._sweep(list(range(1, n + 1)), None if mode == "exact" else BITS, lhs, rhs)
         assert all(r.ok for r in records)
         # one pass per distinct matrix, each kept on its own matrix
         assert sorted(passes) == sorted(M.order for M in distinct)
@@ -363,7 +363,7 @@ class TestSkewBlockLevinsonGuardRail:
         reports = verify_all(inp, N, "hp", BITS)
         assert (2 * N, "skew_levinson") in calls  # skew_square's T_2N(c)
         del calls[:], kernels[:]
-        (lhs,), _ = identities._sides(IdentityKind.ParitySplitChi, inp, N, "hp", BITS, [])
+        (lhs,), _ = identities._sides(IdentityKind.ParitySplitChi, inp, N, BITS, [])
         assert lhs.is_skew() and lhs._minors == {}
         assert verify(IdentityKind.ParitySplitChi, inp, N, "hp", BITS).passed
         assert [r for r in reports if r.kind == "parity_split_chi"][0].passed

@@ -8,6 +8,7 @@ import pytest
 
 from sdet import asymptotics, quadrature, symbols
 from sdet.identities import pfaffian_link, verify, verify_all
+from sdet.matrices import toeplitz_plus_hankel
 from sdet.scalars import to_mp
 from sdet.symbols import (
     ArgDoubled,
@@ -100,6 +101,39 @@ class TestCoeffSeq:
         assert CoeffSeq({2: 1, -2: 1}).even_support()
         assert not COS_SEQ.even_support()
 
+    @pytest.mark.parametrize(
+        "entries, want",
+        [
+            ({-1: 0.5, 0: 2, 1: 0.5}, "even"),
+            ({0: Fraction(1, 3)}, "even"),
+            ({}, "even"),
+            ({-1: -0.5, 1: 0.5}, "odd"),
+            ({-2: 1j, 2: -1j}, "odd"),
+            ({-1: -0.5, 0: 1, 1: 0.5}, None),
+            ({-1: 1 + 1e-14, 0: 2, 1: 1.0}, None),
+            ({1: 1}, None),
+        ],
+        ids=["even", "constant", "empty", "odd", "odd_complex", "odd_with_a0", "near_even", "one_sided"],
+    )
+    def test_unflagged_sequence_takes_its_entries_symmetry(self, entries, want):
+        for symmetry in (None, "none"):
+            a = CoeffSeq(entries, symmetry)
+            assert a.symmetry == want
+            assert a.to_json()["symmetry"] == (want or "none")
+
+    def test_certify_even_reads_the_symmetry_and_never_samples(self, monkeypatch):
+        samples = count_samples(monkeypatch)
+        near_even = CoeffSeq({-1: 1 + 1e-14, 0: 2, 1: 1.0})
+        assert not certify_even(near_even)
+        assert certify_even(CoeffSeq({-1: 0.5, 0: 2, 1: 0.5}))
+        assert not certify_even(CoeffSeq({-1: -0.5, 1: 0.5}))
+        assert samples == []
+        # so toeplitz_plus_hankel refuses it, as the even kinds do
+        with pytest.raises(SpeciesError):
+            toeplitz_plus_hankel(near_even, 3)
+        with pytest.raises(SpeciesError):
+            verify("hankel_congruence", near_even, 3, "hp", 128)
+
     def test_pointwise_value(self):
         v = evaluate(COS_SEQ, 0.0, bits=128)
         with mp.workprec(160):
@@ -140,6 +174,11 @@ class TestChi:
             evaluate(chi, 0)
         with pytest.raises(JumpError):
             chi.eval_at(+mp.pi)
+
+
+    def test_accuracy_target_must_be_positive(self):
+        with pytest.raises(ValueError, match="accuracy target must be positive"):
+            fourier_coeff(Chi(), 1, accuracy=0)
 
 
 class TestJumpT:
@@ -330,6 +369,11 @@ class TestArgumentMaps:
         assert d.entries == COS_SEQ.entries
 
 
+    def test_odd_symbols_have_no_even_support(self):
+        with pytest.raises(SpeciesError, match="a\\(-t\\) = a\\(t\\)"):
+            halve_argument(Chi())
+
+
 class TestChiProduct:
     def test_product_symmetry_bookkeeping(self):
         odd = multiply_by_chi(COS_SEQ)
@@ -354,6 +398,10 @@ class TestChiProduct:
             got = fourier_coeff(prod, 3, bits=160)
             want = Chi().closed_coeff(3, 160)
             assert abs(got - want) < mp.mpf(2) ** -125
+
+
+    def test_two_odd_factors_have_no_real_profile(self):
+        assert SymbolProduct((Chi(), Chi())).real_profile() is None
 
 
 class TestMomentSymbol:
@@ -389,6 +437,20 @@ class TestMomentSymbol:
         assert MomentSymbol.from_poly({2: 1}).certify_even()
         liar = MomentSymbol(smooth=lambda x: x, parity="even")
         assert not liar.certify_even()
+
+    def test_parity_certificate_needs_usable_samples(self):
+        def everywhere_a_jump(x):
+            raise JumpError("no usable point")
+
+        assert not MomentSymbol(everywhere_a_jump, parity="even", real=True).certify_even()
+
+    @pytest.mark.parametrize(
+        "smooth",
+        [lambda x: mp.mpc(x, 1), lambda x: 1 / (x - x)],
+        ids=["complex_value", "raises"],
+    )
+    def test_sampled_realness(self, smooth):
+        assert MomentSymbol(smooth).real is False
 
     def test_from_poly_autoparity(self):
         assert MomentSymbol.from_poly({0: 1, 2: 3}).parity == "even"
@@ -471,6 +533,14 @@ class TestSymmetrySampling:
     )
     def test_even_support(self, make, want):
         assert make().even_support() is want
+
+    def test_a_certificate_without_usable_samples_fails(self):
+        def everywhere_a_jump(theta):
+            raise JumpError("no usable point")
+
+        a = ClosedFormSymbol(everywhere_a_jump)
+        assert certify_even(a) is False
+        assert a.even_support() is False
 
     @pytest.mark.parametrize(
         "log, want",
@@ -556,6 +626,11 @@ class TestPullbacks:
         with mp.workprec(bits):
             for n in (2, 4):
                 assert abs(tab[n]) <= mp.mpf(2) ** (-(bits - quadrature.SLACK))
+
+
+    def test_half_angle_lift_takes_the_plain_weight(self):
+        with pytest.raises(SpeciesError, match="smooth factor alone"):
+            moment_to_halfangle(MomentSymbol.from_poly({0: 1}, weight="sqrt_ratio"))
 
 
 class TestTableCache:
@@ -845,3 +920,8 @@ class TestJsonConfigs:
             {"kind": "coeffs", "symmetry": "even", "entries": [[0, "1/3", 0]]}
         )
         assert sym.entries[0] == Fraction(1, 3)
+
+    @pytest.mark.parametrize("value, message", [(True, "boolean is not a number"), ([1], "bad numeric value")])
+    def test_coefficient_values_must_be_numbers(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            symbol_from_json({"kind": "coeffs", "entries": [[0, value, 0]]})

@@ -249,3 +249,7 @@ class TestCongruence:
         for _ in range(40):
             a = random_even_seq(rng, support=rng.randint(0, 10))
             assert congruence_check(a, rng.randint(1, 6)) == 0
+
+    def test_float_input_leaves_a_rounding_residual(self):
+        a = ScalarSeq({0: 1 / 3, 1: 2 / 7, 2: 1 / 11}, "even")
+        assert 0 < congruence_check(a, 6) < 1e-12
