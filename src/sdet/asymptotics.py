@@ -1,8 +1,10 @@
 """Large-N determinant behavior: constants, factorizations, fits, studies.
 
 The growth model throughout is det ~ F^N * N^Omega * E.  Constants come
-from closed forms evaluated at working precision; nothing here calls a
-special-function library for them.  barnes_constants keeps its constants
+from closed forms evaluated at working precision, over zeta values and the
+Glaisher constant that mpmath gives (zeta_int, glaisher_constant); the
+Barnes G-values themselves are built here, by two independent routes
+(barnes_constants, g_half_series).  barnes_constants keeps its constants
 per bits for the process, as quadrature keeps its Gauss-Legendre rules, so
 a study at bits already seen reuses them.
 
@@ -32,104 +34,28 @@ from .symbols import ArgDoubled, FHDescriptor, FHProduct, JumpT, MomentSymbol, S
 REPORT_DIGITS = 30
 
 
-# -- integer zeta values via Euler-Maclaurin ------------------------------
-
-
-def _zeta_em(s: int, wp: int):
-    """zeta(s) for integer s >= 2, Euler-Maclaurin with Bernoulli tail."""
-    with mp.workprec(wp + 32):
-        M = max(40, wp // 8 + 16)
-        total = mp.mpf(0)
-        for n in range(1, M):
-            total += mp.mpf(n) ** (-s)
-        Mf = mp.mpf(M)
-        total += Mf ** (1 - s) / (s - 1)
-        total += Mf ** (-s) / 2
-        target = mp.mpf(2) ** (-(wp + 16))
-        poch = mp.mpf(s)  # rising product s(s+1)...(s+2k-2)
-        mpow = Mf ** (-s - 1)
-        k = 1
-        while True:
-            term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * poch * mpow
-            total += term
-            if abs(term) < target:
-                break
-            if 2 * k > 6 * M:
-                raise AccuracyError(
-                    "correction terms for zeta(%d) stopped decaying" % s
-                )
-            poch *= (s + 2 * k - 1) * (s + 2 * k)
-            mpow /= Mf * Mf
-            k += 1
-        return +total
-
-
-def _zeta_direct(s: int, wp: int):
-    # partial sums suffice once s is large; tail bound n^{1-s}/(s-1)
-    with mp.workprec(wp + 16):
-        total = mp.mpf(1)
-        target = mp.mpf(2) ** (-(wp + 8))
-        n = 2
-        while True:
-            t = mp.mpf(n) ** (-s)
-            total += t
-            if t * n / (s - 1) < target:
-                break
-            n += 1
-        return +total
+# -- zeta values and the Glaisher constant --------------------------------
 
 
 def zeta_int(s: int, wp: int):
+    """zeta(s) for integer s >= 2, mpmath's value at wp bits."""
     if s < 2:
         raise ValueError("only s >= 2 is supported")
-    if s <= max(12, wp // 10):
-        return _zeta_em(s, wp)
-    return _zeta_direct(s, wp)
+    with mp.workprec(wp):
+        return mp.zeta(s)
 
 
-def _zeta_prime_2(wp: int):
-    """d/ds zeta(s) at s=2, by differentiating the Euler-Maclaurin form."""
-    with mp.workprec(wp + 32):
-        M = max(40, wp // 8 + 16)
-        total = mp.mpf(0)
-        for n in range(2, M):
-            total -= mp.log(n) / mp.mpf(n) ** 2
-        Mf = mp.mpf(M)
-        lM = mp.log(Mf)
-        total -= (lM + 1) / Mf
-        total -= lM / (2 * Mf * Mf)
-        target = mp.mpf(2) ** (-(wp + 16))
-        harm = mp.mpf(0)  # harmonic number H_{2k}
-        mpow = mp.mpf(1)
-        k = 1
-        while True:
-            harm += mp.mpf(1) / (2 * k - 1) + mp.mpf(1) / (2 * k)
-            mpow /= Mf * Mf
-            term = mp.bernoulli(2 * k) * (mpow / Mf) * (harm - 1 - lM)
-            total += term
-            if abs(term) < target:
-                break
-            if 2 * k > 6 * M:
-                raise AccuracyError("correction terms stopped decaying")
-            k += 1
-        return +total
-
-
-# 50-digit reference for the Glaisher-Kinkelin constant; recomputations
-# must land on it or the series machinery is broken
+# 50-digit reference for the Glaisher-Kinkelin constant; the library value
+# must land on it or mpmath's constant is not what this module assumes
 _GLAISHER_REF = "1.2824271291006226368753425688697917277676889273250"
 
 
 def glaisher_constant(bits: int):
-    """The Glaisher-Kinkelin constant from its zeta'(2) representation."""
-    wp = bits + 32
-    zp2 = _zeta_prime_2(wp)
-    with mp.workprec(wp):
-        log_a = mp.euler / 12 + mp.log(2 * mp.pi) / 12 - zp2 / (2 * mp.pi ** 2)
-        a = mp.exp(log_a)
-        ref = mp.mpf(_GLAISHER_REF)
+    """The Glaisher-Kinkelin constant A: mpmath's, checked against _GLAISHER_REF."""
+    with mp.workprec(bits + 32):
+        a = +mp.glaisher
         agree_digits = min(48, max(10, int(bits * 0.301) - 2))
-        if abs(a - ref) > mp.mpf(10) ** (-agree_digits):
+        if abs(a - mp.mpf(_GLAISHER_REF)) > mp.mpf(10) ** (-agree_digits):
             raise AccuracyError(
                 "computed constant disagrees with the stored reference"
             )

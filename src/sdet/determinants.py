@@ -890,10 +890,10 @@ def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list
     orders may come unsorted and may repeat; the results follow them.  A
     rational matrix gives exact values and ignores bits: orders past a zero
     minor come from look-ahead steps of the same pass.  An hp matrix runs at
-    bits (default: its field's) and is checked at bits + ceil(bits/2); an
-    order that the engine cannot serve, and every later one, comes from
-    det_lu on the leading block (checked at 2*bits), so its errors
-    propagate unchanged.
+    bits (default: its field's; at least 64) and is checked at
+    bits + ceil(bits/2); an order that the engine cannot serve, and every
+    later one, comes from det_lu on the leading block (checked at 2*bits),
+    so its errors propagate unchanged.
 
     M keeps what a call ran: the pass per bits and largest order (the
     engine reads the whole leading block of that order), and each det_lu
@@ -909,7 +909,7 @@ def leading_minors(M: StructuredMatrix, orders, bits: int | None = None) -> list
     if M.field.is_exact:
         bits = None
     else:
-        bits = bits or M.field.bits
+        bits = M.field.bits if bits is None else bits
         if bits < 64:
             raise ValueError("leading_minors needs at least 64 bits")
     held = M._minors
@@ -1029,15 +1029,20 @@ def pfaffian(M: StructuredMatrix, bits: int | None = None):
     """Pfaffian of a skewsymmetric matrix of even order.
 
     The matrix must be skewsymmetric by the rule of leading_minors, read at
-    bits (default: the field's).  Exact over rationals; over hp fields the
-    result is rounded to bits + 32 bits, and a real matrix runs on the
-    fixed-point ints of _fixed_pfaffian.  The elimination pivots on the
-    largest available off-diagonal entry; row and column swaps happen
+    bits (default: the field's; at least 64).  Exact over rationals; over hp
+    fields the result is rounded to bits + 32 bits, and a real matrix runs
+    on the fixed-point ints of _fixed_pfaffian.  The elimination pivots on
+    the largest available off-diagonal entry; row and column swaps happen
     together, each flipping the sign.
     """
     if M.order % 2:
         raise ValueError("pfaffian needs even order")
-    bits = None if M.field.is_exact else bits or M.field.bits
+    if M.field.is_exact:
+        bits = None
+    else:
+        bits = M.field.bits if bits is None else bits
+        if bits < 64:
+            raise ValueError("pfaffian needs at least 64 bits")
     if not _is_skew(M.rows, bits):
         raise ValueError("pfaffian needs a skewsymmetric matrix")
     if bits is None:

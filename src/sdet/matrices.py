@@ -281,7 +281,7 @@ def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, layout, che
     matrix, one per structure, N and field (symbols._once)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    field = field or infer_field(a, bits or 256, exact=bits is None)
+    field = field or infer_field(a, 256 if bits is None else bits, exact=bits is None)
 
     def build():
         c = _coeff_table(a, lo, hi, field)

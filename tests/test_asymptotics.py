@@ -83,6 +83,12 @@ class TestBarnesValues:
         with mp.workprec(224):
             assert abs(direct - series) < mp.mpf(10) ** -40
 
+    def test_series_route_agrees_with_closed_product_at_1024_bits(self):
+        direct = barnes_constants(1024).G_half
+        series = g_half_series(1024)
+        with mp.workprec(1056):
+            assert abs(direct - series) < mp.mpf(2) ** -1016
+
     def test_bits_floor(self):
         with pytest.raises(ValueError):
             barnes_constants(32)

@@ -319,6 +319,12 @@ class TestPfaffian:
         T = toeplitz(c, 2)
         assert pfaffian(T) == Fraction(-3, 2)
 
+    def test_hp_bits_below_64_rejected(self):
+        T = toeplitz({1: 0.5, -1: -0.5}, 4, bits=256)
+        for bits in (0, 10):
+            with pytest.raises(ValueError, match="at least 64 bits"):
+                pfaffian(T, bits=bits)
+
 
 def exact_rows(M):
     """The rational values of an hp matrix's mpf entries."""

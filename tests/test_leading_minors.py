@@ -163,8 +163,9 @@ class TestEnginesAgainstReference:
         for bad in ([0], [4], [2, -1]):
             with pytest.raises(ValueError):
                 leading_minors(T, bad)
-        with pytest.raises(ValueError):
-            leading_minors(toeplitz(ScalarSeq({0: 1}, "even"), 3, bits=128), [2], bits=32)
+        for bits in (0, 32):
+            with pytest.raises(ValueError):
+                leading_minors(toeplitz(ScalarSeq({0: 1}, "even"), 3, bits=128), [2], bits=bits)
 
 
 class TestForcedFallback:

@@ -71,6 +71,11 @@ class TestToeplitz:
         with pytest.raises(ValueError):
             toeplitz(DELTA, 0)
 
+    def test_hp_bits_below_64_rejected(self):
+        for bits in (0, 10):
+            with pytest.raises(ValueError, match="bits >= 64"):
+                toeplitz({0: 1.5, 1: 0.5, -1: 0.5}, 3, bits=bits)
+
     def test_odd_symbol_odd_order_determinant_vanishes(self):
         c = ScalarSeq({1: Fraction(2, 3), 2: -1, 3: Fraction(1, 5)}, "odd")
         for N in range(1, 6):
