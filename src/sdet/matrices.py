@@ -30,9 +30,10 @@ and tolist() gives a mutable copy.  So a matrix can be shared: called with
 a symbol, toeplitz, hankel, toeplitz_plus_hankel and hankel_moment build
 the matrix once per (family, N, field) and keep it on the symbol, with
 symbols' other derived values, and determinants.leading_minors keeps the
-passes it ran on the matrix.  Both go when the symbol goes; nothing is kept
-process-wide.  A plain dict or ScalarSeq has no such store and gets a new
-matrix per call.
+passes it ran on the matrix.  A HalvedArg, built afresh by each
+halve_argument call, keeps its matrices on its base.  Both go by refcount
+when the symbol goes; nothing is kept process-wide.  A plain dict or
+ScalarSeq has no such store and gets a new matrix per call.
 
 The leading k x k block of a size-N Toeplitz, Hankel, Toeplitz+Hankel or
 Hankel moment matrix is the size-k matrix of the same source, so a walk over
@@ -278,7 +279,8 @@ def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, layout, che
     """The N x N matrix with rows layout(c, N) of c, the table of a over
     [lo, hi] (over the rationals, the table's numerators over the matrix's
     den), once check(c, field), if given, has passed.  A symbol keeps the
-    matrix, one per structure, N and field (symbols._once)."""
+    matrix, one per structure, N and field (symbols._once); a HalvedArg,
+    built afresh per halve_argument call, keeps it on its base."""
     if N < 1:
         raise ValueError("N must be >= 1")
     field = field or infer_field(a, 256 if bits is None else bits, exact=bits is None)
@@ -298,6 +300,8 @@ def _build(a, N: int, field, bits, lo: int, hi: int, structure: str, layout, che
             rows = layout(c, N)
         return StructuredMatrix._held(rows, field, structure, den)
 
+    if isinstance(a, symbols.HalvedArg):
+        return symbols._once(a.base, ("halved", structure, N, field), build)
     if isinstance(a, (symbols.FourierSymbol, symbols.MomentSymbol)):
         return symbols._once(a, (structure, N, field), build)
     return build()

@@ -38,16 +38,19 @@ an identity stay independent.
 
 Symbols are immutable after construction.  Each one memoizes what is
 derived from it under its own lock: its coefficient or moment tables, its
-images (moment twin, skew symbol, half-angle lift, argument halving), its
-sampled symmetry certificates and the matrices that matrices' builders lay
-out of it, one per family, N and field.  So each image and each matrix is
-built once per symbol, and all of it goes with the symbol; table builds
-take turns (_table).  That does not make hp work safe in threads: mpmath
-keeps one working precision per process, which every mp.workprec block
-saves and restores, so two threads that verify or build hp matrices at once
-can change each other's results.  Run concurrent hp work in processes.
+images (moment twin, skew symbol, half-angle lift, a CoeffSeq's argument
+halving), its sampled symmetry certificates and the matrices that matrices'
+builders lay out of it, one per family, N and field.  So each image and each
+matrix is built once per symbol; table builds take turns (_table).  A
+derived symbol holds its source's data and evaluators (_detached), never the
+source, so all of it is freed by refcount with the source.  That does not
+make hp work safe in threads: mpmath keeps one working precision per
+process, which every mp.workprec block saves and restores, so two threads
+that verify or build hp matrices at once can change each other's results.
+Run concurrent hp work in processes.
 """
 
+import copy
 import itertools
 import math
 import threading
@@ -150,6 +153,18 @@ def _cached_table(owner, bits: int, limit: int) -> dict:
     return table
 
 
+def _detached(sym):
+    """A copy of sym that shares its data and evaluators but not its store.
+
+    An image of sym holds this copy, never sym: sym keeps the image in its
+    store, so a reference back would make a cycle that only the cyclic
+    collector frees.
+    """
+    twin = copy.copy(sym)
+    twin._cache, twin._derived, twin._lock = {}, {}, threading.Lock()
+    return twin
+
+
 def _once(owner, key, build):
     """owner's derived value under key (an image, a certificate or a
     matrix), from build() on the first call.
@@ -209,7 +224,7 @@ class FourierSymbol:
     #: "even" when a(1/t) = a(t) is guaranteed, "odd" for a(1/t) = -a(t).
     symmetry: str | None = None
 
-    #: b when this is b's skew symbol, from moment_to_skew_symbol(b).
+    #: _detached(b) when this is b's skew symbol, from moment_to_skew_symbol(b).
     _skew_of: "MomentSymbol | None" = None
 
     def __init__(self):
@@ -443,8 +458,8 @@ class Chi(FourierSymbol):
         return mp.mpc(0, 1) if r < mp.pi else mp.mpc(0, -1)
 
     def closed_table(self, ns, bits=None):
-        zero = mp.mpf(0) if bits else 0
-        with mp.workprec(bits or 128):
+        zero = 0 if bits is None else mp.mpf(0)
+        with mp.workprec(_default_bits(bits)):
             pi = +mp.pi
             return {n: 2 / (pi * n) if n % 2 else zero for n in ns}
 
@@ -473,7 +488,7 @@ class JumpT(FourierSymbol):
         return mp.exp(mp.mpc(0, 1) * b * (r - mp.pi))
 
     def closed_table(self, ns, bits=None):
-        wp = bits or 128
+        wp = _default_bits(bits)
         with mp.workprec(wp):
             b = to_mp(self.beta, wp)
             sin_b, pi = mp.sinpi(b), +mp.pi
@@ -916,11 +931,18 @@ class MomentSymbol:
 # -- spec-level operations ----------------------------------------------
 
 
-def _bits_from_accuracy(accuracy, bits):
-    if bits is not None:
-        return bits
-    if accuracy is None:
+def _default_bits(bits):
+    """bits, or 128 when bits is None; a bits below 1 is refused."""
+    if bits is None:
         return 128
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
+    return bits
+
+
+def _bits_from_accuracy(accuracy, bits):
+    if bits is not None or accuracy is None:
+        return _default_bits(bits)
     if accuracy <= 0:
         raise ValueError("accuracy target must be positive")
     return max(64, int(-mp.log(mp.mpf(accuracy), 2)) + quadrature.GUARD)
@@ -943,7 +965,11 @@ def evaluate(a, theta, bits: int = 128):
 
 
 def halve_argument(a: FourierSymbol) -> FourierSymbol:
-    """d with d_n = a_{2n}, valid when a(-t) = a(t); built once per a."""
+    """d with d_n = a_{2n}, valid when a(-t) = a(t).
+
+    A CoeffSeq's d is built once per a.  Any other a gets a new HalvedArg,
+    which reads a's table; matrices keeps its matrices on a.
+    """
     if isinstance(a, ArgDoubled):
         return a.base
     if isinstance(a, CoeffSeq):
@@ -956,7 +982,7 @@ def halve_argument(a: FourierSymbol) -> FourierSymbol:
         return _once(a, "halved", lambda: CoeffSeq(halved, symmetry=a.symmetry))
     if not a.even_support():
         raise SpeciesError("halve_argument needs a(-t) = a(t)")
-    return _once(a, "halved", lambda: HalvedArg(a))
+    return HalvedArg(a)
 
 
 def double_argument(a: FourierSymbol) -> FourierSymbol:
@@ -979,14 +1005,15 @@ def _pullback(a: FourierSymbol, weight: str) -> MomentSymbol:
     """
 
     def build():
-        profile = a.real_profile()
+        src = _detached(a)
+        profile = src.real_profile()
         real = profile is not None and profile[0] == "even"
         return MomentSymbol(
-            smooth=lambda x: a.eval_at(mp.acos(x)),
+            smooth=lambda x: src.eval_at(mp.acos(x)),
             weight=weight,
             jumps=[p for p in a.jump_points() if p.approx() < math.pi + 1e-12],
             parity="even" if a.even_support() else None,
-            smooth_theta=profile[1] if real else a.eval_at,
+            smooth_theta=profile[1] if real else src.eval_at,
             real=real,
             band=None if a.jump_points() else a.band(),  # a band describes a jump-free a
         )
@@ -1033,18 +1060,20 @@ def moment_to_skew_symbol(b: MomentSymbol) -> FourierSymbol:
     unknown; every other b takes the panels.  Built once per b.
     """
 
+    weight, smooth_theta = b.weight, b.smooth_theta
+
     def half(theta):
         # b(cos theta) with theta folded into (0, pi), weight folded in analytically
         if theta > mp.pi:
             theta = 2 * mp.pi - theta
-        if b.weight == "sqrt_ratio":
+        if weight == "sqrt_ratio":
             c, s = quadrature._cos_sin(theta)
-            return b.smooth_theta(theta) * (1 + c) / s
-        return b.smooth_theta(theta)
+            return smooth_theta(theta) * (1 + c) / s
+        return smooth_theta(theta)
 
     def build():
         skew = multiply_by_chi(_lift(b, 1, half))
-        skew._skew_of = b
+        skew._skew_of = _detached(b)
         return skew
 
     return _once(b, "skew", build)
@@ -1057,9 +1086,10 @@ def _halfangle(b0: MomentSymbol) -> FourierSymbol:
         raise SpeciesError("half-angle lift needs an even smooth factor")
     # an even smooth factor of degree K in cos(theta/2) has degree K/2 in theta
     band = None if b0.band is None else (b0.band + 1) // 2
+    smooth = b0.smooth
 
     def value(theta):
-        return b0.smooth(quadrature._cos_sin(theta / 2)[0])
+        return smooth(quadrature._cos_sin(theta / 2)[0])
 
     return _once(b0, "halfangle", lambda: _lift(b0, 2, value, band))
 

@@ -14,6 +14,7 @@ import pytest
 
 import sdet.determinants as determinants
 import sdet.identities as identities
+import sdet.symbols as symbols
 from sdet.determinants import PrecisionError, det_bareiss, leading_minors
 from sdet.identities import IdentityKind, pfaffian_link, verify, verify_all
 from sdet.matrices import hankel, hankel_moment, toeplitz, toeplitz_plus_hankel
@@ -257,6 +258,42 @@ class TestOneOwner:
         second = verify(IdentityKind.CSeqSquare, c, N, mode, BITS)
         assert first.passed and second.to_json() == first.to_json()
         assert passes == [2 * N, N, N]
+
+
+class TestOneSourceSharesItsImages:
+    """A symbol keeps its images, and each image its tables, matrices and
+    passes, so the kinds on one symbol build each once."""
+
+    def test_twin_kinds_build_three_tables(self, passes, monkeypatch):
+        tables = []
+        table = symbols._table
+
+        def counted(sym, limit, bits):
+            tables.append(type(sym).__name__)
+            return table(sym, limit, bits)
+
+        monkeypatch.setattr(symbols, "_table", counted)
+        a = FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))
+        reports = [
+            verify(IdentityKind.THvsMoment, a, N, "hp", BITS),
+            verify(IdentityKind.MomentSkewSquare, th_to_moment_symbol(a), N, "hp", BITS),
+            pfaffian_link(th_to_moment_symbol(a), N, bits=BITS),
+        ]
+        assert all(rep.passed for rep in reports)
+        # a's coefficients, the twin's moments and its skew symbol's coefficients
+        assert sorted(tables) == ["FHProduct", "MomentSymbol", "SymbolProduct"]
+        # T+H_N(a), H_N[b] and T_2N(c)
+        assert sorted(passes) == [N, N, 2 * N]
+
+    def test_halved_argument_sides_share_one_pass(self, passes):
+        a = _fh_even_support()
+        quarter = identities._sides(IdentityKind.QuarterWave, a, N, BITS, [])
+        split = identities._sides(IdentityKind.ParitySplitEven, a, N, BITS, [])
+        assert quarter[1][0] is split[1][0]
+        assert verify(IdentityKind.QuarterWave, a, N, "hp", BITS).passed
+        assert verify(IdentityKind.ParitySplitEven, a, N, "hp", BITS).passed
+        # T+H_N(a) and T_N(d), then only T_2N(a)
+        assert sorted(passes) == [N, N, 2 * N]
 
 
 # every kind on an input it takes, as a fresh symbol per call

@@ -255,6 +255,19 @@ class TestClosedTables:
             assert raw_tuple(Chi().closed_coeff(n, bits)) == raw_tuple(want)
         assert table[4] == 0 and table[3] != 0
 
+    @pytest.mark.parametrize("make", [Chi, lambda: JumpT(Fraction(-1, 2))], ids=["chi", "jump"])
+    def test_only_none_means_the_default_bits(self, make):
+        a = make()
+        assert raw_tuple(a.closed_table((1,), None)[1]) == raw_tuple(a.closed_table((1,), 128)[1])
+        assert fourier_coeff(a, 1, bits=10)._mpf_[3] <= 10
+        for bits in (0, -5):
+            with pytest.raises(ValueError, match="bits must be >= 1"):
+                fourier_coeff(a, 1, bits=bits)
+            with pytest.raises(ValueError, match="bits must be >= 1"):
+                a.coeff_table(-1, 1, bits)
+        with pytest.raises(ValueError, match="bits must be >= 1"):
+            moment(MomentSymbol.from_poly({0: 1}), 1, bits=0)
+
     def test_no_closed_form_is_none(self):
         a = FHProduct(FHDescriptor({1: 0.15, -1: 0.15}))
         assert a.closed_table(range(-3, 4), 128) is None
